@@ -10,7 +10,7 @@ Run:  python3 demos/02_routing_by_agreement.py
 import numpy as np
 
 from capsnlu.autodiff import Tensor
-from capsnlu.detection import activation_norms, classify_existing, dynamic_routing, squash
+from capsnlu.detection import activation_norms, dynamic_routing, squash
 
 rng = np.random.default_rng(4)
 
@@ -34,4 +34,4 @@ for it, c in enumerate(trace.c):
 
 norms = activation_norms(trace.v_final)
 print("\nactivation norms:", " ".join(f"{n:.4f}" for n in norms))
-print("winner:", classify_existing(trace.v_final), "(the coherent capsule)")
+print("winner:", norms.argmax(), "(the coherent capsule)")

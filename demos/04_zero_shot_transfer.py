@@ -18,7 +18,7 @@ from capsnlu.data import load_embeddings, load_tsv
 from capsnlu.harness import train, zsl_evaluate
 from capsnlu.model import forward_batch
 from capsnlu.zeroshot import (
-    classify_emerging,
+    classify_emerging_batch,
     intent_similarity,
     similarity_variance,
     vote_vectors,
@@ -71,11 +71,11 @@ print("row variance (certainty of the transfer):", np.round(similarity_variance(
 with no_grad():
     ids, _ = corpus_emerging.samples[0]
     fwd = forward_batch(model, [ids], cfg)
-votes = vote_vectors(fwd.trace, fwd.P)[0]          # c * p per (intent, head)
+votes = vote_vectors(fwd.trace, fwd.P)             # c * p per (intent, head), batch of one
 u = zero_shot_prediction_vectors(sim.q, votes)     # mixed by similarity
-winner, n = classify_emerging(u, cfg.routing_iterations)
-print("emerging activation norms:", np.round(np.linalg.norm(n, axis=-1), 4))
-print("predicted emerging intent:", emerging[winner])
+winners, n = classify_emerging_batch(u, cfg.routing_iterations)
+print("emerging activation norms:", np.round(np.linalg.norm(n[0], axis=-1), 4))
+print("predicted emerging intent:", emerging[winners[0]])
 
 report, per_intent = zsl_evaluate(model, corpus_emerging, table.intent_vectors, cfg)
 print(f"zero-shot accuracy over {len(corpus_emerging)} utterances: {report.accuracy:.2f}")

@@ -13,10 +13,8 @@ from .autodiff import (
     DimensionError,
     NumericError,
     Tensor,
-    apply_unary,
     concat,
     finite_diff_check,
-    frobenius_sq,
     no_grad,
     row_softmax,
     softmax,
@@ -36,9 +34,7 @@ from .data import (
 from .detection import (
     DetectionCapsParams,
     RoutingTrace,
-    classify_existing,
     dynamic_routing,
-    margin_loss,
     prediction_vectors,
     squash,
 )
@@ -54,15 +50,11 @@ from .metrics import MetricsReport, compute_metrics
 from .model import ModelParams, forward_batch, init_model, load_model, save_model
 from .semantic import (
     SemanticCapsParams,
-    SemanticOutput,
     attend,
-    bilstm_encode,
     semantic_vectors,
 )
 from .zeroshot import (
     SimilarityMatrix,
-    ZslOutput,
-    classify_emerging,
     intent_similarity,
     similarity_variance,
     vote_vectors,

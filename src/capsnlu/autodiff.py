@@ -28,13 +28,10 @@ __all__ = [
     "ContractError",
     "NumericError",
     "no_grad",
-    "apply_unary",
-    "matmul",
     "concat",
     "stack",
     "softmax",
     "row_softmax",
-    "frobenius_sq",
     "finite_diff_check",
 ]
 
@@ -358,15 +355,6 @@ class Tensor:
 
         return _result(out, "swapaxes", (self,), vjp)
 
-    def transpose(self, axes=None) -> "Tensor":
-        out = np.transpose(self.values, axes)
-        inv = None if axes is None else tuple(np.argsort(axes))
-
-        def vjp(g):
-            return (np.transpose(g, inv),)
-
-        return _result(out, "transpose", (self,), vjp)
-
     def __getitem__(self, key) -> "Tensor":
         # basic indexing only (ints and slices); the result may be a view,
         # which is safe because values are never mutated inside a graph
@@ -473,27 +461,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # free functions
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return a @ b
-
-
-_UNARY = {
-    "tanh": Tensor.tanh,
-    "sigmoid": Tensor.sigmoid,
-    "exp": Tensor.exp,
-    "square": Tensor.square,
-}
-
-
-def apply_unary(name: str, x: Tensor) -> Tensor:
-    """Elementwise differentiable map by name (tanh/sigmoid/exp/square)."""
-    try:
-        fn = _UNARY[name]
-    except KeyError:
-        raise ContractError(f"unsupported unary map {name!r}; expected one of {sorted(_UNARY)}")
-    return fn(x)
-
-
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     """Juxtapose two tensors along `axis`; other extents must agree."""
     av, bv = a.values, b.values
@@ -574,30 +541,8 @@ def row_softmax(x: Tensor, mask=None) -> Tensor:
     return softmax(x, axis=-1, mask=mask)
 
 
-def frobenius_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries, as a scalar tensor."""
-    return x.square().sum()
-
-
 # ----------------------------------------------------------------------
 # gradient verification
-
-
-def _named_tensors(params) -> list[tuple[str, Tensor]]:
-    if hasattr(params, "trainable"):
-        return list(params.trainable())
-    if isinstance(params, dict):
-        return list(params.items())
-    if isinstance(params, Tensor):
-        return [("param", params)]
-    out = []
-    for i, item in enumerate(params):
-        if isinstance(item, Tensor):
-            out.append((f"param{i}", item))
-        else:
-            name, t = item
-            out.append((name, t))
-    return out
 
 
 def finite_diff_check(
@@ -607,14 +552,15 @@ def finite_diff_check(
 ) -> float:
     """Compare autodiff gradients against central differences.
 
-    `loss_fn(params)` must rebuild the loss graph from the current
+    `params` is a dict of named tensors or a list of (name, tensor)
+    pairs. `loss_fn(params)` must rebuild the loss graph from the current
     parameter values and be deterministic (no dropout). Returns the worst
     relative error over every parameter entry; when both gradient
     magnitudes are below 1e-8 the absolute difference is used instead.
     """
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
-    pairs = _named_tensors(params)
+    pairs = list(params.items()) if isinstance(params, dict) else list(params)
     for _, t in pairs:
         t.reset_grad()
     loss = loss_fn(params)

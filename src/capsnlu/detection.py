@@ -13,8 +13,8 @@ intents; training minimizes a per-intent max-margin loss plus the
 attention orthogonality penalty. The whole routing loop stays inside the
 autodiff graph, so gradients flow through every iteration.
 
-Functions take a single utterance (P of shape K x R x D_P) or a batch
-(leading batch axis) interchangeably.
+Callers pass a batch (P of shape B x K x R x D_P); a single utterance is
+a batch of one (B=1). The functions broadcast over any leading axes.
 """
 
 from __future__ import annotations
@@ -105,14 +105,9 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
     return trace
 
 
-def classify_existing(v) -> int:
-    """Intent with the largest activation norm; ties go to the lowest id."""
-    vals = v.values if isinstance(v, Tensor) else np.asarray(v)
-    norms = np.linalg.norm(vals, axis=-1)
-    return int(np.argmax(norms))
-
-
 def activation_norms(v) -> np.ndarray:
+    """||v_k|| per intent; `.argmax(-1)` picks the winning intent, ties
+    going to the lowest id."""
     vals = v.values if isinstance(v, Tensor) else np.asarray(v)
     return np.linalg.norm(vals, axis=-1)
 
@@ -156,29 +151,3 @@ def margin_loss_batch(
     if penalty_weight:
         loss = loss + penalty_weight * penalty.mean()
     return loss
-
-
-def margin_loss(
-    v: Tensor,
-    true_label: int,
-    penalty,
-    *,
-    downweight: float = 0.5,
-    margin_pos: float = 0.9,
-    margin_neg: float = 0.1,
-    penalty_weight: float = 0.0,
-) -> Tensor:
-    """Single-utterance loss; see `margin_loss_batch`."""
-    if not isinstance(penalty, Tensor):
-        penalty = Tensor(np.asarray(penalty, dtype=v.values.dtype))
-    vb = v.unsqueeze(0)
-    pb = penalty.reshape(1) if penalty.ndim <= 1 else penalty
-    return margin_loss_batch(
-        vb,
-        [true_label],
-        pb,
-        downweight=downweight,
-        margin_pos=margin_pos,
-        margin_neg=margin_neg,
-        penalty_weight=penalty_weight,
-    )

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import Corpus, EmbeddingTable
 from .detection import activation_norms, margin_loss_batch
 from .metrics import MetricsReport, compute_metrics
-from .model import ModelBundle, ModelParams, forward_batch, init_model
+from .model import ModelParams, forward_batch, init_model
 from .zeroshot import (
     classify_emerging_batch,
     intent_similarity,
@@ -192,18 +192,25 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
 # evaluation
 
 
-def _eval_batches(samples, batch_size=EVAL_BATCH):
-    for start in range(0, len(samples), batch_size):
-        yield samples[start : start + batch_size]
+def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig):
+    """Yield (start, chunk, ForwardPass) for each EVAL_BATCH slice of the
+    corpus. no_grad covers each forward_batch call but never a yield: a
+    consumer that stops early leaves the generator suspended, and a block
+    held open across the yield would keep graph recording off for the
+    caller, then pop another block's entry off the thread-local grad
+    stack when the generator is finally closed."""
+    samples = corpus.samples
+    for start in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[start : start + EVAL_BATCH]
+        with no_grad():
+            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
+        yield start, chunk, fwd
 
 
 def predict_existing(model: ModelParams, corpus: Corpus, cfg: RunConfig) -> np.ndarray:
     preds = []
-    with no_grad():
-        for chunk in _eval_batches(corpus.samples):
-            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
-            norms = activation_norms(fwd.trace.v_final)
-            preds.extend(norms.argmax(axis=-1).tolist())
+    for _, _, fwd in _forward_chunks(model, corpus, cfg):
+        preds.extend(activation_norms(fwd.trace.v_final).argmax(axis=-1).tolist())
     return np.asarray(preds, dtype=np.int64)
 
 
@@ -223,14 +230,12 @@ def zsl_predict(model: ModelParams, corpus: Corpus, intent_vectors: np.ndarray, 
     sim = intent_similarity(intent_vectors[k:], intent_vectors[:k], cfg.sigma)
     preds = []
     acts = []
-    with no_grad():
-        for chunk in _eval_batches(corpus.samples):
-            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
-            votes = vote_vectors(fwd.trace, fwd.P)                 # B x K x R x D_P
-            u = zero_shot_prediction_vectors(sim.q, votes)         # B x L x R x D_P
-            winners, n = classify_emerging_batch(u, cfg.routing_iterations)
-            preds.extend(winners.tolist())
-            acts.append(n)
+    for _, _, fwd in _forward_chunks(model, corpus, cfg):
+        votes = vote_vectors(fwd.trace, fwd.P)                 # B x K x R x D_P
+        u = zero_shot_prediction_vectors(sim.q, votes)         # B x L x R x D_P
+        winners, n = classify_emerging_batch(u, cfg.routing_iterations)
+        preds.extend(winners.tolist())
+        acts.append(n)
     return np.asarray(preds, dtype=np.int64), np.concatenate(acts, axis=0), sim
 
 
@@ -274,11 +279,9 @@ def attention_offdiag_mean(model: ModelParams, corpus: Corpus, cfg: RunConfig) -
         return 0.0
     off_mask = ~np.eye(heads, dtype=bool)
     totals = []
-    with no_grad():
-        for chunk in _eval_batches(corpus.samples):
-            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
-            gram = fwd.A.values @ np.swapaxes(fwd.A.values, -1, -2)  # B x R x R
-            totals.extend(np.abs(gram[:, off_mask]).mean(axis=-1).tolist())
+    for _, _, fwd in _forward_chunks(model, corpus, cfg):
+        gram = fwd.A.values @ np.swapaxes(fwd.A.values, -1, -2)  # B x R x R
+        totals.extend(np.abs(gram[:, off_mask]).mean(axis=-1).tolist())
     return float(np.mean(totals))
 
 
@@ -349,18 +352,14 @@ def export_attention(model: ModelParams, corpus: Corpus, cfg: RunConfig, words: 
     """Per-token attention scores, one row per (utterance, token, head)."""
     path = Path(path)
     lines = ["utterance\tposition\ttoken\thead\tscore"]
-    with no_grad():
-        offset = 0
-        for chunk in _eval_batches(corpus.samples):
-            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
-            for bi, (ids, _) in enumerate(chunk):
-                for pos, wid in enumerate(ids):
-                    for head in range(cfg.heads):
-                        score = fwd.A.values[bi, head, pos]
-                        lines.append(
-                            f"{offset + bi}\t{pos}\t{words[wid]}\t{head}\t{_fmt(score)}"
-                        )
-            offset += len(chunk)
+    for start, chunk, fwd in _forward_chunks(model, corpus, cfg):
+        for bi, (ids, _) in enumerate(chunk):
+            for pos, wid in enumerate(ids):
+                for head in range(cfg.heads):
+                    score = fwd.A.values[bi, head, pos]
+                    lines.append(
+                        f"{start + bi}\t{pos}\t{words[wid]}\t{head}\t{_fmt(score)}"
+                    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -372,18 +371,14 @@ def export_activations_existing(model: ModelParams, corpus: Corpus, cfg: RunConf
     intent_names = list(cfg.existing_labels)
     header = ["utterance", "true_intent", "intent", "norm"] + [f"v{i}" for i in range(cfg.caps_dim)]
     lines = ["\t".join(header)]
-    with no_grad():
-        offset = 0
-        for chunk in _eval_batches(corpus.samples):
-            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
-            v = fwd.trace.v_final.values
-            norms = activation_norms(fwd.trace.v_final)
-            for bi, (_, lab) in enumerate(chunk):
-                for k, name in enumerate(intent_names):
-                    row = [str(offset + bi), true_names[lab], name, _fmt(norms[bi, k])]
-                    row += [_fmt(x) for x in v[bi, k]]
-                    lines.append("\t".join(row))
-            offset += len(chunk)
+    for start, chunk, fwd in _forward_chunks(model, corpus, cfg):
+        v = fwd.trace.v_final.values
+        norms = activation_norms(v)
+        for bi, (_, lab) in enumerate(chunk):
+            for k, name in enumerate(intent_names):
+                row = [str(start + bi), true_names[lab], name, _fmt(norms[bi, k])]
+                row += [_fmt(x) for x in v[bi, k]]
+                lines.append("\t".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -40,15 +40,20 @@ class ModelParams:
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [("embedding", self.embedding)] + self.semantic.trainable() + self.detection.trainable()
 
-    def zero_grads(self) -> None:
-        for _, t in self.trainable():
-            t.reset_grad()
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.values.copy() for name, t in self.trainable()}
 
     def restore(self, values: dict[str, np.ndarray]) -> None:
-        for name, t in self.trainable():
+        """Copy `values` into the parameters. Every parameter must be present
+        with its exact shape, else ContractError names it and nothing is
+        copied."""
+        pairs = self.trainable()
+        for name, t in pairs:
+            if name not in values:
+                raise ContractError(f"parameter {name!r} is missing")
+            if np.shape(values[name]) != t.shape:
+                raise ContractError(f"parameter {name!r} has shape {np.shape(values[name])}, expected {t.shape}")
+        for name, t in pairs:
             t.values[...] = values[name]
 
 
@@ -144,7 +149,11 @@ def save_model(model: ModelParams, table: EmbeddingTable, cfg: RunConfig, out_di
 def load_model(model_dir) -> ModelBundle:
     model_dir = Path(model_dir)
     meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
-    arrays = np.load(model_dir / "params.npz")
+    with np.load(model_dir / "params.npz") as npz:
+        arrays = {key.replace("__", "."): npz[key] for key in npz.files}
+    for key in ("embedding", "intent_vectors"):
+        if key not in arrays:
+            raise ContractError(f"{model_dir / 'params.npz'} has no {key!r} array")
     cfg_dict = meta["config"]
     cfg = RunConfig(**{
         k: tuple(v) if isinstance(v, list) else v for k, v in cfg_dict.items()
@@ -158,5 +167,5 @@ def load_model(model_dir) -> ModelBundle:
     )
     rng = np.random.default_rng(cfg.seed)
     model = init_model(table, cfg, rng=rng, dtype=arrays["embedding"].dtype)
-    model.restore({name: arrays[name.replace(".", "__")] for name, _ in model.trainable()})
+    model.restore(arrays)
     return ModelBundle(model=model, table=table, intent_vectors=arrays["intent_vectors"], config=cfg)

@@ -8,8 +8,9 @@ of R attention heads turns H into one semantic vector:
     M = A @ H                                       # R x 2D_H
 
 with an orthogonality penalty ||A A^T - I||_F^2 pushing heads apart.
-All functions accept a single utterance (no batch axis) or a padded
-batch (leading batch axis); the recurrence only ever advances over each
+Callers pass a padded batch (leading batch axis B); a single utterance
+is a batch of one (B=1), and `attend` and `semantic_vectors` broadcast
+over any leading axes. The recurrence only ever advances over each
 utterance's true length, so trailing pads never leak into H or M.
 """
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, Tensor, concat, row_softmax, stack
-from .data import EmbeddingTable
 
 
 @dataclass
@@ -56,16 +56,6 @@ class SemanticCapsParams:
             + self.lstm_bw.trainable("lstm_bw")
             + [("w_s1", self.w_s1), ("w_s2", self.w_s2)]
         )
-
-
-@dataclass
-class SemanticOutput:
-    """One utterance's encoder products."""
-
-    H: Tensor        # T x 2D_H
-    A: Tensor        # R x T
-    M: Tensor        # R x 2D_H
-    penalty: Tensor  # scalar ||AA^T - I||_F^2
 
 
 def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -194,16 +184,6 @@ def encode_tokens(
     return big_h, mask
 
 
-def bilstm_encode(tokens, table, params: SemanticCapsParams) -> Tensor:
-    """Single-utterance hidden-state matrix H (T x 2D_H)."""
-    if isinstance(table, EmbeddingTable):
-        emb = Tensor(np.asarray(table.vectors))
-    else:
-        emb = table
-    big_h, _ = encode_tokens([list(tokens)], emb, params)
-    return big_h[0]
-
-
 # ----------------------------------------------------------------------
 # attention
 
@@ -232,8 +212,3 @@ def attend(H: Tensor, params: SemanticCapsParams, pad_mask=None):
 def semantic_vectors(attn: Tensor, H: Tensor) -> Tensor:
     """M = A @ H; row r is the r-th semantic vector."""
     return attn @ H
-
-
-def extract_semantics(H: Tensor, params: SemanticCapsParams, pad_mask=None) -> SemanticOutput:
-    attn, penalty = attend(H, params, pad_mask)
-    return SemanticOutput(H=H, A=attn, M=semantic_vectors(attn, H), penalty=penalty)

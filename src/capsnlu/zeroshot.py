@@ -14,7 +14,8 @@ which are mixed by label-embedding similarity
 
 and routed once more (same agreement loop, L target capsules) into
 emerging activation vectors n[l]; the largest norm wins. Everything here
-is pure evaluation over a frozen model.
+is pure evaluation over a frozen model. Vote and prediction vectors carry
+a leading batch axis; a single utterance is a batch of one (B=1).
 """
 
 from __future__ import annotations
@@ -33,16 +34,6 @@ class SimilarityMatrix:
 
     q: np.ndarray  # L x K, rows sum to 1, entries in (0, 1]
     sigma: float
-
-
-@dataclass
-class ZslOutput:
-    """Products of one utterance's zero-shot pass."""
-
-    g: np.ndarray         # K x R x D_P vote vectors
-    u: np.ndarray         # L x R x D_P emerging prediction vectors
-    n: np.ndarray         # L x D_P emerging activation vectors
-    variance: np.ndarray  # per-emerging-intent var(q_l)
 
 
 def vote_vectors(trace: RoutingTrace, p) -> np.ndarray:
@@ -75,36 +66,21 @@ def intent_similarity(emerging_vecs, existing_vecs, sigma: float) -> SimilarityM
 
 
 def zero_shot_prediction_vectors(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """u[l][r] = sum_k q[l][k] * g[k][r]; batched g gets a leading axis."""
+    """u[b][l][r] = sum_k q[l][k] * g[b][k][r] for votes g of shape
+    B x K x R x D_P."""
     q = np.asarray(q)
     g = np.asarray(g)
-    if q.ndim != 2 or q.shape[1] != g.shape[-3]:
-        raise ContractError(f"similarity {q.shape} does not match votes {g.shape}")
-    if g.ndim == 3:
-        return np.einsum("lk,krd->lrd", q, g)
-    if g.ndim == 4:
-        return np.einsum("lk,bkrd->blrd", q, g)
-    raise ContractError(f"vote vectors must be K x R x D_P (optionally batched), got {g.shape}")
-
-
-def emerging_activations(u, iterations: int) -> np.ndarray:
-    """Route emerging prediction vectors into activation vectors n."""
-    with no_grad():
-        trace = dynamic_routing(Tensor(np.asarray(u)), iterations)
-    return trace.v_final.values
-
-
-def classify_emerging(u, iterations: int):
-    """Winning emerging intent and all activation vectors for one
-    utterance (ties go to the lowest id)."""
-    n = emerging_activations(np.asarray(u), iterations)
-    norms = np.linalg.norm(n, axis=-1)
-    return int(np.argmax(norms)), n
+    if q.ndim != 2 or g.ndim != 4 or q.shape[1] != g.shape[1]:
+        raise ContractError(f"similarity {q.shape} does not match votes {g.shape} (B x K x R x D_P)")
+    return np.einsum("lk,bkrd->blrd", q, g)
 
 
 def classify_emerging_batch(u, iterations: int):
-    """Batched variant: (winner ids, n of shape B x L x D_P)."""
-    n = emerging_activations(np.asarray(u), iterations)
+    """Route emerging predictions u (B x L x R x D_P) into activation
+    vectors n (B x L x D_P); returns (winner ids, n), ties going to the
+    lowest id."""
+    with no_grad():
+        n = dynamic_routing(Tensor(np.asarray(u)), iterations).v_final.values
     norms = np.linalg.norm(n, axis=-1)
     return norms.argmax(axis=-1), n
 
@@ -113,11 +89,3 @@ def similarity_variance(q: np.ndarray) -> np.ndarray:
     """Population variance of each emerging intent's similarity row."""
     q = np.asarray(q)
     return q.var(axis=-1)
-
-
-def zero_shot_pass(trace: RoutingTrace, p, sim: SimilarityMatrix, iterations: int) -> ZslOutput:
-    """Full transfer for one utterance's routing products."""
-    g = vote_vectors(trace, p)
-    u = zero_shot_prediction_vectors(sim.q, g)
-    n = emerging_activations(u, iterations)
-    return ZslOutput(g=g, u=u, n=n, variance=similarity_variance(sim.q))

@@ -37,7 +37,7 @@ from capsnlu.harness import (
 )
 from capsnlu.model import forward_batch, init_model
 from capsnlu.semantic import attend, encode_tokens, init_semantic_params, semantic_vectors
-from capsnlu.zeroshot import classify_emerging, intent_similarity
+from capsnlu.zeroshot import classify_emerging_batch, intent_similarity
 
 from test_detection import FIXED_P, routing_transcript_oracle
 
@@ -167,10 +167,10 @@ class TestCriterion3Invariants:
             l = int(rng.integers(2, 5))
             u = rng.normal(size=(l, 3, 4))
             perm = rng.permutation(l)
-            w1, n1 = classify_emerging(u, iterations=3)
-            w2, n2 = classify_emerging(u[perm], iterations=3)
-            np.testing.assert_allclose(n2, n1[perm], atol=1e-12)
-            assert w2 == int(np.argwhere(perm == w1)[0, 0])
+            w1, n1 = classify_emerging_batch(u[None], iterations=3)
+            w2, n2 = classify_emerging_batch(u[perm][None], iterations=3)
+            np.testing.assert_allclose(n2[0], n1[0][perm], atol=1e-12)
+            assert w2[0] == int(np.argwhere(perm == w1[0])[0, 0])
 
     def test_report(self):
         _report(3, f"all eight invariant families hold on {N_INSTANCES} randomized instances each")
@@ -297,10 +297,10 @@ def test_criterion_7_separable_toy(toy_setup, tmp_path):
 
     tokens = corpus.samples[0][0]
     fwd = forward_batch(model, [tokens], cfg)
-    votes = vote_vectors(fwd.trace, fwd.P)[0]
+    votes = vote_vectors(fwd.trace, fwd.P)
     u = zero_shot_prediction_vectors(sim.q, votes)
-    _, n = classify_emerging(u, cfg.routing_iterations)
-    np.testing.assert_allclose(n[0], fwd.trace.v_final.values[0, 0], atol=1e-5)
+    _, n = classify_emerging_batch(u, cfg.routing_iterations)
+    np.testing.assert_allclose(n[0, 0], fwd.trace.v_final.values[0, 0], atol=1e-5)
     _report(7, f"toy training accuracy {report.accuracy:.2f}; transferred-label similarity row is one-hot")
 
 

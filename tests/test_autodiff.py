@@ -9,10 +9,8 @@ from capsnlu.autodiff import (
     DimensionError,
     NumericError,
     Tensor,
-    apply_unary,
     concat,
     finite_diff_check,
-    frobenius_sq,
     no_grad,
     row_softmax,
     softmax,
@@ -62,20 +60,16 @@ class TestMatmul:
 
 class TestUnary:
     def test_tanh_origin(self):
-        np.testing.assert_array_equal(apply_unary("tanh", t64([0.0, 0.0])).values, [0.0, 0.0])
+        np.testing.assert_array_equal(t64([0.0, 0.0]).tanh().values, [0.0, 0.0])
 
     def test_sigmoid_half(self):
-        np.testing.assert_allclose(apply_unary("sigmoid", t64([0.0])).values, [0.5])
+        np.testing.assert_allclose(t64([0.0]).sigmoid().values, [0.5])
 
     def test_exp_e(self):
-        np.testing.assert_allclose(apply_unary("exp", t64([1.0])).values, [math.e], rtol=1e-12)
+        np.testing.assert_allclose(t64([1.0]).exp().values, [math.e], rtol=1e-12)
 
     def test_square(self):
-        np.testing.assert_allclose(apply_unary("square", t64([-3.0, 2.0])).values, [9.0, 4.0])
-
-    def test_unknown_name(self):
-        with pytest.raises(ContractError):
-            apply_unary("log", t64([1.0]))
+        np.testing.assert_allclose(t64([-3.0, 2.0]).square().values, [9.0, 4.0])
 
 
 class TestRowSoftmax:
@@ -144,13 +138,13 @@ class TestConcatStack:
 
 class TestFrobenius:
     def test_zero(self):
-        assert frobenius_sq(t64(np.zeros((3, 3)))).item() == 0.0
+        assert t64(np.zeros((3, 3))).square().sum().item() == 0.0
 
     def test_permutation_matrix(self):
-        assert frobenius_sq(t64([[0.0, 1.0], [1.0, 0.0]])).item() == 2.0
+        assert t64([[0.0, 1.0], [1.0, 0.0]]).square().sum().item() == 2.0
 
     def test_three_four(self):
-        assert frobenius_sq(t64([[3.0, 4.0]])).item() == 25.0
+        assert t64([[3.0, 4.0]]).square().sum().item() == 25.0
 
 
 class TestBackward:
@@ -161,7 +155,7 @@ class TestBackward:
 
     def test_frobenius_grad(self):
         x = t64([[3.0]], requires_grad=True)
-        frobenius_sq(x).backward()
+        x.square().sum().backward()
         np.testing.assert_array_equal(x.grad, [[6.0]])
 
     def test_sigmoid_grad_quarter(self):
@@ -242,7 +236,7 @@ def _rand_graph_loss(params):
     pieces = concat(m, v.exp(), axis=-1)
     s = stack([pieces.sum(axis=0), pieces.square().sum(axis=0)], axis=0)
     norm = (s.square().sum(axis=-1, keepdims=True) + 1.0).sqrt()
-    return (s / norm).sum() + frobenius_sq(a @ a.swapaxes(-1, -2) - Tensor(np.eye(a.shape[0], dtype=np.float64)))
+    return (s / norm).sum() + (a @ a.swapaxes(-1, -2) - Tensor(np.eye(a.shape[0], dtype=np.float64))).square().sum()
 
 
 class TestFiniteDiffCheck:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ class TestDiagnostics:
         code = main(["train", "--config", str(cfg_path)])
         assert code != 0
         assert "dataset" in capsys.readouterr().err
+
+    def test_truncated_model_named(self, trained_run, tmp_path, capsys):
+        cfg_path, out_dir = trained_run
+        bad = shutil.copytree(out_dir / "model", tmp_path / "model")
+        with np.load(bad / "params.npz") as npz:
+            arrays = dict(npz)
+        arrays["detect__w"] = arrays["detect__w"][:1]
+        np.savez(bad / "params.npz", **arrays)
+        code = main(["eval", "--config", str(cfg_path), "--model", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "detect.w" in err
 
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

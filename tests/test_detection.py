@@ -5,10 +5,8 @@ from capsnlu.autodiff import ContractError, Tensor, finite_diff_check
 from capsnlu.detection import (
     DetectionCapsParams,
     activation_norms,
-    classify_existing,
     dynamic_routing,
     init_detection_params,
-    margin_loss,
     margin_loss_batch,
     prediction_vectors,
     squash,
@@ -179,8 +177,8 @@ class TestDynamicRouting:
             t1 = dynamic_routing(Tensor(p), iterations=3)
             t2 = dynamic_routing(Tensor(p[perm]), iterations=3)
             np.testing.assert_allclose(t2.v[-1], t1.v[-1][perm], atol=1e-12)
-            winner_before = classify_existing(t1.v_final)
-            assert classify_existing(t2.v_final) == int(np.argwhere(perm == winner_before)[0, 0])
+            winner_before = activation_norms(t1.v_final).argmax(-1)
+            assert activation_norms(t2.v_final).argmax(-1) == int(np.argwhere(perm == winner_before)[0, 0])
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(8)
@@ -197,29 +195,29 @@ class TestMarginLoss:
         v[0] = [0.9, 0.0]
         v[1] = [0.1, 0.0]
         v[2] = [0.05, 0.0]
-        loss = margin_loss(Tensor(v), 0, 0.0, penalty_weight=0.0)
+        loss = margin_loss_batch(Tensor(v[None]), [0], Tensor(np.zeros(1)), penalty_weight=0.0)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_full_positive_miss(self):
-        v = np.zeros((3, 2))
-        loss = margin_loss(Tensor(v), 0, 0.0, penalty_weight=0.0)
+        v = np.zeros((1, 3, 2))
+        loss = margin_loss_batch(Tensor(v), [0], Tensor(np.zeros(1)), penalty_weight=0.0)
         assert loss.item() == pytest.approx(0.81, rel=1e-9)
 
     def test_hand_hinge_arithmetic(self):
         v = np.zeros((2, 2))
         v[0] = [0.5, 0.0]   # true class
         v[1] = [0.6, 0.0]   # other class
-        loss = margin_loss(Tensor(v), 0, 0.0, downweight=0.5, penalty_weight=0.0)
+        loss = margin_loss_batch(Tensor(v[None]), [0], Tensor(np.zeros(1)), downweight=0.5, penalty_weight=0.0)
         assert loss.item() == pytest.approx(0.4**2 + 0.5 * 0.5**2, rel=1e-9)
 
     def test_invalid_margins(self):
         with pytest.raises(ContractError):
-            margin_loss(Tensor(np.zeros((2, 2))), 0, 0.0, margin_pos=0.1, margin_neg=0.9)
+            margin_loss_batch(Tensor(np.zeros((1, 2, 2))), [0], Tensor(np.zeros(1)), margin_pos=0.1, margin_neg=0.9)
 
     def test_penalty_term_added(self):
-        v = np.zeros((2, 2))
-        base = margin_loss(Tensor(v), 0, 0.0, penalty_weight=0.0).item()
-        with_pen = margin_loss(Tensor(v), 0, 2.0, penalty_weight=0.5).item()
+        v = Tensor(np.zeros((1, 2, 2)))
+        base = margin_loss_batch(v, [0], Tensor(np.zeros(1)), penalty_weight=0.0).item()
+        with_pen = margin_loss_batch(v, [0], Tensor(np.array([2.0])), penalty_weight=0.5).item()
         assert with_pen == pytest.approx(base + 1.0, rel=1e-9)
 
     def test_batch_mean(self):
@@ -231,20 +229,20 @@ class TestMarginLoss:
 
 class TestClassify:
     def test_unique_max(self):
-        v = np.zeros((3, 2))
-        v[0, 0], v[1, 0], v[2, 0] = 0.2, 0.9, 0.1
-        assert classify_existing(Tensor(v)) == 1
+        v = np.zeros((1, 3, 2))
+        v[0, 0, 0], v[0, 1, 0], v[0, 2, 0] = 0.2, 0.9, 0.1
+        assert activation_norms(Tensor(v)).argmax(-1).tolist() == [1]
 
     def test_tie_lowest_index(self):
-        v = np.zeros((2, 2))
-        v[0, 0] = v[1, 0] = 0.5
-        assert classify_existing(Tensor(v)) == 0
+        v = np.zeros((1, 2, 2))
+        v[0, 0, 0] = v[0, 1, 0] = 0.5
+        assert activation_norms(Tensor(v)).argmax(-1).tolist() == [0]
 
     def test_matches_transcript_oracle_winner(self):
-        trace = dynamic_routing(Tensor(FIXED_P), iterations=3)
+        trace = dynamic_routing(Tensor(FIXED_P[None]), iterations=3)
         want = routing_transcript_oracle(FIXED_P, 3)
         oracle_winner = int(np.argmax(np.linalg.norm(want["v"][-1], axis=-1)))
-        assert classify_existing(trace.v_final) == oracle_winner
+        assert activation_norms(trace.v_final).argmax(-1).tolist() == [oracle_winner]
 
     def test_activation_norms(self):
         v = np.array([[3.0, 4.0], [0.0, 1.0]])
@@ -257,12 +255,12 @@ class TestRoutingGradients:
         for seed in range(3):
             rng = np.random.default_rng(90 + seed)
             params = init_detection_params(rng, num_intents=3, heads=2, in_dim=4, caps_dim=3, dtype=np.float64)
-            m = Tensor(rng.normal(scale=0.4, size=(2, 4)), requires_grad=True)
+            m = Tensor(rng.normal(scale=0.4, size=(1, 2, 4)), requires_grad=True)
 
             def loss_fn(_):
                 p = prediction_vectors(m, params)
                 trace = dynamic_routing(p, iterations=3)
-                return margin_loss(trace.v_final, 1, 0.0, penalty_weight=0.0)
+                return margin_loss_batch(trace.v_final, [1], Tensor(np.zeros(1)), penalty_weight=0.0)
 
             norms = activation_norms(
                 dynamic_routing(prediction_vectors(m, params), iterations=3).v_final

@@ -3,10 +3,11 @@ import pytest
 
 from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
 
-from capsnlu.autodiff import NumericError
+from capsnlu.autodiff import ContractError, NumericError, Tensor
 from capsnlu.data import Corpus
 from capsnlu.harness import (
     StratificationError,
+    _forward_chunks,
     attention_offdiag_mean,
     cross_validate,
     evaluate,
@@ -220,6 +221,16 @@ class TestExports:
         assert len(lines2) - 1 == len(emerging.samples) * len(TOY_EMERGING)
         assert lines2[0].startswith("utterance\ttrue_intent\tpredicted_intent")
 
+    def test_abandoned_forward_chunks_leave_graph_recording_on(self, toy_setup):
+        cfg, table, corpus, _ = toy_setup
+        chunks = _forward_chunks(init_model(table, cfg), corpus, cfg)
+        start, chunk, fwd = next(chunks)
+        assert start == 0 and len(chunk) == len(corpus.samples)
+        assert not fwd.trace.v_final.requires_grad
+        # the suspended generator must not hold a no_grad block open
+        assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+        chunks.close()
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, toy_setup, tmp_path):
@@ -235,3 +246,25 @@ class TestPersistence:
         after = evaluate(bundle.model, corpus, bundle.config).accuracy
         assert before == after
         np.testing.assert_array_equal(bundle.intent_vectors, table.intent_vectors)
+
+    @pytest.mark.parametrize(
+        "key, keep, named",
+        [
+            ("detect__w", slice(0, 1), "detect.w"),  # one intent's transforms left
+            ("lstm_fw__b", None, "lstm_fw.b"),
+            ("embedding", None, "embedding"),
+        ],
+        ids=["truncated", "missing", "no-embedding"],
+    )
+    def test_damaged_params_rejected(self, toy_setup, tmp_path, key, keep, named):
+        cfg, table, _, _ = toy_setup
+        path = save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz"
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        if keep is None:
+            del arrays[key]
+        else:
+            arrays[key] = arrays[key][keep]
+        np.savez(path, **arrays)
+        with pytest.raises(ContractError, match=named):
+            load_model(tmp_path / "model")

@@ -6,7 +6,6 @@ from capsnlu.semantic import (
     LstmParams,
     SemanticCapsParams,
     attend,
-    bilstm_encode,
     encode_tokens,
     init_semantic_params,
     orthogonality_penalty,
@@ -76,16 +75,16 @@ class TestBilstmEncode:
     def test_zero_weights_zero_states(self):
         params = zero_params(word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
         emb = Tensor(np.ones((5, 3)))
-        big_h = bilstm_encode([0, 1, 2], emb, params)
-        np.testing.assert_array_equal(big_h.values, np.zeros((3, 4)))
+        big_h, _ = encode_tokens([[0, 1, 2]], emb, params)
+        np.testing.assert_array_equal(big_h.values, np.zeros((1, 3, 4)))
 
     def test_single_token_symmetry(self):
         rng = np.random.default_rng(2)
         params = make_params(rng)
         params.lstm_bw = params.lstm_fw  # identical directions
         emb = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
-        big_h = bilstm_encode([2], emb, params)
-        np.testing.assert_allclose(big_h.values[0, :2], big_h.values[0, 2:])
+        big_h, _ = encode_tokens([[2]], emb, params)
+        np.testing.assert_allclose(big_h.values[0, 0, :2], big_h.values[0, 0, 2:])
 
     def test_two_step_scalar_oracle(self):
         w_x = np.array([[0.5, 0.25, -0.3, 0.8]])
@@ -96,19 +95,20 @@ class TestBilstmEncode:
             lstm_fw=cell, lstm_bw=cell, w_s1=Tensor(np.zeros((1, 2))), w_s2=Tensor(np.zeros((1, 1)))
         )
         emb = Tensor(np.array([[1.0], [-0.5]]))
-        big_h = bilstm_encode([0, 1], emb, params)
+        big_h, _ = encode_tokens([[0, 1]], emb, params)
+        h = big_h.values[0]
         # frozen from the independent unroll
         np.testing.assert_allclose(
-            big_h.values[:, 0], [0.17584041169094367, 0.09801330869049425], rtol=1e-12
+            h[:, 0], [0.17584041169094367, 0.09801330869049425], rtol=1e-12
         )
         np.testing.assert_allclose(
-            big_h.values[:, 1], [0.13867004951129658, -0.06845330547242791], rtol=1e-12
+            h[:, 1], [0.13867004951129658, -0.06845330547242791], rtol=1e-12
         )
         # and against the oracle run fresh
         xs = emb.values[[0, 1]]
-        np.testing.assert_allclose(big_h.values[:, :1], ref_lstm(xs, w_x, w_h, b), rtol=1e-12)
+        np.testing.assert_allclose(h[:, :1], ref_lstm(xs, w_x, w_h, b), rtol=1e-12)
         np.testing.assert_allclose(
-            big_h.values[:, 1:], ref_lstm(xs[::-1], w_x, w_h, b)[::-1], rtol=1e-12
+            h[:, 1:], ref_lstm(xs[::-1], w_x, w_h, b)[::-1], rtol=1e-12
         )
 
     def test_random_batch_matches_oracle_per_sequence(self):
@@ -221,7 +221,7 @@ class TestGradients:
         tokens = [0, 3, 1, 4]
 
         def loss_fn(_):
-            big_h = bilstm_encode(tokens, emb, params)
+            big_h, _ = encode_tokens([tokens], emb, params)
             attn, penalty = attend(big_h, params)
             m = semantic_vectors(attn, big_h)
             return m.sum() + penalty.sum()

@@ -6,12 +6,10 @@ import pytest
 from capsnlu.autodiff import ContractError, Tensor
 from capsnlu.detection import dynamic_routing, squash
 from capsnlu.zeroshot import (
-    classify_emerging,
     classify_emerging_batch,
     intent_similarity,
     similarity_variance,
     vote_vectors,
-    zero_shot_pass,
     zero_shot_prediction_vectors,
 )
 
@@ -107,54 +105,56 @@ class TestIntentSimilarity:
 class TestZeroShotPredictionVectors:
     def test_one_hot_selects(self):
         rng = np.random.default_rng(5)
-        g = rng.normal(size=(3, 2, 4))
+        g = rng.normal(size=(1, 3, 2, 4))
         q = np.array([[0.0, 1.0, 0.0]])
-        np.testing.assert_allclose(zero_shot_prediction_vectors(q, g), g[1][None], rtol=1e-12)
+        np.testing.assert_allclose(zero_shot_prediction_vectors(q, g), g[:, 1:2], rtol=1e-12)
 
     def test_uniform_averages(self):
         rng = np.random.default_rng(6)
-        g = rng.normal(size=(4, 2, 3))
+        g = rng.normal(size=(1, 4, 2, 3))
         q = np.full((2, 4), 0.25)
         u = zero_shot_prediction_vectors(q, g)
-        np.testing.assert_allclose(u[0], g.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(u[1], g.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(u[0, 0], g[0].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(u[0, 1], g[0].mean(axis=0), rtol=1e-12)
 
     def test_hand_weighted_sum(self):
-        g = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])  # K=2, R=1, D=2
+        g = np.array([[[[1.0, 2.0]], [[3.0, 4.0]]]])  # B=1, K=2, R=1, D=2
         q = np.array([[0.25, 0.75]])
         np.testing.assert_allclose(
-            zero_shot_prediction_vectors(q, g), [[[0.25 * 1 + 0.75 * 3, 0.25 * 2 + 0.75 * 4]]]
+            zero_shot_prediction_vectors(q, g), [[[[0.25 * 1 + 0.75 * 3, 0.25 * 2 + 0.75 * 4]]]]
         )
 
     def test_dimension_error(self):
         with pytest.raises(ContractError):
-            zero_shot_prediction_vectors(np.ones((1, 3)), np.zeros((2, 2, 2)))
+            zero_shot_prediction_vectors(np.ones((1, 3)), np.zeros((1, 2, 2, 2)))
+        with pytest.raises(ContractError):  # votes without the batch axis
+            zero_shot_prediction_vectors(np.ones((1, 2)), np.zeros((2, 2, 2)))
 
 
 class TestClassifyEmerging:
     def test_single_emerging_class(self):
         rng = np.random.default_rng(7)
-        u = rng.normal(size=(1, 3, 4))
-        winner, n = classify_emerging(u, iterations=3)
-        assert winner == 0
+        u = rng.normal(size=(1, 1, 3, 4))
+        winners, n = classify_emerging_batch(u, iterations=3)
+        assert winners.tolist() == [0]
         # with one target capsule the couplings are all 1 at every round
-        want = squash(Tensor(u[0].sum(axis=0))).values
-        np.testing.assert_allclose(n[0], want, rtol=1e-10)
+        want = squash(Tensor(u[0, 0].sum(axis=0))).values
+        np.testing.assert_allclose(n[0, 0], want, rtol=1e-10)
 
     def test_doubled_predictions_win(self):
         rng = np.random.default_rng(8)
         base = rng.normal(size=(1, 2, 3))
-        u = np.concatenate([base, 2.0 * base], axis=0)
-        winner, n = classify_emerging(u, iterations=3)
-        assert winner == 1
-        assert np.linalg.norm(n[1]) > np.linalg.norm(n[0])
+        u = np.concatenate([base, 2.0 * base], axis=0)[None]
+        winners, n = classify_emerging_batch(u, iterations=3)
+        assert winners.tolist() == [1]
+        assert np.linalg.norm(n[0, 1]) > np.linalg.norm(n[0, 0])
 
     def test_matches_transcript_oracle(self):
         u = FIXED_P  # reuse the fixed K=2,R=2,D=2 instance as L=2 emerging predictions
-        winner, n = classify_emerging(u, iterations=3)
+        winners, n = classify_emerging_batch(u[None], iterations=3)
         want = routing_transcript_oracle(u, 3)
-        np.testing.assert_allclose(n, want["v"][-1], atol=1e-10)
-        assert winner == int(np.argmax(np.linalg.norm(want["v"][-1], axis=-1)))
+        np.testing.assert_allclose(n[0], want["v"][-1], atol=1e-10)
+        assert winners.tolist() == [int(np.argmax(np.linalg.norm(want["v"][-1], axis=-1)))]
 
     def test_emerging_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -162,26 +162,26 @@ class TestClassifyEmerging:
             l = int(rng.integers(2, 5))
             u = rng.normal(size=(l, 3, 4))
             perm = rng.permutation(l)
-            w1, n1 = classify_emerging(u, iterations=3)
-            w2, n2 = classify_emerging(u[perm], iterations=3)
-            np.testing.assert_allclose(n2, n1[perm], atol=1e-12)
-            assert w2 == int(np.argwhere(perm == w1)[0, 0])
+            w1, n1 = classify_emerging_batch(u[None], iterations=3)
+            w2, n2 = classify_emerging_batch(u[perm][None], iterations=3)
+            np.testing.assert_allclose(n2[0], n1[0][perm], atol=1e-12)
+            assert w2[0] == int(np.argwhere(perm == w1[0])[0, 0])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(10)
         u = rng.normal(size=(6, 2, 3, 4))
         winners, n = classify_emerging_batch(u, iterations=3)
         for i in range(6):
-            w_i, n_i = classify_emerging(u[i], iterations=3)
-            assert winners[i] == w_i
-            np.testing.assert_allclose(n[i], n_i, atol=1e-12)
+            w_i, n_i = classify_emerging_batch(u[i : i + 1], iterations=3)
+            assert winners[i] == w_i[0]
+            np.testing.assert_allclose(n[i], n_i[0], atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
-        u = rng.normal(size=(3, 2, 4))
-        first = classify_emerging(u, iterations=3)
-        second = classify_emerging(u, iterations=3)
-        assert first[0] == second[0]
+        u = rng.normal(size=(1, 3, 2, 4))
+        first = classify_emerging_batch(u, iterations=3)
+        second = classify_emerging_batch(u, iterations=3)
+        np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
 
@@ -198,16 +198,3 @@ class TestSimilarityVariance:
         # population variance of two points is their half-gap squared
         np.testing.assert_allclose(got, [(q0 - 0.5) ** 2], rtol=1e-12)
         assert got[0] == pytest.approx(0.05337, abs=1e-4)
-
-
-class TestZeroShotPass:
-    def test_end_to_end_consistency(self):
-        rng = np.random.default_rng(12)
-        p = Tensor(rng.normal(size=(3, 2, 4)))
-        trace = dynamic_routing(p, iterations=3)
-        sim = intent_similarity(rng.normal(size=(2, 5)), rng.normal(size=(3, 5)), sigma=2.0)
-        out = zero_shot_pass(trace, p, sim, iterations=3)
-        np.testing.assert_allclose(out.g, vote_vectors(trace, p), atol=1e-12)
-        np.testing.assert_allclose(out.u, zero_shot_prediction_vectors(sim.q, out.g), atol=1e-12)
-        np.testing.assert_allclose(out.variance, similarity_variance(sim.q), atol=1e-12)
-        assert out.n.shape == (2, 4)
