@@ -210,16 +210,6 @@ class Tensor:
 
         return _result(-self.values, "neg", (self,), vjp)
 
-    def __pow__(self, p) -> "Tensor":
-        if not isinstance(p, (int, float)):
-            raise ContractError("power exponent must be a python scalar")
-        x = self.values
-
-        def vjp(g):
-            return (g * p * x ** (p - 1),)
-
-        return _result(x**p, "pow", (self,), vjp)
-
     # ------------------------------------------------------------------
     # matrix product
 
@@ -270,14 +260,6 @@ class Tensor:
             return (g * y * (1.0 - y),)
 
         return _result(y, "sigmoid", (self,), vjp)
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.values)
-
-        def vjp(g):
-            return (g * y,)
-
-        return _result(y, "exp", (self,), vjp)
 
     def square(self) -> "Tensor":
         x = self.values

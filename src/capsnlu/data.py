@@ -171,8 +171,10 @@ def load_embeddings(
     An optional first header line of two integers ("count dim") is
     skipped. Duplicate words keep their first occurrence. `restrict_to`
     drops words outside the given set (every line is still validated),
-    which keeps multi-gigabyte vector files tractable. The OOV vector is
-    drawn uniformly from [-0.5/D, 0.5/D] with the run seed; PAD is zero.
+    which keeps multi-gigabyte vector files tractable. A kept word with a
+    non-finite entry (nan, inf, or a value the dtype overflows) raises
+    ParseError. The OOV vector is drawn uniformly from [-0.5/D, 0.5/D]
+    with the run seed; PAD is zero.
     """
     path = Path(path)
     words: list[str] = []
@@ -228,6 +230,10 @@ def load_embeddings(
     vocab.setdefault(OOV_TOKEN, oov_id)
     vocab.setdefault(PAD_TOKEN, pad_id)
     vectors = np.vstack(rows + [oov_vec, pad_vec]).astype(dtype)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        word = words[int(np.argmin(finite))]
+        raise ParseError(f"{path}: word {word!r} has a non-finite vector entry")
     return EmbeddingTable(vocab=vocab, vectors=vectors, oov_id=oov_id, pad_id=pad_id)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +61,7 @@ class ModelParams:
 class ForwardPass:
     """Products of one batched forward run."""
 
-    H: Tensor              # B x T x 2D_H
-    mask: np.ndarray       # B x T real-token mask
     A: Tensor              # B x R x T
-    M: Tensor              # B x R x 2D_H
     penalty: Tensor        # B orthogonality penalties
     P: Tensor              # B x K x R x D_P
     trace: RoutingTrace
@@ -108,7 +105,7 @@ def forward_batch(
     m = semantic_vectors(attn, big_h)
     p = prediction_vectors(m, model.detection)
     trace = dynamic_routing(p, cfg.routing_iterations)
-    return ForwardPass(H=big_h, mask=mask, A=attn, M=m, penalty=penalty, P=p, trace=trace)
+    return ForwardPass(A=attn, penalty=penalty, P=p, trace=trace)
 
 
 # ----------------------------------------------------------------------
@@ -146,17 +143,34 @@ def save_model(model: ModelParams, table: EmbeddingTable, cfg: RunConfig, out_di
     return out_dir
 
 
+def _read_meta(path: Path) -> dict:
+    """meta.json with every entry and every RunConfig key present, else
+    ContractError naming the file and the key."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path} is not valid JSON ({exc})") from exc
+    for key in ("vocab", "oov_id", "pad_id", "config"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise ContractError(f"{path} has no {key!r} entry")
+    cfg_keys = set(meta["config"]) if isinstance(meta["config"], dict) else set()
+    known = {f.name for f in fields(RunConfig)}
+    for problem, keys in (("unknown", cfg_keys - known), ("missing", known - cfg_keys)):
+        if keys:
+            raise ContractError(f"{path}: {problem} config key {min(keys)!r}")
+    return meta
+
+
 def load_model(model_dir) -> ModelBundle:
     model_dir = Path(model_dir)
-    meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = _read_meta(model_dir / "meta.json")
     with np.load(model_dir / "params.npz") as npz:
         arrays = {key.replace("__", "."): npz[key] for key in npz.files}
     for key in ("embedding", "intent_vectors"):
         if key not in arrays:
             raise ContractError(f"{model_dir / 'params.npz'} has no {key!r} array")
-    cfg_dict = meta["config"]
     cfg = RunConfig(**{
-        k: tuple(v) if isinstance(v, list) else v for k, v in cfg_dict.items()
+        k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()
     })
     table = EmbeddingTable(
         vocab={w: i for i, w in enumerate(meta["vocab"])},

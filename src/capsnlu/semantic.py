@@ -8,10 +8,15 @@ of R attention heads turns H into one semantic vector:
     M = A @ H                                       # R x 2D_H
 
 with an orthogonality penalty ||A A^T - I||_F^2 pushing heads apart.
-Callers pass a padded batch (leading batch axis B); a single utterance
-is a batch of one (B=1), and `attend` and `semantic_vectors` broadcast
-over any leading axes. The recurrence only ever advances over each
-utterance's true length, so trailing pads never leak into H or M.
+Callers pass a batch of token-id sequences (leading batch axis B); a
+single utterance is a batch of one (B=1), and `attend` and
+`semantic_vectors` broadcast over any leading axes.
+
+Both directions run the same left-to-right recurrence; the backward one
+runs over each sequence reversed within its length, so trailing pads
+come after every real token in either direction and never reach a real
+position's state. H rows at pad positions are unspecified: `attend`
+gives them exactly zero attention, so they never reach M or a gradient.
 """
 
 from __future__ import annotations
@@ -90,41 +95,23 @@ def init_semantic_params(
 # recurrence
 
 
-def _lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
+def _run_lstm(xw: Tensor, p: LstmParams) -> Tensor:
+    """Left-to-right LSTM from a zero state over precomputed input
+    projections xw = x @ w_x + b (B x T x 4D_H); returns B x T x D_H."""
+    n, steps, _ = xw.shape
     dh = p.hidden_dim
-    z = x_t @ p.w_x + h_prev @ p.w_h + p.b  # B x 4D_H
-    i = z[..., 0:dh].sigmoid()
-    f = z[..., dh : 2 * dh].sigmoid()
-    o = z[..., 2 * dh : 3 * dh].sigmoid()
-    g = z[..., 3 * dh : 4 * dh].tanh()
-    c = f * c_prev + i * g
-    h = o * c.tanh()
-    return h, c
-
-
-def _run_direction(xs, p: LstmParams, mask: np.ndarray, reverse: bool):
-    """States per original time index; masked steps carry the previous
-    state through, so the backward pass effectively starts at each
-    utterance's true last token."""
-    n, steps = mask.shape
-    dh = p.hidden_dim
-    dtype = p.w_x.dtype
-    h = Tensor(np.zeros((n, dh), dtype=dtype))
-    c = Tensor(np.zeros((n, dh), dtype=dtype))
-    out: list[Tensor | None] = [None] * steps
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        h_new, c_new = _lstm_step(xs[t], h, c, p)
-        col = mask[:, t]
-        if col.all():
-            h, c = h_new, c_new
-        else:
-            keep = Tensor(col.astype(dtype)[:, None])
-            hold = Tensor((~col).astype(dtype)[:, None])
-            h = h_new * keep + h * hold
-            c = c_new * keep + c * hold
-        out[t] = h
-    return out
+    h = c = Tensor(np.zeros((n, dh), dtype=xw.values.dtype))
+    states = []
+    for t in range(steps):
+        z = xw[:, t, :] + h @ p.w_h
+        i = z[:, 0:dh].sigmoid()
+        f = z[:, dh : 2 * dh].sigmoid()
+        o = z[:, 2 * dh : 3 * dh].sigmoid()
+        g = z[:, 3 * dh : 4 * dh].tanh()
+        c = f * c + i * g
+        h = o * c.tanh()
+        states.append(h)
+    return stack(states, axis=1)
 
 
 def encode_tokens(
@@ -132,41 +119,32 @@ def encode_tokens(
     embedding: Tensor,
     params: SemanticCapsParams,
     *,
-    lengths=None,
     pad_id: int | None = None,
     training: bool = False,
     dropout_keep: float = 1.0,
     rng: np.random.Generator | None = None,
 ):
-    """Encode a batch of token-id sequences.
+    """Encode a batch: a list of token-id sequences, padded here with
+    `pad_id` (needed only when lengths differ).
 
-    `token_batch` is either a list of id sequences (padded here with
-    `pad_id`) or an already padded 2-D integer array with explicit
-    `lengths`. Returns (H, mask) with H of shape B x T x 2D_H and a
-    boolean mask marking real positions.
+    Returns (H, mask): H is B x T x 2D_H, the forward and backward LSTM
+    states per position, and mask marks the real positions. The backward
+    direction runs over each sequence reversed within its length, so pads
+    never reach a real position's state. H rows at pad positions are
+    unspecified; `attend` masks them out.
     """
-    if isinstance(token_batch, np.ndarray) and token_batch.ndim == 2:
-        ids = token_batch.astype(np.int64, copy=False)
-        if lengths is None:
-            raise ContractError("padded id arrays need explicit lengths")
-        lengths = np.asarray(lengths, dtype=np.int64)
-    else:
-        seqs = [list(s) for s in token_batch]
-        if not seqs or any(len(s) == 0 for s in seqs):
-            raise ContractError("every utterance must have at least one token")
-        lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
-        t_max = int(lengths.max())
-        if pad_id is None:
-            if (lengths != t_max).any():
-                raise ContractError("ragged batches need a pad_id")
-            pad_id = 0
-        ids = np.full((len(seqs), t_max), pad_id, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            ids[i, : len(s)] = s
-
-    n, t_max = ids.shape
-    if (lengths < 1).any() or (lengths > t_max).any():
-        raise ContractError("lengths must be in [1, T]")
+    seqs = [list(s) for s in token_batch]
+    if not seqs or any(len(s) == 0 for s in seqs):
+        raise ContractError("every utterance must have at least one token")
+    lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
+    t_max = int(lengths.max())
+    if pad_id is None:
+        if (lengths != t_max).any():
+            raise ContractError("ragged batches need a pad_id")
+        pad_id = 0
+    ids = np.full((len(seqs), t_max), pad_id, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = s
     mask = np.arange(t_max)[None, :] < lengths[:, None]  # B x T
 
     x = embedding.take_rows(ids)  # B x T x D_W
@@ -176,12 +154,15 @@ def encode_tokens(
         keep = (rng.random(x.shape) < dropout_keep).astype(x.values.dtype) / dropout_keep
         x = x * Tensor(keep)  # inverted dropout; identity at evaluation
 
-    xs = [x[:, t, :] for t in range(t_max)]
-    h_fw = _run_direction(xs, params.lstm_fw, mask, reverse=False)
-    h_bw = _run_direction(xs, params.lstm_bw, mask, reverse=True)
-    h_cat = [concat(h_fw[t], h_bw[t], axis=-1) for t in range(t_max)]
-    big_h = stack(h_cat, axis=1)  # B x T x 2D_H
-    return big_h, mask
+    # rev reverses each row's first lengths[b] positions and leaves its
+    # pads in place: a constant 0/1 permutation that is its own inverse
+    pos = np.arange(t_max)
+    src = np.where(mask, lengths[:, None] - 1 - pos, pos)
+    rev = Tensor((src[:, :, None] == pos).astype(x.values.dtype))  # B x T x T
+    fw, bw = params.lstm_fw, params.lstm_bw
+    h_fw = _run_lstm(x @ fw.w_x + fw.b, fw)
+    h_bw = rev @ _run_lstm(rev @ (x @ bw.w_x + bw.b), bw)
+    return concat(h_fw, h_bw, axis=-1), mask
 
 
 # ----------------------------------------------------------------------

@@ -167,6 +167,33 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "detect.w" in err
 
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "vocab", "oov_id", "pad_id", "config", "bogus_key", "hidden_dim"]
+    )
+    def test_damaged_meta_named(self, trained_run, tmp_path, capsys, damage):
+        """Truncated JSON, a missing top-level entry, a missing config key
+        (hidden_dim) and an unknown one (bogus_key) each exit 2, named."""
+        cfg_path, out_dir = trained_run
+        bad = shutil.copytree(out_dir / "model", tmp_path / "model")
+        text = (bad / "meta.json").read_text(encoding="utf-8")
+        meta = json.loads(text)
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        elif damage in meta:
+            del meta[damage]
+        elif damage in meta["config"]:
+            del meta["config"][damage]
+        else:
+            meta["config"][damage] = 1
+        if damage != "truncated":
+            text = json.dumps(meta)
+        (bad / "meta.json").write_text(text, encoding="utf-8")
+        code = main(["eval", "--config", str(cfg_path), "--model", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "meta.json" in err
+        assert damage == "truncated" or repr(damage) in err
+
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--no-such-flag"])

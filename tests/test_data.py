@@ -65,6 +65,19 @@ class TestLoadEmbeddings:
         assert "b" not in table.vocab
         assert table.vocab["c"] == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity", "1e39"])  # 1e39 overflows float32
+    def test_non_finite_entry_names_word(self, tmp_path, entry):
+        p = write_vectors(tmp_path / "v.txt", f"a 1 2\nb 3 {entry}\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(p, expected_dim=2)
+        assert "'b'" in str(exc.value) and str(p) in str(exc.value)
+
+    def test_non_finite_dropped_row_ignored(self, tmp_path):
+        p = write_vectors(tmp_path / "v.txt", "a 1 2\nb nan 4\n")
+        table = load_embeddings(p, expected_dim=2, restrict_to={"a"})
+        assert np.isfinite(table.vectors).all()
+
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
         t1 = load_embeddings(p, expected_dim=2, seed=9)

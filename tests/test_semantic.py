@@ -199,13 +199,12 @@ class TestPaddingInvariance:
             emb = Tensor(emb_vals)
             n = int(rng.integers(1, 5))
             seq = rng.integers(0, 6, size=n).tolist()
-            ids_plain = np.asarray([seq])
-            ids_padded = np.asarray([seq + [pad_id] * 3])
-            h1, m1 = encode_tokens(ids_plain, emb, params, lengths=[n])
-            h2, m2 = encode_tokens(ids_padded, emb, params, lengths=[n])
+            # row 0 of a batch with a 3-token-longer neighbour carries 3 pads
+            h1, m1 = encode_tokens([seq], emb, params)
+            h2, m2 = encode_tokens([seq, seq + [0, 1, 2]], emb, params, pad_id=pad_id)
             out1 = _semantic_m(h1, params, m1)
             out2 = _semantic_m(h2, params, m2)
-            np.testing.assert_allclose(out1.values, out2.values, atol=1e-6)
+            np.testing.assert_allclose(out1.values, out2.values[:1], atol=1e-6)
 
 
 def _semantic_m(big_h, params, mask):
@@ -225,6 +224,25 @@ class TestGradients:
             attn, penalty = attend(big_h, params)
             m = semantic_vectors(attn, big_h)
             return m.sum() + penalty.sum()
+
+        named = params.trainable() + [("embedding", emb)]
+        err = finite_diff_check(loss_fn, named, epsilon=1e-4)
+        assert err < 1e-4
+
+    def test_ragged_batch_gradcheck(self):
+        rng = np.random.default_rng(22)
+        params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
+        pad_id = 5
+        emb = Tensor(rng.normal(scale=0.3, size=(6, 3)), requires_grad=True)
+        assert np.abs(emb.values[pad_id]).min() > 0  # pads must not need a zero row
+        seqs = [[2], [0, 3, 1], [4, 1, 1, 0, 2]]
+        weights = Tensor(rng.normal(size=(3, 2, 4)))
+
+        def loss_fn(_):
+            big_h, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
+            attn, penalty = attend(big_h, params, pad_mask=mask)
+            m = semantic_vectors(attn, big_h)
+            return (m * weights).sum() + penalty.sum()
 
         named = params.trainable() + [("embedding", emb)]
         err = finite_diff_check(loss_fn, named, epsilon=1e-4)
