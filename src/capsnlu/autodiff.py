@@ -204,12 +204,6 @@ class Tensor:
 
         return _result(a.values / b.values, "div", (a, b), vjp)
 
-    def __neg__(self) -> "Tensor":
-        def vjp(g):
-            return (-g,)
-
-        return _result(-self.values, "neg", (self,), vjp)
-
     # ------------------------------------------------------------------
     # matrix product
 

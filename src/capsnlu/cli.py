@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+def _overrides(args) -> dict:
+    """Config keys set on the command line, by flag or by --set."""
     direct = {}
     if getattr(args, "dataset", None):
         direct["dataset_path"] = args.dataset
@@ -114,7 +114,12 @@ def _resolve_config(args) -> RunConfig:
             raise ContractError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         direct[key.strip()] = value
-    apply_overrides(cfg, direct)
+    return direct
+
+
+def _resolve_config(args) -> RunConfig:
+    cfg = load_config(args.config) if args.config else RunConfig()
+    apply_overrides(cfg, _overrides(args))
     cfg.mode = args.command.replace("-", "_")
     return cfg.validate()
 
@@ -142,16 +147,34 @@ def _load_table_and_corpora(cfg: RunConfig):
     return table, corpus_existing, corpus_emerging
 
 
-def _corpora_from_bundle(bundle, cfg: RunConfig):
-    data_path = _require_file(cfg.dataset_path, "dataset path")
-    return load_dataset(data_path, list(cfg.existing_labels), list(cfg.emerging_labels), bundle.table)
+_PATH_KEYS = ("dataset_path", "embeddings_path", "output_dir")
 
 
-def _bundle_for(args, cfg: RunConfig):
+def _model_setup(args):
+    """Saved model, its config, both corpora and the output directory.
+
+    Paths given on the command line or in the config file replace the
+    model's; any other key given on the command line must equal the
+    model's saved value, since the model was built with it.
+    """
+    cfg = _resolve_config(args)
     model_dir = args.model or (cfg.resolved_output_dir() / "model")
     if not Path(model_dir).exists():
         raise FileNotFoundError(f"model directory not found: {model_dir}")
-    return load_model(model_dir)
+    bundle = load_model(model_dir)
+    run_cfg = bundle.config
+    for key in _PATH_KEYS:
+        setattr(run_cfg, key, getattr(cfg, key) or getattr(run_cfg, key))
+    for key in _overrides(args):
+        given, saved = getattr(cfg, key), getattr(run_cfg, key)
+        if key not in _PATH_KEYS and given != saved:
+            raise ContractError(f"{key}={given!r} differs from the model's {key}={saved!r}")
+    data_path = _require_file(run_cfg.dataset_path, "dataset path")
+    labels = list(run_cfg.existing_labels), list(run_cfg.emerging_labels)
+    corpora = load_dataset(data_path, *labels, bundle.table)
+    out_dir = run_cfg.resolved_output_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return bundle, run_cfg, corpora, out_dir
 
 
 def _cmd_train(args) -> int:
@@ -180,18 +203,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
-    bundle = _bundle_for(args, cfg)
-    run_cfg = bundle.config
-    if args.dataset:
-        run_cfg.dataset_path = args.dataset
-    corpus_existing, _ = _corpora_from_bundle(bundle, run_cfg)
+    bundle, run_cfg, (corpus_existing, _), out_dir = _model_setup(args)
     splits = dict(zip(("train", "validation", "test"), stratified_split(corpus_existing, run_cfg.seed)))
     corpus = splits[args.split]
     started = time.perf_counter()
     report = evaluate(bundle.model, corpus, run_cfg)
-    out_dir = cfg.resolved_output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"eval_{args.split}_report.txt").write_text(
         format_report(report, list(run_cfg.existing_labels)), encoding="utf-8"
     )
@@ -202,16 +218,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_zsl_eval(args) -> int:
-    cfg = _resolve_config(args)
-    bundle = _bundle_for(args, cfg)
-    run_cfg = bundle.config
-    if args.dataset:
-        run_cfg.dataset_path = args.dataset
-    _, corpus_emerging = _corpora_from_bundle(bundle, run_cfg)
+    bundle, run_cfg, (_, corpus_emerging), out_dir = _model_setup(args)
     started = time.perf_counter()
     report, per_intent = zsl_evaluate(bundle.model, corpus_emerging, bundle.intent_vectors, run_cfg)
-    out_dir = cfg.resolved_output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "zsl_report.txt").write_text(
         format_report(report, list(run_cfg.emerging_labels)), encoding="utf-8"
     )
@@ -238,18 +247,11 @@ def _select_corpus(args, run_cfg, corpus_existing, corpus_emerging):
 
 
 def _cmd_export_attention(args) -> int:
-    cfg = _resolve_config(args)
-    bundle = _bundle_for(args, cfg)
-    run_cfg = bundle.config
-    if args.dataset:
-        run_cfg.dataset_path = args.dataset
-    corpus_existing, corpus_emerging = _corpora_from_bundle(bundle, run_cfg)
-    corpus = _select_corpus(args, run_cfg, corpus_existing, corpus_emerging)
+    bundle, run_cfg, corpora, out_dir = _model_setup(args)
+    corpus = _select_corpus(args, run_cfg, *corpora)
     words = [None] * len(bundle.table.vocab)
     for w, i in bundle.table.vocab.items():
         words[i] = w
-    out_dir = cfg.resolved_output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.out) if args.out else out_dir / f"attention_{args.domain}.tsv"
     export_attention(bundle.model, corpus, run_cfg, words, out)
     print(f"wrote {out}")
@@ -257,15 +259,8 @@ def _cmd_export_attention(args) -> int:
 
 
 def _cmd_export_activations(args) -> int:
-    cfg = _resolve_config(args)
-    bundle = _bundle_for(args, cfg)
-    run_cfg = bundle.config
-    if args.dataset:
-        run_cfg.dataset_path = args.dataset
-    corpus_existing, corpus_emerging = _corpora_from_bundle(bundle, run_cfg)
-    corpus = _select_corpus(args, run_cfg, corpus_existing, corpus_emerging)
-    out_dir = cfg.resolved_output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    bundle, run_cfg, corpora, out_dir = _model_setup(args)
+    corpus = _select_corpus(args, run_cfg, *corpora)
     out = Path(args.out) if args.out else out_dir / f"activations_{args.domain}.tsv"
     if args.domain == "emerging":
         export_activations_emerging(bundle.model, corpus, bundle.intent_vectors, run_cfg, out)

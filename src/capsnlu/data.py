@@ -109,17 +109,6 @@ class Corpus:
             domain=self.domain,
         )
 
-    def validate(self, vocab_size: int) -> None:
-        if set(self.existing_labels) & set(self.emerging_labels):
-            raise ContractError("existing and emerging label sets overlap")
-        n_labels = len(self.label_names)
-        for ids, lab in self.samples:
-            if not 0 <= lab < n_labels:
-                raise ContractError(f"label id {lab} outside declared intents")
-            for w in ids:
-                if not 0 <= w < vocab_size:
-                    raise ContractError(f"token id {w} outside vocabulary")
-
 
 # ----------------------------------------------------------------------
 # tokenization
@@ -159,6 +148,18 @@ def intent_embedding(label: str, table: EmbeddingTable, mode: str = "mean") -> n
 # pretrained word vectors
 
 
+def _is_header(line: str) -> bool:
+    """True for a `count dim` line of two integers."""
+    head = line.split()
+    if len(head) != 2:
+        return False
+    try:
+        int(head[0]), int(head[1])
+    except ValueError:
+        return False
+    return True
+
+
 def load_embeddings(
     path,
     expected_dim: int,
@@ -166,57 +167,45 @@ def load_embeddings(
     restrict_to: set[str] | None = None,
     dtype=np.float32,
 ) -> EmbeddingTable:
-    """Read `word v1 .. vD` lines into an EmbeddingTable.
+    """Read `word v1 .. vD` lines into an EmbeddingTable in one pass.
 
-    An optional first header line of two integers ("count dim") is
-    skipped. Duplicate words keep their first occurrence. `restrict_to`
-    drops words outside the given set (every line is still validated),
-    which keeps multi-gigabyte vector files tractable. A kept word with a
-    non-finite entry (nan, inf, or a value the dtype overflows) raises
-    ParseError. The OOV vector is drawn uniformly from [-0.5/D, 0.5/D]
-    with the run seed; PAD is zero.
+    A first line of two integers ("count dim") is a header and is
+    skipped. Every other non-blank line must hold a word and
+    `expected_dim` values, else ParseError. Duplicate words keep their
+    first occurrence, and `restrict_to` drops words outside the given
+    set. The file is streamed and only kept lines are float-parsed, so
+    memory follows the kept rows and multi-gigabyte files stay
+    tractable. A non-numeric or non-finite value (nan, inf, or one the
+    dtype overflows) raises ParseError on a kept line and is ignored on
+    a dropped one. Lines break only at LF, CRLF or CR, not at the other
+    separators of `str.splitlines` (U+2028, U+0085, VT, FF, FS/GS/RS),
+    so a word may contain those. The OOV vector is drawn uniformly from
+    [-0.5/D, 0.5/D] with the run seed; PAD is zero.
     """
     path = Path(path)
-    words: list[str] = []
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace() or (lineno == 1 and _is_header(line)):
+                continue
+            fields = line.rstrip("\n")
+            if fields.count(" ") != expected_dim:
+                # some vector files use general whitespace; normalise it
+                fields = " ".join(line.split())
+                if fields.count(" ") != expected_dim:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected a word and {expected_dim} values, "
+                        f"got {fields.count(' ') + 1} fields"
+                    )
+            word, _, values = fields.partition(" ")
+            if word in vocab or (restrict_to is not None and word not in restrict_to):
+                continue  # first occurrence wins
             try:
-                int(head[0]), int(head[1])
-                start = 1
-            except ValueError:
-                pass
-
-    for lineno in range(start, len(lines)):
-        line = lines[lineno]
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split(" ")
-        # some vector files use general whitespace; fall back to split()
-        if len(parts) != expected_dim + 1:
-            parts = line.split()
-        if len(parts) != expected_dim + 1:
-            raise ParseError(
-                f"{path}:{lineno + 1}: expected a word and {expected_dim} values, got {len(parts)} fields"
-            )
-        word = parts[0]
-        try:
-            vec = np.asarray([float(p) for p in parts[1:]], dtype=dtype)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno + 1}: non-numeric vector entry") from exc
-        if word in vocab:
-            continue  # first occurrence wins
-        if restrict_to is not None and word not in restrict_to:
-            continue
-        vocab[word] = len(words)
-        words.append(word)
-        rows.append(vec)
+                rows.append(np.asarray([float(v) for v in values.split(" ")], dtype=dtype))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from exc
+            vocab[word] = len(vocab)
 
     if not rows:
         raise EmptySourceError(f"{path}: no embedding records")
@@ -225,14 +214,14 @@ def load_embeddings(
     bound = 0.5 / expected_dim
     oov_vec = rng.uniform(-bound, bound, size=expected_dim).astype(dtype)
     pad_vec = np.zeros(expected_dim, dtype=dtype)
-    oov_id = len(words)
+    oov_id = len(rows)
     pad_id = oov_id + 1
     vocab.setdefault(OOV_TOKEN, oov_id)
     vocab.setdefault(PAD_TOKEN, pad_id)
     vectors = np.vstack(rows + [oov_vec, pad_vec]).astype(dtype)
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
-        word = words[int(np.argmin(finite))]
+        word = list(vocab)[int(np.argmin(finite))]  # insertion order is id order
         raise ParseError(f"{path}: word {word!r} has a non-finite vector entry")
     return EmbeddingTable(vocab=vocab, vectors=vectors, oov_id=oov_id, pad_id=pad_id)
 
@@ -284,17 +273,16 @@ def iter_snips_records(root):
 def iter_tsv_records(path):
     """Yield (utterance, intent, location) from `utterance<TAB>intent` lines."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     any_row = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-        any_row = True
-        yield cols[0], cols[1], f"{path}:{lineno}"
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
+            any_row = True
+            yield cols[0], cols[1], f"{path}:{lineno}"
     if not any_row:
         raise EmptySourceError(f"{path}: no samples")
 

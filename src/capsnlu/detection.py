@@ -51,7 +51,6 @@ class RoutingTrace:
     c: list[np.ndarray] = field(default_factory=list)  # coupling coefficients,    ... x K x R
     s: list[np.ndarray] = field(default_factory=list)  # pre-activations,          ... x K x D_P
     v: list[np.ndarray] = field(default_factory=list)  # activation vectors,       ... x K x D_P
-    iterations: int = 0
     v_final: Tensor | None = None
     c_final: Tensor | None = None
 
@@ -87,7 +86,7 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
     if iterations < 1:
         raise ContractError("routing needs at least one iteration")
     lead_kr = p.shape[:-1]  # ... x K x R
-    trace = RoutingTrace(iterations=iterations)
+    trace = RoutingTrace()
     b = Tensor(np.zeros(lead_kr, dtype=p.values.dtype))
     c = None
     v = None

@@ -194,6 +194,20 @@ class TestDiagnostics:
         assert err.startswith("error:") and "meta.json" in err
         assert damage == "truncated" or repr(damage) in err
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [(["--set", "sigma=50"], "sigma"), (["--seed", "99"], "seed")],
+        ids=["set_sigma", "seed"],
+    )
+    def test_model_command_rejects_changed_setting(self, trained_run, capsys, override, key):
+        """A model command cannot apply a setting the model was not trained with."""
+        cfg_path, _ = trained_run
+        code = main(["zsl-eval", "--config", str(cfg_path), *override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert main(["zsl-eval", "--config", str(cfg_path), "--set", "sigma=0.1", "--seed", "7"]) == 0
+
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--no-such-flag"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,47 @@ class TestLoadEmbeddings:
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb nan 4\n")
         table = load_embeddings(p, expected_dim=2, restrict_to={"a"})
         assert np.isfinite(table.vectors).all()
+
+    def test_streaming_peak_memory(self, tmp_path):
+        """A restricted load holds the kept rows, never the whole file."""
+        rng = np.random.default_rng(0)
+        with open(tmp_path / "v.txt", "w", encoding="utf-8") as fh:
+            for i in range(2000):
+                fh.write(f"w{i} " + " ".join(f"{x:.6f}" for x in rng.normal(size=300)) + "\n")
+        size = (tmp_path / "v.txt").stat().st_size
+        tracemalloc.start()
+        try:
+            table = load_embeddings(tmp_path / "v.txt", expected_dim=300, restrict_to={"w7"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.vocab["w7"] == 0 and len(table.vectors) == 3
+        assert peak < 0.5 * size, f"peak {peak} bytes for a {size}-byte file"
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85"])
+    def test_word_with_unicode_line_separator(self, tmp_path, sep):
+        """Only LF, CRLF and CR end a line; str.splitlines would also break here."""
+        p = write_vectors(tmp_path / "v.txt", f"a{sep}b 1 2\nc 3 4\n")
+        table = load_embeddings(p, expected_dim=2)
+        assert table.vocab[f"a{sep}b"] == 0 and table.vocab["c"] == 1
+        np.testing.assert_array_equal(table.vectors[0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "text, restrict_to",
+        [("a 1 2\nb x 4\n", {"a"}), ("a 1 2\na x 4\n", None)],
+        ids=["restricted_out", "duplicate"],
+    )
+    def test_non_numeric_dropped_row_ignored(self, tmp_path, text, restrict_to):
+        p = write_vectors(tmp_path / "v.txt", text)
+        table = load_embeddings(p, expected_dim=2, restrict_to=restrict_to)
+        assert table.vocab["a"] == 0 and len(table.vectors) == 3
+        np.testing.assert_array_equal(table.vectors[0], [1.0, 2.0])
+
+    def test_non_numeric_kept_row_names_line(self, tmp_path):
+        p = write_vectors(tmp_path / "v.txt", "a 1 2\nb x 4\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(p, expected_dim=2)
+        assert f"{p}:2:" in str(exc.value)
 
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
@@ -222,6 +264,12 @@ class TestLoadTsv:
         with pytest.raises(ParseError):
             load_tsv(p, ["A"], [], table)
 
+    def test_unicode_line_separator_stays_in_utterance(self, tmp_path, table):
+        p = tmp_path / "toy.tsv"
+        p.write_text("play\u2028music\tPlayMusic\n", encoding="utf-8")
+        ex, _ = load_tsv(p, ["PlayMusic"], [], table)
+        assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
+
     def test_dataset_words(self, tmp_path):
         p = tmp_path / "toy.tsv"
         p.write_text("Play Music!\tPlayMusic\n", encoding="utf-8")
@@ -229,11 +277,6 @@ class TestLoadTsv:
 
 
 class TestCorpus:
-    def test_validate_catches_bad_ids(self, table):
-        c = Corpus([([99], 0)], ["A"], [], domain="existing")
-        with pytest.raises(ContractError):
-            c.validate(vocab_size=6)
-
     def test_subset_keeps_metadata(self, table):
         c = Corpus([([0], 0), ([1], 0)], ["A"], ["B"], split_tag="all")
         s = c.subset([1], "test")
