@@ -230,7 +230,13 @@ class Tensor:
             if a.requires_grad:
                 ga = _unbroadcast(np.matmul(g, np.swapaxes(b.values, -1, -2)), a.values.shape)
             if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.values, -1, -2), g), b.values.shape)
+                av = a.values
+                if b.values.ndim == 2 and av.ndim > 2:
+                    # a 2-D weight shared across a batch: one GEMM over the
+                    # flattened batch rows, not one product per batch entry
+                    gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                else:
+                    gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.values.shape)
             return ga, gb
 
         return _result(out, "matmul", (a, b), vjp)
@@ -345,19 +351,25 @@ class Tensor:
         return _result(out, "slice", (self,), vjp)
 
     def take_rows(self, indices) -> "Tensor":
-        """Gather rows along axis 0; duplicate indices accumulate gradient."""
+        """Gather rows along axis 0; duplicate indices accumulate gradient.
+
+        The gradient of a leaf source is scattered straight into its
+        ``grad``, so an embedding lookup's backward allocates nothing the
+        size of the table; any other source gets a dense buffer."""
         idx = np.asarray(indices)
         if not np.issubdtype(idx.dtype, np.integer):
             raise ContractError("take_rows needs integer indices")
-        x = self.values
-        out = x[idx]
+        src, x = self, self.values
 
         def vjp(g):
+            if src._vjp is None:
+                np.add.at(src.grad, idx, g)
+                return (None,)
             buf = np.zeros_like(x)
             np.add.at(buf, idx, g)
             return (buf,)
 
-        return _result(out, "take_rows", (self,), vjp)
+        return _result(x[idx], "take_rows", (self,), vjp)
 
     # ------------------------------------------------------------------
     # backward pass

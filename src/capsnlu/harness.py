@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,8 +34,39 @@ class StratificationError(ValueError):
     """A class is too small for the requested stratified split."""
 
 
+# Bytes of one block of leading-axis rows in Adam.step. The moment,
+# gradient, parameter and two temporary blocks then stay in L2 cache across
+# the update's passes.
+_ADAM_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(arr: np.ndarray) -> list:
+    """Index keys cutting `arr` into runs of leading-axis rows of about
+    _ADAM_BLOCK_BYTES each; a 0-d array is one block."""
+    if arr.ndim == 0:
+        return [...]
+    row_bytes = max(math.prod(arr.shape[1:]) * arr.itemsize, 1)
+    rows = max(_ADAM_BLOCK_BYTES // row_bytes, 1)
+    return [slice(s, s + rows) for s in range(0, arr.shape[0], rows)]
+
+
 class Adam:
-    """Adaptive-moment gradient descent over named tensors."""
+    """Adaptive-moment gradient descent over named tensors (Kingma & Ba).
+
+    ``step`` is bit for bit the textbook update
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    evaluated with numpy's usual casting of the Python-float
+    hyperparameters. It runs the same elementwise operations in the same
+    order, but in place on the persistent moments and parameters, one
+    block of leading-axis rows at a time. Each operation is correctly
+    rounded per element, so neither the blocking nor the reuse of
+    buffers changes a bit, and no array the size of a parameter is
+    allocated per step.
+    """
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(named_params)
@@ -45,6 +77,11 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(t.values) for _, t in self.params]
         self.v = [np.zeros_like(t.values) for _, t in self.params]
+        self._blocks = [_row_blocks(t.values) for _, t in self.params]
+        # two temporary rows per parameter, each the size of its first block
+        self._temps = [
+            np.empty((2, t.values[b[0]].size if b else 0), t.dtype) for b, (_, t) in zip(self._blocks, self.params)
+        ]
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -52,14 +89,28 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for i, (_, t) in enumerate(self.params):
-            g = t.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
-            m_hat = self.m[i] / (1 - b1**self.t)
-            v_hat = self.v[i] / (1 - b2**self.t)
-            t.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for (_, t), m, v, blocks, (s1, s2) in zip(self.params, self.m, self.v, self._blocks, self._temps):
+            p, g = t.values, t.grad
+            for key in blocks:
+                pb, gb, mb, vb = p[key], g[key], m[key], v[key]
+                x = s1[: mb.size].reshape(mb.shape)
+                y = s2[: mb.size].reshape(mb.shape)
+                mb *= b1
+                np.multiply(gb, 1 - b1, out=x)
+                mb += x
+                vb *= b2
+                np.multiply(gb, gb, out=x)
+                x *= 1 - b2
+                vb += x
+                np.divide(mb, c1, out=x)
+                x *= lr
+                np.divide(vb, c2, out=y)
+                np.sqrt(y, out=y)
+                y += eps
+                x /= y
+                pb -= x
 
 
 # ----------------------------------------------------------------------

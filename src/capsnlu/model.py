@@ -45,14 +45,17 @@ class ModelParams:
 
     def restore(self, values: dict[str, np.ndarray]) -> None:
         """Copy `values` into the parameters. Every parameter must be present
-        with its exact shape, else ContractError names it and nothing is
-        copied."""
+        with its exact shape and dtype, else ContractError names it and
+        nothing is copied."""
         pairs = self.trainable()
         for name, t in pairs:
             if name not in values:
                 raise ContractError(f"parameter {name!r} is missing")
-            if np.shape(values[name]) != t.shape:
-                raise ContractError(f"parameter {name!r} has shape {np.shape(values[name])}, expected {t.shape}")
+            got = np.asarray(values[name])
+            if got.shape != t.shape:
+                raise ContractError(f"parameter {name!r} has shape {got.shape}, expected {t.shape}")
+            if got.dtype != t.dtype:
+                raise ContractError(f"parameter {name!r} has dtype {got.dtype}, expected {t.dtype}")
         for name, t in pairs:
             t.values[...] = values[name]
 

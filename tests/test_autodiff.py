@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ class TestMatmul:
         got = (t64(a) @ t64(b)).values
         for i in range(5):
             np.testing.assert_allclose(got[i], a[i] @ b)
+
+    @pytest.mark.parametrize("shape", [(4, 6, 5), (2, 3, 4, 5)])
+    def test_batched_input_times_weight_grads_match_einsum(self, shape):
+        rng = np.random.default_rng(2)
+        a = t64(rng.normal(size=shape), requires_grad=True)
+        w = t64(rng.normal(size=(shape[-1], 3)), requires_grad=True)
+        c = rng.normal(size=shape[:-1] + (3,))
+        ((a @ w) * t64(c)).sum().backward()
+        lead = "abcd"[: len(shape) - 1]
+        np.testing.assert_allclose(w.grad, np.einsum(f"{lead}k,{lead}n->kn", a.values, c), rtol=1e-12)
+        np.testing.assert_allclose(a.grad, np.einsum(f"{lead}n,kn->{lead}k", c, w.values), rtol=1e-12)
+
+    def test_batched_input_times_weight_gradcheck(self):
+        rng = np.random.default_rng(3)
+        params = {
+            "a": t64(rng.normal(size=(3, 4, 5)), requires_grad=True),
+            "w": t64(rng.normal(scale=0.5, size=(5, 2)), requires_grad=True),
+        }
+        err = finite_diff_check(lambda p: (p["a"].swapaxes(0, 1) @ p["w"]).tanh().square().sum(), params)
+        assert err < 1e-6
 
 
 class TestUnary:
@@ -281,6 +302,48 @@ class TestGatherOps:
         np.testing.assert_array_equal(table.grad[1], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(table.grad[3], [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(table.grad[0], [0.0, 0.0, 0.0])
+
+    def test_take_rows_second_backward_doubles_leaf_grad(self):
+        rng = np.random.default_rng(4)
+        table = t64(rng.normal(size=(6, 3)), requires_grad=True)
+        loss = (table.take_rows(np.array([[4, 0], [2, 5]])) * t64(rng.normal(size=(2, 2, 3)))).sum()
+        loss.backward()
+        once = table.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(table.grad, 2.0 * once)
+        np.testing.assert_array_equal(table.grad[[1, 3]], 0.0)
+
+    def test_take_rows_non_leaf_source_gradcheck(self):
+        rng = np.random.default_rng(5)
+        idx = np.array([[1, 3, 1], [0, 3, 3]])
+        c = t64(rng.normal(size=(2, 3, 4)))
+        params = {"table": t64(rng.normal(size=(5, 4)), requires_grad=True)}
+        err = finite_diff_check(lambda p: ((p["table"] * 2.0).take_rows(idx) * c).tanh().sum(), params)
+        assert err < 1e-6
+        np.testing.assert_array_equal(params["table"].grad[[2, 4]], 0.0)
+
+    def test_take_rows_leaf_also_used_elsewhere_sums_both(self):
+        table = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        c = np.arange(6.0).reshape(2, 3) - 2.0
+        d = np.full((4, 3), 0.5)
+        loss = (table.take_rows(np.array([3, 3])) * t64(c)).sum() + (table * t64(d)).sum()
+        loss.backward()
+        want = d.copy()
+        want[3] += c[0] + c[1]
+        np.testing.assert_array_equal(table.grad, want)
+
+    def test_take_rows_backward_allocates_no_table_sized_array(self):
+        table = t64(np.ones((2000, 300)), requires_grad=True)
+        assert not table.grad.any()  # allocates the accumulator before tracing starts
+        loss = table.take_rows(np.array([[1, 7, 7]])).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte table"
+        np.testing.assert_array_equal(table.grad[7], 2.0)
 
     def test_take_rows_non_integer(self):
         with pytest.raises(ContractError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
 from capsnlu.autodiff import ContractError, NumericError, Tensor
 from capsnlu.data import Corpus
 from capsnlu.harness import (
+    Adam,
     StratificationError,
     _forward_chunks,
     attention_offdiag_mean,
@@ -87,6 +90,70 @@ class TestTrain:
         model, _ = train(toy_config(epochs=1), corpus, table)
         with pytest.raises(ContractError):
             evaluate(model, empty, cfg)
+
+
+def _textbook_adam(params, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step as a fresh-array expression: the reference Adam.step
+    must reproduce bit for bit."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m, v = moments[i]
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        moments[i] = (m, v)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAdam:
+    # 500 rows of 300 span several row blocks in float32 and in float64,
+    # and are a multiple of neither block length
+    SHAPES = [(500, 300), (3, 4, 5, 6), (7,), ()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lr", [1e-3, 0.05, 0.0])
+    def test_bitwise_equal_to_textbook_update(self, dtype, lr):
+        rng = np.random.default_rng(11)
+        tensors = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in self.SHAPES]
+        ref = [t.values.copy() for t in tensors]
+        start = [p.copy() for p in ref]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        opt = Adam([(f"p{i}", t) for i, t in enumerate(tensors)], lr=lr)
+        for step in range(1, 7):
+            opt.zero_grad()
+            grads = []
+            for t in tensors:
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=t.shape).astype(dtype)
+                if g.ndim:
+                    g[:: step + 1] = 0.0  # rows with no gradient this step
+                    g[:3] = 0.0  # rows that never get one
+                t.grad[...] = g
+                grads.append(g)
+            opt.step()
+            _textbook_adam(ref, grads, moments, step, lr)
+            for i, t in enumerate(tensors):
+                assert _same_bits(t.values, ref[i]), (step, self.SHAPES[i])
+                assert _same_bits(opt.m[i], moments[i][0]) and _same_bits(opt.v[i], moments[i][1])
+        if lr == 0.0:
+            assert all(_same_bits(t.values, p) for t, p in zip(tensors, start))
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        rng = np.random.default_rng(12)
+        table = Tensor(rng.normal(size=(2000, 300)), requires_grad=True)
+        table.grad[...] = rng.normal(size=table.shape)
+        opt = Adam([("table", table)], lr=1e-3)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
 
 
 class TestSplits:
@@ -248,23 +315,24 @@ class TestPersistence:
         np.testing.assert_array_equal(bundle.intent_vectors, table.intent_vectors)
 
     @pytest.mark.parametrize(
-        "key, keep, named",
+        "key, damage, named",
         [
-            ("detect__w", slice(0, 1), "detect.w"),  # one intent's transforms left
+            ("detect__w", lambda a: a[0:1], "detect.w"),  # one intent's transforms left
             ("lstm_fw__b", None, "lstm_fw.b"),
             ("embedding", None, "embedding"),
+            ("w_s1", lambda a: a.astype(np.float64), "w_s1"),  # float32 model, no silent cast
         ],
-        ids=["truncated", "missing", "no-embedding"],
+        ids=["truncated", "missing", "no-embedding", "float64"],
     )
-    def test_damaged_params_rejected(self, toy_setup, tmp_path, key, keep, named):
+    def test_damaged_params_rejected(self, toy_setup, tmp_path, key, damage, named):
         cfg, table, _, _ = toy_setup
         path = save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz"
         with np.load(path) as npz:
             arrays = dict(npz)
-        if keep is None:
+        if damage is None:
             del arrays[key]
         else:
-            arrays[key] = arrays[key][keep]
+            arrays[key] = damage(arrays[key])
         np.savez(path, **arrays)
         with pytest.raises(ContractError, match=named):
             load_model(tmp_path / "model")
