@@ -39,7 +39,6 @@ from .detection import (
     squash,
 )
 from .harness import (
-    cross_validate,
     evaluate,
     full_loss_gradcheck,
     stratified_split,

@@ -252,15 +252,6 @@ class Tensor:
 
         return _result(y, "tanh", (self,), vjp)
 
-    def sigmoid(self) -> "Tensor":
-        # tanh form is overflow-free for large |x|
-        y = 0.5 * (1.0 + np.tanh(0.5 * self.values))
-
-        def vjp(g):
-            return (g * y * (1.0 - y),)
-
-        return _result(y, "sigmoid", (self,), vjp)
-
     def square(self) -> "Tensor":
         x = self.values
 
@@ -363,10 +354,10 @@ class Tensor:
 
         def vjp(g):
             if src._vjp is None:
-                np.add.at(src.grad, idx, g)
+                _scatter_add_rows(src.grad, idx, g)
                 return (None,)
             buf = np.zeros_like(x)
-            np.add.at(buf, idx, g)
+            _scatter_add_rows(buf, idx, g)
             return (buf,)
 
         return _result(x[idx], "take_rows", (self,), vjp)
@@ -415,6 +406,22 @@ def _result(values: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
         out.parents = ()
         out._vjp = None
     return out
+
+
+def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """dst[idx] += g with repeated indices accumulating: bit for bit
+    ``np.add.at(dst, idx, g)``. Each index's first occurrence is added by
+    one fancy-indexed ``+=`` and only the repeats go through the slower
+    ``np.add.at``, so every row still receives its terms in index order."""
+    flat = idx.reshape(-1)
+    flat = np.where(flat < 0, flat + dst.shape[0], flat)  # one key per row
+    rows = g.reshape(flat.shape + dst.shape[1:])
+    uniq, first = np.unique(flat, return_index=True)
+    dst[uniq] += rows[first]
+    if first.size < flat.size:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[first] = False
+        np.add.at(dst, flat[repeat], rows[repeat])
 
 
 def _coerce(x, like: Tensor) -> Tensor:

@@ -25,7 +25,6 @@ from .data import (
     load_embeddings,
 )
 from .harness import (
-    StratificationError,
     evaluate,
     export_activations_emerging,
     export_activations_existing,
@@ -47,7 +46,6 @@ _ERRORS = (
     ParseError,
     EmptySourceError,
     LabelMappingError,
-    StratificationError,
     FileNotFoundError,
     NotADirectoryError,
 )

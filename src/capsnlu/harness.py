@@ -1,4 +1,4 @@
-"""Training loop, evaluation, cross-validation, and file exports."""
+"""Training loop, evaluation, and file exports."""
 
 from __future__ import annotations
 
@@ -28,10 +28,6 @@ from .zeroshot import (
 log = logging.getLogger(__name__)
 
 EVAL_BATCH = 64
-
-
-class StratificationError(ValueError):
-    """A class is too small for the requested stratified split."""
 
 
 # Bytes of one block of leading-axis rows in Adam.step. The moment,
@@ -117,18 +113,13 @@ class Adam:
 # splits
 
 
-def _class_indices(corpus: Corpus) -> dict[int, list[int]]:
-    by_class: dict[int, list[int]] = {}
-    for i, (_, lab) in enumerate(corpus.samples):
-        by_class.setdefault(lab, []).append(i)
-    return by_class
-
-
 def stratified_split(corpus: Corpus, seed: int, fracs=(0.7, 0.1, 0.2)):
     """Deterministic per-class train/validation/test partition."""
     rng = np.random.default_rng(seed)
     picks: list[list[int]] = [[], [], []]
-    by_class = _class_indices(corpus)
+    by_class: dict[int, list[int]] = {}
+    for i, (_, lab) in enumerate(corpus.samples):
+        by_class.setdefault(lab, []).append(i)
     for lab in sorted(by_class):
         idx = np.asarray(by_class[lab])
         idx = idx[rng.permutation(len(idx))]
@@ -140,23 +131,6 @@ def stratified_split(corpus: Corpus, seed: int, fracs=(0.7, 0.1, 0.2)):
         picks[2].extend(idx[n_train + n_val :].tolist())
     tags = ("train", "validation", "test")
     return tuple(corpus.subset(sorted(p), tag) for p, tag in zip(picks, tags))
-
-
-def stratified_folds(corpus: Corpus, folds: int, seed: int):
-    """Deterministic per-class fold ids, one per sample."""
-    if folds < 2:
-        raise StratificationError("need at least 2 folds")
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(len(corpus.samples), dtype=np.int64)
-    for lab, idx in sorted(_class_indices(corpus).items()):
-        if len(idx) < folds:
-            raise StratificationError(
-                f"class {corpus.label_names[lab]!r} has {len(idx)} samples, fewer than {folds} folds"
-            )
-        idx = np.asarray(idx)[rng.permutation(len(idx))]
-        for j, sample_i in enumerate(idx):
-            assignment[sample_i] = j % folds
-    return assignment
 
 
 # ----------------------------------------------------------------------
@@ -306,20 +280,6 @@ def zsl_evaluate(model: ModelParams, corpus: Corpus, intent_vectors: np.ndarray,
         acc = float((preds[sel] == l).mean()) if sel.any() else 0.0
         per_intent.append((name, acc, float(variances[l])))
     return report, per_intent
-
-
-def cross_validate(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, folds: int = 3):
-    """Stratified k-fold train/evaluate; returns per-fold reports and the
-    mean accuracy."""
-    assignment = stratified_folds(corpus, folds, cfg.seed)
-    reports = []
-    for fold in range(folds):
-        train_idx = np.nonzero(assignment != fold)[0]
-        test_idx = np.nonzero(assignment == fold)[0]
-        model, _ = train(cfg, corpus.subset(train_idx.tolist(), "train"), table)
-        reports.append(evaluate(model, corpus.subset(test_idx.tolist(), "test"), cfg))
-    mean_acc = float(np.mean([r.accuracy for r in reports]))
-    return reports, mean_acc
 
 
 def attention_offdiag_mean(model: ModelParams, corpus: Corpus, cfg: RunConfig) -> float:

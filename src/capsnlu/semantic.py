@@ -12,8 +12,12 @@ Callers pass a batch of token-id sequences (leading batch axis B); a
 single utterance is a batch of one (B=1), and `attend` and
 `semantic_vectors` broadcast over any leading axes.
 
-Both directions run the same left-to-right recurrence; the backward one
-runs over each sequence reversed within its length, so trailing pads
+The two LSTM directions run as one recurrence in one graph node: the
+backward direction's input projections are reversed within each
+sequence's length and stacked with the forward direction's (2 x B x T x
+4D_H), their recurrent weights are stacked likewise, and `_run_lstm`
+steps both stacks left to right from a zero state, with
+backpropagation through time as its hand-written VJP. Trailing pads
 come after every real token in either direction and never reach a real
 position's state. H rows at pad positions are unspecified: `attend`
 gives them exactly zero attention, so they never reach M or a gradient.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, concat, row_softmax, stack
+from .autodiff import ContractError, Tensor, _result, concat, row_softmax, stack
 
 
 @dataclass
@@ -95,23 +99,63 @@ def init_semantic_params(
 # recurrence
 
 
-def _run_lstm(xw: Tensor, p: LstmParams) -> Tensor:
-    """Left-to-right LSTM from a zero state over precomputed input
-    projections xw = x @ w_x + b (B x T x 4D_H); returns B x T x D_H."""
-    n, steps, _ = xw.shape
-    dh = p.hidden_dim
-    h = c = Tensor(np.zeros((n, dh), dtype=xw.values.dtype))
-    states = []
+def _run_lstm(xw: Tensor, w_h: Tensor) -> Tensor:
+    """Stacked left-to-right LSTMs from a zero state, as one graph node.
+
+    xw (S x B x T x 4D_H) holds each of S stacks' precomputed input
+    projections x @ w_x + b and w_h (S x D_H x 4D_H) their recurrent
+    weights; returns the S x B x T x D_H hidden states. Every stack runs
+    the same elementwise steps, in the same order, as the per-step cell
+
+        z = xw_t + h @ w_h;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
+        c = f * c + i * g;   h = o * tanh(c)
+
+    with sigmoid(z) = 0.5 * (1 + tanh(z / 2)), which cannot overflow. The
+    VJP is backpropagation through time over the kept gate activations,
+    cell states and tanh(c); dw_h is one batched GEMM over every step's
+    h_{t-1} and dz.
+    """
+    xv, wv = xw.values, w_h.values
+    stacks, n, steps, _ = xv.shape
+    dh = wv.shape[1]
+    h = c = np.zeros((stacks, n, dh), dtype=xv.dtype)
+    kept, hs = [], []
     for t in range(steps):
-        z = xw[:, t, :] + h @ p.w_h
-        i = z[:, 0:dh].sigmoid()
-        f = z[:, dh : 2 * dh].sigmoid()
-        o = z[:, 2 * dh : 3 * dh].sigmoid()
-        g = z[:, 3 * dh : 4 * dh].tanh()
-        c = f * c + i * g
-        h = o * c.tanh()
-        states.append(h)
-    return stack(states, axis=1)
+        z = h @ wv
+        z += xv[:, :, t]
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z[..., : 3 * dh]))  # i, f, o
+        g = np.tanh(z[..., 3 * dh :])
+        c_prev, c = c, sig[..., dh : 2 * dh] * c + sig[..., :dh] * g
+        tc = np.tanh(c)
+        h = sig[..., 2 * dh :] * tc
+        kept.append((sig, g, c_prev, tc))
+        hs.append(h)
+    out = np.stack(hs, axis=2)
+
+    def vjp(grad):
+        w_t = np.swapaxes(wv, -1, -2)
+        dxw = np.empty_like(xv)
+        dh_next = dc_next = 0.0
+        for t in reversed(range(steps)):
+            sig, g, c_prev, tc = kept[t]
+            dh_t = grad[:, :, t] + dh_next
+            dc = dh_t * sig[..., 2 * dh :] * (1.0 - tc * tc) + dc_next
+            dz = dxw[:, :, t]
+            np.multiply(dc, g, out=dz[..., :dh])
+            np.multiply(dc, c_prev, out=dz[..., dh : 2 * dh])
+            np.multiply(dh_t, tc, out=dz[..., 2 * dh : 3 * dh])
+            dz[..., : 3 * dh] *= sig
+            dz[..., : 3 * dh] *= 1.0 - sig
+            np.multiply(dc * sig[..., :dh], 1.0 - g * g, out=dz[..., 3 * dh :])
+            dh_next = dz @ w_t
+            dc_next = dc * sig[..., dh : 2 * dh]
+        dw = None
+        if w_h.requires_grad:
+            h_prev = out[:, :, :-1].reshape(stacks, -1, dh)
+            dw = np.swapaxes(h_prev, -1, -2) @ dxw[:, :, 1:].reshape(stacks, -1, 4 * dh)
+        return (dxw if xw.requires_grad else None), dw
+
+    return _result(out, "lstm", (xw, w_h), vjp)
 
 
 def encode_tokens(
@@ -160,9 +204,9 @@ def encode_tokens(
     src = np.where(mask, lengths[:, None] - 1 - pos, pos)
     rev = Tensor((src[:, :, None] == pos).astype(x.values.dtype))  # B x T x T
     fw, bw = params.lstm_fw, params.lstm_bw
-    h_fw = _run_lstm(x @ fw.w_x + fw.b, fw)
-    h_bw = rev @ _run_lstm(rev @ (x @ bw.w_x + bw.b), bw)
-    return concat(h_fw, h_bw, axis=-1), mask
+    xw = stack([x @ fw.w_x + fw.b, rev @ (x @ bw.w_x + bw.b)])
+    h = _run_lstm(xw, stack([fw.w_h, bw.w_h]))
+    return concat(h[0], rev @ h[1], axis=-1), mask
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,12 @@ from capsnlu.autodiff import ContractError, NumericError, Tensor
 from capsnlu.data import Corpus
 from capsnlu.harness import (
     Adam,
-    StratificationError,
     _forward_chunks,
     attention_offdiag_mean,
-    cross_validate,
     evaluate,
     export_activations_emerging,
     export_activations_existing,
     export_attention,
-    stratified_folds,
     stratified_split,
     train,
     zsl_evaluate,
@@ -175,35 +172,6 @@ class TestSplits:
         corpus = self.make_corpus([9, 9, 9])
         tr, va, te = stratified_split(corpus, seed=5)
         assert len(tr) + len(va) + len(te) == 27
-
-    def test_fold_balance(self):
-        corpus = self.make_corpus([3, 3, 3])
-        assignment = stratified_folds(corpus, folds=3, seed=1)
-        labels = np.asarray([lab for _, lab in corpus.samples])
-        for fold in range(3):
-            fold_labels = labels[assignment == fold]
-            assert sorted(fold_labels.tolist()) == [0, 1, 2]
-
-    def test_fold_determinism(self):
-        corpus = self.make_corpus([6, 6])
-        a = stratified_folds(corpus, folds=3, seed=9)
-        b = stratified_folds(corpus, folds=3, seed=9)
-        np.testing.assert_array_equal(a, b)
-
-    def test_small_class_rejected(self):
-        corpus = self.make_corpus([2, 6])
-        with pytest.raises(StratificationError):
-            stratified_folds(corpus, folds=3, seed=0)
-
-
-class TestCrossValidate:
-    def test_three_folds_on_toy(self, toy_setup):
-        cfg, table, corpus, _ = toy_setup
-        cfg.epochs = 5
-        reports, mean_acc = cross_validate(cfg, corpus, table, folds=3)
-        assert len(reports) == 3
-        assert 0.0 <= mean_acc <= 1.0
-        assert mean_acc == pytest.approx(np.mean([r.accuracy for r in reports]))
 
 
 class TestZeroShot:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from capsnlu.autodiff import Tensor, finite_diff_check
+from capsnlu.autodiff import Tensor, concat, finite_diff_check, stack
+from capsnlu.config import RunConfig
+from capsnlu.data import EmbeddingTable
+from capsnlu.harness import batch_loss
+from capsnlu.model import init_model
 from capsnlu.semantic import (
     LstmParams,
     SemanticCapsParams,
+    _run_lstm,
     attend,
     encode_tokens,
     init_semantic_params,
@@ -247,3 +252,139 @@ class TestGradients:
         named = params.trainable() + [("embedding", emb)]
         err = finite_diff_check(loss_fn, named, epsilon=1e-4)
         assert err < 1e-4
+
+
+# ----------------------------------------------------------------------
+# the fused recurrence against the per-step graph it replaced
+
+
+def _sigmoid(z):
+    return 0.5 * ((0.5 * z).tanh() + 1.0)
+
+
+def stepwise_lstm(xw, p):
+    """One direction as a graph of per-step Tensor ops: the reference the
+    fused node must reproduce (same elementwise order, so H is bitwise
+    equal; only the VJP's summation order differs)."""
+    n, steps, _ = xw.shape
+    dh = p.hidden_dim
+    h = c = Tensor(np.zeros((n, dh), dtype=xw.values.dtype))
+    states = []
+    for t in range(steps):
+        z = xw[:, t, :] + h @ p.w_h
+        i = _sigmoid(z[:, 0:dh])
+        f = _sigmoid(z[:, dh : 2 * dh])
+        o = _sigmoid(z[:, 2 * dh : 3 * dh])
+        g = z[:, 3 * dh : 4 * dh].tanh()
+        c = f * c + i * g
+        h = o * c.tanh()
+        states.append(h)
+    return stack(states, axis=1)
+
+
+def stepwise_encode(seqs, embedding, params, *, pad_id):
+    lengths = np.asarray([len(s) for s in seqs])
+    t_max = int(lengths.max())
+    ids = np.full((len(seqs), t_max), pad_id)
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = s
+    mask = np.arange(t_max)[None, :] < lengths[:, None]
+    x = embedding.take_rows(ids)
+    pos = np.arange(t_max)
+    src = np.where(mask, lengths[:, None] - 1 - pos, pos)
+    rev = Tensor((src[:, :, None] == pos).astype(x.values.dtype))
+    fw, bw = params.lstm_fw, params.lstm_bw
+    h_fw = stepwise_lstm(x @ fw.w_x + fw.b, fw)
+    h_bw = rev @ stepwise_lstm(rev @ (x @ bw.w_x + bw.b), bw)
+    return concat(h_fw, h_bw, axis=-1), mask
+
+
+def _bench_shaped(dtype, seed=5, vocab=300):
+    """A ragged B=32 batch at the benchmark shape: T 5-15, 300-d, D_H=32."""
+    rng = np.random.default_rng(seed)
+    params = init_semantic_params(rng, 300, 32, 20, 3, dtype=dtype)
+    emb = Tensor(rng.normal(scale=0.3, size=(vocab, 300)), requires_grad=True, dtype=dtype)
+    seqs = [rng.integers(0, vocab - 1, size=n).tolist() for n in rng.integers(5, 16, size=32)]
+    assert len({len(s) for s in seqs}) > 1
+    return params, emb, seqs, vocab - 1
+
+
+def _graph_nodes(root):
+    seen, todo, count = set(), [root], 0
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += bool(t.parents)
+            todo.extend(t.parents)
+    return count
+
+
+class TestFusedRecurrence:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_states_bitwise_equal_to_stepwise_graph(self, dtype):
+        params, emb, seqs, pad_id = _bench_shaped(dtype)
+        got, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
+        want, want_mask = stepwise_encode(seqs, emb, params, pad_id=pad_id)
+        assert got.values.dtype == dtype
+        assert got.values.tobytes() == want.values.tobytes()
+        np.testing.assert_array_equal(mask, want_mask)
+
+    def test_float64_grads_match_stepwise_graph(self):
+        params, emb, seqs, pad_id = _bench_shaped(np.float64)
+        named = params.trainable() + [("embedding", emb)]
+        grads = []
+        for encode in (encode_tokens, stepwise_encode):
+            for _, t in named:
+                t.reset_grad()
+            big_h, mask = encode(seqs, emb, params, pad_id=pad_id)
+            attn, penalty = attend(big_h, params, pad_mask=mask)
+            (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
+            grads.append({name: t.grad.copy() for name, t in named})
+        for name, _ in named:
+            got, want = grads
+            scale = np.abs(want[name]).max()
+            assert scale > 0, name
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+    def test_ragged_node_gradcheck(self):
+        rng = np.random.default_rng(23)
+        lengths = np.array([1, 3, 5])
+        real = np.arange(5)[None, :] < lengths[:, None]
+        params = {
+            "xw": Tensor(rng.normal(size=(2, 3, 5, 8)), requires_grad=True),
+            "w_h": Tensor(rng.normal(scale=0.5, size=(2, 2, 8)), requires_grad=True),
+        }
+        weights = Tensor(rng.normal(size=(2, 3, 5, 2)) * real[None, :, :, None])
+
+        err = finite_diff_check(lambda p: (_run_lstm(p["xw"], p["w_h"]) * weights).sum(), params)
+        assert err < 1e-4
+        # a step's state never depends on a later step's input
+        np.testing.assert_array_equal(params["xw"].grad[:, 0, 1:], 0.0)
+
+    def test_second_backward_doubles_leaf_grads(self):
+        rng = np.random.default_rng(24)
+        xw = Tensor(rng.normal(size=(2, 3, 4, 12)), requires_grad=True)
+        w_h = Tensor(rng.normal(scale=0.5, size=(2, 3, 12)), requires_grad=True)
+        loss = (_run_lstm(xw, w_h) * Tensor(rng.normal(size=(2, 3, 4, 3)))).sum()
+        loss.backward()
+        once = xw.grad.copy(), w_h.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(xw.grad, 2.0 * once[0])
+        np.testing.assert_array_equal(w_h.grad, 2.0 * once[1])
+
+    def test_training_step_graph_size(self):
+        # the per-step graph recorded 560 nodes for this step
+        rng = np.random.default_rng(25)
+        vocab = 50
+        table = EmbeddingTable(
+            vocab={f"w{i}": i for i in range(vocab)},
+            vectors=rng.normal(size=(vocab, 300)),
+            oov_id=vocab - 2,
+            pad_id=vocab - 1,
+        )
+        cfg = RunConfig(existing_labels=("a", "b", "c", "d", "e"), emerging_labels=())
+        model = init_model(table, cfg, rng=rng)
+        samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
+        loss = batch_loss(model, samples, cfg, training=True, rng=rng)
+        assert _graph_nodes(loss) <= 90
