@@ -22,7 +22,7 @@ p = Tensor(np.stack([coherent, scattered], axis=0))  # K=2, R=3, D_P=4
 
 print("squash keeps direction, compresses norm into [0, 1):")
 for scale in (0.1, 1.0, 10.0):
-    v = squash(Tensor(scale * np.array([3.0, 4.0]))).values
+    v = squash(Tensor(scale * np.array([3.0, 4.0])))
     print(f"  ||s||={5 * scale:5.1f} -> ||squash(s)||={np.linalg.norm(v):.4f}")
 
 trace = dynamic_routing(p, iterations=3)

@@ -311,15 +311,6 @@ class Tensor:
 
         return _result(out, "reshape", (self,), vjp)
 
-    def unsqueeze(self, axis: int) -> "Tensor":
-        x = self.values
-        out = np.expand_dims(x, axis)
-
-        def vjp(g):
-            return (g.reshape(x.shape),)
-
-        return _result(out, "unsqueeze", (self,), vjp)
-
     def swapaxes(self, a: int, b: int) -> "Tensor":
         out = np.swapaxes(self.values, a, b)
 
@@ -552,6 +543,8 @@ def finite_diff_check(
     parameter values and be deterministic (no dropout). Returns the worst
     relative error over every parameter entry; when both gradient
     magnitudes are below 1e-8 the absolute difference is used instead.
+    A non-finite autodiff gradient raises NumericError, since NaN would
+    pass any comparison against a tolerance.
     """
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
@@ -563,6 +556,9 @@ def finite_diff_check(
         raise NumericError("loss is not finite")
     loss.backward()
     snapshots = [(name, t, t.grad.copy().reshape(-1)) for name, t in pairs]
+    for name, _, ad in snapshots:
+        if not np.isfinite(ad).all():
+            raise NumericError(f"autodiff gradient of {name} is not finite")
 
     worst = 0.0
     with no_grad():

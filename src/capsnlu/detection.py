@@ -10,8 +10,15 @@ prediction vector p[k][r] = m_r @ w[k][r]. Routing then iterates:
 
 starting from zero logits b. The norm of the activation vector v_k ranks
 intents; training minimizes a per-intent max-margin loss plus the
-attention orthogonality penalty. The whole routing loop stays inside the
-autodiff graph, so gradients flow through every iteration.
+attention orthogonality penalty.
+
+`dynamic_routing` runs the whole loop as one autodiff node: the forward
+is raw numpy over the routed iterations (the agreement update after the
+last one is skipped, as nothing reads it), and its hand-written VJP
+backpropagates through every iteration, the agreement term, squash and
+the softmax over intents included, so gradients flow through the whole
+loop as the paper requires. The per-iteration b, c, s and v it keeps
+for that VJP are the `RoutingTrace` lists.
 
 Callers pass a batch (P of shape B x K x R x D_P); a single utterance is
 a batch of one (B=1). The functions broadcast over any leading axes.
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, softmax
+from .autodiff import ContractError, Tensor, _result
 
 
 @dataclass
@@ -42,9 +49,11 @@ class DetectionCapsParams:
 class RoutingTrace:
     """Per-iteration record of one routing run.
 
-    The arrays are detached copies for inspection; `v_final` and
-    `c_final` stay connected to the graph for the loss and for vote
-    vectors.
+    The arrays are the routing node's saved activations, shared with its
+    VJP, so they are read-only: editing one raises instead of corrupting
+    a later backward. `v_final` is the node's output, connected to the
+    graph for the loss; `c_final` is a detached Tensor of the last
+    couplings, read by vote vectors.
     """
 
     b: list[np.ndarray] = field(default_factory=list)  # logits at iteration start, ... x K x R
@@ -74,33 +83,68 @@ def prediction_vectors(m: Tensor, params: DetectionCapsParams) -> Tensor:
     return p.reshape(*lead, k, r, caps_dim)
 
 
-def squash(s: Tensor, axis: int = -1) -> Tensor:
-    """(||s||^2 / (1 + ||s||^2)) * s/||s||; zero maps to zero."""
-    sumsq = s.square().sum(axis=axis, keepdims=True)
-    norm = sumsq.sqrt()
-    return s * (norm / (sumsq + 1.0))
+def squash(s, axis: int = -1) -> np.ndarray:
+    """(||s||^2 / (1 + ||s||^2)) * s/||s||; zero maps to zero. Takes an
+    array (a Tensor is read through `.values`) and returns an array."""
+    s = s.values if isinstance(s, Tensor) else np.asarray(s)
+    sumsq = (s * s).sum(axis=axis, keepdims=True)
+    return s * (np.sqrt(sumsq) / (sumsq + 1.0))
 
 
 def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
-    """Route predictions p (... x K x R x D_P) for `iterations` rounds."""
+    """Route predictions p (... x K x R x D_P) for `iterations` rounds,
+    as one graph node whose output is `trace.v_final`."""
     if iterations < 1:
         raise ContractError("routing needs at least one iteration")
-    lead_kr = p.shape[:-1]  # ... x K x R
+    pv = p.values
     trace = RoutingTrace()
-    b = Tensor(np.zeros(lead_kr, dtype=p.values.dtype))
-    c = None
-    v = None
-    for _ in range(iterations):
-        trace.b.append(np.array(b.values))          # logits entering this iteration
-        c = softmax(b, axis=-2)                     # normalize over intents per head
-        s = (c.unsqueeze(-1) * p).sum(axis=-2)      # ... x K x D_P
+    b = np.zeros(pv.shape[:-1], dtype=pv.dtype)     # ... x K x R
+    for it in range(iterations):
+        e = np.exp(b - b.max(axis=-2, keepdims=True))
+        c = e / e.sum(axis=-2, keepdims=True)       # softmax over intents per head
+        s = (c[..., None] * pv).sum(axis=-2)        # ... x K x D_P
         v = squash(s)
-        b = b + (p * v.unsqueeze(-2)).sum(axis=-1)  # agreement p . v
-        trace.c.append(np.array(c.values))
-        trace.s.append(np.array(s.values))
-        trace.v.append(np.array(v.values))
-    trace.v_final = v
-    trace.c_final = c
+        trace.b.append(b)
+        trace.c.append(c)
+        trace.s.append(s)
+        trace.v.append(v)
+        if it + 1 < iterations:
+            b = b + (pv * v[..., None, :]).sum(axis=-1)  # agreement p . v
+    for arr in trace.b + trace.c + trace.s + trace.v:
+        arr.flags.writeable = False  # the VJP's saved activations
+
+    def vjp(g):
+        gp = gb = None  # gb: dL/d(logits entering the iteration after t)
+        for t in reversed(range(iterations)):
+            c, s = trace.c[t], trace.s[t]
+            if gb is None:
+                gv = g
+            else:  # agreement b += p . v
+                gv = (gb[..., None] * pv).sum(axis=-2)
+                gp += gb[..., None] * trace.v[t][..., None, :]
+            # squash; d sqrt at a zero norm takes its zero limit
+            sumsq = (s * s).sum(axis=-1, keepdims=True)
+            norm = np.sqrt(sumsq)
+            denom = sumsq + 1.0
+            g_ratio = (gv * s).sum(axis=-1, keepdims=True)
+            g_norm = np.zeros_like(norm)
+            np.divide(0.5 * (g_ratio / denom), norm, out=g_norm, where=norm > 0)
+            g_sumsq = -g_ratio * norm / (denom * denom) + g_norm
+            gs = gv * (norm / denom) + 2.0 * g_sumsq * s
+            # weighted sum s = sum_r c * p, then the softmax over intents
+            g_mix = gs[..., None, :] * c[..., None]
+            if gp is None:
+                gp = g_mix
+            else:
+                gp += g_mix
+            if t:
+                gc = (gs[..., None, :] * pv).sum(axis=-1)
+                g_soft = c * (gc - (gc * c).sum(axis=-2, keepdims=True))
+                gb = g_soft if gb is None else gb + g_soft
+        return (gp,)
+
+    trace.v_final = _result(trace.v[-1], "routing", (p,), vjp)
+    trace.c_final = Tensor(trace.c[-1])
     return trace
 
 

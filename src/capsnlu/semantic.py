@@ -40,10 +40,6 @@ class LstmParams:
     w_h: Tensor  # D_H x 4D_H
     b: Tensor    # 1   x 4D_H
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_h.shape[0]
-
     def trainable(self, prefix: str):
         return [(f"{prefix}.w_x", self.w_x), (f"{prefix}.w_h", self.w_h), (f"{prefix}.b", self.b)]
 

@@ -87,7 +87,7 @@ class TestCriterion3Invariants:
         pairs = []
         for _ in range(N_INSTANCES):
             s = rng.normal(scale=rng.uniform(0.01, 5.0), size=4)
-            out = squash(Tensor(s)).values
+            out = squash(Tensor(s))
             n_in, n_out = np.linalg.norm(s), np.linalg.norm(out)
             assert 0.0 <= n_out < 1.0
             if n_in > 0:

@@ -10,6 +10,7 @@ from capsnlu.autodiff import (
     DimensionError,
     NumericError,
     Tensor,
+    _result,
     concat,
     finite_diff_check,
     no_grad,
@@ -262,6 +263,17 @@ class TestFiniteDiffCheck:
             return Tensor(np.asarray(np.nan, dtype=np.float64), requires_grad=True) * theta.sum()
 
         with pytest.raises(NumericError):
+            finite_diff_check(bad, [("theta", theta)], epsilon=1e-4)
+
+    def test_nan_gradient_raises(self):
+        # a finite loss under a VJP that returns NaN: a NaN compares false
+        # against any tolerance, so it must fail loudly instead
+        theta = t64([1.0], requires_grad=True)
+
+        def bad(_):
+            return _result(theta.values.sum(), "bad", (theta,), lambda g: (np.full(1, np.nan),))
+
+        with pytest.raises(NumericError, match="theta"):
             finite_diff_check(bad, [("theta", theta)], epsilon=1e-4)
 
     def test_bad_epsilon(self):

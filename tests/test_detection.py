@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capsnlu.autodiff import ContractError, Tensor, finite_diff_check
+from capsnlu.autodiff import ContractError, Tensor, finite_diff_check, softmax
 from capsnlu.detection import (
     DetectionCapsParams,
     activation_norms,
@@ -93,13 +93,13 @@ class TestPredictionVectors:
 
 class TestSquash:
     def test_zero_limit(self):
-        np.testing.assert_array_equal(squash(Tensor(np.zeros(2))).values, [0.0, 0.0])
+        np.testing.assert_array_equal(squash(Tensor(np.zeros(2))), [0.0, 0.0])
 
     def test_unit_vector_halves(self):
-        np.testing.assert_allclose(squash(Tensor([1.0, 0.0])).values, [0.5, 0.0], rtol=1e-7)
+        np.testing.assert_allclose(squash(Tensor([1.0, 0.0])), [0.5, 0.0], rtol=1e-7)
 
     def test_three_four(self):
-        got = squash(Tensor(np.array([3.0, 4.0]))).values
+        got = squash(Tensor(np.array([3.0, 4.0])))
         np.testing.assert_allclose(got, [25 / 26 * 0.6, 25 / 26 * 0.8], rtol=1e-12)
 
     def test_bounds_monotone_direction(self):
@@ -107,7 +107,7 @@ class TestSquash:
         prev_pairs = []
         for _ in range(100):
             s = rng.normal(scale=rng.uniform(0.01, 5.0), size=4)
-            out = squash(Tensor(s)).values
+            out = squash(Tensor(s))
             n_in = np.linalg.norm(s)
             n_out = np.linalg.norm(out)
             assert 0.0 <= n_out < 1.0
@@ -124,7 +124,7 @@ class TestDynamicRouting:
         p_val = np.array([[[0.3, -0.7]]])
         trace = dynamic_routing(Tensor(p_val), iterations=1)
         np.testing.assert_allclose(trace.c[0], [[1.0]])
-        np.testing.assert_allclose(trace.v[0][0], squash(Tensor(p_val[0, 0])).values, rtol=1e-12)
+        np.testing.assert_allclose(trace.v[0][0], squash(Tensor(p_val[0, 0])), rtol=1e-12)
 
     def test_first_iteration_uniform(self):
         rng = np.random.default_rng(4)
@@ -269,3 +269,108 @@ class TestRoutingGradients:
                 continue  # hinge kink, skip this draw
             err = finite_diff_check(loss_fn, [("m", m), ("w", params.w)], epsilon=1e-4)
             assert err < 1e-4
+
+
+# ----------------------------------------------------------------------
+# the fused routing node against the per-op graph it replaced
+
+
+def per_op_squash(s):
+    sumsq = s.square().sum(axis=-1, keepdims=True)
+    return s * (sumsq.sqrt() / (sumsq + 1.0))
+
+
+def per_op_routing(p, iterations):
+    """The routing loop as a graph of per-op Tensor ops: the reference the
+    fused node must reproduce (same elementwise order, so every value is
+    bitwise equal)."""
+    b = Tensor(np.zeros(p.shape[:-1], dtype=p.values.dtype))
+    rec = {"b": [], "c": [], "s": [], "v": []}
+    for _ in range(iterations):
+        rec["b"].append(b.values)
+        c = softmax(b, axis=-2)
+        s = (c.reshape(*c.shape, 1) * p).sum(axis=-2)
+        v = per_op_squash(s)
+        b = b + (p * v.reshape(*v.shape[:-1], 1, v.shape[-1])).sum(axis=-1)
+        rec["c"].append(c.values)
+        rec["s"].append(s.values)
+        rec["v"].append(v.values)
+    return rec, v, c
+
+
+def _predictions(shape, dtype, seed=41):
+    return np.random.default_rng(seed).normal(scale=0.5, size=shape).astype(dtype)
+
+
+class TestFusedRouting:
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((32, 5, 3, 10), np.float32),
+            ((32, 5, 3, 10), np.float64),
+            ((1, 5, 3, 10), np.float32),
+            ((1, 5, 3, 10), np.float64),
+            ((1, 2, 3, 10), np.float64),  # zero-shot: L=2 emerging intents, u is float64
+        ],
+    )
+    def test_trace_bitwise_equal_to_per_op_graph(self, shape, dtype):
+        p = _predictions(shape, dtype)
+        trace = dynamic_routing(Tensor(p, requires_grad=True), iterations=3)
+        want, v, c = per_op_routing(Tensor(p, requires_grad=True), 3)
+        for key in ("b", "c", "s", "v"):
+            got = getattr(trace, key)
+            assert len(got) == 3
+            for it in range(3):
+                assert got[it].dtype == dtype
+                assert got[it].tobytes() == want[key][it].tobytes(), (key, it)
+        assert trace.v_final.values.tobytes() == v.values.tobytes()
+        assert trace.c_final.values.tobytes() == c.values.tobytes()
+        assert not trace.c_final.requires_grad
+
+    def test_float64_grad_matches_per_op_graph(self):
+        p_vals = _predictions((32, 5, 3, 10), np.float64)
+        labels = np.arange(32) % 5
+        grads = []
+        for route in (lambda p: dynamic_routing(p, 3).v_final, lambda p: per_op_routing(p, 3)[1]):
+            p = Tensor(p_vals, requires_grad=True)
+            margin_loss_batch(route(p), labels, Tensor(np.zeros(32))).backward()
+            grads.append(p.grad)
+        got, want = grads
+        scale = np.abs(want).max()
+        assert scale > 0
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_node_gradcheck(self, iterations):
+        rng = np.random.default_rng(42 + iterations)
+        # intent 2 of utterance 1 gets all-zero predictions, so s = 0 there
+        # and the VJP meets squash's zero limit. The mask keeps that row at
+        # zero while it is perturbed: s|s| is not differentiable twice at
+        # 0, so central differences there read O(epsilon), not 0.
+        keep = np.ones((2, 3, 1, 1))
+        keep[1, 2] = 0.0
+        params = {"p": Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)}
+        weights = Tensor(rng.normal(size=(2, 3, 4)))
+
+        def loss_fn(q):
+            return (dynamic_routing(q["p"] * Tensor(keep), iterations).v_final * weights).sum()
+
+        err = finite_diff_check(loss_fn, params)
+        assert err < 1e-4
+        np.testing.assert_array_equal(params["p"].grad[1, 2], 0.0)
+
+    def test_second_backward_doubles_grad(self):
+        rng = np.random.default_rng(43)
+        p = Tensor(rng.normal(size=(3, 4, 2, 5)), requires_grad=True)
+        loss = (dynamic_routing(p, 3).v_final * Tensor(rng.normal(size=(3, 4, 5)))).sum()
+        loss.backward()
+        once = p.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(p.grad, 2.0 * once)
+
+    def test_trace_arrays_read_only(self):
+        trace = dynamic_routing(Tensor(_predictions((2, 3, 2, 4), np.float64), requires_grad=True), 2)
+        for key in ("b", "c", "s", "v"):
+            for arr in getattr(trace, key):
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0

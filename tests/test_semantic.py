@@ -267,7 +267,7 @@ def stepwise_lstm(xw, p):
     fused node must reproduce (same elementwise order, so H is bitwise
     equal; only the VJP's summation order differs)."""
     n, steps, _ = xw.shape
-    dh = p.hidden_dim
+    dh = p.w_h.shape[0]
     h = c = Tensor(np.zeros((n, dh), dtype=xw.values.dtype))
     states = []
     for t in range(steps):
@@ -374,7 +374,8 @@ class TestFusedRecurrence:
         np.testing.assert_array_equal(w_h.grad, 2.0 * once[1])
 
     def test_training_step_graph_size(self):
-        # the per-step graph recorded 560 nodes for this step
+        # the per-step recurrence recorded 560 nodes for this step and the
+        # per-op routing loop 83
         rng = np.random.default_rng(25)
         vocab = 50
         table = EmbeddingTable(
@@ -387,4 +388,4 @@ class TestFusedRecurrence:
         model = init_model(table, cfg, rng=rng)
         samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
         loss = batch_loss(model, samples, cfg, training=True, rng=rng)
-        assert _graph_nodes(loss) <= 90
+        assert _graph_nodes(loss) <= 50
