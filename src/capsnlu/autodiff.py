@@ -218,28 +218,29 @@ class Tensor:
             raise DimensionError(
                 f"matmul inner extents differ: {a.values.shape} x {b.values.shape}"
             )
+        av, bv = a.values, b.values
+        shape = None
+        if bv.ndim == 2 and av.ndim > 2:
+            # a 2-D weight shared across a batch: fold the batch into the
+            # rows, so the forward and both gradients are one GEMM each where
+            # np.matmul would run one small product per batch entry
+            shape = av.shape[:-1] + bv.shape[-1:]
+            av = av.reshape(-1, av.shape[-1])
         try:
-            out = np.matmul(a.values, b.values)
+            out = np.matmul(av, bv)
         except ValueError as exc:
-            raise DimensionError(
-                f"matmul shapes do not broadcast: {a.values.shape} x {b.values.shape}"
-            ) from exc
+            raise DimensionError(f"matmul shapes do not broadcast: {av.shape} x {bv.shape}") from exc
 
         def vjp(g):
+            g = g.reshape(out.shape)  # folded as av is
             ga = gb = None
             if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.values, -1, -2)), a.values.shape)
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape).reshape(a.values.shape)
             if b.requires_grad:
-                av = a.values
-                if b.values.ndim == 2 and av.ndim > 2:
-                    # a 2-D weight shared across a batch: one GEMM over the
-                    # flattened batch rows, not one product per batch entry
-                    gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                else:
-                    gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.values.shape)
+                gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
             return ga, gb
 
-        return _result(out, "matmul", (a, b), vjp)
+        return _result(out if shape is None else out.reshape(shape), "matmul", (a, b), vjp)
 
     # ------------------------------------------------------------------
     # elementwise maps
@@ -401,18 +402,26 @@ def _result(values: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
 
 def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     """dst[idx] += g with repeated indices accumulating: bit for bit
-    ``np.add.at(dst, idx, g)``. Each index's first occurrence is added by
-    one fancy-indexed ``+=`` and only the repeats go through the slower
-    ``np.add.at``, so every row still receives its terms in index order."""
+    ``np.add.at(dst, idx, g)`` whenever ``dst`` holds no -0.0.
+
+    Rows of ``g`` that are all zero (of either sign) are skipped: adding
+    them leaves every entry of ``dst`` as it was, save a -0.0 that +0.0
+    would turn into +0.0. A ``.grad`` buffer never holds -0.0, since it
+    starts at +0.0 and a sum that starts at +0.0 never reaches -0.0. Pad
+    positions of a ragged batch carry such all-zero rows. Of the rows
+    kept, each index's first occurrence is added by one fancy-indexed
+    ``+=`` and only the repeats go through the slower ``np.add.at``, so
+    every row still receives its terms in index order."""
     flat = idx.reshape(-1)
     flat = np.where(flat < 0, flat + dst.shape[0], flat)  # one key per row
     rows = g.reshape(flat.shape + dst.shape[1:])
-    uniq, first = np.unique(flat, return_index=True)
-    dst[uniq] += rows[first]
-    if first.size < flat.size:
-        repeat = np.ones(flat.size, dtype=bool)
+    kept = np.flatnonzero(rows.any(axis=tuple(range(1, rows.ndim))))
+    uniq, first = np.unique(flat[kept], return_index=True)
+    dst[uniq] += rows[kept[first]]
+    if first.size < kept.size:
+        repeat = np.ones(kept.size, dtype=bool)
         repeat[first] = False
-        np.add.at(dst, flat[repeat], rows[repeat])
+        np.add.at(dst, flat[kept[repeat]], rows[kept[repeat]])
 
 
 def _coerce(x, like: Tensor) -> Tensor:

@@ -1,7 +1,11 @@
 """Detection capsules: routing-by-agreement over per-intent predictions.
 
 Each semantic vector m_r is transformed once per intent k into a
-prediction vector p[k][r] = m_r @ w[k][r]. Routing then iterates:
+prediction vector p[k][r] = m_r @ w[k][r]. `prediction_vectors` is one
+autodiff node whose forward and VJP are batches of K*R GEMMs over all
+utterances at once, one per (intent, head) transform; it reads the
+stored K x R x 2D_H x D_P weight in place, so the checkpoint format is
+unchanged. Routing then iterates:
 
     c = softmax(b) over the intent axis        (coupling coefficients)
     s_k = sum_r c[k][r] * p[k][r]
@@ -26,6 +30,7 @@ a batch of one (B=1). The functions broadcast over any leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,16 +76,33 @@ def init_detection_params(rng, num_intents: int, heads: int, in_dim: int, caps_d
 
 
 def prediction_vectors(m: Tensor, params: DetectionCapsParams) -> Tensor:
-    """P[k][r] = m_r @ w[k][r], shape ... x K x R x D_P."""
-    k, r, in_dim, caps_dim = params.w.shape
+    """P[k][r] = m_r @ w[k][r], shape ... x K x R x D_P, as one graph node.
+
+    The forward is K*R GEMMs (N x 2D_H) @ (2D_H x D_P) over the N
+    utterances of the leading axes, on the stored weight as it is; the
+    VJP gives w's gradient as K*R GEMMs in that layout and m's as K*R
+    GEMMs summed over the intents."""
+    w = params.w
+    k, r, in_dim, caps_dim = w.shape
     lead = m.shape[:-2]
     if m.shape[-2] != r or m.shape[-1] != in_dim:
         raise ContractError(
-            f"semantic vectors {m.shape} do not match transform shape {params.w.shape}"
+            f"semantic vectors {m.shape} do not match transform shape {w.shape}"
         )
-    mx = m.reshape(*lead, 1, r, 1, in_dim)          # broadcast over intents
-    p = mx @ params.w                               # ... x K x R x 1 x D_P
-    return p.reshape(*lead, k, r, caps_dim)
+    n = math.prod(lead)
+    mr = np.swapaxes(m.values.reshape(n, r, in_dim), 0, 1)  # R x N x 2D_H, broadcast over K
+    out = np.ascontiguousarray((mr @ w.values).transpose(2, 0, 1, 3))  # N x K x R x D_P
+
+    def vjp(g):
+        gk = g.reshape(n, k, r, caps_dim).transpose(1, 2, 0, 3)  # K x R x N x D_P
+        gm = gw = None
+        if m.requires_grad:
+            gm = np.swapaxes((gk @ np.swapaxes(w.values, -1, -2)).sum(axis=0), 0, 1).reshape(m.shape)
+        if w.requires_grad:
+            gw = np.swapaxes(mr, -1, -2) @ gk
+        return gm, gw
+
+    return _result(out.reshape(*lead, k, r, caps_dim), "prediction_vectors", (m, w), vjp)
 
 
 def squash(s, axis: int = -1) -> np.ndarray:

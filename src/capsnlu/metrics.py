@@ -36,6 +36,10 @@ def confusion_matrix(y_true, y_pred, num_classes: int) -> np.ndarray:
         raise ContractError("labels and predictions must be equal-length 1-D")
     if y_true.size == 0:
         raise ContractError("empty corpus")
+    for name, ids in (("label", y_true), ("prediction", y_pred)):
+        bad = ids[(ids < 0) | (ids >= num_classes)]
+        if bad.size:
+            raise ContractError(f"{name} {int(bad[0])} outside the {num_classes} classes")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
     return counts

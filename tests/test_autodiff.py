@@ -11,6 +11,7 @@ from capsnlu.autodiff import (
     NumericError,
     Tensor,
     _result,
+    _scatter_add_rows,
     concat,
     finite_diff_check,
     no_grad,
@@ -59,16 +60,53 @@ class TestMatmul:
         for i in range(5):
             np.testing.assert_allclose(got[i], a[i] @ b)
 
-    @pytest.mark.parametrize("shape", [(4, 6, 5), (2, 3, 4, 5)])
-    def test_batched_input_times_weight_grads_match_einsum(self, shape):
+    @pytest.mark.parametrize(
+        "shape, dtype, grads",
+        [
+            ((4, 6, 5), np.float64, "ab"),
+            ((2, 3, 4, 5), np.float64, "ab"),
+            ((32, 15, 300), np.float32, "ab"),
+            ((32, 15, 300), np.float64, "ab"),
+            ((1, 15, 300), np.float32, "ab"),  # B=1
+            ((1, 1, 300), np.float64, "ab"),  # B=1, T=1
+            ((32, 1, 300), np.float32, "ab"),  # T=1
+            ((2, 3, 7, 300), np.float32, "ab"),
+            ((2, 3, 7, 300), np.float64, "ab"),
+            ((4, 6, 5), np.float64, "a"),  # only the input requires grad
+            ((32, 15, 300), np.float32, "b"),  # only the weight requires grad
+        ],
+    )
+    def test_batched_input_times_weight_grads_match_einsum(self, shape, dtype, grads):
         rng = np.random.default_rng(2)
-        a = t64(rng.normal(size=shape), requires_grad=True)
-        w = t64(rng.normal(size=(shape[-1], 3)), requires_grad=True)
-        c = rng.normal(size=shape[:-1] + (3,))
-        ((a @ w) * t64(c)).sum().backward()
+        n_out = 128 if shape[-1] == 300 else 3
+        a = Tensor(rng.normal(size=shape), requires_grad="a" in grads, dtype=dtype)
+        w = Tensor(rng.normal(size=(shape[-1], n_out)), requires_grad="b" in grads, dtype=dtype)
+        c = rng.normal(size=shape[:-1] + (n_out,))
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        out = a @ w
+        want = np.matmul(a.values, w.values)
+        assert out.values.dtype == dtype
+        if shape[-2] > 1 or math.prod(shape[:-2]) == 1:
+            assert out.values.tobytes() == want.tobytes()
+        else:
+            # np.matmul takes a matrix-vector path for each one-row matrix,
+            # which sums in another order than the single GEMM
+            assert np.abs(out.values - want).max() <= tol * np.abs(want).max()
+        (out * Tensor(c, dtype=dtype)).sum().backward()
         lead = "abcd"[: len(shape) - 1]
-        np.testing.assert_allclose(w.grad, np.einsum(f"{lead}k,{lead}n->kn", a.values, c), rtol=1e-12)
-        np.testing.assert_allclose(a.grad, np.einsum(f"{lead}n,kn->{lead}k", c, w.values), rtol=1e-12)
+        av, wv = a.values.astype(np.float64), w.values.astype(np.float64)
+        for name, t, ref in (
+            ("b", w, np.einsum(f"{lead}k,{lead}n->kn", av, c)),
+            ("a", a, np.einsum(f"{lead}n,kn->{lead}k", c, wv)),
+        ):
+            if name in grads:
+                assert t.grad.dtype == dtype
+                if shape[-1] == 300:  # long sums cancel: compare to the largest entry
+                    assert np.abs(t.grad - ref).max() <= tol * np.abs(ref).max()
+                else:
+                    np.testing.assert_allclose(t.grad, ref, rtol=tol)
+            else:
+                assert t._grad is None
 
     def test_batched_input_times_weight_gradcheck(self):
         rng = np.random.default_rng(3)
@@ -366,6 +404,34 @@ class TestGatherOps:
             loss.backward()
             np.add.at(want, idx, g)
             assert table.grad.tobytes() == want.tobytes()
+
+    def test_scatter_skipping_zero_rows_is_bytewise_add_at(self):
+        # all-zero rows (either sign) are skipped; that must leave dst byte
+        # equal to np.add.at, from a +0.0 start and from a non-zero one
+        rng = np.random.default_rng(8)
+        negative_zeros = repeated_zero_rows = 0
+        for draw in range(240):
+            dtype = (np.float32, np.float64)[draw % 2]
+            n_rows = int(rng.integers(1, 10))
+            row_shape = ((), (1,), (4,), (2, 3))[draw % 4]
+            idx = rng.integers(-n_rows, n_rows, size=tuple(rng.integers(1, 7, size=int(rng.integers(1, 3)))))
+            g = rng.normal(size=idx.shape + row_shape).astype(dtype)
+            g[rng.random(g.shape) < 0.2] = 0.0  # rows with some zero entries
+            zero_rows = rng.random(idx.shape) < 0.4
+            g[zero_rows] = np.where(rng.random(row_shape) < 0.5, -0.0, 0.0)
+            negative_zeros += int(np.signbit(g[zero_rows]).sum())
+            keys = idx % n_rows
+            repeated_zero_rows += int((np.bincount(keys.ravel(), minlength=n_rows)[keys[zero_rows]] > 1).sum())
+            if draw % 3 == 0:
+                start = np.zeros((n_rows,) + row_shape, dtype=dtype)
+            else:
+                start = rng.normal(size=(n_rows,) + row_shape).astype(dtype)
+            got = start.copy()
+            _scatter_add_rows(got, idx, g)
+            want = start.copy()
+            np.add.at(want, idx, g)
+            assert got.tobytes() == want.tobytes(), draw
+        assert negative_zeros > 0 and repeated_zero_rows > 0
 
     def test_take_rows_non_integer(self):
         with pytest.raises(ContractError):

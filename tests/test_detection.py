@@ -374,3 +374,73 @@ class TestFusedRouting:
             for arr in getattr(trace, key):
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
+
+
+# ----------------------------------------------------------------------
+# the GEMM node against the broadcast product it replaced
+
+
+def broadcast_prediction_vectors(m, w):
+    """P as a graph of broadcast Tensor ops: the B*K*R one-row products
+    the node's K*R GEMMs must reproduce up to summation order."""
+    k, r, in_dim, caps_dim = w.shape
+    lead = m.shape[:-2]
+    p = m.reshape(*lead, 1, r, 1, in_dim) @ w
+    return p.reshape(*lead, k, r, caps_dim)
+
+
+def _detect_inputs(lead, seed=43, k=5, r=3, in_dim=64, caps_dim=10):
+    rng = np.random.default_rng(seed)
+    m = Tensor(rng.normal(size=lead + (r, in_dim)), requires_grad=True)
+    w = Tensor(rng.normal(scale=0.2, size=(k, r, in_dim, caps_dim)), requires_grad=True)
+    return m, w
+
+
+def _assert_close(got, want, tol=1e-12):
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert np.abs(got - want).max() <= tol * scale
+
+
+class TestPredictionVectorsNode:
+    @pytest.mark.parametrize("lead", [(), (1,), (32,), (2, 3)])
+    def test_forward_matches_broadcast_product(self, lead):
+        m, w = _detect_inputs(lead)
+        got = prediction_vectors(m, DetectionCapsParams(w=w))
+        want = broadcast_prediction_vectors(m, w)
+        assert got.shape == want.shape == lead + (5, 3, 10)
+        assert got.values.flags.c_contiguous
+        _assert_close(got.values, want.values)
+
+    def test_float64_grads_through_loss_match_broadcast_product(self):
+        labels = np.arange(32) % 5
+        grads = []
+        for predict in (lambda m, w: prediction_vectors(m, DetectionCapsParams(w=w)), broadcast_prediction_vectors):
+            m, w = _detect_inputs((32,))
+            v = dynamic_routing(predict(m, w), iterations=3).v_final
+            margin_loss_batch(v, labels, Tensor(np.zeros(32))).backward()
+            grads.append((m.grad, w.grad))
+        (gm, gw), (want_m, want_w) = grads
+        _assert_close(gm, want_m)
+        _assert_close(gw, want_w)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_node_gradcheck(self, batch):
+        m, w = _detect_inputs((batch,), seed=44 + batch, k=3, r=2, in_dim=4, caps_dim=3)
+        weights = Tensor(np.random.default_rng(batch).normal(size=(batch, 3, 2, 3)))
+        params = {"m": m, "w": w}
+
+        def loss_fn(q):
+            return (prediction_vectors(q["m"], DetectionCapsParams(w=q["w"])) * weights).tanh().sum()
+
+        assert finite_diff_check(loss_fn, params) < 1e-6
+
+    def test_second_backward_doubles_both_grads(self):
+        m, w = _detect_inputs((4,))
+        c = Tensor(np.random.default_rng(45).normal(size=(4, 5, 3, 10)))
+        loss = (prediction_vectors(m, DetectionCapsParams(w=w)) * c).sum()
+        loss.backward()
+        once = m.grad.copy(), w.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(m.grad, 2.0 * once[0])
+        np.testing.assert_array_equal(w.grad, 2.0 * once[1])

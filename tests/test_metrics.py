@@ -28,6 +28,19 @@ class TestComputeMetrics:
         with pytest.raises(ContractError):
             compute_metrics([], [], 2)
 
+    def test_negative_prediction_is_named(self):
+        # np.add.at would count -1 as the last class and report accuracy 1.0
+        with pytest.raises(ContractError, match="prediction -1"):
+            compute_metrics([0, 1, 1], [0, 1, -1], 2)
+        with pytest.raises(ContractError, match="label -1"):
+            compute_metrics([0, 1, -1], [0, 1, 1], 2)
+
+    def test_id_past_the_last_class_is_named(self):
+        with pytest.raises(ContractError, match="prediction 2"):
+            compute_metrics([0, 1, 1], [0, 1, 2], 2)
+        with pytest.raises(ContractError, match="label 5"):
+            confusion_matrix([0, 5], [0, 1], 2)
+
     def test_weighted_recall_equals_accuracy(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

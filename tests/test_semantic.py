@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capsnlu import autodiff
 from capsnlu.autodiff import Tensor, concat, finite_diff_check, stack
 from capsnlu.config import RunConfig
 from capsnlu.data import EmbeddingTable
@@ -374,8 +375,8 @@ class TestFusedRecurrence:
         np.testing.assert_array_equal(w_h.grad, 2.0 * once[1])
 
     def test_training_step_graph_size(self):
-        # the per-step recurrence recorded 560 nodes for this step and the
-        # per-op routing loop 83
+        # the per-step recurrence recorded 560 nodes for this step, the
+        # per-op routing loop 83 and the broadcast prediction vectors 48
         rng = np.random.default_rng(25)
         vocab = 50
         table = EmbeddingTable(
@@ -388,4 +389,30 @@ class TestFusedRecurrence:
         model = init_model(table, cfg, rng=rng)
         samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
         loss = batch_loss(model, samples, cfg, training=True, rng=rng)
-        assert _graph_nodes(loss) <= 50
+        assert _graph_nodes(loss) <= 46
+
+    def test_pad_rows_carry_zero_gradient_and_scatter_matches_add_at(self, monkeypatch):
+        # pad positions get zero attention and come after every real step in
+        # both directions, so their rows of the embedding gradient are zero;
+        # the scatter skips them and must still equal np.add.at byte for byte
+        params, emb, seqs, pad_id = _bench_shaped(np.float32)
+        scattered = []
+        real_scatter = autodiff._scatter_add_rows
+
+        def recording_scatter(dst, idx, g):
+            scattered.append((idx.copy(), g.copy()))
+            real_scatter(dst, idx, g)
+
+        monkeypatch.setattr(autodiff, "_scatter_add_rows", recording_scatter)
+        big_h, mask = encode_tokens(
+            seqs, emb, params, pad_id=pad_id, training=True, dropout_keep=0.8, rng=np.random.default_rng(3)
+        )
+        attn, penalty = attend(big_h, params, pad_mask=mask)
+        (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
+        (idx, g), = scattered
+        assert (~mask).any()
+        assert not g[~mask].any()
+        assert g[mask].any(axis=-1).all()
+        want = np.zeros_like(emb.values)
+        np.add.at(want, idx, g)
+        assert emb.grad.tobytes() == want.tobytes()
