@@ -57,8 +57,7 @@ class RoutingTrace:
     The arrays are the routing node's saved activations, shared with its
     VJP, so they are read-only: editing one raises instead of corrupting
     a later backward. `v_final` is the node's output, connected to the
-    graph for the loss; `c_final` is a detached Tensor of the last
-    couplings, read by vote vectors.
+    graph for the loss; vote vectors read the last couplings, `c[-1]`.
     """
 
     b: list[np.ndarray] = field(default_factory=list)  # logits at iteration start, ... x K x R
@@ -66,7 +65,6 @@ class RoutingTrace:
     s: list[np.ndarray] = field(default_factory=list)  # pre-activations,          ... x K x D_P
     v: list[np.ndarray] = field(default_factory=list)  # activation vectors,       ... x K x D_P
     v_final: Tensor | None = None
-    c_final: Tensor | None = None
 
 
 def init_detection_params(rng, num_intents: int, heads: int, in_dim: int, caps_dim: int, dtype=np.float32):
@@ -166,7 +164,6 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
         return (gp,)
 
     trace.v_final = _result(trace.v[-1], "routing", (p,), vjp)
-    trace.c_final = Tensor(trace.c[-1])
     return trace
 
 

@@ -30,18 +30,18 @@ class MetricsReport:
 
 
 def confusion_matrix(y_true, y_pred, num_classes: int) -> np.ndarray:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise ContractError("labels and predictions must be equal-length 1-D")
     if y_true.size == 0:
         raise ContractError("empty corpus")
     for name, ids in (("label", y_true), ("prediction", y_pred)):
-        bad = ids[(ids < 0) | (ids >= num_classes)]
+        # checked before the int64 cast, which would truncate a fraction
+        bad = ids[(ids < 0) | (ids >= num_classes) | (ids != np.floor(ids))]
         if bad.size:
-            raise ContractError(f"{name} {int(bad[0])} outside the {num_classes} classes")
+            raise ContractError(f"{name} {bad[0]} is not one of the {num_classes} class ids")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (y_true, y_pred), 1)
+    np.add.at(counts, (y_true.astype(np.int64), y_pred.astype(np.int64)), 1)
     return counts
 
 

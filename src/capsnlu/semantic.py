@@ -12,15 +12,15 @@ Callers pass a batch of token-id sequences (leading batch axis B); a
 single utterance is a batch of one (B=1), and `attend` and
 `semantic_vectors` broadcast over any leading axes.
 
-The two LSTM directions run as one recurrence in one graph node: the
-backward direction's input projections are reversed within each
-sequence's length and stacked with the forward direction's (2 x B x T x
-4D_H), their recurrent weights are stacked likewise, and `_run_lstm`
-steps both stacks left to right from a zero state, with
-backpropagation through time as its hand-written VJP. Trailing pads
-come after every real token in either direction and never reach a real
-position's state. H rows at pad positions are unspecified: `attend`
-gives them exactly zero attention, so they never reach M or a gradient.
+The two LSTM directions run as one recurrence in one graph node,
+`_run_bilstm`: it gathers the backward direction's input projections
+into each sequence's reversed order (within its length, pads left in
+place), steps both directions left to right from a zero state, and
+gathers the backward states back into reading order; backpropagation
+through time is its hand-written VJP. Trailing pads come after every
+real token in either direction and never reach a real position's state.
+H rows at pad positions are unspecified: `attend` gives them exactly
+zero attention, so they never reach M or a gradient.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, _result, concat, row_softmax, stack
+from .autodiff import ContractError, Tensor, _result, row_softmax
 
 
 @dataclass
@@ -95,23 +95,28 @@ def init_semantic_params(
 # recurrence
 
 
-def _run_lstm(xw: Tensor, w_h: Tensor) -> Tensor:
-    """Stacked left-to-right LSTMs from a zero state, as one graph node.
+def _run_bilstm(xw_fw: Tensor, xw_bw: Tensor, w_h_fw: Tensor, w_h_bw: Tensor, src: np.ndarray) -> Tensor:
+    """Both LSTM directions from a zero state, as one graph node.
 
-    xw (S x B x T x 4D_H) holds each of S stacks' precomputed input
-    projections x @ w_x + b and w_h (S x D_H x 4D_H) their recurrent
-    weights; returns the S x B x T x D_H hidden states. Every stack runs
-    the same elementwise steps, in the same order, as the per-step cell
+    xw_fw and xw_bw (B x T x 4D_H) are each direction's input projections
+    x @ w_x + b and w_h_fw, w_h_bw (D_H x 4D_H) its recurrent weights.
+    src (B x T) reverses each row's real positions and leaves its pads in
+    place, so it is its own inverse: the backward inputs are gathered by
+    it, both directions step left to right as one stacked recurrence, and
+    the backward states are gathered back by it. Returns H (B x T x 2D_H),
+    forward states then backward. Each step is the cell
 
         z = xw_t + h @ w_h;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
         c = f * c + i * g;   h = o * tanh(c)
 
     with sigmoid(z) = 0.5 * (1 + tanh(z / 2)), which cannot overflow. The
     VJP is backpropagation through time over the kept gate activations,
-    cell states and tanh(c); dw_h is one batched GEMM over every step's
-    h_{t-1} and dz.
+    cell states and tanh(c), between the same two gathers by src; dw_h is
+    one batched GEMM over every step's h_{t-1} and dz.
     """
-    xv, wv = xw.values, w_h.values
+    rows = np.arange(src.shape[0])[:, None]
+    xv = np.stack([xw_fw.values, xw_bw.values[rows, src]])
+    wv = np.stack([w_h_fw.values, w_h_bw.values])
     stacks, n, steps, _ = xv.shape
     dh = wv.shape[1]
     h = c = np.zeros((stacks, n, dh), dtype=xv.dtype)
@@ -126,15 +131,17 @@ def _run_lstm(xw: Tensor, w_h: Tensor) -> Tensor:
         h = sig[..., 2 * dh :] * tc
         kept.append((sig, g, c_prev, tc))
         hs.append(h)
-    out = np.stack(hs, axis=2)
+    states = np.stack(hs, axis=2)
+    out = np.concatenate([states[0], states[1][rows, src]], axis=-1)
 
     def vjp(grad):
         w_t = np.swapaxes(wv, -1, -2)
+        dstates = np.stack([grad[..., :dh], grad[..., dh:][rows, src]])
         dxw = np.empty_like(xv)
         dh_next = dc_next = 0.0
         for t in reversed(range(steps)):
             sig, g, c_prev, tc = kept[t]
-            dh_t = grad[:, :, t] + dh_next
+            dh_t = dstates[:, :, t] + dh_next
             dc = dh_t * sig[..., 2 * dh :] * (1.0 - tc * tc) + dc_next
             dz = dxw[:, :, t]
             np.multiply(dc, g, out=dz[..., :dh])
@@ -145,13 +152,18 @@ def _run_lstm(xw: Tensor, w_h: Tensor) -> Tensor:
             np.multiply(dc * sig[..., :dh], 1.0 - g * g, out=dz[..., 3 * dh :])
             dh_next = dz @ w_t
             dc_next = dc * sig[..., dh : 2 * dh]
-        dw = None
-        if w_h.requires_grad:
-            h_prev = out[:, :, :-1].reshape(stacks, -1, dh)
+        dw = (None, None)
+        if w_h_fw.requires_grad or w_h_bw.requires_grad:
+            h_prev = states[:, :, :-1].reshape(stacks, -1, dh)
             dw = np.swapaxes(h_prev, -1, -2) @ dxw[:, :, 1:].reshape(stacks, -1, 4 * dh)
-        return (dxw if xw.requires_grad else None), dw
+        return (
+            dxw[0] if xw_fw.requires_grad else None,
+            dxw[1][rows, src] if xw_bw.requires_grad else None,
+            dw[0] if w_h_fw.requires_grad else None,
+            dw[1] if w_h_bw.requires_grad else None,
+        )
 
-    return _result(out, "lstm", (xw, w_h), vjp)
+    return _result(out, "bilstm", (xw_fw, xw_bw, w_h_fw, w_h_bw), vjp)
 
 
 def encode_tokens(
@@ -165,7 +177,8 @@ def encode_tokens(
     rng: np.random.Generator | None = None,
 ):
     """Encode a batch: a list of token-id sequences, padded here with
-    `pad_id` (needed only when lengths differ).
+    `pad_id` (needed only when lengths differ). An id that is not a row
+    of the embedding raises ContractError naming its utterance.
 
     Returns (H, mask): H is B x T x 2D_H, the forward and backward LSTM
     states per position, and mask marks the real positions. The backward
@@ -182,10 +195,18 @@ def encode_tokens(
         if (lengths != t_max).any():
             raise ContractError("ragged batches need a pad_id")
         pad_id = 0
-    ids = np.full((len(seqs), t_max), pad_id, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
+    # a negative id would read from the end of the table and a fraction
+    # would be truncated, so every id must be a row of the embedding
+    flat = np.asarray([t for s in seqs for t in s], dtype=np.float64)
+    vocab = embedding.shape[0]
+    good = (flat >= 0) & (flat < vocab) & (flat == np.floor(flat))
+    if not good.all():
+        k = int(np.argmin(good))
+        utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
+        raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {vocab}-row embedding")
     mask = np.arange(t_max)[None, :] < lengths[:, None]  # B x T
+    ids = np.full((len(seqs), t_max), pad_id, dtype=np.int64)
+    ids[mask] = flat
 
     x = embedding.take_rows(ids)  # B x T x D_W
     if training and dropout_keep < 1.0:
@@ -194,15 +215,10 @@ def encode_tokens(
         keep = (rng.random(x.shape) < dropout_keep).astype(x.values.dtype) / dropout_keep
         x = x * Tensor(keep)  # inverted dropout; identity at evaluation
 
-    # rev reverses each row's first lengths[b] positions and leaves its
-    # pads in place: a constant 0/1 permutation that is its own inverse
     pos = np.arange(t_max)
     src = np.where(mask, lengths[:, None] - 1 - pos, pos)
-    rev = Tensor((src[:, :, None] == pos).astype(x.values.dtype))  # B x T x T
     fw, bw = params.lstm_fw, params.lstm_bw
-    xw = stack([x @ fw.w_x + fw.b, rev @ (x @ bw.w_x + bw.b)])
-    h = _run_lstm(xw, stack([fw.w_h, bw.w_h]))
-    return concat(h[0], rev @ h[1], axis=-1), mask
+    return _run_bilstm(x @ fw.w_x + fw.b, x @ bw.w_x + bw.b, fw.w_h, bw.w_h, src), mask
 
 
 # ----------------------------------------------------------------------

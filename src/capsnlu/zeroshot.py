@@ -38,9 +38,9 @@ class SimilarityMatrix:
 
 def vote_vectors(trace: RoutingTrace, p) -> np.ndarray:
     """g[k][r] = c[k][r] (final iteration) * p[k][r]."""
-    if trace.c_final is None:
+    if not trace.c:
         raise ContractError("routing trace holds no coupling coefficients")
-    c = trace.c_final.values if isinstance(trace.c_final, Tensor) else np.asarray(trace.c_final)
+    c = trace.c[-1]
     pv = p.values if isinstance(p, Tensor) else np.asarray(p)
     if pv.shape[:-1] != c.shape:
         raise ContractError(f"predictions {pv.shape} do not match couplings {c.shape}")

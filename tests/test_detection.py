@@ -324,8 +324,7 @@ class TestFusedRouting:
                 assert got[it].dtype == dtype
                 assert got[it].tobytes() == want[key][it].tobytes(), (key, it)
         assert trace.v_final.values.tobytes() == v.values.tobytes()
-        assert trace.c_final.values.tobytes() == c.values.tobytes()
-        assert not trace.c_final.requires_grad
+        assert trace.c[-1].tobytes() == c.values.tobytes()
 
     def test_float64_grad_matches_per_op_graph(self):
         p_vals = _predictions((32, 5, 3, 10), np.float64)

@@ -40,6 +40,9 @@ class TestComputeMetrics:
             compute_metrics([0, 1, 1], [0, 1, 2], 2)
         with pytest.raises(ContractError, match="label 5"):
             confusion_matrix([0, 5], [0, 1], 2)
+        # int64 conversion would truncate 0.2 and 1.9 and report accuracy 1.0
+        with pytest.raises(ContractError, match="prediction 0.2 "):
+            compute_metrics([0, 1], [0.2, 1.9], 2)
 
     def test_weighted_recall_equals_accuracy(self):
         rng = np.random.default_rng(0)

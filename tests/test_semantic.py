@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from capsnlu import autodiff
-from capsnlu.autodiff import Tensor, concat, finite_diff_check, stack
+from capsnlu.autodiff import ContractError, Tensor, concat, finite_diff_check, stack
 from capsnlu.config import RunConfig
 from capsnlu.data import EmbeddingTable
-from capsnlu.harness import batch_loss
-from capsnlu.model import init_model
+from capsnlu.harness import batch_loss, build_tiny_setup
+from capsnlu.model import forward_batch, init_model
 from capsnlu.semantic import (
     LstmParams,
     SemanticCapsParams,
-    _run_lstm,
+    _run_bilstm,
     attend,
     encode_tokens,
     init_semantic_params,
@@ -116,6 +116,14 @@ class TestBilstmEncode:
         np.testing.assert_allclose(
             h[:, 1:], ref_lstm(xs[::-1], w_x, w_h, b)[::-1], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [-1, 10, 1.5])
+    def test_token_id_outside_the_embedding_is_named(self, bad):
+        # -1 would read the pad row, 10 raise a bare IndexError and 1.5 be
+        # truncated to row 1
+        model, cfg, tokens, _ = build_tiny_setup(0)
+        with pytest.raises(ContractError, match=f"utterance 1 has token id {bad},"):
+            forward_batch(model, [tokens, [3, bad, 2]], cfg)
 
     def test_random_batch_matches_oracle_per_sequence(self):
         rng = np.random.default_rng(7)
@@ -310,6 +318,12 @@ def _bench_shaped(dtype, seed=5, vocab=300):
     return params, emb, seqs, vocab - 1
 
 
+def _reversal(lengths, t_max):
+    """Each row's first lengths[b] positions reversed, pads in place."""
+    pos = np.arange(t_max)
+    return np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)
+
+
 def _graph_nodes(root):
     seen, todo, count = set(), [root], 0
     while todo:
@@ -352,31 +366,46 @@ class TestFusedRecurrence:
         rng = np.random.default_rng(23)
         lengths = np.array([1, 3, 5])
         real = np.arange(5)[None, :] < lengths[:, None]
+        src = _reversal(lengths, 5)
+        xw = rng.normal(size=(2, 3, 5, 8))
+        w_h = rng.normal(scale=0.5, size=(2, 2, 8))
+        weights = rng.normal(size=(2, 3, 5, 2)) * real[None, :, :, None]
         params = {
-            "xw": Tensor(rng.normal(size=(2, 3, 5, 8)), requires_grad=True),
-            "w_h": Tensor(rng.normal(scale=0.5, size=(2, 2, 8)), requires_grad=True),
+            "xw_fw": Tensor(xw[0], requires_grad=True),
+            "xw_bw": Tensor(xw[1], requires_grad=True),
+            "w_h_fw": Tensor(w_h[0], requires_grad=True),
+            "w_h_bw": Tensor(w_h[1], requires_grad=True),
         }
-        weights = Tensor(rng.normal(size=(2, 3, 5, 2)) * real[None, :, :, None])
+        weights = Tensor(np.concatenate([weights[0], weights[1]], axis=-1))
 
-        err = finite_diff_check(lambda p: (_run_lstm(p["xw"], p["w_h"]) * weights).sum(), params)
+        def loss_fn(p):
+            return (_run_bilstm(p["xw_fw"], p["xw_bw"], p["w_h_fw"], p["w_h_bw"], src) * weights).sum()
+
+        err = finite_diff_check(loss_fn, params)
         assert err < 1e-4
-        # a step's state never depends on a later step's input
-        np.testing.assert_array_equal(params["xw"].grad[:, 0, 1:], 0.0)
+        # pads come after every real step in both directions, so no real
+        # state depends on them
+        for name in ("xw_fw", "xw_bw"):
+            np.testing.assert_array_equal(params[name].grad[~real], 0.0)
 
     def test_second_backward_doubles_leaf_grads(self):
         rng = np.random.default_rng(24)
-        xw = Tensor(rng.normal(size=(2, 3, 4, 12)), requires_grad=True)
-        w_h = Tensor(rng.normal(scale=0.5, size=(2, 3, 12)), requires_grad=True)
-        loss = (_run_lstm(xw, w_h) * Tensor(rng.normal(size=(2, 3, 4, 3)))).sum()
+        xw = rng.normal(size=(2, 3, 4, 12))
+        w_h = rng.normal(scale=0.5, size=(2, 3, 12))
+        leaves = [Tensor(a, requires_grad=True) for a in (xw[0], xw[1], w_h[0], w_h[1])]
+        weights = rng.normal(size=(2, 3, 4, 3))
+        weights = Tensor(np.concatenate([weights[0], weights[1]], axis=-1))
+        loss = (_run_bilstm(*leaves, _reversal(np.array([1, 3, 4]), 4)) * weights).sum()
         loss.backward()
-        once = xw.grad.copy(), w_h.grad.copy()
+        once = [t.grad.copy() for t in leaves]
         loss.backward()
-        np.testing.assert_array_equal(xw.grad, 2.0 * once[0])
-        np.testing.assert_array_equal(w_h.grad, 2.0 * once[1])
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
 
     def test_training_step_graph_size(self):
         # the per-step recurrence recorded 560 nodes for this step, the
-        # per-op routing loop 83 and the broadcast prediction vectors 48
+        # per-op routing loop 83, the broadcast prediction vectors 48 and
+        # the reversal as B x T x T products outside the recurrence 46
         rng = np.random.default_rng(25)
         vocab = 50
         table = EmbeddingTable(
@@ -389,7 +418,7 @@ class TestFusedRecurrence:
         model = init_model(table, cfg, rng=rng)
         samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
         loss = batch_loss(model, samples, cfg, training=True, rng=rng)
-        assert _graph_nodes(loss) <= 46
+        assert _graph_nodes(loss) <= 39
 
     def test_pad_rows_carry_zero_gradient_and_scatter_matches_add_at(self, monkeypatch):
         # pad positions get zero attention and come after every real step in
