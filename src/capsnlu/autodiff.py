@@ -52,6 +52,10 @@ class NumericError(ArithmeticError):
     """A computation produced or met a non-finite value."""
 
 
+# The row record of a gradient known to be all zero.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+
 # Per-thread stack so that no_grad() blocks nest and distinct graphs on
 # distinct threads stay independent.
 _STATE = threading.local()
@@ -92,9 +96,16 @@ class Tensor:
     ``op``/``parents`` record provenance (empty for leaves); ``grad`` is
     lazily allocated and reads as zeros until a backward pass reaches the
     tensor.
+
+    A tensor also records which rows (leading-axis entries) of its
+    gradient may be nonzero: sorted row ids, or None when any row may be.
+    Only the ``take_rows`` scatter into a leaf adds ids; every other write,
+    and every read of the public ``grad`` (whose caller may write any row),
+    makes the record None. ``reset_grad`` and ``Adam.step`` use a known
+    record to skip rows that are certainly zero.
     """
 
-    __slots__ = ("values", "requires_grad", "op", "parents", "_vjp", "_grad")
+    __slots__ = ("values", "requires_grad", "op", "parents", "_vjp", "_grad", "_grad_rows")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
         arr = np.asarray(values)
@@ -108,6 +119,7 @@ class Tensor:
         self.parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
         self._grad: np.ndarray | None = None
+        self._grad_rows: np.ndarray | None = _NO_ROWS
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -130,13 +142,30 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
+        self._grad_rows = None  # the caller may write any row
+        return self._grad_buffer()
+
+    def grad_and_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The gradient and the sorted rows of it that may be nonzero (None:
+        any row), for a caller that only reads the gradient; unlike reading
+        ``grad``, this keeps the record."""
+        return self._grad_buffer(), self._grad_rows
+
+    def reset_grad(self, rows=None) -> None:
+        """Zero the gradient and empty the row record; with `rows`, zero
+        only those rows and keep the record."""
+        if self._grad is None:
+            return  # reads as zeros, and the record is empty
+        if rows is not None:
+            self._grad[rows] = 0.0
+            return
+        self._grad[... if self._grad_rows is None else self._grad_rows] = 0.0
+        self._grad_rows = _NO_ROWS
+
+    def _grad_buffer(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.values)
         return self._grad
-
-    def reset_grad(self) -> None:
-        if self._grad is not None:
-            self._grad[...] = 0.0
 
     def item(self) -> float:
         return float(self.values)
@@ -338,7 +367,8 @@ class Tensor:
 
         The gradient of a leaf source is scattered straight into its
         ``grad``, so an embedding lookup's backward allocates nothing the
-        size of the table; any other source gets a dense buffer."""
+        size of the table, and the rows written join the leaf's row
+        record; any other source gets a dense buffer."""
         idx = np.asarray(indices)
         if not np.issubdtype(idx.dtype, np.integer):
             raise ContractError("take_rows needs integer indices")
@@ -346,7 +376,9 @@ class Tensor:
 
         def vjp(g):
             if src._vjp is None:
-                _scatter_add_rows(src.grad, idx, g)
+                written = _scatter_add_rows(src._grad_buffer(), idx, g)
+                if src._grad_rows is not None:
+                    src._grad_rows = np.union1d(src._grad_rows, written)
                 return (None,)
             buf = np.zeros_like(x)
             _scatter_add_rows(buf, idx, g)
@@ -373,7 +405,7 @@ class Tensor:
             if g is None:
                 continue
             if node._vjp is None:
-                buf = node.grad  # lazily allocated
+                buf = node.grad  # lazily allocated; any row may now be nonzero
                 buf += g
                 continue
             for parent, pg in zip(node.parents, node._vjp(g)):
@@ -387,6 +419,7 @@ def _result(values: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.values = values
     out._grad = None
+    out._grad_rows = _NO_ROWS
     if any(p.requires_grad for p in parents) and _grad_enabled():
         out.requires_grad = True
         out.op = op
@@ -400,9 +433,10 @@ def _result(values: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
     return out
 
 
-def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
     """dst[idx] += g with repeated indices accumulating: bit for bit
-    ``np.add.at(dst, idx, g)`` whenever ``dst`` holds no -0.0.
+    ``np.add.at(dst, idx, g)`` whenever ``dst`` holds no -0.0. Returns the
+    sorted ids of the rows written.
 
     Rows of ``g`` that are all zero (of either sign) are skipped: adding
     them leaves every entry of ``dst`` as it was, save a -0.0 that +0.0
@@ -422,6 +456,7 @@ def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
         repeat = np.ones(kept.size, dtype=bool)
         repeat[first] = False
         np.add.at(dst, flat[kept[repeat]], rows[kept[repeat]])
+    return uniq
 
 
 def _coerce(x, like: Tensor) -> Tensor:

@@ -199,6 +199,8 @@ def margin_loss_batch(
     _check_margins(downweight, margin_pos, margin_neg, penalty_weight)
     num_intents = v.shape[-2]
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != v.shape[:-2]:
+        raise ContractError(f"labels of shape {labels.shape} do not match the batch shape {v.shape[:-2]} of v")
     if (labels < 0).any() or (labels >= num_intents).any():
         raise ContractError(f"label outside the {num_intents} intents")
     onehot = np.zeros(v.shape[:-1], dtype=v.values.dtype)

@@ -60,8 +60,18 @@ class Adam:
     order, but in place on the persistent moments and parameters, one
     block of leading-axis rows at a time. Each operation is correctly
     rounded per element, so neither the blocking nor the reuse of
-    buffers changes a bit, and no array the size of a parameter is
+    buffers changes a bit, and no array larger than one block is
     allocated per step.
+
+    When a parameter's gradient row record is known (see ``Tensor``),
+    the gradient terms ``(1 - b1) * g`` and ``(1 - b2) * (g * g)`` are
+    folded into the moments only on the recorded rows; the decays and
+    the parameter update still cover every row. On the other rows ``g``
+    is +0.0, and adding a +0.0 term leaves every value but -0.0 as it
+    was. The moments start at +0.0. For ``beta2 >= 0``, ``v`` is never
+    -0.0; for ``beta1 > 0.5``, neither is ``m``, since ``b1 * m`` rounds
+    no nonzero ``m`` to zero. So the skip is exact only for
+    ``beta1 > 0.5`` and ``beta2 >= 0``; other betas fold every row.
     """
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -88,18 +98,28 @@ class Adam:
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for (_, t), m, v, blocks, (s1, s2) in zip(self.params, self.m, self.v, self._blocks, self._temps):
-            p, g = t.values, t.grad
-            for key in blocks:
+            p = t.values
+            g, rows = t.grad_and_rows()
+            cuts = None
+            if rows is not None and b1 > 0.5 and b2 >= 0 and p.ndim:
+                # the recorded rows of block i are rows[cuts[i]:cuts[i + 1]]
+                cuts = np.searchsorted(rows, [key.start for key in blocks] + [p.shape[0]])
+            for i, key in enumerate(blocks):
                 pb, gb, mb, vb = p[key], g[key], m[key], v[key]
                 x = s1[: mb.size].reshape(mb.shape)
                 y = s2[: mb.size].reshape(mb.shape)
                 mb *= b1
-                np.multiply(gb, 1 - b1, out=x)
-                mb += x
                 vb *= b2
-                np.multiply(gb, gb, out=x)
-                x *= 1 - b2
-                vb += x
+                if cuts is None:
+                    _gradient_terms(gb, x, y, b1, b2)
+                    mb += x
+                    vb += y
+                elif cuts[i] < cuts[i + 1]:
+                    r = rows[cuts[i] : cuts[i + 1]] - key.start
+                    gx, gy = x[: r.size], y[: r.size]
+                    _gradient_terms(np.take(gb, r, axis=0, out=gx), gx, gy, b1, b2)
+                    mb[r] += gx
+                    vb[r] += gy
                 np.divide(mb, c1, out=x)
                 x *= lr
                 np.divide(vb, c2, out=y)
@@ -107,6 +127,13 @@ class Adam:
                 y += eps
                 x /= y
                 pb -= x
+
+
+def _gradient_terms(g, x, y, b1, b2) -> None:
+    """y = (1 - b2) * (g * g), then x = (1 - b1) * g; `g` may be `x`."""
+    np.multiply(g, g, out=y)
+    y *= 1 - b2
+    np.multiply(g, 1 - b1, out=x)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +203,7 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     optimizer = Adam(model.trainable(), lr=cfg.learning_rate)
     n = len(corpus.samples)
     best_acc = -1.0
-    best_values = model.snapshot()
-    last_good = model.snapshot()
+    best_values = last_good = model.snapshot()
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -195,7 +221,7 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
                 raise err
             optimizer.zero_grad()
             loss.backward()
-            model.embedding.grad[model.pad_id] = 0.0  # PAD stays frozen
+            model.embedding.reset_grad(rows=[model.pad_id])  # PAD stays frozen
             optimizer.step()
             loss_sum += value * len(batch)
         epoch_loss = loss_sum / n
@@ -205,7 +231,7 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
         last_good = model.snapshot()
         if acc >= best_acc:  # ties keep the later, more-converged epoch
             best_acc = acc
-            best_values = model.snapshot()
+            best_values = last_good  # neither dict is mutated later
             history.best_epoch = epoch
         log.info("epoch %d: loss=%.6f val_acc=%.4f", epoch, epoch_loss, acc)
 

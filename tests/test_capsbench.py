@@ -1,9 +1,13 @@
-"""Smoke run of the pinned benchmark against this checkout's library.
+"""Smoke runs of the pinned benchmark against this checkout's library.
 
-The traced `train-snips` run rebuilds the model from the library's public
-functions and checks that rebuild against `harness.train`,
-`predict_existing`, `zsl_predict` and B=1 requests, so a change that
-breaks the benchmark's contract with the library fails here.
+The untraced `train-snips` run drives the library as a user does:
+`harness.train` (whose embedding steps are row-sparse), B=1 requests
+checked against batched predictions, and a save/load equality check. The
+traced run rebuilds the model from the library's public functions and
+checks that rebuild against `harness.train`, `predict_existing`,
+`zsl_predict` and B=1 requests; its rebuild reads `.grad`, so its Adam
+steps are dense. A change that breaks the benchmark's contract with the
+library fails here.
 """
 
 import json
@@ -11,15 +15,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_traced_train_run_passes_its_checks(tmp_path):
+@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
+def test_train_run_passes_its_checks(tmp_path, trace):
     # run.py reads the library from ./src and writes its inputs and spans
     # under the working directory, so the run is made from tmp_path
     (tmp_path / "src").symlink_to(REPO / "src")
     cmd = [sys.executable, str(REPO / "capsbench" / "run.py"),
-           "--workload", "train-snips", "--seed", "1", "--seconds", "1", "--trace", "1"]
+           "--workload", "train-snips", "--seed", "1", "--seconds", "1", "--trace", trace]
     proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])

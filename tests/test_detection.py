@@ -226,6 +226,14 @@ class TestMarginLoss:
         loss = margin_loss_batch(Tensor(v), [0, 0], Tensor(np.zeros(2)), penalty_weight=0.0)
         assert loss.item() == pytest.approx(0.81 / 2, rel=1e-9)
 
+    @pytest.mark.parametrize("labels", [[2], [0, 1], [[0, 1, 2, 0]]])
+    def test_labels_not_matching_the_batch_are_named(self, labels):
+        # one label would be broadcast over the batch, two index past it,
+        # and a 1 x B array would not fit the one-hot
+        with pytest.raises(ContractError, match=r"\(4,\)") as exc:
+            margin_loss_batch(Tensor(np.zeros((4, 3, 2))), labels, Tensor(np.zeros(4)))
+        assert str(np.asarray(labels).shape) in str(exc.value)
+
 
 class TestClassify:
     def test_unique_max(self):

@@ -11,6 +11,8 @@ from capsnlu.harness import (
     Adam,
     _forward_chunks,
     attention_offdiag_mean,
+    batch_loss,
+    build_tiny_setup,
     evaluate,
     export_activations_emerging,
     export_activations_existing,
@@ -138,19 +140,120 @@ class TestAdam:
         if lr == 0.0:
             assert all(_same_bits(t.values, p) for t, p in zip(tensors, start))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("write", ["lookup", "lookup_and_product", "grad_read"])
+    def test_table_step_bitwise_equal_to_textbook_update(self, dtype, write):
+        # gradients reach a table that spans several row blocks through
+        # embedding lookups, two backward passes per step, with repeated ids
+        # and pad positions (id 0, no gradient); the PAD row is frozen as
+        # harness.train freezes it. Only a gradient written by lookups alone
+        # keeps its row record, and with it the row-sparse step.
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.normal(size=(500, 300)), requires_grad=True, dtype=dtype)
+        ref = [table.values.copy()]
+        moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
+        opt = Adam([("table", table)], lr=1e-3)
+        for step in range(1, 7):
+            opt.zero_grad()
+            for _ in range(2):
+                idx = rng.integers(1, 500, size=(8, 12))
+                idx[:, 9:] = 0
+                idx[0, :4] = idx[1, 0]
+                c = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=idx.shape + (300,)).astype(dtype)
+                c[:, 9:] = 0.0
+                loss = (table.take_rows(idx) * Tensor(c)).sum()
+                if write == "lookup_and_product":
+                    loss = loss + (table * Tensor(rng.normal(size=table.shape).astype(dtype))).sum()
+                loss.backward()
+            if write == "grad_read":
+                table.grad[0] = 0.0
+            else:
+                table.reset_grad(rows=[0])
+            grad, rows = table.grad_and_rows()
+            assert (rows is not None) == (write == "lookup")
+            grads = [grad.copy()]
+            opt.step()
+            _textbook_adam(ref, grads, moments, step, 1e-3)
+            assert _same_bits(table.values, ref[0]), step
+            assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("beta1, beta2", [(0.4, 0.999), (0.5, 0.999), (0.9, 0.999), (0.9, -0.5)])
+    def test_row_record_is_used_only_where_skipping_is_exact(self, dtype, beta1, beta2):
+        # step 1 leaves m[1] at -tiny (the smallest subnormal). With no
+        # gradient on row 1 at step 2, beta1 <= 0.5 rounds beta1 * m[1] to
+        # -0.0, which the textbook's + 0.0 turns into +0.0; a step that skipped
+        # row 1's gradient terms would keep -0.0. beta1 > 0.5 keeps -tiny.
+        # A negative beta2 turns v = +0.0 on a row without gradient into
+        # beta2 * v = -0.0 in the same way.
+        tiny = np.finfo(dtype).smallest_subnormal
+        first = -round(1 / (1 - beta1)) * tiny  # (1 - beta1) * first rounds to -tiny
+        table = Tensor(np.ones((4, 2)), requires_grad=True, dtype=dtype)
+        ref = [table.values.copy()]
+        moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
+        opt = Adam([("table", table)], lr=1e-3, beta1=beta1, beta2=beta2)
+        for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
+            opt.zero_grad()
+            (table.take_rows(np.array([row])) * Tensor(np.full((1, 2), value, dtype=dtype))).sum().backward()
+            grad, rows = table.grad_and_rows()
+            np.testing.assert_array_equal(rows, [row])
+            grads = [grad.copy()]
+            opt.step()
+            _textbook_adam(ref, grads, moments, step, 1e-3, b1=beta1, b2=beta2)
+            if step == 1:
+                assert moments[0][0][1].tolist() == [-tiny, -tiny]
+            assert _same_bits(table.values, ref[0])
+            assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
+        assert np.signbit(moments[0][0][1]).all() == (beta1 > 0.5)
+
     def test_step_allocates_no_parameter_sized_array(self):
         rng = np.random.default_rng(12)
         table = Tensor(rng.normal(size=(2000, 300)), requires_grad=True)
-        table.grad[...] = rng.normal(size=table.shape)
         opt = Adam([("table", table)], lr=1e-3)
-        opt.step()
-        tracemalloc.start()
-        try:
-            opt.step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
+        for sparse in (False, True):
+            for _ in range(2):
+                opt.zero_grad()
+                if sparse:  # 60 lookups: the row-sparse step
+                    table.take_rows(rng.integers(0, 2000, size=(4, 15))).sum().backward()
+                else:
+                    table.grad[...] = rng.normal(size=table.shape)
+                assert (table.grad_and_rows()[1] is not None) == sparse
+                tracemalloc.start()
+                try:
+                    opt.step()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
+
+
+class TestTrainStepExactness:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_sparse_steps_equal_dense_steps(self, dtype):
+        # harness.train freezes PAD with reset_grad(rows=...), which keeps the
+        # embedding's row record; writing the PAD row through .grad, as a copy
+        # of the loop may, drops it, so every step folds every row
+        def run(read_grad):
+            model, cfg, _, _ = build_tiny_setup(3, dtype=dtype)
+            cfg.dropout_keep = 0.7
+            rng = np.random.default_rng(5)
+            opt = Adam(model.trainable(), lr=cfg.learning_rate)
+            for _ in range(8):
+                lengths = rng.integers(1, 6, size=4)
+                batch = [(rng.integers(0, 9, size=n).tolist(), int(rng.integers(0, 3))) for n in lengths]
+                loss = batch_loss(model, batch, cfg, training=True, rng=rng)
+                opt.zero_grad()
+                loss.backward()
+                if read_grad:
+                    model.embedding.grad[model.pad_id] = 0.0
+                else:
+                    model.embedding.reset_grad(rows=[model.pad_id])
+                assert (model.embedding.grad_and_rows()[1] is None) == read_grad
+                opt.step()
+            return [t.values for _, t in model.trainable()] + opt.m + opt.v
+
+        sparse, dense = run(False), run(True)
+        assert all(_same_bits(a, b) for a, b in zip(sparse, dense))
 
 
 class TestSplits:
