@@ -13,12 +13,8 @@ from .autodiff import (
     DimensionError,
     NumericError,
     Tensor,
-    concat,
     finite_diff_check,
     no_grad,
-    row_softmax,
-    softmax,
-    stack,
 )
 from .config import RunConfig, load_config
 from .data import (

@@ -68,13 +68,25 @@ class Adam:
     folded into the moments only on the recorded rows; the decays and
     the parameter update still cover every row. On the other rows ``g``
     is +0.0, and adding a +0.0 term leaves every value but -0.0 as it
-    was. The moments start at +0.0. For ``beta2 >= 0``, ``v`` is never
+    was. The moments start at +0.0. Since ``beta2 >= 0``, ``v`` is never
     -0.0; for ``beta1 > 0.5``, neither is ``m``, since ``b1 * m`` rounds
     no nonzero ``m`` to zero. So the skip is exact only for
-    ``beta1 > 0.5`` and ``beta2 >= 0``; other betas fold every row.
+    ``beta1 > 0.5``; a smaller beta1 folds every row.
+
+    ``lr`` must be finite and non-negative, both betas in [0, 1) and
+    ``eps`` positive, else ContractError names the value: ``beta1 = 1``,
+    say, would make the bias correction ``1 - b1**t`` zero.
     """
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        for name, value, ok, rule in (
+            ("lr", lr, math.isfinite(lr) and lr >= 0, "finite and non-negative"),
+            ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+            ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+            ("eps", eps, eps > 0, "positive"),
+        ):
+            if not ok:
+                raise ContractError(f"Adam {name} must be {rule}, got {value!r}")
         self.params = list(named_params)
         self.lr = lr
         self.beta1 = beta1
@@ -101,7 +113,7 @@ class Adam:
             p = t.values
             g, rows = t.grad_and_rows()
             cuts = None
-            if rows is not None and b1 > 0.5 and b2 >= 0 and p.ndim:
+            if rows is not None and b1 > 0.5 and p.ndim:
                 # the recorded rows of block i are rows[cuts[i]:cuts[i + 1]]
                 cuts = np.searchsorted(rows, [key.start for key in blocks] + [p.shape[0]])
             for i, key in enumerate(blocks):

@@ -4,7 +4,7 @@ An utterance of T word vectors becomes a T x 2D_H hidden-state matrix H
 (forward and backward LSTM states concatenated per position), and each
 of R attention heads turns H into one semantic vector:
 
-    A = row_softmax(w_s2 @ tanh(w_s1 @ H^T))        # R x T
+    A = softmax(w_s2 @ tanh(w_s1 @ H^T))            # R x T, per row
     M = A @ H                                       # R x 2D_H
 
 with an orthogonality penalty ||A A^T - I||_F^2 pushing heads apart.
@@ -17,10 +17,18 @@ The two LSTM directions run as one recurrence in one graph node,
 into each sequence's reversed order (within its length, pads left in
 place), steps both directions left to right from a zero state, and
 gathers the backward states back into reading order; backpropagation
-through time is its hand-written VJP. Trailing pads come after every
-real token in either direction and never reach a real position's state.
-H rows at pad positions are unspecified: `attend` gives them exactly
-zero attention, so they never reach M or a gradient.
+through time is its hand-written VJP. The recurrence is gate-major and
+time-major: step t's inputs and activations are one contiguous
+4 x 2 x B x D_H block (gate, direction), so each per-step elementwise
+operation is one numpy call on contiguous memory. Trailing pads come
+after every real token in either direction and never reach a real
+position's state. H rows at pad positions are unspecified: `attend`
+gives them exactly zero attention, so they never reach M or a gradient.
+
+The attention head is two graph nodes with hand-written VJPs, A (parents
+H, w_s1 and w_s2) and the penalty (parent A), and M is one product.
+Their forwards make the same numpy calls as a graph of per-op Tensor
+ops would, so their values are bitwise those of that graph.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, _result, row_softmax
+from .autodiff import ContractError, DegenerateRowError, Tensor, _result
 
 
 @dataclass
@@ -106,56 +114,89 @@ def _run_bilstm(xw_fw: Tensor, xw_bw: Tensor, w_h_fw: Tensor, w_h_bw: Tensor, sr
     the backward states are gathered back by it. Returns H (B x T x 2D_H),
     forward states then backward. Each step is the cell
 
-        z = xw_t + h @ w_h;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
+        z = h @ w_h + xw_t;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
         c = f * c + i * g;   h = o * tanh(c)
 
-    with sigmoid(z) = 0.5 * (1 + tanh(z / 2)), which cannot overflow. The
-    VJP is backpropagation through time over the kept gate activations,
-    cell states and tanh(c), between the same two gathers by src; dw_h is
-    one batched GEMM over every step's h_{t-1} and dz.
+    with sigmoid(z) = 0.5 * (1 + tanh(z / 2)), which cannot overflow.
+
+    The recurrence runs gate-major and time-major, so that every per-step
+    elementwise operation reads and writes whole contiguous blocks. The
+    inputs are laid out once per call as T x 4 x 2 x B x D_H (step, gate,
+    direction). A step's z is one 4 x 2 x B x D_H array whose gate k is
+    z[k]: the product h @ w_h (2 x B x 4D_H, against the stored weights)
+    is copied into it gate-major before the inputs are added. Products
+    against per-gate D_H x D_H blocks would save that copy, but BLAS may
+    round a narrower product differently (OpenBLAS does at B=1 for
+    D_H = 2 or 3), and H must stay bitwise equal to the per-step cell.
+    The states go to a T x 2 x B x D_H buffer.
+
+    The VJP is backpropagation through time over the kept activations,
+    cell states and tanh(c), between the same two gathers by src. The
+    gate arithmetic of a step runs on a contiguous gate-major dz, which is
+    then copied into a direction-major 2 x B x T x 4D_H buffer. There
+    dh_{t-1} is one GEMM per direction against the stored w_h, dw_h one
+    GEMM per direction over every step's h_{t-1} and dz, and the input
+    gradients are a view and a gather.
     """
     rows = np.arange(src.shape[0])[:, None]
-    xv = np.stack([xw_fw.values, xw_bw.values[rows, src]])
+    n, steps, four_dh = xw_fw.shape
+    dh = four_dh // 4
+    dtype = xw_fw.values.dtype
+    xg = np.empty((steps, 4, 2, n, dh), dtype=dtype)
+    xg[:, :, 0] = xw_fw.values.reshape(n, steps, 4, dh).transpose(1, 2, 0, 3)
+    xg[:, :, 1] = xw_bw.values[rows, src].reshape(n, steps, 4, dh).transpose(1, 2, 0, 3)
     wv = np.stack([w_h_fw.values, w_h_bw.values])
-    stacks, n, steps, _ = xv.shape
-    dh = wv.shape[1]
-    h = c = np.zeros((stacks, n, dh), dtype=xv.dtype)
-    kept, hs = [], []
+    half, one = dtype.type(0.5), dtype.type(1.0)  # numpy scalars dispatch faster than Python floats
+    acts = np.empty_like(xg)
+    states = np.empty((steps, 2, n, dh), dtype=dtype)
+    h = c = np.zeros((2, n, dh), dtype=dtype)
+    kept = []
     for t in range(steps):
-        z = h @ wv
-        z += xv[:, :, t]
-        sig = 0.5 * (1.0 + np.tanh(0.5 * z[..., : 3 * dh]))  # i, f, o
-        g = np.tanh(z[..., 3 * dh :])
-        c_prev, c = c, sig[..., dh : 2 * dh] * c + sig[..., :dh] * g
+        z = acts[t]
+        np.copyto(z, (h @ wv).reshape(2, n, 4, dh).transpose(2, 0, 1, 3))
+        z += xg[t]
+        sig = z[:3]  # i, f, o
+        sig *= half
+        np.tanh(z, out=z)
+        sig += one
+        sig *= half
+        c_prev, c = c, z[1] * c
+        c += z[0] * z[3]
         tc = np.tanh(c)
-        h = sig[..., 2 * dh :] * tc
-        kept.append((sig, g, c_prev, tc))
-        hs.append(h)
-    states = np.stack(hs, axis=2)
-    out = np.concatenate([states[0], states[1][rows, src]], axis=-1)
+        h = np.multiply(z[2], tc, out=states[t])
+        kept.append((z, c_prev, tc))
+    out = np.empty((n, steps, 2 * dh), dtype=dtype)
+    out[..., :dh] = states[:, 0].swapaxes(0, 1)
+    out[..., dh:] = states[src, 1, rows]
 
     def vjp(grad):
         w_t = np.swapaxes(wv, -1, -2)
-        dstates = np.stack([grad[..., :dh], grad[..., dh:][rows, src]])
-        dxw = np.empty_like(xv)
+        dstates = np.empty_like(states)
+        dstates[:, 0] = grad[..., :dh].swapaxes(0, 1)
+        dstates[:, 1] = grad[rows, src, dh:].swapaxes(0, 1)
+        dz = np.empty((4, 2, n, dh), dtype=dtype)
+        dxw = np.empty((2, n, steps, 4, dh), dtype=dtype)
         dh_next = dc_next = 0.0
         for t in reversed(range(steps)):
-            sig, g, c_prev, tc = kept[t]
-            dh_t = dstates[:, :, t] + dh_next
-            dc = dh_t * sig[..., 2 * dh :] * (1.0 - tc * tc) + dc_next
-            dz = dxw[:, :, t]
-            np.multiply(dc, g, out=dz[..., :dh])
-            np.multiply(dc, c_prev, out=dz[..., dh : 2 * dh])
-            np.multiply(dh_t, tc, out=dz[..., 2 * dh : 3 * dh])
-            dz[..., : 3 * dh] *= sig
-            dz[..., : 3 * dh] *= 1.0 - sig
-            np.multiply(dc * sig[..., :dh], 1.0 - g * g, out=dz[..., 3 * dh :])
-            dh_next = dz @ w_t
-            dc_next = dc * sig[..., dh : 2 * dh]
+            a, c_prev, tc = kept[t]
+            dh_t = dstates[t] + dh_next
+            dc = dh_t * a[2] * (one - tc * tc) + dc_next
+            np.multiply(dc, a[3], out=dz[0])
+            np.multiply(dc, c_prev, out=dz[1])
+            np.multiply(dh_t, tc, out=dz[2])
+            dsig, sig = dz[:3], a[:3]
+            dsig *= sig
+            dsig *= one - sig
+            np.multiply(dc * a[0], one - a[3] * a[3], out=dz[3])
+            dzt = dxw[:, :, t]
+            np.copyto(dzt, dz.transpose(1, 2, 0, 3))
+            dh_next = dzt.reshape(2, n, four_dh) @ w_t
+            dc_next = dc * a[1]
+        dxw = dxw.reshape(2, n, steps, four_dh)
         dw = (None, None)
         if w_h_fw.requires_grad or w_h_bw.requires_grad:
-            h_prev = states[:, :, :-1].reshape(stacks, -1, dh)
-            dw = np.swapaxes(h_prev, -1, -2) @ dxw[:, :, 1:].reshape(stacks, -1, 4 * dh)
+            h_prev = states[:-1].transpose(1, 2, 0, 3).reshape(2, -1, dh)
+            dw = np.swapaxes(h_prev, -1, -2) @ dxw[:, :, 1:].reshape(2, -1, four_dh)
         return (
             dxw[0] if xw_fw.requires_grad else None,
             dxw[1][rows, src] if xw_bw.requires_grad else None,
@@ -226,24 +267,59 @@ def encode_tokens(
 
 
 def orthogonality_penalty(attn: Tensor) -> Tensor:
-    """||A A^T - I||_F^2 per utterance (scalar, or a batch vector)."""
-    heads = attn.shape[-2]
-    eye = Tensor(np.eye(heads, dtype=attn.values.dtype))
-    dev = attn @ attn.swapaxes(-1, -2) - eye
-    return dev.square().sum(axis=(-1, -2))
+    """||A A^T - I||_F^2 per utterance (scalar, or a batch vector), as one
+    graph node. Its VJP is (G + G^T) @ A with G = 2 g (A A^T - I)."""
+    a = attn.values
+    dev = np.matmul(a, np.swapaxes(a, -1, -2)) - np.eye(a.shape[-2], dtype=a.dtype)
+    out = np.asarray((dev * dev).sum(axis=(-1, -2)))
+
+    def vjp(g):
+        gd = (2.0 * np.asarray(g))[..., None, None] * dev
+        return (np.matmul(gd + np.swapaxes(gd, -1, -2), a),)
+
+    return _result(out, "penalty", (attn,), vjp)
 
 
 def attend(H: Tensor, params: SemanticCapsParams, pad_mask=None):
     """Attention matrix A (R x T, rows sum to 1 over real tokens) and the
-    head-orthogonality penalty."""
-    ht = H.swapaxes(-1, -2)                  # ... x 2D_H x T
-    hidden = (params.w_s1 @ ht).tanh()       # ... x D_A x T
-    logits = params.w_s2 @ hidden            # ... x R x T
-    mask = None
-    if pad_mask is not None:
-        mask = np.expand_dims(np.asarray(pad_mask, dtype=bool), -2)  # broadcast over heads
-    attn = row_softmax(logits, mask=mask)
-    return attn, orthogonality_penalty(attn)
+    head-orthogonality penalty.
+
+    A is one graph node with parents H, w_s1 and w_s2; its VJP runs the
+    masked softmax, the tanh and both products backwards, with each
+    weight gradient one GEMM over every utterance and position. A row
+    whose positions are all masked raises DegenerateRowError.
+    """
+    hv, w1, w2 = H.values, params.w_s1.values, params.w_s2.values
+    hidden = np.tanh(np.matmul(w1, np.swapaxes(hv, -1, -2)))  # ... x D_A x T
+    logits = np.matmul(w2, hidden)                              # ... x R x T
+    if pad_mask is None:
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    else:
+        keep = np.expand_dims(np.asarray(pad_mask, dtype=bool), -2)  # over heads
+        keep = np.broadcast_to(keep, logits.shape)
+        if not keep.any(axis=-1).all():
+            raise DegenerateRowError("softmax row with every position masked")
+        shifted = np.where(keep, logits, -np.inf)
+        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        heads, d_a = w2.shape
+        dlogits = attn * (g - (g * attn).sum(axis=-1, keepdims=True))
+        dlogits_t = np.swapaxes(dlogits, -1, -2)                 # ... x T x R
+        dpre = np.matmul(dlogits_t, w2)                          # ... x T x D_A
+        dpre *= np.swapaxes(1.0 - hidden * hidden, -1, -2)
+        dpre = dpre.reshape(-1, d_a)  # one row per utterance and position
+        return (
+            (dpre @ w1).reshape(hv.shape) if H.requires_grad else None,
+            dpre.T @ hv.reshape(-1, hv.shape[-1]) if params.w_s1.requires_grad else None,
+            dlogits_t.reshape(-1, heads).T @ np.swapaxes(hidden, -1, -2).reshape(-1, d_a)
+            if params.w_s2.requires_grad
+            else None,
+        )
+
+    attn_node = _result(attn, "attend", (H, params.w_s1, params.w_s2), vjp)
+    return attn_node, orthogonality_penalty(attn_node)
 
 
 def semantic_vectors(attn: Tensor, H: Tensor) -> Tensor:

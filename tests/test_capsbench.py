@@ -6,8 +6,9 @@ checked against batched predictions, and a save/load equality check. The
 traced run rebuilds the model from the library's public functions and
 checks that rebuild against `harness.train`, `predict_existing`,
 `zsl_predict` and B=1 requests; its rebuild reads `.grad`, so its Adam
-steps are dense. A change that breaks the benchmark's contract with the
-library fails here.
+steps are dense. The untraced `infer-online` run makes about a thousand
+B=1 requests, each checked against the batched predictions. A change that
+breaks the benchmark's contract with the library fails here.
 """
 
 import json
@@ -20,15 +21,23 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
-def test_train_run_passes_its_checks(tmp_path, trace):
+def _run(tmp_path, workload, trace):
     # run.py reads the library from ./src and writes its inputs and spans
     # under the working directory, so the run is made from tmp_path
     (tmp_path / "src").symlink_to(REPO / "src")
     cmd = [sys.executable, str(REPO / "capsbench" / "run.py"),
-           "--workload", "train-snips", "--seed", "1", "--seconds", "1", "--trace", trace]
+           "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", trace]
     proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
+
+
+@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
+def test_train_run_passes_its_checks(tmp_path, trace):
+    _run(tmp_path, "train-snips", trace)
+
+
+def test_online_run_passes_its_checks(tmp_path):
+    _run(tmp_path, "infer-online", "0")

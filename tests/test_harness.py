@@ -178,17 +178,21 @@ class TestAdam:
             assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("beta1, beta2", [(0.4, 0.999), (0.5, 0.999), (0.9, 0.999), (0.9, -0.5)])
+    @pytest.mark.parametrize("beta1, beta2", [(0.4, 0.999), (0.5, 0.999), (0.9, -0.5), (0.9, 0.999)])
     def test_row_record_is_used_only_where_skipping_is_exact(self, dtype, beta1, beta2):
         # step 1 leaves m[1] at -tiny (the smallest subnormal). With no
         # gradient on row 1 at step 2, beta1 <= 0.5 rounds beta1 * m[1] to
         # -0.0, which the textbook's + 0.0 turns into +0.0; a step that skipped
         # row 1's gradient terms would keep -0.0. beta1 > 0.5 keeps -tiny.
-        # A negative beta2 turns v = +0.0 on a row without gradient into
-        # beta2 * v = -0.0 in the same way.
+        # A negative beta2 would turn v = +0.0 on a row without gradient into
+        # beta2 * v = -0.0 in the same way, so the constructor rejects it.
+        table = Tensor(np.ones((4, 2)), requires_grad=True, dtype=dtype)
+        if beta2 < 0:
+            with pytest.raises(ContractError, match=f"Adam beta2 must be in \\[0, 1\\), got {beta2!r}"):
+                Adam([("table", table)], lr=1e-3, beta1=beta1, beta2=beta2)
+            return
         tiny = np.finfo(dtype).smallest_subnormal
         first = -round(1 / (1 - beta1)) * tiny  # (1 - beta1) * first rounds to -tiny
-        table = Tensor(np.ones((4, 2)), requires_grad=True, dtype=dtype)
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
         opt = Adam([("table", table)], lr=1e-3, beta1=beta1, beta2=beta2)
@@ -205,6 +209,26 @@ class TestAdam:
             assert _same_bits(table.values, ref[0])
             assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
         assert np.signbit(moments[0][0][1]).all() == (beta1 > 0.5)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("lr", -1e-3),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("beta1", 1.0),  # 1 - beta1**t = 0: step would divide by zero
+            ("beta1", -0.1),
+            ("beta2", -0.5),  # beta2 * v would turn +0.0 into -0.0
+            ("beta2", 1.0),
+            ("beta1", float("nan")),
+            ("eps", 0.0),
+            ("eps", -1e-8),
+        ],
+    )
+    def test_rejects_hyperparameter_out_of_range(self, name, value):
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        with pytest.raises(ContractError, match=f"Adam {name} must be .*, got {value!r}"):
+            Adam([("table", table)], **{"lr": 1e-3, name: value})
 
     def test_step_allocates_no_parameter_sized_array(self):
         rng = np.random.default_rng(12)

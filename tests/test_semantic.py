@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from capsnlu import autodiff
-from capsnlu.autodiff import ContractError, Tensor, concat, finite_diff_check, stack
+from capsnlu.autodiff import (
+    ContractError,
+    DegenerateRowError,
+    Tensor,
+    concat,
+    finite_diff_check,
+    no_grad,
+    row_softmax,
+    stack,
+)
 from capsnlu.config import RunConfig
 from capsnlu.data import EmbeddingTable
 from capsnlu.harness import batch_loss, build_tiny_setup
@@ -308,14 +317,36 @@ def stepwise_encode(seqs, embedding, params, *, pad_id):
     return concat(h_fw, h_bw, axis=-1), mask
 
 
-def _bench_shaped(dtype, seed=5, vocab=300):
-    """A ragged B=32 batch at the benchmark shape: T 5-15, 300-d, D_H=32."""
+def per_op_attend(H, params, pad_mask=None):
+    """The attention head and its penalty as a graph of per-op Tensor ops:
+    the reference the two attention nodes must reproduce (the same numpy
+    calls, so A and the penalty are bitwise equal; only the VJPs'
+    summation order differs)."""
+    hidden = (params.w_s1 @ H.swapaxes(-1, -2)).tanh()
+    logits = params.w_s2 @ hidden
+    mask = None if pad_mask is None else np.expand_dims(np.asarray(pad_mask, dtype=bool), -2)
+    attn = row_softmax(logits, mask=mask)
+    eye = Tensor(np.eye(attn.shape[-2], dtype=attn.values.dtype))
+    dev = attn @ attn.swapaxes(-1, -2) - eye
+    return attn, dev.square().sum(axis=(-1, -2))
+
+
+def _bench_shaped(dtype, seed=5, vocab=300, lengths=None, heads=3):
+    """A batch at the benchmark shape (300-d, D_H=32, D_A=20): by default
+    a ragged B=32 with T 5-15 and R=3, else one utterance per length."""
     rng = np.random.default_rng(seed)
-    params = init_semantic_params(rng, 300, 32, 20, 3, dtype=dtype)
+    params = init_semantic_params(rng, 300, 32, 20, heads, dtype=dtype)
     emb = Tensor(rng.normal(scale=0.3, size=(vocab, 300)), requires_grad=True, dtype=dtype)
-    seqs = [rng.integers(0, vocab - 1, size=n).tolist() for n in rng.integers(5, 16, size=32)]
-    assert len({len(s) for s in seqs}) > 1
+    if lengths is None:
+        lengths = rng.integers(5, 16, size=32)
+        assert len(set(lengths.tolist())) > 1
+    seqs = [rng.integers(0, vocab - 1, size=n).tolist() for n in lengths]
     return params, emb, seqs, vocab - 1
+
+
+# the ragged benchmark batch, then the smallest cases of the gate-major
+# recurrence: one utterance, and one token per utterance
+RECURRENCE_SHAPES = {"ragged B=32": {}, "B=1": {"lengths": [12]}, "T=1": {"lengths": [1] * 4}}
 
 
 def _reversal(lengths, t_max):
@@ -338,29 +369,34 @@ def _graph_nodes(root):
 class TestFusedRecurrence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_states_bitwise_equal_to_stepwise_graph(self, dtype):
-        params, emb, seqs, pad_id = _bench_shaped(dtype)
-        got, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
-        want, want_mask = stepwise_encode(seqs, emb, params, pad_id=pad_id)
-        assert got.values.dtype == dtype
-        assert got.values.tobytes() == want.values.tobytes()
-        np.testing.assert_array_equal(mask, want_mask)
+        for shape, kwargs in RECURRENCE_SHAPES.items():
+            params, emb, seqs, pad_id = _bench_shaped(dtype, **kwargs)
+            got, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
+            want, want_mask = stepwise_encode(seqs, emb, params, pad_id=pad_id)
+            assert got.values.dtype == dtype
+            assert got.values.tobytes() == want.values.tobytes(), shape
+            np.testing.assert_array_equal(mask, want_mask)
 
     def test_float64_grads_match_stepwise_graph(self):
-        params, emb, seqs, pad_id = _bench_shaped(np.float64)
-        named = params.trainable() + [("embedding", emb)]
-        grads = []
-        for encode in (encode_tokens, stepwise_encode):
-            for _, t in named:
-                t.reset_grad()
-            big_h, mask = encode(seqs, emb, params, pad_id=pad_id)
-            attn, penalty = attend(big_h, params, pad_mask=mask)
-            (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
-            grads.append({name: t.grad.copy() for name, t in named})
-        for name, _ in named:
-            got, want = grads
-            scale = np.abs(want[name]).max()
-            assert scale > 0, name
-            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+        for shape, kwargs in RECURRENCE_SHAPES.items():
+            params, emb, seqs, pad_id = _bench_shaped(np.float64, **kwargs)
+            named = params.trainable() + [("embedding", emb)]
+            grads = []
+            for encode in (encode_tokens, stepwise_encode):
+                for _, t in named:
+                    t.reset_grad()
+                big_h, mask = encode(seqs, emb, params, pad_id=pad_id)
+                attn, penalty = per_op_attend(big_h, params, pad_mask=mask)
+                (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
+                grads.append({name: t.grad.copy() for name, t in named})
+            for name, _ in named:
+                got, want = grads
+                scale = np.abs(want[name]).max()
+                # with one step, h_{t-1} is the zero state and a softmax over
+                # one position is constant, so dw_h and the attention weights'
+                # gradients are zero
+                assert scale > 0 or (shape == "T=1" and name.endswith(("w_h", "w_s1", "w_s2"))), (shape, name)
+                assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, (shape, name)
 
     def test_ragged_node_gradcheck(self):
         rng = np.random.default_rng(23)
@@ -404,8 +440,9 @@ class TestFusedRecurrence:
 
     def test_training_step_graph_size(self):
         # the per-step recurrence recorded 560 nodes for this step, the
-        # per-op routing loop 83, the broadcast prediction vectors 48 and
-        # the reversal as B x T x T products outside the recurrence 46
+        # per-op routing loop 83, the broadcast prediction vectors 48, the
+        # reversal as B x T x T products outside the recurrence 46 and the
+        # attention head and its penalty as 10 per-op nodes 39
         rng = np.random.default_rng(25)
         vocab = 50
         table = EmbeddingTable(
@@ -418,7 +455,7 @@ class TestFusedRecurrence:
         model = init_model(table, cfg, rng=rng)
         samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
         loss = batch_loss(model, samples, cfg, training=True, rng=rng)
-        assert _graph_nodes(loss) <= 39
+        assert _graph_nodes(loss) <= 31
 
     def test_pad_rows_carry_zero_gradient_and_scatter_matches_add_at(self, monkeypatch):
         # pad positions get zero attention and come after every real step in
@@ -445,3 +482,94 @@ class TestFusedRecurrence:
         want = np.zeros_like(emb.values)
         np.add.at(want, idx, g)
         assert emb.grad.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the attention nodes against the per-op graph they replaced
+
+ATTENTION_SHAPES = {**RECURRENCE_SHAPES, "R=1": {"heads": 1}}
+
+
+class TestAttentionNodes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", list(ATTENTION_SHAPES))
+    def test_bitwise_equal_to_per_op_graph(self, shape, dtype):
+        params, emb, seqs, pad_id = _bench_shaped(dtype, **ATTENTION_SHAPES[shape])
+        big_h, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
+        attn, penalty = attend(big_h, params, pad_mask=mask)
+        want_attn, want_penalty = per_op_attend(big_h, params, pad_mask=mask)
+        assert attn.values.dtype == penalty.values.dtype == dtype
+        assert attn.values.tobytes() == want_attn.values.tobytes()
+        assert penalty.values.tobytes() == want_penalty.values.tobytes()
+        got_m = semantic_vectors(attn, big_h).values
+        assert got_m.tobytes() == semantic_vectors(want_attn, big_h).values.tobytes()
+
+    @pytest.mark.parametrize("shape", list(ATTENTION_SHAPES))
+    def test_float64_grads_match_per_op_graph(self, shape):
+        params, emb, seqs, pad_id = _bench_shaped(np.float64, **ATTENTION_SHAPES[shape])
+        with no_grad():
+            h, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
+        big_h = Tensor(h.values, requires_grad=True)
+        weights = Tensor(np.random.default_rng(30).normal(size=(len(seqs), params.heads, 64)))
+        named = [("H", big_h), ("w_s1", params.w_s1), ("w_s2", params.w_s2)]
+        grads = []
+        for head in (attend, per_op_attend):
+            for _, t in named:
+                t.reset_grad()
+            attn, penalty = head(big_h, params, pad_mask=mask)
+            ((semantic_vectors(attn, big_h) * weights).sum() + penalty.sum()).backward()
+            grads.append({name: t.grad.copy() for name, t in named})
+        got, want = grads
+        for name, _ in named:
+            scale = np.abs(want[name]).max()
+            # a softmax over one position is constant
+            assert scale > 0 or (shape == "T=1" and name != "H"), name
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+    def test_attend_node_gradcheck(self):
+        rng = np.random.default_rng(31)
+        params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
+        mask = np.array([[True] * 4, [True, True, False, False]])
+        big_h = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 2, 4)))
+        named = [("H", big_h), ("w_s1", params.w_s1), ("w_s2", params.w_s2)]
+
+        def loss_fn(_):
+            attn, _ = attend(big_h, params, pad_mask=mask)
+            return (attn * weights).sum()
+
+        assert finite_diff_check(loss_fn, named) < 1e-6
+        # masked positions get exactly zero attention, so no gradient
+        np.testing.assert_array_equal(big_h.grad[1, 2:], 0.0)
+
+    @pytest.mark.parametrize("batch", [(3,), ()], ids=["batched", "single"])
+    def test_penalty_node_gradcheck(self, batch):
+        rng = np.random.default_rng(32)
+        attn = Tensor(rng.uniform(size=batch + (3, 5)), requires_grad=True)
+        weights = Tensor(rng.normal(size=batch))
+
+        def loss_fn(_):
+            return (orthogonality_penalty(attn) * weights).sum()
+
+        assert finite_diff_check(loss_fn, [("A", attn)]) < 1e-6
+
+    def test_all_masked_row_raises(self):
+        rng = np.random.default_rng(33)
+        params = make_params(rng)
+        big_h = Tensor(rng.normal(size=(2, 3, 4)))
+        with pytest.raises(DegenerateRowError):
+            attend(big_h, params, pad_mask=[[True, False, False], [False, False, False]])
+
+    def test_second_backward_doubles_leaf_grads(self):
+        rng = np.random.default_rng(34)
+        params = make_params(rng)
+        big_h = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 2, 4)))
+        attn, penalty = attend(big_h, params, pad_mask=[[True] * 4, [True, True, True, False]])
+        loss = (semantic_vectors(attn, big_h) * weights).sum() + penalty.sum()
+        leaves = [big_h, params.w_s1, params.w_s2]
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
