@@ -164,6 +164,21 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
+def _check_special_ids(path: Path, meta: dict, embedding: np.ndarray) -> None:
+    """oov_id and pad_id must be distinct rows of the embedding, and the
+    PAD row all zero, as init_model makes it and training keeps it; else
+    ContractError naming the file and the key."""
+    rows = embedding.shape[0]
+    for key in ("oov_id", "pad_id"):
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < rows:
+            raise ContractError(f"{path}: {key!r} is {value!r}, not a row of the {rows}-row embedding")
+    if meta["oov_id"] == meta["pad_id"]:
+        raise ContractError(f"{path}: 'oov_id' and 'pad_id' are both {meta['pad_id']}")
+    if embedding[meta["pad_id"]].any():
+        raise ContractError(f"{path}: 'pad_id' is {meta['pad_id']}, a nonzero row; the PAD row is all zero")
+
+
 def load_model(model_dir) -> ModelBundle:
     model_dir = Path(model_dir)
     meta = _read_meta(model_dir / "meta.json")
@@ -172,6 +187,7 @@ def load_model(model_dir) -> ModelBundle:
     for key in ("embedding", "intent_vectors"):
         if key not in arrays:
             raise ContractError(f"{model_dir / 'params.npz'} has no {key!r} array")
+    _check_special_ids(model_dir / "meta.json", meta, arrays["embedding"])
     cfg = RunConfig(**{
         k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()
     })

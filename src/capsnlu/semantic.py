@@ -12,18 +12,22 @@ Callers pass a batch of token-id sequences (leading batch axis B); a
 single utterance is a batch of one (B=1), and `attend` and
 `semantic_vectors` broadcast over any leading axes.
 
-The two LSTM directions run as one recurrence in one graph node,
-`_run_bilstm`: it gathers the backward direction's input projections
-into each sequence's reversed order (within its length, pads left in
-place), steps both directions left to right from a zero state, and
-gathers the backward states back into reading order; backpropagation
-through time is its hand-written VJP. The recurrence is gate-major and
-time-major: step t's inputs and activations are one contiguous
-4 x 2 x B x D_H block (gate, direction), so each per-step elementwise
-operation is one numpy call on contiguous memory. Trailing pads come
-after every real token in either direction and never reach a real
-position's state. H rows at pad positions are unspecified: `attend`
-gives them exactly zero attention, so they never reach M or a gradient.
+The encoder gathers only the real tokens' word vectors, packed in
+row-major order, plus the pad row once when the batch has pads. The two
+LSTM directions and their input projections x @ w_x + b run as one
+recurrence in one graph node, `_run_bilstm`: it projects the packed rows
+(one GEMM per direction), lays the projections out per position, a pad
+slot taking the pad row's projection and the backward direction taking
+each sequence in reversed order (within its length, pads left in place),
+steps both directions left to right from a zero state, and gathers the
+backward states back into reading order; backpropagation through time
+is its hand-written VJP. The recurrence is gate-major and time-major:
+step t's inputs and activations are one contiguous 4 x 2 x B x D_H block
+(gate, direction), so each per-step elementwise operation is one numpy
+call on contiguous memory. Trailing pads come after every real token in
+either direction and never reach a real position's state. H rows at pad
+positions are unspecified: `attend` gives them exactly zero attention,
+so they never reach M or a gradient.
 
 The attention head is two graph nodes with hand-written VJPs, A (parents
 H, w_s1 and w_s2) and the penalty (parent A), and M is one product.
@@ -103,16 +107,28 @@ def init_semantic_params(
 # recurrence
 
 
-def _run_bilstm(xw_fw: Tensor, xw_bw: Tensor, w_h_fw: Tensor, w_h_bw: Tensor, src: np.ndarray) -> Tensor:
-    """Both LSTM directions from a zero state, as one graph node.
+def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
+    """Both LSTM directions from a zero state, with their input
+    projections, as one graph node.
 
-    xw_fw and xw_bw (B x T x 4D_H) are each direction's input projections
-    x @ w_x + b and w_h_fw, w_h_bw (D_H x 4D_H) its recurrent weights.
-    src (B x T) reverses each row's real positions and leaves its pads in
-    place, so it is its own inverse: the backward inputs are gathered by
-    it, both directions step left to right as one stacked recurrence, and
-    the backward states are gathered back by it. Returns H (B x T x 2D_H),
-    forward states then backward. Each step is the cell
+    x holds the real tokens' word vectors packed in row-major (b, t) order:
+    sum(lengths) rows, plus one pad row last when the batch has pads (some
+    length below the longest). Returns H (B x T x 2D_H, T the longest
+    length), forward states then backward. The parents are x, fw.w_x,
+    fw.b, bw.w_x, bw.b, fw.w_h and bw.w_h.
+
+    The input projections x @ w_x + b are one GEMM per direction over the
+    packed rows, written into the two halves of one rows x 8D_H buffer,
+    biases added in place. They are laid out once per call as
+    T x 4 x 2 x B x D_H (step, gate, direction): position t of row b takes
+    its token's row, the backward direction taking each row's real
+    positions in reverse (pads left in place), and a pad slot takes the
+    pad row's projection. A GEMM's rows do not depend on how many rows it
+    has (from 2 up), so H is bitwise what the projections of the padded
+    batch give; a batch without pads has no pad row, so a lone token stays
+    the one-row product it always was. Both directions then step left to
+    right as one stacked recurrence, and the backward states are gathered
+    back into reading order. Each step is the cell
 
         z = h @ w_h + xw_t;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
         c = f * c + i * g;   h = o * tanh(c)
@@ -120,32 +136,57 @@ def _run_bilstm(xw_fw: Tensor, xw_bw: Tensor, w_h_fw: Tensor, w_h_bw: Tensor, sr
     with sigmoid(z) = 0.5 * (1 + tanh(z / 2)), which cannot overflow.
 
     The recurrence runs gate-major and time-major, so that every per-step
-    elementwise operation reads and writes whole contiguous blocks. The
-    inputs are laid out once per call as T x 4 x 2 x B x D_H (step, gate,
-    direction). A step's z is one 4 x 2 x B x D_H array whose gate k is
-    z[k]: the product h @ w_h (2 x B x 4D_H, against the stored weights)
-    is copied into it gate-major before the inputs are added. Products
-    against per-gate D_H x D_H blocks would save that copy, but BLAS may
-    round a narrower product differently (OpenBLAS does at B=1 for
-    D_H = 2 or 3), and H must stay bitwise equal to the per-step cell.
-    The states go to a T x 2 x B x D_H buffer.
+    elementwise operation reads and writes whole contiguous blocks. A
+    step's z is one 4 x 2 x B x D_H array whose gate k is z[k]: the
+    product h @ w_h (2 x B x 4D_H, against the stored weights) is copied
+    into it gate-major before the inputs are added. Products against
+    per-gate D_H x D_H blocks would save that copy, but BLAS may round a
+    narrower product differently (OpenBLAS does at B=1 for D_H = 2 or 3),
+    and H must stay bitwise equal to the per-step cell. The states go to a
+    T x 2 x B x D_H buffer.
 
     The VJP is backpropagation through time over the kept activations,
-    cell states and tanh(c), between the same two gathers by src. The
-    gate arithmetic of a step runs on a contiguous gate-major dz, which is
-    then copied into a direction-major 2 x B x T x 4D_H buffer. There
-    dh_{t-1} is one GEMM per direction against the stored w_h, dw_h one
-    GEMM per direction over every step's h_{t-1} and dz, and the input
-    gradients are a view and a gather.
+    cell states and tanh(c). The gate arithmetic of a step runs on a
+    contiguous gate-major dz, which is then copied into a direction-major
+    2 x B x T x 4D_H buffer. There dh_{t-1} is one GEMM per direction
+    against the stored w_h and dw_h one GEMM per direction over every
+    step's h_{t-1} and dz. The real positions' rows are then gathered back
+    into packed order, and dx, dw_x and db are GEMMs and a sum over those
+    rows alone. The pad slots' rows are not gathered, so the pad row's
+    gradient is exactly zero: the true gradient whenever none reaches H at
+    a pad position, as under `attend`, which gives pads zero attention.
     """
-    rows = np.arange(src.shape[0])[:, None]
-    n, steps, four_dh = xw_fw.shape
-    dh = four_dh // 4
-    dtype = xw_fw.values.dtype
-    xg = np.empty((steps, 4, 2, n, dh), dtype=dtype)
-    xg[:, :, 0] = xw_fw.values.reshape(n, steps, 4, dh).transpose(1, 2, 0, 3)
-    xg[:, :, 1] = xw_bw.values[rows, src].reshape(n, steps, 4, dh).transpose(1, 2, 0, 3)
-    wv = np.stack([w_h_fw.values, w_h_bw.values])
+    lengths = np.asarray(lengths)
+    n, steps = lengths.size, int(lengths.max())
+    pos = np.arange(steps)
+    rows = np.arange(n)[:, None]
+    real = pos < lengths[:, None]                          # B x T
+    src = np.where(real, lengths[:, None] - 1 - pos, pos)  # its own inverse
+    total = int(lengths.sum())
+    xv = x.values
+    if xv.shape[0] != total + (total < n * steps):
+        raise ContractError(f"{xv.shape[0]} packed rows for lengths summing to {total}")
+    dh = fw.w_h.shape[0]
+    four_dh = 4 * dh
+    dtype = xv.dtype
+    proj = np.empty((xv.shape[0], 2 * four_dh), dtype=dtype)
+    for part, p in ((proj[:, :four_dh], fw), (proj[:, four_dh:], bw)):
+        np.matmul(xv, p.w_x.values, out=part)
+        part += p.b.values
+    if total == n * steps:
+        # no pads (every B=1 request): position (b, t) is packed row b * T + t,
+        # so two transposed copies lay the rows out; the gather's slot
+        # arithmetic below made B=1 requests about 6% slower
+        full = proj.reshape(n, steps, 2, 4, dh)
+        xg = np.empty((steps, 4, 2, n, dh), dtype=dtype)
+        xg[:, :, 0] = full[:, :, 0].transpose(1, 2, 0, 3)
+        xg[:, :, 1] = full[rows, src, 1].transpose(1, 2, 0, 3)
+    else:  # one gather of D_H-wide pieces (row, direction, gate); pad slots read the pad row
+        fw_slot = np.where(real, np.cumsum(real).reshape(n, steps) - 1, total)
+        slots = np.stack([fw_slot, fw_slot[rows, src]]).transpose(2, 0, 1)  # T x 2 x B packed rows
+        pieces = slots[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
+        xg = np.take(proj.reshape(-1, dh), pieces, axis=0)
+    wv = np.stack([fw.w_h.values, bw.w_h.values])
     half, one = dtype.type(0.5), dtype.type(1.0)  # numpy scalars dispatch faster than Python floats
     acts = np.empty_like(xg)
     states = np.empty((steps, 2, n, dh), dtype=dtype)
@@ -193,18 +234,21 @@ def _run_bilstm(xw_fw: Tensor, xw_bw: Tensor, w_h_fw: Tensor, w_h_bw: Tensor, sr
             dh_next = dzt.reshape(2, n, four_dh) @ w_t
             dc_next = dc * a[1]
         dxw = dxw.reshape(2, n, steps, four_dh)
-        dw = (None, None)
-        if w_h_fw.requires_grad or w_h_bw.requires_grad:
+        dw_h = (None, None)
+        if fw.w_h.requires_grad or bw.w_h.requires_grad:
             h_prev = states[:-1].transpose(1, 2, 0, 3).reshape(2, -1, dh)
-            dw = np.swapaxes(h_prev, -1, -2) @ dxw[:, :, 1:].reshape(2, -1, four_dh)
-        return (
-            dxw[0] if xw_fw.requires_grad else None,
-            dxw[1][rows, src] if xw_bw.requires_grad else None,
-            dw[0] if w_h_fw.requires_grad else None,
-            dw[1] if w_h_bw.requires_grad else None,
-        )
+            dw_h = np.swapaxes(h_prev, -1, -2) @ dxw[:, :, 1:].reshape(2, -1, four_dh)
+        # packed row p's forward projection sits at its own position and
+        # its backward one at its reversed position
+        grads = [np.zeros_like(xv) if x.requires_grad else None]
+        for p, g in ((fw, dxw[0][real]), (bw, dxw[1][rows, src][real])):
+            if x.requires_grad:
+                grads[0][:total] += g @ p.w_x.values.T
+            grads.append(xv[:total].T @ g if p.w_x.requires_grad else None)
+            grads.append(g.sum(axis=0, keepdims=True) if p.b.requires_grad else None)
+        return (*grads, *dw_h)
 
-    return _result(out, "bilstm", (xw_fw, xw_bw, w_h_fw, w_h_bw), vjp)
+    return _result(out, "bilstm", (x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h), vjp)
 
 
 def encode_tokens(
@@ -217,9 +261,15 @@ def encode_tokens(
     dropout_keep: float = 1.0,
     rng: np.random.Generator | None = None,
 ):
-    """Encode a batch: a list of token-id sequences, padded here with
-    `pad_id` (needed only when lengths differ). An id that is not a row
-    of the embedding raises ContractError naming its utterance.
+    """Encode a batch: a list of token-id sequences, padded to the longest
+    with `pad_id` (needed only when lengths differ). An id that is not a
+    row of the embedding raises ContractError naming its utterance.
+
+    Only the real tokens' rows are gathered, packed in row-major order,
+    plus the pad row once when the batch has pads; every pad slot of the
+    recurrence takes the pad row's projection. Dropout draws one uniform
+    per padded position and dimension, B x T x D_W as for a padded batch,
+    and keeps the real positions' draws.
 
     Returns (H, mask): H is B x T x 2D_H, the forward and backward LSTM
     states per position, and mask marks the real positions. The backward
@@ -232,10 +282,9 @@ def encode_tokens(
         raise ContractError("every utterance must have at least one token")
     lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
     t_max = int(lengths.max())
-    if pad_id is None:
-        if (lengths != t_max).any():
-            raise ContractError("ragged batches need a pad_id")
-        pad_id = 0
+    padded = bool((lengths != t_max).any())
+    if padded and pad_id is None:
+        raise ContractError("ragged batches need a pad_id")
     # a negative id would read from the end of the table and a fraction
     # would be truncated, so every id must be a row of the embedding
     flat = np.asarray([t for s in seqs for t in s], dtype=np.float64)
@@ -246,20 +295,21 @@ def encode_tokens(
         utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
         raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {vocab}-row embedding")
     mask = np.arange(t_max)[None, :] < lengths[:, None]  # B x T
-    ids = np.full((len(seqs), t_max), pad_id, dtype=np.int64)
-    ids[mask] = flat
+    ids = flat.astype(np.int64)
+    if padded:
+        ids = np.append(ids, pad_id)
 
-    x = embedding.take_rows(ids)  # B x T x D_W
+    x = embedding.take_rows(ids)  # sum(lengths) [+ 1] x D_W
     if training and dropout_keep < 1.0:
         if rng is None:
             raise ContractError("dropout needs an rng")
-        keep = (rng.random(x.shape) < dropout_keep).astype(x.values.dtype) / dropout_keep
+        draws = rng.random((len(seqs), t_max, x.shape[1]))  # the padded batch's draws
+        keep = np.ones(x.shape, dtype=x.values.dtype)  # the pad row keeps its projection
+        keep[: flat.size] = draws[mask] < dropout_keep
+        keep[: flat.size] /= dropout_keep
         x = x * Tensor(keep)  # inverted dropout; identity at evaluation
 
-    pos = np.arange(t_max)
-    src = np.where(mask, lengths[:, None] - 1 - pos, pos)
-    fw, bw = params.lstm_fw, params.lstm_bw
-    return _run_bilstm(x @ fw.w_x + fw.b, x @ bw.w_x + bw.b, fw.w_h, bw.w_h, src), mask
+    return _run_bilstm(x, params.lstm_fw, params.lstm_bw, lengths), mask
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,11 @@ traced run rebuilds the model from the library's public functions and
 checks that rebuild against `harness.train`, `predict_existing`,
 `zsl_predict` and B=1 requests; its rebuild reads `.grad`, so its Adam
 steps are dense. The untraced `infer-online` run makes about a thousand
-B=1 requests, each checked against the batched predictions. A change that
-breaks the benchmark's contract with the library fails here.
+B=1 requests, each checked against the batched predictions. The untraced
+`infer-batch` run repeats `evaluate` and `zsl_evaluate` on a saved model,
+checks that every pass gives the same accuracies, and checks B=1 probes
+against the batched predictions. A change that breaks the benchmark's
+contract with the library fails here.
 """
 
 import json
@@ -41,3 +44,7 @@ def test_train_run_passes_its_checks(tmp_path, trace):
 
 def test_online_run_passes_its_checks(tmp_path):
     _run(tmp_path, "infer-online", "0")
+
+
+def test_batch_run_passes_its_checks(tmp_path):
+    _run(tmp_path, "infer-batch", "0")

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -408,6 +409,28 @@ class TestPersistence:
         after = evaluate(bundle.model, corpus, bundle.config).accuracy
         assert before == after
         np.testing.assert_array_equal(bundle.intent_vectors, table.intent_vectors)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("pad_id", -1), ("pad_id", 7), ("pad_id", None), ("pad_id", True), ("pad_id", 2.0),
+         ("pad_id", "9"), ("pad_id", "too_big"), ("oov_id", "too_big"), ("oov_id", "pad_id")],
+        ids=["negative", "real_word", "null", "true", "float", "string", "past_end", "oov_past_end",
+             "oov_is_pad"],
+    )
+    def test_special_ids_that_are_not_distinct_rows_are_named(self, toy_setup, tmp_path, key, value):
+        # a bad pad_id used to load silently (and freeze a real word as PAD)
+        # or fail with a bare IndexError
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        if value == "too_big":
+            value = table.vectors.shape[0]
+        elif value == "pad_id":
+            value = meta["pad_id"]
+        meta[key] = value
+        (out / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ContractError, match=rf"meta\.json: .*'{key}'"):
+            load_model(out)
 
     @pytest.mark.parametrize(
         "key, damage, named",

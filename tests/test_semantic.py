@@ -300,7 +300,9 @@ def stepwise_lstm(xw, p):
     return stack(states, axis=1)
 
 
-def stepwise_encode(seqs, embedding, params, *, pad_id):
+def stepwise_encode(seqs, embedding, params, *, pad_id, keep=None):
+    """The padded batch through per-op projections and the per-step
+    recurrence; `keep` (B x T x D_W) is a dropout mask to apply first."""
     lengths = np.asarray([len(s) for s in seqs])
     t_max = int(lengths.max())
     ids = np.full((len(seqs), t_max), pad_id)
@@ -308,6 +310,8 @@ def stepwise_encode(seqs, embedding, params, *, pad_id):
         ids[i, : len(s)] = s
     mask = np.arange(t_max)[None, :] < lengths[:, None]
     x = embedding.take_rows(ids)
+    if keep is not None:
+        x = x * Tensor(keep)
     pos = np.arange(t_max)
     src = np.where(mask, lengths[:, None] - 1 - pos, pos)
     rev = Tensor((src[:, :, None] == pos).astype(x.values.dtype))
@@ -345,14 +349,17 @@ def _bench_shaped(dtype, seed=5, vocab=300, lengths=None, heads=3):
 
 
 # the ragged benchmark batch, then the smallest cases of the gate-major
-# recurrence: one utterance, and one token per utterance
-RECURRENCE_SHAPES = {"ragged B=32": {}, "B=1": {"lengths": [12]}, "T=1": {"lengths": [1] * 4}}
-
-
-def _reversal(lengths, t_max):
-    """Each row's first lengths[b] positions reversed, pads in place."""
-    pos = np.arange(t_max)
-    return np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)
+# recurrence: one utterance, and one token per utterance. The last two
+# batches have no pads, so the encoder gathers no pad row; at B=1, T=1 the
+# lone token's projection is the one-row product (GEMV) the per-step graph
+# computes too.
+RECURRENCE_SHAPES = {
+    "ragged B=32": {},
+    "B=1": {"lengths": [12]},
+    "T=1": {"lengths": [1] * 4},
+    "B=32 no pads": {"lengths": [9] * 32},
+    "B=1, T=1": {"lengths": [1]},
+}
 
 
 def _graph_nodes(root):
@@ -377,6 +384,28 @@ class TestFusedRecurrence:
             assert got.values.tobytes() == want.values.tobytes(), shape
             np.testing.assert_array_equal(mask, want_mask)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_states_bitwise_equal_at_real_positions(self, dtype):
+        params, emb, seqs, pad_id = _bench_shaped(dtype)
+        keep_prob = 0.7  # 1 / 0.7 rounds differently in float32 and float64
+        got, mask = encode_tokens(
+            seqs, emb, params, pad_id=pad_id, training=True, dropout_keep=keep_prob, rng=np.random.default_rng(7)
+        )
+        draws = np.random.default_rng(7).random(mask.shape + (emb.shape[1],))
+        keep = (draws < keep_prob).astype(dtype) / keep_prob
+        want, _ = stepwise_encode(seqs, emb, params, pad_id=pad_id, keep=keep)
+        assert (~mask).any()
+        assert got.values[mask].tobytes() == want.values[mask].tobytes()
+
+    def test_dropout_draws_one_uniform_per_padded_entry(self):
+        # the stream a padded batch drew, so every later draw is unchanged
+        params, emb, seqs, pad_id = _bench_shaped(np.float32)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        _, mask = encode_tokens(seqs, emb, params, pad_id=pad_id, training=True, dropout_keep=0.8, rng=rng)
+        ref.random(mask.size * emb.shape[1])
+        assert (~mask).any()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_float64_grads_match_stepwise_graph(self):
         for shape, kwargs in RECURRENCE_SHAPES.items():
             params, emb, seqs, pad_id = _bench_shaped(np.float64, **kwargs)
@@ -395,43 +424,37 @@ class TestFusedRecurrence:
                 # with one step, h_{t-1} is the zero state and a softmax over
                 # one position is constant, so dw_h and the attention weights'
                 # gradients are zero
-                assert scale > 0 or (shape == "T=1" and name.endswith(("w_h", "w_s1", "w_s2"))), (shape, name)
+                assert scale > 0 or (shape.endswith("T=1") and name.endswith(("w_h", "w_s1", "w_s2"))), (shape, name)
                 assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, (shape, name)
 
     def test_ragged_node_gradcheck(self):
         rng = np.random.default_rng(23)
         lengths = np.array([1, 3, 5])
         real = np.arange(5)[None, :] < lengths[:, None]
-        src = _reversal(lengths, 5)
-        xw = rng.normal(size=(2, 3, 5, 8))
-        w_h = rng.normal(scale=0.5, size=(2, 2, 8))
-        weights = rng.normal(size=(2, 3, 5, 2)) * real[None, :, :, None]
-        params = {
-            "xw_fw": Tensor(xw[0], requires_grad=True),
-            "xw_bw": Tensor(xw[1], requires_grad=True),
-            "w_h_fw": Tensor(w_h[0], requires_grad=True),
-            "w_h_bw": Tensor(w_h[1], requires_grad=True),
-        }
-        weights = Tensor(np.concatenate([weights[0], weights[1]], axis=-1))
+        params = make_params(rng, word_dim=3, hidden_dim=2)
+        fw, bw = params.lstm_fw, params.lstm_bw
+        x = Tensor(rng.normal(size=(lengths.sum() + 1, 3)), requires_grad=True)  # the pad row last
+        weights = Tensor(rng.normal(size=(3, 5, 4)) * real[:, :, None])
 
-        def loss_fn(p):
-            return (_run_bilstm(p["xw_fw"], p["xw_bw"], p["w_h_fw"], p["w_h_bw"], src) * weights).sum()
+        def loss_fn(_):
+            return (_run_bilstm(x, fw, bw, lengths) * weights).sum()
 
-        err = finite_diff_check(loss_fn, params)
+        named = [("x", x)] + fw.trainable("fw") + bw.trainable("bw")
+        err = finite_diff_check(loss_fn, named)
         assert err < 1e-4
         # pads come after every real step in both directions, so no real
         # state depends on them
-        for name in ("xw_fw", "xw_bw"):
-            np.testing.assert_array_equal(params[name].grad[~real], 0.0)
+        assert x.grad[-1].tobytes() == np.zeros(3).tobytes()
 
     def test_second_backward_doubles_leaf_grads(self):
         rng = np.random.default_rng(24)
-        xw = rng.normal(size=(2, 3, 4, 12))
-        w_h = rng.normal(scale=0.5, size=(2, 3, 12))
-        leaves = [Tensor(a, requires_grad=True) for a in (xw[0], xw[1], w_h[0], w_h[1])]
-        weights = rng.normal(size=(2, 3, 4, 3))
-        weights = Tensor(np.concatenate([weights[0], weights[1]], axis=-1))
-        loss = (_run_bilstm(*leaves, _reversal(np.array([1, 3, 4]), 4)) * weights).sum()
+        params = make_params(rng, word_dim=5, hidden_dim=3)
+        fw, bw = params.lstm_fw, params.lstm_bw
+        lengths = np.array([1, 3, 4])
+        x = Tensor(rng.normal(size=(lengths.sum() + 1, 5)), requires_grad=True)
+        leaves = [x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h]
+        weights = Tensor(rng.normal(size=(3, 4, 6)))
+        loss = (_run_bilstm(x, fw, bw, lengths) * weights).sum()
         loss.backward()
         once = [t.grad.copy() for t in leaves]
         loss.backward()
@@ -442,7 +465,8 @@ class TestFusedRecurrence:
         # the per-step recurrence recorded 560 nodes for this step, the
         # per-op routing loop 83, the broadcast prediction vectors 48, the
         # reversal as B x T x T products outside the recurrence 46 and the
-        # attention head and its penalty as 10 per-op nodes 39
+        # attention head and its penalty as 10 per-op nodes 39, the input
+        # projections as two products and two bias adds 31
         rng = np.random.default_rng(25)
         vocab = 50
         table = EmbeddingTable(
@@ -455,19 +479,20 @@ class TestFusedRecurrence:
         model = init_model(table, cfg, rng=rng)
         samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
         loss = batch_loss(model, samples, cfg, training=True, rng=rng)
-        assert _graph_nodes(loss) <= 31
+        assert _graph_nodes(loss) <= 27
 
     def test_pad_rows_carry_zero_gradient_and_scatter_matches_add_at(self, monkeypatch):
-        # pad positions get zero attention and come after every real step in
-        # both directions, so their rows of the embedding gradient are zero;
-        # the scatter skips them and must still equal np.add.at byte for byte
+        # only the real tokens and one pad row are gathered; pad positions
+        # come after every real step in both directions, so the pad row's
+        # gradient is zero; the scatter skips it and must still equal
+        # np.add.at byte for byte
         params, emb, seqs, pad_id = _bench_shaped(np.float32)
         scattered = []
         real_scatter = autodiff._scatter_add_rows
 
         def recording_scatter(dst, idx, g):
             scattered.append((idx.copy(), g.copy()))
-            real_scatter(dst, idx, g)
+            return real_scatter(dst, idx, g)
 
         monkeypatch.setattr(autodiff, "_scatter_add_rows", recording_scatter)
         big_h, mask = encode_tokens(
@@ -477,8 +502,9 @@ class TestFusedRecurrence:
         (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
         (idx, g), = scattered
         assert (~mask).any()
-        assert not g[~mask].any()
-        assert g[mask].any(axis=-1).all()
+        np.testing.assert_array_equal(idx, [t for s in seqs for t in s] + [pad_id])
+        assert g[-1].tobytes() == np.zeros_like(g[-1]).tobytes()
+        assert g[:-1].any(axis=-1).all()
         want = np.zeros_like(emb.values)
         np.add.at(want, idx, g)
         assert emb.grad.tobytes() == want.tobytes()
@@ -523,7 +549,7 @@ class TestAttentionNodes:
         for name, _ in named:
             scale = np.abs(want[name]).max()
             # a softmax over one position is constant
-            assert scale > 0 or (shape == "T=1" and name != "H"), name
+            assert scale > 0 or (shape.endswith("T=1") and name != "H"), name
             assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
 
     def test_attend_node_gradcheck(self):
