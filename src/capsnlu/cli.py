@@ -51,6 +51,17 @@ _ERRORS = (
 )
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count: a whole number >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="capsnlu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output TSV path")
             p.add_argument("--domain", choices=("existing", "emerging"), default="existing")
             p.add_argument("--split", choices=("train", "validation", "test", "all"), default="test")
-            p.add_argument("--limit", type=int, default=0, help="keep only the first N utterances")
+            p.add_argument("--limit", type=_non_negative_int, default=0,
+                           help="keep only the first N utterances (0: all)")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p_grad.add_argument("--seed", type=int, default=0)

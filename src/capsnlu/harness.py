@@ -75,7 +75,9 @@ class Adam:
 
     ``lr`` must be finite and non-negative, both betas in [0, 1) and
     ``eps`` positive, else ContractError names the value: ``beta1 = 1``,
-    say, would make the bias correction ``1 - b1**t`` zero.
+    say, would make the bias correction ``1 - b1**t`` zero. Every
+    parameter must be writable (a loaded model's are not), else
+    ContractError names the first that is not.
     """
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -88,6 +90,9 @@ class Adam:
             if not ok:
                 raise ContractError(f"Adam {name} must be {rule}, got {value!r}")
         self.params = list(named_params)
+        for name, t in self.params:
+            if not t.values.flags.writeable:
+                raise ContractError(f"parameter {name!r} is read-only (a loaded model is frozen)")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -299,6 +304,9 @@ def zsl_predict(model: ModelParams, corpus: Corpus, intent_vectors: np.ndarray, 
         winners, n = classify_emerging_batch(u, cfg.routing_iterations)
         preds.extend(winners.tolist())
         acts.append(n)
+    if not acts:  # an empty corpus: no utterance, L x D_P activations each
+        dtype = np.result_type(sim.q, model.embedding.values)
+        acts.append(np.empty((0, sim.q.shape[0], cfg.caps_dim), dtype=dtype))
     return np.asarray(preds, dtype=np.int64), np.concatenate(acts, axis=0), sim
 
 
@@ -323,6 +331,8 @@ def zsl_evaluate(model: ModelParams, corpus: Corpus, intent_vectors: np.ndarray,
 def attention_offdiag_mean(model: ModelParams, corpus: Corpus, cfg: RunConfig) -> float:
     """Mean absolute off-diagonal entry of A A^T over a corpus: how much
     the attention heads overlap."""
+    if not corpus.samples:
+        raise ContractError("empty corpus")
     heads = cfg.heads
     if heads < 2:
         return 0.0

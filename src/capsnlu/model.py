@@ -44,11 +44,13 @@ class ModelParams:
         return {name: t.values.copy() for name, t in self.trainable()}
 
     def restore(self, values: dict[str, np.ndarray]) -> None:
-        """Copy `values` into the parameters. Every parameter must be present
-        with its exact shape and dtype, else ContractError names it and
-        nothing is copied."""
+        """Copy `values` into the parameters. Every parameter must be
+        writable and present with its exact shape and dtype, else
+        ContractError names it and nothing is copied."""
         pairs = self.trainable()
         for name, t in pairs:
+            if not t.values.flags.writeable:
+                raise ContractError(f"parameter {name!r} is read-only (a loaded model is frozen)")
             if name not in values:
                 raise ContractError(f"parameter {name!r} is missing")
             got = np.asarray(values[name])
@@ -180,6 +182,10 @@ def _check_special_ids(path: Path, meta: dict, embedding: np.ndarray) -> None:
 
 
 def load_model(model_dir) -> ModelBundle:
+    """The model `save_model` wrote to `model_dir`, for inference. Every
+    parameter array is read-only, so the encoder gathers each token's
+    input projections from a table built once (see `encode_tokens`);
+    `snapshot()` gives writable copies."""
     model_dir = Path(model_dir)
     meta = _read_meta(model_dir / "meta.json")
     with np.load(model_dir / "params.npz") as npz:
@@ -201,4 +207,6 @@ def load_model(model_dir) -> ModelBundle:
     rng = np.random.default_rng(cfg.seed)
     model = init_model(table, cfg, rng=rng, dtype=arrays["embedding"].dtype)
     model.restore(arrays)
+    for _, t in model.trainable():
+        t.values.flags.writeable = False
     return ModelBundle(model=model, table=table, intent_vectors=arrays["intent_vectors"], config=cfg)

@@ -21,7 +21,11 @@ slot taking the pad row's projection and the backward direction taking
 each sequence in reversed order (within its length, pads left in place),
 steps both directions left to right from a zero state, and gathers the
 backward states back into reading order; backpropagation through time
-is its hand-written VJP. The recurrence is gate-major and time-major:
+is its hand-written VJP. A projection depends only on the token's id, so
+on a frozen model (read-only weights, as `load_model` returns them) an
+evaluation forward gathers the packed rows' projections from a
+|V| x 8D_H table, built once on first use, and runs the same layout and
+recurrence, `_bilstm_states`, without a graph. The recurrence is gate-major and time-major:
 step t's inputs and activations are one contiguous 4 x 2 x B x D_H block
 (gate, direction), so each per-step elementwise operation is one numpy
 call on contiguous memory. Trailing pads come after every real token in
@@ -37,11 +41,11 @@ ops would, so their values are bitwise those of that graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ContractError, DegenerateRowError, Tensor, _result
+from .autodiff import ContractError, DegenerateRowError, Tensor, _grad_enabled, _result
 
 
 @dataclass
@@ -62,6 +66,8 @@ class SemanticCapsParams:
     lstm_bw: LstmParams
     w_s1: Tensor  # D_A x 2D_H
     w_s2: Tensor  # R   x D_A
+    # (the five arrays it was built from, the |V| x 8D_H projection table)
+    _projections: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def heads(self) -> int:
@@ -107,28 +113,36 @@ def init_semantic_params(
 # recurrence
 
 
-def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
-    """Both LSTM directions from a zero state, with their input
-    projections, as one graph node.
+def _input_projections(xv: np.ndarray, fw: LstmParams, bw: LstmParams) -> np.ndarray:
+    """x @ w_x + b of both directions for every row of `xv`: one GEMM per
+    direction, written into the two halves of one rows x 8D_H buffer
+    (forward first), biases added in place."""
+    four_dh = fw.w_x.shape[1]
+    proj = np.empty((xv.shape[0], 2 * four_dh), dtype=xv.dtype)
+    for part, p in ((proj[:, :four_dh], fw), (proj[:, four_dh:], bw)):
+        np.matmul(xv, p.w_x.values, out=part)
+        part += p.b.values
+    return proj
 
-    x holds the real tokens' word vectors packed in row-major (b, t) order:
-    sum(lengths) rows, plus one pad row last when the batch has pads (some
-    length below the longest). Returns H (B x T x 2D_H, T the longest
-    length), forward states then backward. The parents are x, fw.w_x,
-    fw.b, bw.w_x, bw.b, fw.w_h and bw.w_h.
 
-    The input projections x @ w_x + b are one GEMM per direction over the
-    packed rows, written into the two halves of one rows x 8D_H buffer,
-    biases added in place. They are laid out once per call as
-    T x 4 x 2 x B x D_H (step, gate, direction): position t of row b takes
-    its token's row, the backward direction taking each row's real
-    positions in reverse (pads left in place), and a pad slot takes the
-    pad row's projection. A GEMM's rows do not depend on how many rows it
-    has (from 2 up), so H is bitwise what the projections of the padded
-    batch give; a batch without pads has no pad row, so a lone token stays
-    the one-row product it always was. Both directions then step left to
-    right as one stacked recurrence, and the backward states are gathered
-    back into reading order. Each step is the cell
+def _bilstm_states(proj: np.ndarray, w_h_fw: np.ndarray, w_h_bw: np.ndarray, lengths):
+    """Both LSTM directions from a zero state over packed input projections.
+
+    `proj` holds one row per real token, packed in row-major (b, t) order,
+    plus one pad row last when the batch has pads (some length below the
+    longest); each row is the forward then the backward direction's
+    x @ w_x + b. Returns (H, saved): H is B x T x 2D_H (T the longest
+    length), forward states then backward, and `saved` is what the VJP of
+    `_run_bilstm` reads: (rows, real, src, total, wv, states, kept), kept
+    one (z, c_{t-1}, tanh(c_t)) per step.
+
+    The projections are laid out once per call as T x 4 x 2 x B x D_H
+    (step, gate, direction): position t of row b takes its token's row,
+    the backward direction taking each row's real positions in reverse
+    (pads left in place), and a pad slot takes the pad row. Both
+    directions then step left to right as one stacked recurrence, and the
+    backward states are gathered back into reading order. Each step is
+    the cell
 
         z = h @ w_h + xw_t;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
         c = f * c + i * g;   h = o * tanh(c)
@@ -144,17 +158,6 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     narrower product differently (OpenBLAS does at B=1 for D_H = 2 or 3),
     and H must stay bitwise equal to the per-step cell. The states go to a
     T x 2 x B x D_H buffer.
-
-    The VJP is backpropagation through time over the kept activations,
-    cell states and tanh(c). The gate arithmetic of a step runs on a
-    contiguous gate-major dz, which is then copied into a direction-major
-    2 x B x T x 4D_H buffer. There dh_{t-1} is one GEMM per direction
-    against the stored w_h and dw_h one GEMM per direction over every
-    step's h_{t-1} and dz. The real positions' rows are then gathered back
-    into packed order, and dx, dw_x and db are GEMMs and a sum over those
-    rows alone. The pad slots' rows are not gathered, so the pad row's
-    gradient is exactly zero: the true gradient whenever none reaches H at
-    a pad position, as under `attend`, which gives pads zero attention.
     """
     lengths = np.asarray(lengths)
     n, steps = lengths.size, int(lengths.max())
@@ -163,16 +166,10 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     real = pos < lengths[:, None]                          # B x T
     src = np.where(real, lengths[:, None] - 1 - pos, pos)  # its own inverse
     total = int(lengths.sum())
-    xv = x.values
-    if xv.shape[0] != total + (total < n * steps):
-        raise ContractError(f"{xv.shape[0]} packed rows for lengths summing to {total}")
-    dh = fw.w_h.shape[0]
-    four_dh = 4 * dh
-    dtype = xv.dtype
-    proj = np.empty((xv.shape[0], 2 * four_dh), dtype=dtype)
-    for part, p in ((proj[:, :four_dh], fw), (proj[:, four_dh:], bw)):
-        np.matmul(xv, p.w_x.values, out=part)
-        part += p.b.values
+    if proj.shape[0] != total + (total < n * steps):
+        raise ContractError(f"{proj.shape[0]} packed rows for lengths summing to {total}")
+    dh = w_h_fw.shape[0]
+    dtype = proj.dtype
     if total == n * steps:
         # no pads (every B=1 request): position (b, t) is packed row b * T + t,
         # so two transposed copies lay the rows out; the gather's slot
@@ -186,7 +183,7 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
         slots = np.stack([fw_slot, fw_slot[rows, src]]).transpose(2, 0, 1)  # T x 2 x B packed rows
         pieces = slots[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
         xg = np.take(proj.reshape(-1, dh), pieces, axis=0)
-    wv = np.stack([fw.w_h.values, bw.w_h.values])
+    wv = np.stack([w_h_fw, w_h_bw])
     half, one = dtype.type(0.5), dtype.type(1.0)  # numpy scalars dispatch faster than Python floats
     acts = np.empty_like(xg)
     states = np.empty((steps, 2, n, dh), dtype=dtype)
@@ -209,6 +206,42 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     out = np.empty((n, steps, 2 * dh), dtype=dtype)
     out[..., :dh] = states[:, 0].swapaxes(0, 1)
     out[..., dh:] = states[src, 1, rows]
+    return out, (rows, real, src, total, wv, states, kept)
+
+
+def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
+    """Both LSTM directions from a zero state, with their input
+    projections, as one graph node.
+
+    x holds the real tokens' word vectors packed in row-major (b, t) order:
+    sum(lengths) rows, plus one pad row last when the batch has pads.
+    Returns H (B x T x 2D_H), forward states then backward. The parents
+    are x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h and bw.w_h.
+
+    The forward is `_input_projections` over the packed rows, then
+    `_bilstm_states`. A GEMM's rows do not depend on how many rows it has
+    (from 2 up), so H is bitwise what the projections of the padded batch
+    give; a batch without pads has no pad row, so a lone token stays the
+    one-row product it always was.
+
+    The VJP is backpropagation through time over the kept activations,
+    cell states and tanh(c). The gate arithmetic of a step runs on a
+    contiguous gate-major dz, which is then copied into a direction-major
+    2 x B x T x 4D_H buffer. There dh_{t-1} is one GEMM per direction
+    against the stored w_h and dw_h one GEMM per direction over every
+    step's h_{t-1} and dz. The real positions' rows are then gathered back
+    into packed order, and dx, dw_x and db are GEMMs and a sum over those
+    rows alone. The pad slots' rows are not gathered, so the pad row's
+    gradient is exactly zero: the true gradient whenever none reaches H at
+    a pad position, as under `attend`, which gives pads zero attention.
+    """
+    xv = x.values
+    out, saved = _bilstm_states(_input_projections(xv, fw, bw), fw.w_h.values, bw.w_h.values, lengths)
+    rows, real, src, total, wv, states, kept = saved
+    steps, _, n, dh = states.shape
+    four_dh = 4 * dh
+    dtype = xv.dtype
+    one = dtype.type(1.0)
 
     def vjp(grad):
         w_t = np.swapaxes(wv, -1, -2)
@@ -251,6 +284,25 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     return _result(out, "bilstm", (x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h), vjp)
 
 
+def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> np.ndarray | None:
+    """Every word's input projections of both directions, the |V| x 8D_H
+    `_input_projections` of the whole embedding, or None when any of the
+    five arrays it is made from (the embedding and both directions' w_x
+    and b) is writable. Built on first use and cached on `params`, keyed
+    on those arrays' identity; read-only arrays are taken as frozen, so
+    the table cannot go stale while it is used."""
+    fw, bw = params.lstm_fw, params.lstm_bw
+    sources = (embedding.values, fw.w_x.values, fw.b.values, bw.w_x.values, bw.b.values)
+    if any(a.flags.writeable for a in sources):
+        return None
+    cached = params._projections
+    if cached is None or any(a is not b for a, b in zip(cached[0], sources)):
+        table = _input_projections(embedding.values, fw, bw)
+        table.flags.writeable = False
+        params._projections = cached = (sources, table)
+    return cached[1]
+
+
 def encode_tokens(
     token_batch,
     embedding: Tensor,
@@ -270,6 +322,14 @@ def encode_tokens(
     recurrence takes the pad row's projection. Dropout draws one uniform
     per padded position and dimension, B x T x D_W as for a padded batch,
     and keeps the real positions' draws.
+
+    On frozen weights (the embedding and both directions' w_x and b all
+    read-only, as `load_model` leaves them), with no graph recorded (not
+    training, under `no_grad`) and at least two packed rows, the packed
+    rows' projections are gathered from `_projection_table` in place of
+    the word vectors' gather and two GEMMs. A GEMM's rows do not depend on
+    how many rows it has, from 2 up, so H is bitwise the same; a lone
+    token (B=1, T=1) keeps its one-row product.
 
     Returns (H, mask): H is B x T x 2D_H, the forward and backward LSTM
     states per position, and mask marks the real positions. The backward
@@ -299,6 +359,13 @@ def encode_tokens(
     if padded:
         ids = np.append(ids, pad_id)
 
+    fw, bw = params.lstm_fw, params.lstm_bw
+    if not training and not _grad_enabled() and ids.size >= 2:
+        table = _projection_table(embedding, params)
+        if table is not None:
+            big_h, _ = _bilstm_states(np.take(table, ids, axis=0), fw.w_h.values, bw.w_h.values, lengths)
+            return Tensor(big_h), mask
+
     x = embedding.take_rows(ids)  # sum(lengths) [+ 1] x D_W
     if training and dropout_keep < 1.0:
         if rng is None:
@@ -309,7 +376,7 @@ def encode_tokens(
         keep[: flat.size] /= dropout_keep
         x = x * Tensor(keep)  # inverted dropout; identity at evaluation
 
-    return _run_bilstm(x, params.lstm_fw, params.lstm_bw, lengths), mask
+    return _run_bilstm(x, fw, bw, lengths), mask
 
 
 # ----------------------------------------------------------------------

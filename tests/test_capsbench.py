@@ -10,8 +10,12 @@ steps are dense. The untraced `infer-online` run makes about a thousand
 B=1 requests, each checked against the batched predictions. The untraced
 `infer-batch` run repeats `evaluate` and `zsl_evaluate` on a saved model,
 checks that every pass gives the same accuracies, and checks B=1 probes
-against the batched predictions. A change that breaks the benchmark's
-contract with the library fails here.
+against the batched predictions. The traced inference runs call
+`encode_tokens` and the later layers one at a time on the loaded,
+read-only model under `no_grad`, so their checks that the composed
+layers equal `predict_existing`, `zsl_predict` and `forward_batch`
+requests gate the encoder's projection-table path. A change that breaks
+the benchmark's contract with the library fails here.
 """
 
 import json
@@ -48,3 +52,11 @@ def test_online_run_passes_its_checks(tmp_path):
 
 def test_batch_run_passes_its_checks(tmp_path):
     _run(tmp_path, "infer-batch", "0")
+
+
+def test_traced_online_run_passes_its_checks(tmp_path):
+    _run(tmp_path, "infer-online", "1")
+
+
+def test_traced_batch_run_passes_its_checks(tmp_path):
+    _run(tmp_path, "infer-batch", "1")

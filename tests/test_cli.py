@@ -127,6 +127,19 @@ class TestExportcommands:
         assert header.startswith("utterance\ttrue_intent\tpredicted_intent")
 
 
+    @pytest.mark.parametrize("domain", ["existing", "emerging"])
+    def test_negative_limit_rejected(self, trained_run, tmp_path, capsys, domain):
+        # -3 used to write a header-only file (existing) or crash in zsl_predict (emerging)
+        cfg_path, _ = trained_run
+        out = tmp_path / "act.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["export-activations", "--config", str(cfg_path), "--domain", domain,
+                  "--limit", "-3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_exit_zero_and_report(self, capsys):
         code = main(["gradcheck", "--seed", "7"])

@@ -90,6 +90,8 @@ class TestTrain:
         model, _ = train(toy_config(epochs=1), corpus, table)
         with pytest.raises(ContractError):
             evaluate(model, empty, cfg)
+        with pytest.raises(ContractError, match="empty corpus"):
+            attention_offdiag_mean(model, empty, cfg)
 
 
 def _textbook_adam(params, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -325,6 +327,15 @@ class TestZeroShot:
         report, _ = zsl_evaluate(model, corpus_one, table.intent_vectors, cfg)
         assert report.accuracy == 1.0
 
+    def test_empty_corpus_gives_empty_predictions(self, toy_setup):
+        cfg, table, corpus, emerging = toy_setup
+        model = init_model(table, cfg)
+        preds, acts, _ = zsl_predict(model, emerging.subset([], "none"), table.intent_vectors, cfg)
+        _, some_acts, _ = zsl_predict(model, emerging.subset([0], "one"), table.intent_vectors, cfg)
+        assert preds.shape == (0,) and preds.dtype == np.int64
+        assert acts.shape == (0, len(TOY_EMERGING), cfg.caps_dim)
+        assert acts.dtype == some_acts.dtype
+
     def test_huge_sigma_norms_invariant_to_label_permutation(self, toy_setup):
         cfg, table, corpus, emerging = toy_setup
         cfg.sigma = 1e6
@@ -409,6 +420,34 @@ class TestPersistence:
         after = evaluate(bundle.model, corpus, bundle.config).accuracy
         assert before == after
         np.testing.assert_array_equal(bundle.intent_vectors, table.intent_vectors)
+
+    def test_loaded_model_is_read_only_and_snapshot_writable(self, toy_setup, tmp_path):
+        cfg, table, _, _ = toy_setup
+        bundle = load_model(save_model(init_model(table, cfg), table, cfg, tmp_path / "model"))
+        assert not any(t.values.flags.writeable for _, t in bundle.model.trainable())
+        snap = bundle.model.snapshot()
+        assert snap.keys() == {name for name, _ in bundle.model.trainable()}
+        assert all(a.flags.writeable for a in snap.values())
+
+    def test_writes_to_a_loaded_model_are_named(self, toy_setup, tmp_path):
+        # both used to fail with a bare "read-only" ValueError, Adam's only
+        # after it had advanced its step count and written the embedding's moments
+        cfg, table, _, _ = toy_setup
+        bundle = load_model(save_model(init_model(table, cfg), table, cfg, tmp_path / "model"))
+        with pytest.raises(ContractError, match="parameter 'embedding' is read-only"):
+            Adam(bundle.model.trainable(), lr=0.01)
+        with pytest.raises(ContractError, match="parameter 'embedding' is read-only"):
+            bundle.model.restore(bundle.model.snapshot())
+
+    def test_restore_names_a_read_only_parameter_before_copying(self, toy_setup):
+        cfg, table, _, _ = toy_setup
+        model = init_model(table, cfg)
+        before = model.snapshot()
+        model.semantic.w_s2.values.flags.writeable = False
+        with pytest.raises(ContractError, match="parameter 'w_s2' is read-only"):
+            model.restore({name: a + 1 for name, a in before.items()})
+        for name, t in model.trainable():
+            np.testing.assert_array_equal(t.values, before[name])
 
     @pytest.mark.parametrize(
         "key, value",

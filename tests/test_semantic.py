@@ -13,9 +13,11 @@ from capsnlu.autodiff import (
     stack,
 )
 from capsnlu.config import RunConfig
+from capsnlu import semantic
 from capsnlu.data import EmbeddingTable
+from capsnlu.detection import init_detection_params
 from capsnlu.harness import batch_loss, build_tiny_setup
-from capsnlu.model import forward_batch, init_model
+from capsnlu.model import ModelParams, forward_batch, init_model
 from capsnlu.semantic import (
     LstmParams,
     SemanticCapsParams,
@@ -508,6 +510,102 @@ class TestFusedRecurrence:
         want = np.zeros_like(emb.values)
         np.add.at(want, idx, g)
         assert emb.grad.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the frozen-model projection table
+
+
+def _bench_model(dtype, frozen=False, **kwargs):
+    """A whole model around `_bench_shaped`'s encoder and its batch; every
+    parameter array is read-only when `frozen`, as `load_model` leaves it.
+    Two calls with the same arguments give equal arrays."""
+    params, emb, seqs, pad_id = _bench_shaped(dtype, **kwargs)
+    detection = init_detection_params(np.random.default_rng(6), 5, params.heads, 64, 10, dtype)
+    model = ModelParams(embedding=emb, semantic=params, detection=detection, pad_id=pad_id)
+    if frozen:
+        for _, t in model.trainable():
+            t.values.flags.writeable = False
+    return model, seqs
+
+
+def _encode(model, seqs, **kwargs):
+    return encode_tokens(seqs, model.embedding, model.semantic, pad_id=model.pad_id, **kwargs)[0].values
+
+
+class TestProjectionTable:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frozen_forward_bitwise_equal_to_writable(self, dtype):
+        cfg = RunConfig()
+        for shape, kwargs in RECURRENCE_SHAPES.items():
+            live, seqs = _bench_model(dtype, **kwargs)
+            frozen, _ = _bench_model(dtype, frozen=True, **kwargs)
+            with no_grad():
+                got_h, want_h = _encode(frozen, seqs), _encode(live, seqs)
+                got, want = forward_batch(frozen, seqs, cfg), forward_batch(live, seqs, cfg)
+            # a lone token keeps the one-row product the graph path computes
+            assert (frozen.semantic._projections is None) == (shape == "B=1, T=1"), shape
+            assert live.semantic._projections is None
+            assert got_h.dtype == dtype
+            assert got_h.tobytes() == want_h.tobytes(), shape
+            for name in ("A", "P"):
+                assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), (shape, name)
+            assert got.trace.v_final.values.tobytes() == want.trace.v_final.values.tobytes(), shape
+
+    def test_table_built_once_and_reused(self, monkeypatch):
+        model, seqs = _bench_model(np.float32, frozen=True)
+        builds = []
+        real_build = semantic._input_projections
+
+        def counting_build(xv, fw, bw):
+            builds.append(xv.shape[0])
+            return real_build(xv, fw, bw)
+
+        monkeypatch.setattr(semantic, "_input_projections", counting_build)
+        with no_grad():
+            _encode(model, seqs)
+            table = model.semantic._projections[1]
+            _encode(model, seqs[:5])
+        assert builds == [model.embedding.shape[0]]  # one build, over the whole vocabulary
+        assert model.semantic._projections[1] is table
+        assert not table.flags.writeable
+
+    def test_table_rebuilt_when_an_array_is_replaced(self):
+        model, seqs = _bench_model(np.float64, frozen=True)
+        live, _ = _bench_model(np.float64)
+        with no_grad():
+            _encode(model, seqs)
+            table = model.semantic._projections[1]
+            for m in (model, live):
+                bias = m.semantic.lstm_bw.b
+                bias.values = bias.values + 0.25
+            model.semantic.lstm_bw.b.values.flags.writeable = False
+            got, want = _encode(model, seqs), _encode(live, seqs)
+        assert model.semantic._projections[1] is not table
+        assert got.tobytes() == want.tobytes()
+
+    def test_table_unused_while_recording_or_on_writable_arrays(self):
+        model, seqs = _bench_model(np.float32, frozen=True)
+        live, _ = _bench_model(np.float32)
+        want = _encode(live, seqs)
+        assert _encode(model, seqs).tobytes() == want.tobytes()  # grad enabled
+        with no_grad():
+            got = _encode(model, seqs, training=True, dropout_keep=1.0)
+        assert got.tobytes() == want.tobytes()
+        fw, bw = model.semantic.lstm_fw, model.semantic.lstm_bw
+        for t in (model.embedding, fw.w_x, fw.b, bw.w_x, bw.b):
+            t.values.flags.writeable = True
+            with no_grad():
+                assert _encode(model, seqs).tobytes() == want.tobytes()
+            t.values.flags.writeable = False
+        assert model.semantic._projections is None
+        # once built, the table is still skipped while one array is writable
+        with no_grad():
+            _encode(model, seqs)
+            model.embedding.values.flags.writeable = True
+            model.embedding.values[seqs[0][0]] += 1.0
+            live.embedding.values[seqs[0][0]] += 1.0
+            assert _encode(model, seqs).tobytes() == _encode(live, seqs).tobytes()
 
 
 # ----------------------------------------------------------------------
