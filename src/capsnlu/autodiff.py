@@ -203,9 +203,6 @@ class Tensor:
 
         return _result(a.values - b.values, "sub", (a, b), vjp)
 
-    def __rsub__(self, other) -> "Tensor":
-        return _coerce(other, self).__sub__(self)
-
     def __mul__(self, other) -> "Tensor":
         other = _coerce(other, self)
         a, b = self, other
@@ -248,28 +245,20 @@ class Tensor:
                 f"matmul inner extents differ: {a.values.shape} x {b.values.shape}"
             )
         av, bv = a.values, b.values
-        shape = None
-        if bv.ndim == 2 and av.ndim > 2:
-            # a 2-D weight shared across a batch: fold the batch into the
-            # rows, so the forward and both gradients are one GEMM each where
-            # np.matmul would run one small product per batch entry
-            shape = av.shape[:-1] + bv.shape[-1:]
-            av = av.reshape(-1, av.shape[-1])
         try:
             out = np.matmul(av, bv)
         except ValueError as exc:
             raise DimensionError(f"matmul shapes do not broadcast: {av.shape} x {bv.shape}") from exc
 
         def vjp(g):
-            g = g.reshape(out.shape)  # folded as av is
             ga = gb = None
             if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape).reshape(a.values.shape)
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
             if b.requires_grad:
                 gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
             return ga, gb
 
-        return _result(out if shape is None else out.reshape(shape), "matmul", (a, b), vjp)
+        return _result(out, "matmul", (a, b), vjp)
 
     # ------------------------------------------------------------------
     # elementwise maps
@@ -302,14 +291,6 @@ class Tensor:
 
         return _result(y, "sqrt", (self,), vjp)
 
-    def relu(self) -> "Tensor":
-        x = self.values
-
-        def vjp(g):
-            return (g * (x > 0),)
-
-        return _result(np.maximum(x, 0.0), "relu", (self,), vjp)
-
     # ------------------------------------------------------------------
     # reductions and shape surgery
 
@@ -324,11 +305,6 @@ class Tensor:
             return (np.broadcast_to(gg, x.shape),)
 
         return _result(out, "sum", (self,), vjp)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        s = self.sum(axis=axis, keepdims=keepdims)
-        count = self.values.size / max(s.values.size, 1)
-        return s * (1.0 / count)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,9 @@ class RunConfig:
     restrict_vocab: bool = True
 
     def validate(self) -> "RunConfig":
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value!r}")
         for name in ("word_dim", "hidden_dim", "attn_dim", "heads", "caps_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
@@ -99,10 +103,11 @@ def _parse_value(name: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ContractError(f"config key {name} expects a boolean, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    if isinstance(current, (int, float)):
+        try:
+            return type(current)(raw)
+        except ValueError:
+            raise ContractError(f"config key {name} expects {type(current).__name__}, got {raw!r}") from None
     if isinstance(current, tuple):
         return tuple(s.strip() for s in raw.split(",") if s.strip())
     return raw

@@ -14,7 +14,7 @@ unchanged. Routing then iterates:
 
 starting from zero logits b. The norm of the activation vector v_k ranks
 intents; training minimizes a per-intent max-margin loss plus the
-attention orthogonality penalty.
+attention orthogonality penalty, one autodiff node (`margin_loss_batch`).
 
 `dynamic_routing` runs the whole loop as one autodiff node: the forward
 is raw numpy over the routed iterations (the agreement update after the
@@ -177,8 +177,8 @@ def activation_norms(v) -> np.ndarray:
 def _check_margins(downweight, margin_pos, margin_neg, penalty_weight):
     if not (0.0 <= margin_neg < margin_pos <= 1.0):
         raise ContractError(f"margins must satisfy 0 <= m- < m+ <= 1, got {margin_pos}, {margin_neg}")
-    if downweight < 0 or penalty_weight < 0:
-        raise ContractError("downweight and penalty weight must be non-negative")
+    if not (0 <= downweight < math.inf and 0 <= penalty_weight < math.inf):
+        raise ContractError(f"downweight {downweight} and penalty weight {penalty_weight} must be finite and >= 0")
 
 
 def margin_loss_batch(
@@ -191,7 +191,8 @@ def margin_loss_batch(
     margin_neg: float = 0.1,
     penalty_weight: float = 0.0,
 ) -> Tensor:
-    """Mean per-utterance max-margin loss plus the mean attention penalty.
+    """Mean per-utterance max-margin loss plus the weighted mean attention
+    penalty, as one graph node (the penalty is a parent only if weighted).
 
     v: B x K x D_P activation vectors, labels: B true intent ids,
     penalty: B orthogonality penalties (or scalars broadcast by mean).
@@ -203,15 +204,31 @@ def margin_loss_batch(
         raise ContractError(f"labels of shape {labels.shape} do not match the batch shape {v.shape[:-2]} of v")
     if (labels < 0).any() or (labels >= num_intents).any():
         raise ContractError(f"label outside the {num_intents} intents")
-    onehot = np.zeros(v.shape[:-1], dtype=v.values.dtype)
-    np.put_along_axis(onehot, labels.reshape(labels.shape + (1,)), 1.0, axis=-1)
-    one = Tensor(onehot)
-
-    norms = v.square().sum(axis=-1).sqrt()          # ... x K
-    present = (margin_pos - norms).relu().square()
-    absent = (norms - margin_neg).relu().square()
-    per_utt = (one * present + downweight * (1.0 - one) * absent).sum(axis=-1)
-    loss = per_utt.mean()
+    x, dtype = v.values, v.dtype
+    onehot = (labels[..., None] == np.arange(num_intents)).astype(dtype)
+    # the per-op graph's numpy calls, Python scalars cast as `_coerce` does
+    norms = np.sqrt((x * x).sum(axis=-1))                  # ... x K
+    hinge_pos = np.maximum(np.asarray(margin_pos, dtype) - norms, 0.0)
+    hinge_neg = np.maximum(norms - np.asarray(margin_neg, dtype), 0.0)
+    weight_neg = (np.asarray(1.0, dtype) - onehot) * np.asarray(downweight, dtype)
+    per_utt = (onehot * (hinge_pos * hinge_pos) + weight_neg * (hinge_neg * hinge_neg)).sum(axis=-1)
+    inv_count = np.asarray(1.0 / per_utt.size, dtype)
+    loss = per_utt.sum() * inv_count
     if penalty_weight:
-        loss = loss + penalty_weight * penalty.mean()
-    return loss
+        pen = penalty.values
+        pen_inv_count = np.asarray(1.0 / pen.size, pen.dtype)
+        pen_weight = np.asarray(penalty_weight, pen.dtype)
+        loss = loss + (pen.sum() * pen_inv_count) * pen_weight
+
+    def vjp(g):
+        g_mean = g * inv_count
+        g_pos = 2.0 * (g_mean * onehot) * hinge_pos  # 0 where the hinge is off: no mask
+        g_neg = 2.0 * (g_mean * weight_neg) * hinge_neg
+        g_sumsq = np.zeros_like(norms)  # d sqrt at a zero norm takes its zero limit
+        np.divide(0.5 * (-g_pos + g_neg), norms, out=g_sumsq, where=norms > 0)
+        gv = 2.0 * g_sumsq[..., None] * x
+        if not penalty_weight:
+            return (gv,)
+        return gv, np.broadcast_to((g * pen_weight) * pen_inv_count, pen.shape)
+
+    return _result(loss, "margin_loss", (v, penalty) if penalty_weight else (v,), vjp)

@@ -14,8 +14,10 @@ against the batched predictions. The traced inference runs call
 `encode_tokens` and the later layers one at a time on the loaded,
 read-only model under `no_grad`, so their checks that the composed
 layers equal `predict_existing`, `zsl_predict` and `forward_batch`
-requests gate the encoder's projection-table path. A change that breaks
-the benchmark's contract with the library fails here.
+requests gate the encoder's projection-table path. The traced
+`train-snips` run also reports the graph nodes of a train step, which
+must be the library's 9: one per layer, the loss included. A change that
+breaks the benchmark's contract with the library fails here.
 """
 
 import json
@@ -39,11 +41,14 @@ def _run(tmp_path, workload, trace):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
+    return result
 
 
 @pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
 def test_train_run_passes_its_checks(tmp_path, trace):
-    _run(tmp_path, "train-snips", trace)
+    metrics = _run(tmp_path, "train-snips", trace)["metrics"]
+    if trace == "1":
+        assert metrics["autodiff.graph_nodes"]["value"] == 9
 
 
 def test_online_run_passes_its_checks(tmp_path):

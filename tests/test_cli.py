@@ -233,6 +233,14 @@ class TestDiagnostics:
         assert code != 0
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_non_numeric_set_value_exits_2(self, toy_files, tmp_path, capsys):
+        root, vectors, corpus = toy_files
+        cfg_path = write_config(tmp_path / "ok.cfg", vectors, corpus, tmp_path / "out")
+        code = main(["train", "--config", str(cfg_path), "--set", "epochs=abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epochs" in err and "'abc'" in err
+
     def test_set_override_applies(self, toy_files, tmp_path):
         root, vectors, corpus = toy_files
         out_dir = tmp_path / "out_override"

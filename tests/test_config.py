@@ -36,6 +36,14 @@ class TestRunConfig:
         with pytest.raises(ContractError):
             RunConfig(heads=0).validate()
 
+    @pytest.mark.parametrize("key", ["sigma", "downweight", "penalty_weight", "learning_rate", "margin_pos"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_is_named(self, key, value):
+        # NaN passes every ordered comparison's negation, so a range check
+        # alone lets it through
+        with pytest.raises(ContractError, match=f"{key} must be finite"):
+            RunConfig(**{key: value}).validate()
+
 
 class TestConfigFile:
     def test_load_and_types(self, tmp_path):
@@ -68,6 +76,14 @@ class TestConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("word_dim 8\n", encoding="utf-8")
         with pytest.raises(ContractError):
+            load_config(p)
+
+    @pytest.mark.parametrize("line, key", [("epochs = abc", "epochs"), ("sigma = 4,0", "sigma")])
+    def test_non_numeric_value_is_named(self, tmp_path, line, key):
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n", encoding="utf-8")
+        raw = line.split("=", 1)[1].strip()
+        with pytest.raises(ContractError, match=f"config key {key} expects .*{raw!r}"):
             load_config(p)
 
     def test_overrides(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capsnlu.autodiff import ContractError, Tensor, finite_diff_check, softmax
+from capsnlu.autodiff import ContractError, Tensor, _result, finite_diff_check, softmax
 from capsnlu.detection import (
     DetectionCapsParams,
     activation_norms,
@@ -211,8 +211,19 @@ class TestMarginLoss:
         assert loss.item() == pytest.approx(0.4**2 + 0.5 * 0.5**2, rel=1e-9)
 
     def test_invalid_margins(self):
-        with pytest.raises(ContractError):
-            margin_loss_batch(Tensor(np.zeros((1, 2, 2))), [0], Tensor(np.zeros(1)), margin_pos=0.1, margin_neg=0.9)
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"margin_pos": 0.1, "margin_neg": 0.9},
+            {"margin_pos": nan},
+            {"margin_neg": nan},
+            {"downweight": -0.5},
+            {"downweight": nan},
+            {"downweight": inf},
+            {"penalty_weight": nan},  # truthy, so the loss would add it
+            {"penalty_weight": inf},
+        ):
+            with pytest.raises(ContractError):
+                margin_loss_batch(Tensor(np.zeros((1, 2, 2))), [0], Tensor(np.zeros(1)), **bad)
 
     def test_penalty_term_added(self):
         v = Tensor(np.zeros((1, 2, 2)))
@@ -381,6 +392,131 @@ class TestFusedRouting:
             for arr in getattr(trace, key):
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
+
+
+# ----------------------------------------------------------------------
+# the margin-loss node against the per-op graph it replaced
+
+
+def _relu(x):
+    xv = x.values
+    return _result(np.maximum(xv, 0.0), "relu", (x,), lambda g: (g * (xv > 0),))
+
+
+def per_op_margin_loss(v, labels, penalty, *, downweight=0.5, margin_pos=0.9, margin_neg=0.1, penalty_weight=0.0):
+    """The margin loss and its penalty term as a graph of per-op Tensor
+    ops: the reference the loss node must reproduce bit for bit, in its
+    loss and in every gradient. A Python scalar becomes a tensor of its
+    operand's dtype, and a mean is a sum times 1/count."""
+    labels = np.asarray(labels, dtype=np.int64)
+    onehot = np.zeros(v.shape[:-1], dtype=v.values.dtype)
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
+    one = Tensor(onehot)
+
+    def const(x, like):
+        return Tensor(np.asarray(x, dtype=like.values.dtype))
+
+    norms = v.square().sum(axis=-1).sqrt()
+    present = _relu(const(margin_pos, norms) - norms).square()
+    absent = _relu(norms - margin_neg).square()
+    per_utt = (one * present + downweight * (const(1.0, one) - one) * absent).sum(axis=-1)
+    loss = per_utt.sum() * (1.0 / per_utt.size)
+    if penalty_weight:
+        loss = loss + penalty_weight * (penalty.sum() * (1.0 / penalty.size))
+    return loss
+
+
+def _loss_inputs(dtype, lead, seed, zero_rows=False, at_margins=False, k=5, caps_dim=10):
+    """v (lead x K x D_P), labels and penalties; norms spread over both
+    hinges. `zero_rows` zeroes a true and a false intent's vector,
+    `at_margins` puts norms exactly at m+ and m- (the hinges' kinks)."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(scale=0.25, size=lead + (k, caps_dim)).astype(dtype)
+    labels = rng.integers(0, k, size=lead)
+    penalty = np.asarray(rng.uniform(0.0, 3.0, size=lead), dtype=dtype)
+    first, last = (0,) * len(lead), (lead[0] - 1,) if lead else ()
+    if zero_rows:
+        v[first + (labels[first],)] = 0.0
+        v[last + ((labels[last] + 1) % k,)] = 0.0
+    if at_margins:
+        for b, (target, margin) in enumerate([(True, 0.9), (False, 0.1), (True, 0.1), (False, 0.9)]):
+            intent = labels[b] if target else (labels[b] + 1) % k
+            v[b, intent] = 0.0
+            v[b, intent, 0] = margin
+            assert np.sqrt((v[b, intent] * v[b, intent]).sum()) == np.asarray(margin, dtype)
+    return v, labels, penalty
+
+
+LOSS_CASES = {
+    "unbatched": {"lead": ()},
+    "B=1": {"lead": (1,)},
+    "B=3": {"lead": (3,)},  # 1/3 is inexact: the mean's rounding shows
+    "B=4": {"lead": (4,)},
+    "B=32": {"lead": (32,)},
+    "zero-norm rows": {"lead": (4,), "zero_rows": True},
+    "norms at m+ and m-": {"lead": (4,), "at_margins": True},
+}
+
+
+def _loss_and_grads(loss_fn, v_vals, labels, pen_vals, **kwargs):
+    v = Tensor(v_vals, requires_grad=True)
+    penalty = Tensor(pen_vals, requires_grad=True)
+    loss = loss_fn(v, labels, penalty, **kwargs)
+    loss.backward()
+    return np.asarray(loss.values), v._grad, penalty._grad
+
+
+class TestMarginLossNode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("penalty_weight", [0.0, 0.0001, 0.3])
+    def test_loss_and_grads_bitwise_equal_to_per_op_graph(self, dtype, penalty_weight):
+        for case, kwargs in LOSS_CASES.items():
+            for seed in range(5):
+                v, labels, pen = _loss_inputs(dtype, seed=60 + seed, **kwargs)
+                # the default downweight 0.5 scales exactly; 0.3 rounds
+                weights = {"penalty_weight": penalty_weight, "downweight": (0.5, 0.3)[seed % 2]}
+                got = _loss_and_grads(margin_loss_batch, v, labels, pen, **weights)
+                want = _loss_and_grads(per_op_margin_loss, v, labels, pen, **weights)
+                assert got[0].dtype == dtype and got[1].dtype == dtype, case
+                for name, g, w in zip(("loss", "v", "penalty"), got, want):
+                    if w is None:  # no penalty term: the penalty is not reached
+                        assert g is None, (case, name)
+                    else:
+                        assert g.tobytes() == w.tobytes(), (case, seed, name)
+
+    def test_node_gradcheck(self):
+        v_vals, labels, pen = _loss_inputs(np.float64, (4,), seed=70, k=3, caps_dim=4)
+        norms = np.linalg.norm(v_vals, axis=-1)
+        true = np.arange(3) == labels[:, None]
+        # both hinges active somewhere, and no norm near a kink
+        assert (norms[true] < 0.9).any() and (norms[~true] > 0.1).any()
+        assert np.abs(norms - 0.9).min() > 1e-3 and np.abs(norms - 0.1).min() > 1e-3
+        params = {"v": Tensor(v_vals, requires_grad=True), "penalty": Tensor(pen, requires_grad=True)}
+
+        def loss_fn(p):
+            return margin_loss_batch(p["v"], labels, p["penalty"], downweight=0.7, penalty_weight=0.3)
+
+        assert finite_diff_check(loss_fn, params) < 1e-6
+
+    def test_second_backward_doubles_both_grads(self):
+        v_vals, labels, pen_vals = _loss_inputs(np.float64, (4,), seed=71)
+        v, penalty = Tensor(v_vals, requires_grad=True), Tensor(pen_vals, requires_grad=True)
+        loss = margin_loss_batch(v, labels, penalty, penalty_weight=0.5)
+        loss.backward()
+        once = v.grad.copy(), penalty.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(v.grad, 2.0 * once[0])
+        np.testing.assert_array_equal(penalty.grad, 2.0 * once[1])
+
+    def test_zero_penalty_weight_leaves_the_penalty_unreached(self):
+        v_vals, labels, pen_vals = _loss_inputs(np.float32, (4,), seed=72)
+        v, penalty = Tensor(v_vals, requires_grad=True), Tensor(pen_vals, requires_grad=True)
+        weighted = margin_loss_batch(v, labels, penalty, penalty_weight=0.5)
+        assert weighted.op == "margin_loss" and weighted.parents == (v, penalty)
+        loss = margin_loss_batch(v, labels, penalty, penalty_weight=0.0)
+        assert loss.parents == (v,)
+        loss.backward()
+        assert v._grad is not None and penalty._grad is None
 
 
 # ----------------------------------------------------------------------

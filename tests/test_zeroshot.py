@@ -68,8 +68,11 @@ class TestIntentSimilarity:
         np.testing.assert_allclose(sim.q, np.full((3, 5), 0.2), atol=1e-3)
 
     def test_sigma_contract(self):
-        with pytest.raises(ContractError):
-            intent_similarity(np.zeros((1, 2)), np.zeros((1, 2)), sigma=0.0)
+        # a NaN sigma would give an all-NaN q, and an infinite one a
+        # uniform q that ignores the embeddings
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="sigma"):
+                intent_similarity(np.zeros((1, 2)), np.zeros((1, 2)), sigma=sigma)
 
     def test_rows_stochastic_and_positive(self):
         # sigma >= 1 with unit-scale embeddings keeps every exp(-d)
