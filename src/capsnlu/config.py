@@ -52,9 +52,12 @@ class RunConfig:
     restrict_vocab: bool = True
 
     def validate(self) -> "RunConfig":
-        for name, value in vars(self).items():
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ContractError(f"{name} must be finite, got {value!r}")
+                raise ContractError(f"{f.name} must be finite, got {value!r}")
+            if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ContractError(f"{f.name} must be an int, got {value!r}")
         for name in ("word_dim", "hidden_dim", "attn_dim", "heads", "caps_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")

@@ -26,6 +26,7 @@ PAD_TOKEN = "<pad>"
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
+_PARSE_ROWS = 1024  # kept vector rows per numpy parse call
 
 
 class ParseError(ValueError):
@@ -160,6 +161,26 @@ def _is_header(line: str) -> bool:
     return True
 
 
+def _read_values(lines: list[str]) -> np.ndarray:
+    # comments=None: the default "#" would silently cut a row short
+    return np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+
+
+def _parse_rows(path: Path, pending: list[str], linenos: list[int], dtype) -> np.ndarray:
+    """The kept rows' value strings, parsed in one call to float64 and
+    cast to `dtype`; ParseError names the first line that does not parse."""
+    try:
+        block = _read_values(pending)
+    except ValueError:
+        for values, lineno in zip(pending, linenos):
+            try:
+                _read_values([values])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from exc
+        raise
+    return block.astype(dtype, copy=False)
+
+
 def load_embeddings(
     path,
     expected_dim: int,
@@ -173,18 +194,34 @@ def load_embeddings(
     skipped. Every other non-blank line must hold a word and
     `expected_dim` values, else ParseError. Duplicate words keep their
     first occurrence, and `restrict_to` drops words outside the given
-    set. The file is streamed and only kept lines are float-parsed, so
-    memory follows the kept rows and multi-gigabyte files stay
-    tractable. A non-numeric or non-finite value (nan, inf, or one the
-    dtype overflows) raises ParseError on a kept line and is ignored on
-    a dropped one. Lines break only at LF, CRLF or CR, not at the other
-    separators of `str.splitlines` (U+2028, U+0085, VT, FF, FS/GS/RS),
-    so a word may contain those. The OOV vector is drawn uniformly from
-    [-0.5/D, 0.5/D] with the run seed; PAD is zero.
+    set. The file is streamed and only kept lines are parsed, in chunks
+    of `_PARSE_ROWS` rows by numpy's text reader, so memory follows the
+    kept rows and multi-gigabyte files stay tractable. Values parse to
+    float64 and are then cast to `dtype`, which rounds exactly as
+    `float()` followed by the cast. The reader's grammar is `float()`'s
+    with three exceptions: it rejects underscore digit separators
+    ("1_0") and non-ASCII digits, and it takes the ASCII separators
+    U+001C..U+001F around a value as whitespace. A non-numeric or
+    non-finite value (nan, inf, or one the dtype overflows) raises
+    ParseError on a kept line and is ignored on a dropped one; errors
+    name the first bad line in file order. Lines break only at LF, CRLF
+    or CR, not at the other separators of `str.splitlines` (U+2028,
+    U+0085, VT, FF, FS/GS/RS), so a word may contain those. The OOV
+    vector is drawn uniformly from [-0.5/D, 0.5/D] with the run seed;
+    PAD is zero.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    pending: list[str] = []  # value strings of kept lines not yet parsed
+    linenos: list[int] = []
+
+    def flush():
+        if pending:
+            blocks.append(_parse_rows(path, pending, linenos, dtype))
+            pending.clear()
+            linenos.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace() or (lineno == 1 and _is_header(line)):
@@ -194,6 +231,7 @@ def load_embeddings(
                 # some vector files use general whitespace; normalise it
                 fields = " ".join(line.split())
                 if fields.count(" ") != expected_dim:
+                    flush()  # a bad value on an earlier kept line is reported first
                     raise ParseError(
                         f"{path}:{lineno}: expected a word and {expected_dim} values, "
                         f"got {fields.count(' ') + 1} fields"
@@ -201,24 +239,25 @@ def load_embeddings(
             word, _, values = fields.partition(" ")
             if word in vocab or (restrict_to is not None and word not in restrict_to):
                 continue  # first occurrence wins
-            try:
-                rows.append(np.asarray([float(v) for v in values.split(" ")], dtype=dtype))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from exc
+            pending.append(values)
+            linenos.append(lineno)
             vocab[word] = len(vocab)
+            if len(pending) == _PARSE_ROWS:
+                flush()
+    flush()
 
-    if not rows:
+    if not blocks:
         raise EmptySourceError(f"{path}: no embedding records")
 
     rng = np.random.default_rng(seed)
     bound = 0.5 / expected_dim
     oov_vec = rng.uniform(-bound, bound, size=expected_dim).astype(dtype)
     pad_vec = np.zeros(expected_dim, dtype=dtype)
-    oov_id = len(rows)
+    oov_id = len(vocab)
     pad_id = oov_id + 1
     vocab.setdefault(OOV_TOKEN, oov_id)
     vocab.setdefault(PAD_TOKEN, pad_id)
-    vectors = np.vstack(rows + [oov_vec, pad_vec]).astype(dtype)
+    vectors = np.vstack(blocks + [oov_vec, pad_vec])
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         word = list(vocab)[int(np.argmin(finite))]  # insertion order is id order
@@ -251,10 +290,12 @@ def iter_snips_records(root):
             raise ParseError(f"{d}: no train_{intent}[_full].json file")
         raw = fpath.read_bytes()
         try:
-            doc = json.loads(raw.decode("utf-8"))
+            text = raw.decode("utf-8")
         except UnicodeDecodeError:
             # the published benchmark files carry some latin-1 bytes
-            doc = json.loads(raw.decode("latin-1"))
+            text = raw.decode("latin-1")
+        try:
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{fpath}: invalid JSON: {exc}") from exc
         if intent not in doc or not isinstance(doc[intent], list):

@@ -197,6 +197,10 @@ def load_model(model_dir) -> ModelBundle:
     cfg = RunConfig(**{
         k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()
     })
+    try:
+        cfg.validate()
+    except ContractError as exc:
+        raise ContractError(f"{model_dir / 'meta.json'}: config {exc}") from exc
     table = EmbeddingTable(
         vocab={w: i for i, w in enumerate(meta["vocab"])},
         vectors=arrays["embedding"],

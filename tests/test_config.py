@@ -36,6 +36,15 @@ class TestRunConfig:
         with pytest.raises(ContractError):
             RunConfig(heads=0).validate()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("batch_size", 2.5), ("routing_iterations", 1.5), ("heads", True), ("epochs", "3"), ("seed", 13.0)],
+    )
+    def test_non_integer_int_field_is_named(self, key, value):
+        # harness.train would fail later with a bare TypeError
+        with pytest.raises(ContractError, match=f"{key} must be an int"):
+            RunConfig(**{key: value}).validate()
+
     @pytest.mark.parametrize("key", ["sigma", "downweight", "penalty_weight", "learning_rate", "margin_pos"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_float_is_named(self, key, value):

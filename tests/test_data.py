@@ -6,6 +6,7 @@ import pytest
 
 from capsnlu.autodiff import ContractError
 from capsnlu.data import (
+    _PARSE_ROWS,
     Corpus,
     EmptySourceError,
     EmptyUtteranceError,
@@ -25,6 +26,34 @@ from capsnlu.data import (
 def write_vectors(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def per_value_parse(path, expected_dim, dtype):
+    """Reference reader: one float() per value, then the cast to dtype."""
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        values = line.split(" ", 1)[1]
+        rows.append(np.asarray([float(v) for v in values.split(" ")], dtype))
+    assert all(len(r) == expected_dim for r in rows)
+    return np.stack(rows)
+
+
+def random_entries(rng, count):
+    """Decimal strings with long mantissas, large exponents and float32
+    halfway values, the cases where parse-then-cast rounds twice."""
+    out = []
+    for _ in range(count):
+        kind = rng.integers(3)
+        if kind == 0:
+            digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 26)))))
+            out.append(f"{rng.choice(['', '-'])}{digits[:1]}.{digits[1:]}e{int(rng.integers(-330, 331))}")
+        elif kind == 1:
+            lo = np.float32(rng.normal(scale=10.0 ** int(rng.integers(-38, 38))))
+            hi = np.nextafter(lo, np.float32(np.inf))
+            out.append(repr((float(lo) + float(hi)) / 2))  # exact in float64
+        else:
+            out.append(f"{rng.normal():.17g}")
+    return out
 
 
 class TestLoadEmbeddings:
@@ -119,6 +148,43 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError) as exc:
             load_embeddings(p, expected_dim=2)
         assert f"{p}:2:" in str(exc.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_parse_bitwise_equal_to_per_value_float(self, tmp_path, dtype):
+        rng = np.random.default_rng(15)
+        n = 2 * _PARSE_ROWS + 452
+        p = write_vectors(
+            tmp_path / "v.txt", "".join(f"w{i} {' '.join(random_entries(rng, 3))}\n" for i in range(n))
+        )
+        expected = per_value_parse(p, 3, dtype)
+        finite = np.isfinite(expected).all(axis=1)  # rows the dtype overflows are restricted out
+        assert finite.sum() > _PARSE_ROWS
+        kept = {f"w{i}" for i in np.flatnonzero(finite)}
+        table = load_embeddings(p, expected_dim=3, dtype=dtype, restrict_to=kept)
+        assert table.vectors.dtype == dtype
+        assert table.vectors[: table.oov_id].tobytes() == expected[finite].tobytes()
+
+    def test_non_numeric_in_second_chunk_names_its_line(self, tmp_path):
+        lines = [f"w{i} {i} 1" for i in range(_PARSE_ROWS + 300)]
+        lines[_PARSE_ROWS + 100] = "bad 1 x"
+        lines[_PARSE_ROWS + 200] = "worse y 1"
+        p = write_vectors(tmp_path / "v.txt", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf":{_PARSE_ROWS + 101}: non-numeric"):
+            load_embeddings(p, expected_dim=2)
+
+    def test_bad_value_before_field_count_error_is_reported_first(self, tmp_path):
+        p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 x\nc 5 6\nd 7\n")
+        with pytest.raises(ParseError, match=r":2: non-numeric"):
+            load_embeddings(p, expected_dim=2)
+
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661"])  # float() accepts both
+    def test_underscore_or_non_ascii_digit_on_kept_line_names_line(self, tmp_path, entry):
+        p = write_vectors(tmp_path / "v.txt", f"a 1 2\nb 3 {entry}\n")
+        with pytest.raises(ParseError, match=r":2: non-numeric"):
+            load_embeddings(p, expected_dim=2)
+        table = load_embeddings(p, expected_dim=2, restrict_to={"a"})
+        assert table.vocab["a"] == 0 and len(table.vectors) == 3
 
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
@@ -228,6 +294,16 @@ class TestLoadSnips:
         root = make_snips_dir(tmp_path / "snips", {"GetWeather": ["weather"]})
         with pytest.raises(ContractError):
             load_snips(root, ["GetWeather"], ["GetWeather"], table)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_malformed_json_names_file(self, tmp_path, table, encoding):
+        # the latin-1 retry used to escape as a bare JSONDecodeError
+        d = tmp_path / "snips" / "GetWeather"
+        d.mkdir(parents=True)
+        raw = b'{"GetWeather": [' + (b"\xff" if encoding == "latin-1" else b"\xc3\xbf")
+        (d / "train_GetWeather_full.json").write_bytes(raw)
+        with pytest.raises(ParseError, match=r"train_GetWeather_full\.json: invalid JSON"):
+            load_snips(tmp_path / "snips", self.EXISTING, self.EMERGING, table)
 
     def test_malformed_sample(self, tmp_path, table):
         d = tmp_path / "snips" / "GetWeather"

@@ -472,6 +472,20 @@ class TestPersistence:
             load_model(out)
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("routing_iterations", 1.5), ("sigma", -1.0), ("dropout_keep", 7.0), ("heads", True)],
+    )
+    def test_invalid_config_in_meta_is_named(self, toy_setup, tmp_path, key, value):
+        # these used to load, then fail at the first forward or serve requests
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        meta["config"][key] = value
+        (out / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ContractError, match=rf"meta\.json: config {key}"):
+            load_model(out)
+
+    @pytest.mark.parametrize(
         "key, damage, named",
         [
             ("detect__w", lambda a: a[0:1], "detect.w"),  # one intent's transforms left
