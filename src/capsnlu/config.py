@@ -23,6 +23,21 @@ SNIPS_EXISTING = (
 SNIPS_EMERGING = ("AddToPlaylist", "RateBook")
 
 
+_TYPE_NAMES = {int: "an int", float: "a number", bool: "a bool", str: "a string", tuple: "a tuple of strings"}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether `value` fits a field whose default is `default`: a float
+    field also takes an int, a tuple field holds strings, and a bool is
+    not a number."""
+    kind = type(default)
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    if kind is tuple:
+        return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+    return isinstance(value, kind)  # bool, str
+
+
 @dataclass
 class RunConfig:
     # benchmark defaults for the 5-existing / 2-emerging English corpus
@@ -54,10 +69,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if not _has_type_of(value, f.default):
+                raise ContractError(f"{f.name} must be {_TYPE_NAMES[type(f.default)]}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractError(f"{f.name} must be finite, got {value!r}")
-            if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ContractError(f"{f.name} must be an int, got {value!r}")
         for name in ("word_dim", "hidden_dim", "attn_dim", "heads", "caps_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")

@@ -239,6 +239,9 @@ def load_embeddings(
             word, _, values = fields.partition(" ")
             if word in vocab or (restrict_to is not None and word not in restrict_to):
                 continue  # first occurrence wins
+            if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
+                flush()
+                raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
             pending.append(values)
             linenos.append(lineno)
             vocab[word] = len(vocab)
@@ -298,7 +301,7 @@ def iter_snips_records(root):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{fpath}: invalid JSON: {exc}") from exc
-        if intent not in doc or not isinstance(doc[intent], list):
+        if not isinstance(doc, dict) or intent not in doc or not isinstance(doc[intent], list):
             raise ParseError(f"{fpath}: expected a top-level {intent!r} sample list")
         for i, sample in enumerate(doc[intent]):
             spans = sample.get("data") if isinstance(sample, dict) else None

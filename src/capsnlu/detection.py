@@ -12,7 +12,9 @@ unchanged. Routing then iterates:
     v_k = squash(s_k)
     b[k][r] += p[k][r] . v_k                   (agreement update)
 
-starting from zero logits b. The norm of the activation vector v_k ranks
+starting from zero logits b. The first round is therefore uniform: its
+couplings are exactly 1/K (exp(0) = 1, and K ones sum to K), so they are
+set to 1/K with no softmax. The norm of the activation vector v_k ranks
 intents; training minimizes a per-intent max-margin loss plus the
 attention orthogonality penalty, one autodiff node (`margin_loss_batch`).
 
@@ -119,9 +121,13 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
     pv = p.values
     trace = RoutingTrace()
     b = np.zeros(pv.shape[:-1], dtype=pv.dtype)     # ... x K x R
+    real = pv.dtype.type
     for it in range(iterations):
-        e = np.exp(b - b.max(axis=-2, keepdims=True))
-        c = e / e.sum(axis=-2, keepdims=True)       # softmax over intents per head
+        if it:
+            e = np.exp(b - b.max(axis=-2, keepdims=True))
+            c = e / e.sum(axis=-2, keepdims=True)   # softmax over intents per head
+        else:  # the softmax of the zero logits, exactly
+            c = np.full(b.shape, real(1.0) / real(b.shape[-2]))
         s = (c[..., None] * pv).sum(axis=-2)        # ... x K x D_P
         v = squash(s)
         trace.b.append(b)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError, Tensor, _grad_enabled
 from .config import RunConfig
 from .data import EmbeddingTable
 from .detection import (
@@ -21,8 +22,10 @@ from .detection import (
 from .semantic import (
     SemanticCapsParams,
     attend,
+    attention_matrix,
     encode_tokens,
     init_semantic_params,
+    orthogonality_penalty,
     semantic_vectors,
 )
 
@@ -64,12 +67,23 @@ class ModelParams:
 
 @dataclass
 class ForwardPass:
-    """Products of one batched forward run."""
+    """Products of one batched forward run.
+
+    `penalty` holds the B orthogonality penalties of A. A forward that
+    records a graph builds it with A; one under `no_grad` leaves it to the
+    first read of `penalty`, which computes it from A once, since
+    evaluation never reads it."""
 
     A: Tensor              # B x R x T
-    penalty: Tensor        # B orthogonality penalties
     P: Tensor              # B x K x R x D_P
     trace: RoutingTrace
+    _penalty: Tensor | None = field(default=None, repr=False)
+
+    @property
+    def penalty(self) -> Tensor:
+        if self._penalty is None:
+            self._penalty = orthogonality_penalty(self.A)
+        return self._penalty
 
 
 def init_model(table: EmbeddingTable, cfg: RunConfig, rng=None, dtype=np.float32) -> ModelParams:
@@ -106,11 +120,14 @@ def forward_batch(
         dropout_keep=cfg.dropout_keep,
         rng=rng,
     )
-    attn, penalty = attend(big_h, model.semantic, pad_mask=mask)
+    if _grad_enabled():  # the training graph builds the penalty node with A
+        attn, penalty = attend(big_h, model.semantic, pad_mask=mask)
+    else:
+        attn, penalty = attention_matrix(big_h, model.semantic, pad_mask=mask), None
     m = semantic_vectors(attn, big_h)
     p = prediction_vectors(m, model.detection)
     trace = dynamic_routing(p, cfg.routing_iterations)
-    return ForwardPass(A=attn, penalty=penalty, P=p, trace=trace)
+    return ForwardPass(A=attn, P=p, trace=trace, _penalty=penalty)
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +183,18 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
+def _check_vocab(path: Path, words, rows: int) -> None:
+    """The vocabulary must list `rows` distinct strings, one word per
+    embedding row, else ContractError naming the file and the problem."""
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ContractError(f"{path}: 'vocab' must be a list of strings")
+    if len(words) != rows:
+        raise ContractError(f"{path}: 'vocab' lists {len(words)} words for the {rows}-row embedding")
+    if len(set(words)) != rows:
+        word = next(w for w, n in Counter(words).items() if n > 1)
+        raise ContractError(f"{path}: 'vocab' lists {word!r} more than once")
+
+
 def _check_special_ids(path: Path, meta: dict, embedding: np.ndarray) -> None:
     """oov_id and pad_id must be distinct rows of the embedding, and the
     PAD row all zero, as init_model makes it and training keeps it; else
@@ -193,6 +222,7 @@ def load_model(model_dir) -> ModelBundle:
     for key in ("embedding", "intent_vectors"):
         if key not in arrays:
             raise ContractError(f"{model_dir / 'params.npz'} has no {key!r} array")
+    _check_vocab(model_dir / "meta.json", meta["vocab"], arrays["embedding"].shape[0])
     _check_special_ids(model_dir / "meta.json", meta, arrays["embedding"])
     cfg = RunConfig(**{
         k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()

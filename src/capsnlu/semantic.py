@@ -16,27 +16,32 @@ The encoder gathers only the real tokens' word vectors, packed in
 row-major order, plus the pad row once when the batch has pads. The two
 LSTM directions and their input projections x @ w_x + b run as one
 recurrence in one graph node, `_run_bilstm`: it projects the packed rows
-(one GEMM per direction), lays the projections out per position, a pad
-slot taking the pad row's projection and the backward direction taking
-each sequence in reversed order (within its length, pads left in place),
-steps both directions left to right from a zero state, and gathers the
+(one GEMM per direction), then `_bilstm_states` gathers the projections
+once into a per-position layout, by a B x T grid of row indices in which
+a pad slot indexes the pad row, with the backward direction taking each
+sequence in reversed order (within its length, pads left in place). It
+steps both directions left to right from a zero state and gathers the
 backward states back into reading order; backpropagation through time
-is its hand-written VJP. A projection depends only on the token's id, so
-on a frozen model (read-only weights, as `load_model` returns them) an
-evaluation forward gathers the packed rows' projections from a
-|V| x 8D_H table, built once on first use, and runs the same layout and
-recurrence, `_bilstm_states`, without a graph. The recurrence is gate-major and time-major:
-step t's inputs and activations are one contiguous 4 x 2 x B x D_H block
+is the node's hand-written VJP. A projection depends only on the token's
+id, so on a frozen model (read-only weights, as `load_model` returns
+them) an evaluation forward builds a |V| x 8D_H table of every word's
+projections once, on first use, and `_bilstm_states` gathers from that
+table directly, with the token ids as the grid and the pad id at pad
+slots, without a graph. Either way the rows are gathered once, straight
+into the step layout. The recurrence is gate-major and time-major: step
+t's inputs and activations are one contiguous 4 x 2 x B x D_H block
 (gate, direction), so each per-step elementwise operation is one numpy
 call on contiguous memory. Trailing pads come after every real token in
 either direction and never reach a real position's state. H rows at pad
-positions are unspecified: `attend` gives them exactly zero attention,
-so they never reach M or a gradient.
+positions are unspecified: the attention gives them exactly zero
+weight, so they never reach M or a gradient.
 
-The attention head is two graph nodes with hand-written VJPs, A (parents
-H, w_s1 and w_s2) and the penalty (parent A), and M is one product.
-Their forwards make the same numpy calls as a graph of per-op Tensor
-ops would, so their values are bitwise those of that graph.
+The attention head is two graph nodes with hand-written VJPs, A
+(`attention_matrix`, parents H, w_s1 and w_s2) and the penalty (parent
+A); `attend` builds both, and M is one product. The penalty is a
+training regulariser, so an evaluation forward may build A alone. Their
+forwards make the same numpy calls as a graph of per-op Tensor ops
+would, so their values are bitwise those of that graph.
 """
 
 from __future__ import annotations
@@ -125,24 +130,23 @@ def _input_projections(xv: np.ndarray, fw: LstmParams, bw: LstmParams) -> np.nda
     return proj
 
 
-def _bilstm_states(proj: np.ndarray, w_h_fw: np.ndarray, w_h_bw: np.ndarray, lengths):
-    """Both LSTM directions from a zero state over packed input projections.
+def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_h_bw: np.ndarray, lengths):
+    """Both LSTM directions from a zero state over gathered input projections.
 
-    `proj` holds one row per real token, packed in row-major (b, t) order,
-    plus one pad row last when the batch has pads (some length below the
-    longest); each row is the forward then the backward direction's
-    x @ w_x + b. Returns (H, saved): H is B x T x 2D_H (T the longest
-    length), forward states then backward, and `saved` is what the VJP of
-    `_run_bilstm` reads: (rows, real, src, total, wv, states, kept), kept
-    one (z, c_{t-1}, tanh(c_t)) per step.
+    `source` holds input-projection rows, each the forward then the
+    backward direction's x @ w_x + b, and `slots` is a B x T grid of row
+    indices into it: position t of utterance b reads row slots[b, t], and
+    a pad slot (t >= lengths[b]) indexes the pad row. Returns (H, saved):
+    H is B x T x 2D_H (T the longest length), forward states then
+    backward, and `saved` is what the VJP of `_run_bilstm` reads:
+    (rows, src, wv, states, kept), kept one (z, c_{t-1}, tanh(c_t)) per
+    step.
 
-    The projections are laid out once per call as T x 4 x 2 x B x D_H
-    (step, gate, direction): position t of row b takes its token's row,
-    the backward direction taking each row's real positions in reverse
-    (pads left in place), and a pad slot takes the pad row. Both
-    directions then step left to right as one stacked recurrence, and the
-    backward states are gathered back into reading order. Each step is
-    the cell
+    The rows are gathered once, straight into a T x 4 x 2 x B x D_H
+    layout (step, gate, direction): the backward direction takes each
+    row's real positions in reverse (pads left in place). Both directions
+    then step left to right as one stacked recurrence, and the backward
+    states are gathered back into reading order. Each step is the cell
 
         z = h @ w_h + xw_t;  i, f, o = sigmoid(z_i, z_f, z_o);  g = tanh(z_g)
         c = f * c + i * g;   h = o * tanh(c)
@@ -165,24 +169,20 @@ def _bilstm_states(proj: np.ndarray, w_h_fw: np.ndarray, w_h_bw: np.ndarray, len
     rows = np.arange(n)[:, None]
     real = pos < lengths[:, None]                          # B x T
     src = np.where(real, lengths[:, None] - 1 - pos, pos)  # its own inverse
-    total = int(lengths.sum())
-    if proj.shape[0] != total + (total < n * steps):
-        raise ContractError(f"{proj.shape[0]} packed rows for lengths summing to {total}")
     dh = w_h_fw.shape[0]
-    dtype = proj.dtype
-    if total == n * steps:
-        # no pads (every B=1 request): position (b, t) is packed row b * T + t,
-        # so two transposed copies lay the rows out; the gather's slot
-        # arithmetic below made B=1 requests about 6% slower
-        full = proj.reshape(n, steps, 2, 4, dh)
+    dtype = source.dtype
+    if real.all():
+        # no pads (every B=1 request): one row gather in reading order, then
+        # two transposed copies; the piece gather below costs a B=1 request
+        # more in index arithmetic than it saves
+        full = np.take(source, slots, axis=0).reshape(n, steps, 2, 4, dh)
         xg = np.empty((steps, 4, 2, n, dh), dtype=dtype)
         xg[:, :, 0] = full[:, :, 0].transpose(1, 2, 0, 3)
         xg[:, :, 1] = full[rows, src, 1].transpose(1, 2, 0, 3)
-    else:  # one gather of D_H-wide pieces (row, direction, gate); pad slots read the pad row
-        fw_slot = np.where(real, np.cumsum(real).reshape(n, steps) - 1, total)
-        slots = np.stack([fw_slot, fw_slot[rows, src]]).transpose(2, 0, 1)  # T x 2 x B packed rows
-        pieces = slots[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
-        xg = np.take(proj.reshape(-1, dh), pieces, axis=0)
+    else:  # one gather of D_H-wide pieces (row, direction, gate)
+        both = np.stack([slots, slots[rows, src]]).transpose(2, 0, 1)  # T x 2 x B rows
+        pieces = both[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
+        xg = np.take(source.reshape(-1, dh), pieces, axis=0)
     wv = np.stack([w_h_fw, w_h_bw])
     half, one = dtype.type(0.5), dtype.type(1.0)  # numpy scalars dispatch faster than Python floats
     acts = np.empty_like(xg)
@@ -206,7 +206,7 @@ def _bilstm_states(proj: np.ndarray, w_h_fw: np.ndarray, w_h_bw: np.ndarray, len
     out = np.empty((n, steps, 2 * dh), dtype=dtype)
     out[..., :dh] = states[:, 0].swapaxes(0, 1)
     out[..., dh:] = states[src, 1, rows]
-    return out, (rows, real, src, total, wv, states, kept)
+    return out, (rows, src, wv, states, kept)
 
 
 def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
@@ -219,10 +219,11 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     are x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h and bw.w_h.
 
     The forward is `_input_projections` over the packed rows, then
-    `_bilstm_states`. A GEMM's rows do not depend on how many rows it has
-    (from 2 up), so H is bitwise what the projections of the padded batch
-    give; a batch without pads has no pad row, so a lone token stays the
-    one-row product it always was.
+    `_bilstm_states` over them with each position's packed row as its
+    slot. A GEMM's rows do not depend on how many rows it has (from 2 up),
+    so H is bitwise what the projections of the padded batch give; a batch
+    without pads has no pad row, so a lone token stays the one-row product
+    it always was.
 
     The VJP is backpropagation through time over the kept activations,
     cell states and tanh(c). The gate arithmetic of a step runs on a
@@ -236,8 +237,16 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     a pad position, as under `attend`, which gives pads zero attention.
     """
     xv = x.values
-    out, saved = _bilstm_states(_input_projections(xv, fw, bw), fw.w_h.values, bw.w_h.values, lengths)
-    rows, real, src, total, wv, states, kept = saved
+    lengths = np.asarray(lengths)
+    real = np.arange(lengths.max()) < lengths[:, None]
+    total = int(lengths.sum())
+    if xv.shape[0] != total + (not real.all()):
+        raise ContractError(f"{xv.shape[0]} packed rows for lengths summing to {total}")
+    slots = np.full(real.shape, total)  # pad slots read the pad row, last
+    slots[real] = np.arange(total)
+    proj = _input_projections(xv, fw, bw)
+    out, saved = _bilstm_states(proj, slots, fw.w_h.values, bw.w_h.values, lengths)
+    rows, src, wv, states, kept = saved
     steps, _, n, dh = states.shape
     four_dh = 4 * dh
     dtype = xv.dtype
@@ -318,18 +327,20 @@ def encode_tokens(
     row of the embedding raises ContractError naming its utterance.
 
     Only the real tokens' rows are gathered, packed in row-major order,
-    plus the pad row once when the batch has pads; every pad slot of the
-    recurrence takes the pad row's projection. Dropout draws one uniform
-    per padded position and dimension, B x T x D_W as for a padded batch,
-    and keeps the real positions' draws.
+    plus the pad row once when the batch has pads; their projections are
+    then gathered once into the recurrence's step layout, every pad slot
+    taking the pad row's projection. Dropout draws one uniform per padded
+    position and dimension, B x T x D_W as for a padded batch, and keeps
+    the real positions' draws.
 
     On frozen weights (the embedding and both directions' w_x and b all
     read-only, as `load_model` leaves them), with no graph recorded (not
-    training, under `no_grad`) and at least two packed rows, the packed
-    rows' projections are gathered from `_projection_table` in place of
-    the word vectors' gather and two GEMMs. A GEMM's rows do not depend on
-    how many rows it has, from 2 up, so H is bitwise the same; a lone
-    token (B=1, T=1) keeps its one-row product.
+    training, under `no_grad`) and at least two tokens, the step layout
+    is gathered straight from `_projection_table` by token id, pad slots
+    reading the pad id's row, in place of the word vectors' gather, two
+    GEMMs and the packed rows. A GEMM's rows do not depend on how many
+    rows it has, from 2 up, so H is bitwise the same; a lone token (B=1,
+    T=1) keeps its one-row product.
 
     Returns (H, mask): H is B x T x 2D_H, the forward and backward LSTM
     states per position, and mask marks the real positions. The backward
@@ -356,16 +367,21 @@ def encode_tokens(
         raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {vocab}-row embedding")
     mask = np.arange(t_max)[None, :] < lengths[:, None]  # B x T
     ids = flat.astype(np.int64)
-    if padded:
-        ids = np.append(ids, pad_id)
 
     fw, bw = params.lstm_fw, params.lstm_bw
     if not training and not _grad_enabled() and ids.size >= 2:
         table = _projection_table(embedding, params)
         if table is not None:
-            big_h, _ = _bilstm_states(np.take(table, ids, axis=0), fw.w_h.values, bw.w_h.values, lengths)
+            if padded:
+                slots = np.full(mask.shape, pad_id, dtype=np.int64)
+                slots[mask] = ids
+            else:
+                slots = ids.reshape(mask.shape)
+            big_h, _ = _bilstm_states(table, slots, fw.w_h.values, bw.w_h.values, lengths)
             return Tensor(big_h), mask
 
+    if padded:
+        ids = np.append(ids, pad_id)
     x = embedding.take_rows(ids)  # sum(lengths) [+ 1] x D_W
     if training and dropout_keep < 1.0:
         if rng is None:
@@ -397,14 +413,12 @@ def orthogonality_penalty(attn: Tensor) -> Tensor:
     return _result(out, "penalty", (attn,), vjp)
 
 
-def attend(H: Tensor, params: SemanticCapsParams, pad_mask=None):
-    """Attention matrix A (R x T, rows sum to 1 over real tokens) and the
-    head-orthogonality penalty.
-
-    A is one graph node with parents H, w_s1 and w_s2; its VJP runs the
-    masked softmax, the tanh and both products backwards, with each
-    weight gradient one GEMM over every utterance and position. A row
-    whose positions are all masked raises DegenerateRowError.
+def attention_matrix(H: Tensor, params: SemanticCapsParams, pad_mask=None) -> Tensor:
+    """Attention matrix A (R x T, rows sum to 1 over real tokens) as one
+    graph node with parents H, w_s1 and w_s2; its VJP runs the masked
+    softmax, the tanh and both products backwards, with each weight
+    gradient one GEMM over every utterance and position. A row whose
+    positions are all masked raises DegenerateRowError.
     """
     hv, w1, w2 = H.values, params.w_s1.values, params.w_s2.values
     hidden = np.tanh(np.matmul(w1, np.swapaxes(hv, -1, -2)))  # ... x D_A x T
@@ -435,8 +449,13 @@ def attend(H: Tensor, params: SemanticCapsParams, pad_mask=None):
             else None,
         )
 
-    attn_node = _result(attn, "attend", (H, params.w_s1, params.w_s2), vjp)
-    return attn_node, orthogonality_penalty(attn_node)
+    return _result(attn, "attend", (H, params.w_s1, params.w_s2), vjp)
+
+
+def attend(H: Tensor, params: SemanticCapsParams, pad_mask=None):
+    """`attention_matrix` and its head-orthogonality penalty, (A, penalty)."""
+    attn = attention_matrix(H, params, pad_mask)
+    return attn, orthogonality_penalty(attn)
 
 
 def semantic_vectors(attn: Tensor, H: Tensor) -> Tensor:

@@ -45,6 +45,28 @@ class TestRunConfig:
         with pytest.raises(ContractError, match=f"{key} must be an int"):
             RunConfig(**{key: value}).validate()
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("sigma", "4", "a number"),
+            ("learning_rate", [1], "a number"),
+            ("dropout_keep", True, "a number"),
+            ("restrict_vocab", "no", "a bool"),
+            ("restrict_vocab", 1, "a bool"),
+            ("mode", None, "a string"),
+            ("existing_labels", "GetWeather", "a tuple of strings"),
+            ("emerging_labels", ("RateBook", 3), "a tuple of strings"),
+        ],
+    )
+    def test_wrong_type_in_any_field_is_named(self, key, value, kind):
+        # a string sigma escaped as a bare TypeError from its range check,
+        # and a string label set or a truthy string flag passed
+        with pytest.raises(ContractError, match=f"{key} must be {kind}, got"):
+            RunConfig(**{key: value}).validate()
+
+    def test_int_in_float_field_passes(self):
+        RunConfig(sigma=4, learning_rate=1, margin_neg=0).validate()
+
     @pytest.mark.parametrize("key", ["sigma", "downweight", "penalty_weight", "learning_rate", "margin_pos"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_float_is_named(self, key, value):

@@ -186,6 +186,16 @@ class TestLoadEmbeddings:
         table = load_embeddings(p, expected_dim=2, restrict_to={"a"})
         assert table.vocab["a"] == 0 and len(table.vectors) == 3
 
+    def test_empty_value_on_kept_line_names_line(self, tmp_path):
+        # numpy's reader skips an empty row, which left the vocabulary one
+        # id longer than the table
+        p = write_vectors(tmp_path / "v.txt", "a 0.5\nw \nb 0.25\n")
+        with pytest.raises(ParseError, match=r":2: non-numeric"):
+            load_embeddings(p, expected_dim=1)
+        table = load_embeddings(p, expected_dim=1, restrict_to={"a", "b"})
+        assert len(table.vocab) == len(table.vectors) == 4
+        assert table.vectors[table.vocab["b"], 0] == 0.25
+
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
         t1 = load_embeddings(p, expected_dim=2, seed=9)
@@ -303,6 +313,14 @@ class TestLoadSnips:
         raw = b'{"GetWeather": [' + (b"\xff" if encoding == "latin-1" else b"\xc3\xbf")
         (d / "train_GetWeather_full.json").write_bytes(raw)
         with pytest.raises(ParseError, match=r"train_GetWeather_full\.json: invalid JSON"):
+            load_snips(tmp_path / "snips", self.EXISTING, self.EMERGING, table)
+
+    @pytest.mark.parametrize("doc", ["42", '"GetWeather samples"'])
+    def test_top_level_not_an_object_names_file(self, tmp_path, table, doc):
+        d = tmp_path / "snips" / "GetWeather"
+        d.mkdir(parents=True)
+        (d / "train_GetWeather_full.json").write_text(doc, encoding="utf-8")
+        with pytest.raises(ParseError, match=r"train_GetWeather_full\.json: expected a top-level"):
             load_snips(tmp_path / "snips", self.EXISTING, self.EMERGING, table)
 
     def test_malformed_sample(self, tmp_path, table):

@@ -330,6 +330,9 @@ class TestFusedRouting:
             ((1, 5, 3, 10), np.float32),
             ((1, 5, 3, 10), np.float64),
             ((1, 2, 3, 10), np.float64),  # zero-shot: L=2 emerging intents, u is float64
+            # the first round's couplings are set to 1/K: pinned against the
+            # softmax of zeros at K whose 1/K is exact (1), and is not (3, 7)
+            *[((4, k, 3, 10), dtype) for k in (1, 3, 7) for dtype in (np.float32, np.float64)],
         ],
     )
     def test_trace_bitwise_equal_to_per_op_graph(self, shape, dtype):

@@ -472,11 +472,35 @@ class TestPersistence:
             load_model(out)
 
     @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda words: words[:-1] + words[:1], "lists '[^']+' more than once"),  # the first word twice
+            (lambda words: words[:-1], r"lists \d+ words for the \d+-row embedding"),
+            (lambda words: words + ["extra"], r"lists \d+ words for the \d+-row embedding"),
+            (lambda words: words[:-1] + [7], "must be a list of strings"),
+            (lambda words: "".join(words), "must be a list of strings"),
+        ],
+        ids=["duplicate", "short", "long", "non_string", "not_a_list"],
+    )
+    def test_vocab_that_does_not_match_the_embedding_is_named(self, toy_setup, tmp_path, edit, problem):
+        # these used to load: a duplicate shadowed a row, and a short or long
+        # list shifted which word reads which row
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        meta["vocab"] = edit(meta["vocab"])
+        (out / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ContractError, match=rf"meta\.json: 'vocab' {problem}"):
+            load_model(out)
+
+    @pytest.mark.parametrize(
         "key, value",
-        [("routing_iterations", 1.5), ("sigma", -1.0), ("dropout_keep", 7.0), ("heads", True)],
+        [("routing_iterations", 1.5), ("sigma", -1.0), ("dropout_keep", 7.0), ("heads", True),
+         ("sigma", "4"), ("existing_labels", ["GetWeather", ["PlayMusic"]]), ("restrict_vocab", "no")],
     )
     def test_invalid_config_in_meta_is_named(self, toy_setup, tmp_path, key, value):
-        # these used to load, then fail at the first forward or serve requests
+        # these used to load, then fail at the first forward or serve
+        # requests, or escape load_model as a bare TypeError
         cfg, table, _, _ = toy_setup
         out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
         meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))

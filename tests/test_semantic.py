@@ -13,6 +13,7 @@ from capsnlu.autodiff import (
     stack,
 )
 from capsnlu.config import RunConfig
+from capsnlu import model as model_module
 from capsnlu import semantic
 from capsnlu.data import EmbeddingTable
 from capsnlu.detection import init_detection_params
@@ -554,9 +555,35 @@ class TestProjectionTable:
             assert live.semantic._projections is None
             assert got_h.dtype == dtype
             assert got_h.tobytes() == want_h.tobytes(), shape
-            for name in ("A", "P"):
+            for name in ("A", "P", "penalty"):
                 assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), (shape, name)
             assert got.trace.v_final.values.tobytes() == want.trace.v_final.values.tobytes(), shape
+
+    def test_eval_forward_computes_the_penalty_on_first_read(self, monkeypatch):
+        model, seqs = _bench_model(np.float32, frozen=True)
+        calls = []
+        real_penalty = semantic.orthogonality_penalty
+
+        def counting_penalty(attn):
+            calls.append(attn)
+            return real_penalty(attn)
+
+        monkeypatch.setattr(semantic, "orthogonality_penalty", counting_penalty)
+        monkeypatch.setattr(model_module, "orthogonality_penalty", counting_penalty)
+        cfg = RunConfig()
+        with no_grad():
+            fwd = forward_batch(model, seqs, cfg)
+        assert calls == []
+        first = fwd.penalty
+        assert fwd.penalty is first
+        assert len(calls) == 1 and calls[0] is fwd.A
+        assert first.values.tobytes() == real_penalty(fwd.A).values.tobytes()
+        # a forward that records a graph builds the penalty node with A
+        live, _ = _bench_model(np.float32)
+        recorded = forward_batch(live, seqs, cfg)
+        assert len(calls) == 2 and calls[1] is recorded.A
+        assert recorded.penalty.op == "penalty" and recorded.penalty.parents == (recorded.A,)
+        assert recorded.penalty.values.tobytes() == first.values.tobytes()
 
     def test_table_built_once_and_reused(self, monkeypatch):
         model, seqs = _bench_model(np.float32, frozen=True)
