@@ -13,7 +13,7 @@ import numpy as np
 
 from capsnlu.autodiff import no_grad
 from capsnlu.config import RunConfig
-from capsnlu.data import load_embeddings, load_tsv
+from capsnlu.data import load_inputs
 from capsnlu.harness import evaluate, train
 from capsnlu.metrics import format_report
 from capsnlu.model import forward_batch
@@ -43,9 +43,9 @@ cfg = RunConfig(
     sigma=0.1, dropout_keep=1.0, learning_rate=0.02, batch_size=6,
     epochs=15, seed=7, existing_labels=("Music", "Weather"),
     emerging_labels=(), restrict_vocab=False,
+    dataset_path=str(work / "corpus.tsv"), embeddings_path=str(work / "vectors.txt"),
 )
-table = load_embeddings(work / "vectors.txt", cfg.word_dim, seed=cfg.seed)
-corpus, _ = load_tsv(work / "corpus.tsv", ["Music", "Weather"], [], table)
+table, corpus, _ = load_inputs(cfg)
 
 model, history = train(cfg, corpus, table)
 print("loss curve:", " ".join(f"{x:.4f}" for x in history.epoch_losses[::3]))

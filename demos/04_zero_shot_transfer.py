@@ -14,7 +14,7 @@ import numpy as np
 
 from capsnlu.autodiff import no_grad
 from capsnlu.config import RunConfig
-from capsnlu.data import load_embeddings, load_tsv
+from capsnlu.data import load_inputs
 from capsnlu.harness import train, zsl_evaluate
 from capsnlu.model import forward_batch
 from capsnlu.zeroshot import (
@@ -56,10 +56,9 @@ cfg = RunConfig(
     sigma=0.5, dropout_keep=1.0, learning_rate=0.02, batch_size=6,
     epochs=15, seed=7, existing_labels=tuple(existing),
     emerging_labels=tuple(emerging), restrict_vocab=False,
+    dataset_path=str(work / "corpus.tsv"), embeddings_path=str(work / "vectors.txt"),
 )
-table = load_embeddings(work / "vectors.txt", cfg.word_dim, seed=cfg.seed)
-table.build_intent_vectors(existing + emerging)
-corpus, corpus_emerging = load_tsv(work / "corpus.tsv", existing, emerging, table)
+table, corpus, corpus_emerging = load_inputs(cfg)
 
 model, _ = train(cfg, corpus, table)
 

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from capsnlu.config import RunConfig, SNIPS_EMERGING, SNIPS_EXISTING
-from capsnlu.data import dataset_words, load_embeddings, load_snips
+from capsnlu.config import RunConfig
+from capsnlu.data import load_inputs
 from capsnlu.harness import evaluate, stratified_split, train, zsl_evaluate
 
 data_dir = os.environ.get("CAPSNLU_SNIPS_DIR", "")
@@ -68,12 +68,7 @@ else:
         word_dim=50, hidden_dim=16, attn_dim=10, epochs=5,
     )
 
-restrict = dataset_words(cfg.dataset_path) if cfg.restrict_vocab else None
-table = load_embeddings(cfg.embeddings_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
-table.build_intent_vectors(list(SNIPS_EXISTING) + list(SNIPS_EMERGING))
-corpus_existing, corpus_emerging = load_snips(
-    cfg.dataset_path, list(SNIPS_EXISTING), list(SNIPS_EMERGING), table
-)
+table, corpus_existing, corpus_emerging = load_inputs(cfg)
 print(f"{len(corpus_existing)} existing-intent and {len(corpus_emerging)} emerging-intent utterances, "
       f"vocabulary {len(table.vocab)}")
 
@@ -82,9 +77,9 @@ model, history = train(cfg, train_c, table, val_corpus=val_c)
 print("best validation epoch:", history.best_epoch)
 
 report = evaluate(model, test_c, cfg)
-print(f"supervised test accuracy over {len(SNIPS_EXISTING)} existing intents: {report.accuracy:.4f}")
+print(f"supervised test accuracy over {len(cfg.existing_labels)} existing intents: {report.accuracy:.4f}")
 
 zsl_report, per_intent = zsl_evaluate(model, corpus_emerging, table.intent_vectors, cfg)
-print(f"zero-shot accuracy over {len(SNIPS_EMERGING)} emerging intents: {zsl_report.accuracy:.4f}")
+print(f"zero-shot accuracy over {len(cfg.emerging_labels)} emerging intents: {zsl_report.accuracy:.4f}")
 for name, acc, var in per_intent:
     print(f"  {name:<16} accuracy={acc:.4f} similarity-variance={var:.5f}")

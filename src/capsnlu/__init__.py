@@ -23,6 +23,7 @@ from .data import (
     intent_embedding,
     load_dataset,
     load_embeddings,
+    load_inputs,
     load_snips,
     load_tsv,
     tokenize,

@@ -20,9 +20,9 @@ from .data import (
     EmptySourceError,
     LabelMappingError,
     ParseError,
-    dataset_words,
     load_dataset,
-    load_embeddings,
+    load_inputs,
+    require_file,
 )
 from .harness import (
     evaluate,
@@ -134,29 +134,6 @@ def _resolve_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _require_file(path: str, what: str) -> Path:
-    if not path:
-        raise ContractError(f"no {what} configured")
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"{what} not found: {p}")
-    return p
-
-
-def _load_table_and_corpora(cfg: RunConfig):
-    data_path = _require_file(cfg.dataset_path, "dataset path")
-    emb_path = _require_file(cfg.embeddings_path, "embeddings file")
-    restrict = dataset_words(data_path) if cfg.restrict_vocab else None
-    table = load_embeddings(emb_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
-    table.build_intent_vectors(
-        list(cfg.existing_labels) + list(cfg.emerging_labels), mode=cfg.intent_embedding_mode
-    )
-    corpus_existing, corpus_emerging = load_dataset(
-        data_path, list(cfg.existing_labels), list(cfg.emerging_labels), table
-    )
-    return table, corpus_existing, corpus_emerging
-
-
 _PATH_KEYS = ("dataset_path", "embeddings_path", "output_dir")
 
 
@@ -179,7 +156,7 @@ def _model_setup(args):
         given, saved = getattr(cfg, key), getattr(run_cfg, key)
         if key not in _PATH_KEYS and given != saved:
             raise ContractError(f"{key}={given!r} differs from the model's {key}={saved!r}")
-    data_path = _require_file(run_cfg.dataset_path, "dataset path")
+    data_path = require_file(run_cfg.dataset_path, "dataset path")
     labels = list(run_cfg.existing_labels), list(run_cfg.emerging_labels)
     corpora = load_dataset(data_path, *labels, bundle.table)
     out_dir = run_cfg.resolved_output_dir()
@@ -190,7 +167,7 @@ def _model_setup(args):
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     started = time.perf_counter()
-    table, corpus_existing, _ = _load_table_and_corpora(cfg)
+    table, corpus_existing, _ = load_inputs(cfg)
     train_c, val_c, test_c = stratified_split(corpus_existing, cfg.seed)
     model, history = train(cfg, train_c, table, val_corpus=val_c)
     out_dir = cfg.resolved_output_dir()
@@ -214,8 +191,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     bundle, run_cfg, (corpus_existing, _), out_dir = _model_setup(args)
-    splits = dict(zip(("train", "validation", "test"), stratified_split(corpus_existing, run_cfg.seed)))
-    corpus = splits[args.split]
+    corpus = next(c for c in stratified_split(corpus_existing, run_cfg.seed) if c.split_tag == args.split)
     started = time.perf_counter()
     report = evaluate(bundle.model, corpus, run_cfg)
     (out_dir / f"eval_{args.split}_report.txt").write_text(
@@ -249,8 +225,7 @@ def _select_corpus(args, run_cfg, corpus_existing, corpus_emerging):
     else:
         corpus = corpus_existing
         if args.split != "all":
-            splits = dict(zip(("train", "validation", "test"), stratified_split(corpus, run_cfg.seed)))
-            corpus = splits[args.split]
+            corpus = next(c for c in stratified_split(corpus, run_cfg.seed) if c.split_tag == args.split)
     if args.limit:
         corpus = corpus.subset(list(range(min(args.limit, len(corpus.samples)))), corpus.split_tag)
     return corpus

@@ -3,7 +3,8 @@
 Loads pretrained embeddings from text files, tokenizes utterances,
 reads the SNIPS-NLU benchmark layout (per-intent JSON files of text
 spans) or a plain two-column TSV, and builds label embeddings by
-averaging the word vectors of each intent name's tokens.
+averaging the word vectors of each intent name's tokens. `load_inputs`
+turns a RunConfig into a run's table and corpora.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import json
 import logging
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ContractError
+from .config import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -75,40 +77,24 @@ class EmbeddingTable:
 
 @dataclass
 class Corpus:
-    """Tokenized utterances with integer intent labels.
-
-    Sample labels index into `existing_labels` or `emerging_labels`
-    according to `domain`; the two name lists are always disjoint.
-    """
+    """Tokenized utterances with integer intent labels, each an index
+    into `label_names`."""
 
     samples: list[tuple[list[int], int]]
-    existing_labels: list[str]
-    emerging_labels: list[str]
+    label_names: list[str]
     split_tag: str = "all"
-    domain: str = "existing"
-
-    @property
-    def label_names(self) -> list[str]:
-        return self.existing_labels if self.domain == "existing" else self.emerging_labels
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def label_counts(self) -> dict[str, int]:
-        names = self.label_names
-        counts = dict.fromkeys(names, 0)
+        counts = dict.fromkeys(self.label_names, 0)
         for _, lab in self.samples:
-            counts[names[lab]] += 1
+            counts[self.label_names[lab]] += 1
         return counts
 
     def subset(self, indices, split_tag: str) -> "Corpus":
-        return Corpus(
-            samples=[self.samples[i] for i in indices],
-            existing_labels=self.existing_labels,
-            emerging_labels=self.emerging_labels,
-            split_tag=split_tag,
-            domain=self.domain,
-        )
+        return Corpus([self.samples[i] for i in indices], self.label_names, split_tag)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +164,8 @@ def _parse_rows(path: Path, pending: list[str], linenos: list[int], dtype) -> np
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric vector entry") from exc
         raise
-    return block.astype(dtype, copy=False)
+    with np.errstate(over="ignore"):  # an overflowed entry is named by load_embeddings' finite check
+        return block.astype(dtype, copy=False)
 
 
 def load_embeddings(
@@ -208,7 +195,8 @@ def load_embeddings(
     or CR, not at the other separators of `str.splitlines` (U+2028,
     U+0085, VT, FF, FS/GS/RS), so a word may contain those. The OOV
     vector is drawn uniformly from [-0.5/D, 0.5/D] with the run seed;
-    PAD is zero.
+    PAD is zero. A kept line whose word is one of those two reserved
+    names raises ParseError.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -242,6 +230,9 @@ def load_embeddings(
             if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
                 flush()
                 raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
+            if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
+                flush()
+                raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
             pending.append(values)
             linenos.append(lineno)
             vocab[word] = len(vocab)
@@ -258,8 +249,8 @@ def load_embeddings(
     pad_vec = np.zeros(expected_dim, dtype=dtype)
     oov_id = len(vocab)
     pad_id = oov_id + 1
-    vocab.setdefault(OOV_TOKEN, oov_id)
-    vocab.setdefault(PAD_TOKEN, pad_id)
+    vocab[OOV_TOKEN] = oov_id
+    vocab[PAD_TOKEN] = pad_id
     vectors = np.vstack(blocks + [oov_vec, pad_vec])
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
@@ -334,13 +325,12 @@ def iter_tsv_records(path):
 def iter_dataset_records(path):
     """SNIPS directory layout or TSV file, chosen by path type."""
     p = Path(path)
-    if p.is_dir():
-        yield from iter_snips_records(p)
-    else:
-        yield from iter_tsv_records(p)
+    return iter_snips_records(p) if p.is_dir() else iter_tsv_records(p)
 
 
 def _route_records(records, existing_labels, emerging_labels, table):
+    """Tokenize each (text, intent, location) record into the existing or
+    the emerging corpus by its intent, and log the counts."""
     if set(existing_labels) & set(emerging_labels):
         raise ContractError("existing and emerging label sets overlap")
     existing_idx = {name: i for i, name in enumerate(existing_labels)}
@@ -360,28 +350,19 @@ def _route_records(records, existing_labels, emerging_labels, table):
             raise LabelMappingError(
                 f"{loc}: intent {intent!r} is neither an existing nor an emerging label"
             )
-    corpus_existing = Corpus(ex_samples, list(existing_labels), list(emerging_labels), domain="existing")
-    corpus_emerging = Corpus(em_samples, list(existing_labels), list(emerging_labels), domain="emerging")
+    corpus_existing = Corpus(ex_samples, list(existing_labels))
+    corpus_emerging = Corpus(em_samples, list(emerging_labels))
+    log.info("loaded %d samples (%d existing over %d intents, %d emerging over %d intents)",
+             len(ex_samples) + len(em_samples), len(ex_samples), len(existing_labels),
+             len(em_samples), len(emerging_labels))
+    for name, count in {**corpus_existing.label_counts(), **corpus_emerging.label_counts()}.items():
+        log.info("  %-28s %d", name, count)
     return corpus_existing, corpus_emerging
 
 
 def load_snips(root_path, existing_labels, emerging_labels, table: EmbeddingTable):
-    """Load the benchmark into (existing, emerging) corpora and log counts."""
-    corpus_existing, corpus_emerging = _route_records(
-        iter_snips_records(root_path), existing_labels, emerging_labels, table
-    )
-    total = len(corpus_existing) + len(corpus_emerging)
-    log.info(
-        "loaded %d samples (%d existing over %d intents, %d emerging over %d intents)",
-        total,
-        len(corpus_existing),
-        len(existing_labels),
-        len(corpus_emerging),
-        len(emerging_labels),
-    )
-    for name, count in {**corpus_existing.label_counts(), **corpus_emerging.label_counts()}.items():
-        log.info("  %-28s %d", name, count)
-    return corpus_existing, corpus_emerging
+    """Load the benchmark layout into (existing, emerging) corpora."""
+    return _route_records(iter_snips_records(root_path), existing_labels, emerging_labels, table)
 
 
 def load_tsv(path, existing_labels, emerging_labels, table: EmbeddingTable):
@@ -390,15 +371,42 @@ def load_tsv(path, existing_labels, emerging_labels, table: EmbeddingTable):
 
 
 def load_dataset(path, existing_labels, emerging_labels, table: EmbeddingTable):
-    p = Path(path)
-    if p.is_dir():
-        return load_snips(p, existing_labels, emerging_labels, table)
-    return load_tsv(p, existing_labels, emerging_labels, table)
+    """Load either format, chosen by path type, into (existing, emerging)."""
+    return _route_records(iter_dataset_records(path), existing_labels, emerging_labels, table)
+
+
+def _record_words(records) -> set[str]:
+    return {w for text, _, _ in records for w in words_of(text)}
 
 
 def dataset_words(path) -> set[str]:
     """All corpus words, for restricting a large embedding file."""
-    words: set[str] = set()
-    for text, _, _ in iter_dataset_records(path):
-        words.update(words_of(text))
-    return words
+    return _record_words(iter_dataset_records(path))
+
+
+def require_file(path: str, what: str) -> Path:
+    """A configured path that exists: ContractError when none is
+    configured, FileNotFoundError when nothing is there."""
+    if not path:
+        raise ContractError(f"no {what} configured")
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{what} not found: {p}")
+    return p
+
+
+def load_inputs(cfg: RunConfig):
+    """A run's (table, existing, emerging) from its config. Both paths
+    are checked first, the dataset's, then the vectors file's. The
+    dataset is read once: with `restrict_vocab` its words are the ones
+    kept from the vectors file, and its records are then routed into the
+    two corpora. The table's intent vectors are those of existing_labels
+    + emerging_labels, by `intent_embedding_mode`."""
+    data_path = require_file(cfg.dataset_path, "dataset path")
+    emb_path = require_file(cfg.embeddings_path, "embeddings file")
+    records = list(iter_dataset_records(data_path))
+    restrict = _record_words(records) if cfg.restrict_vocab else None
+    table = load_embeddings(emb_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
+    existing, emerging = list(cfg.existing_labels), list(cfg.emerging_labels)
+    table.build_intent_vectors(existing + emerging, mode=cfg.intent_embedding_mode)
+    return (table, *_route_records(records, existing, emerging, table))

@@ -211,17 +211,22 @@ def _check_special_ids(path: Path, meta: dict, embedding: np.ndarray) -> None:
 
 
 def load_model(model_dir) -> ModelBundle:
-    """The model `save_model` wrote to `model_dir`, for inference. Every
-    parameter array is read-only, so the encoder gathers each token's
-    input projections from a table built once (see `encode_tokens`);
-    `snapshot()` gives writable copies."""
+    """The model `save_model` wrote to `model_dir`, for inference; its
+    arrays must be finite floats, with one `word_dim` intent vector per
+    label. Every parameter array is read-only, so the encoder gathers each
+    token's input projections from a table built once (see
+    `encode_tokens`); `snapshot()` gives writable copies."""
     model_dir = Path(model_dir)
     meta = _read_meta(model_dir / "meta.json")
-    with np.load(model_dir / "params.npz") as npz:
+    npz_path = model_dir / "params.npz"
+    with np.load(npz_path) as npz:
         arrays = {key.replace("__", "."): npz[key] for key in npz.files}
     for key in ("embedding", "intent_vectors"):
         if key not in arrays:
-            raise ContractError(f"{model_dir / 'params.npz'} has no {key!r} array")
+            raise ContractError(f"{npz_path} has no {key!r} array")
+    for key, a in arrays.items():
+        if a.dtype.kind != "f" or not np.isfinite(a).all():
+            raise ContractError(f"{npz_path}: array {key.replace('.', '__')!r} is not all finite floats")
     _check_vocab(model_dir / "meta.json", meta["vocab"], arrays["embedding"].shape[0])
     _check_special_ids(model_dir / "meta.json", meta, arrays["embedding"])
     cfg = RunConfig(**{
@@ -231,6 +236,10 @@ def load_model(model_dir) -> ModelBundle:
         cfg.validate()
     except ContractError as exc:
         raise ContractError(f"{model_dir / 'meta.json'}: config {exc}") from exc
+    want = (len(cfg.existing_labels) + len(cfg.emerging_labels), cfg.word_dim)
+    if arrays["intent_vectors"].shape != want:
+        got = arrays["intent_vectors"].shape
+        raise ContractError(f"{npz_path}: array 'intent_vectors' has shape {got}, expected {want}")
     table = EmbeddingTable(
         vocab={w: i for i, w in enumerate(meta["vocab"])},
         vectors=arrays["embedding"],

@@ -46,6 +46,7 @@ would, so their values are bitwise those of that graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,7 +359,7 @@ def encode_tokens(
         raise ContractError("ragged batches need a pad_id")
     # a negative id would read from the end of the table and a fraction
     # would be truncated, so every id must be a row of the embedding
-    flat = np.asarray([t for s in seqs for t in s], dtype=np.float64)
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.float64, count=int(lengths.sum()))
     vocab = embedding.shape[0]
     good = (flat >= 0) & (flat < vocab) & (flat == np.floor(flat))
     if not good.all():

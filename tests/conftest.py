@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from capsnlu.config import RunConfig
-from capsnlu.data import load_embeddings, load_tsv
+from capsnlu.data import load_inputs
 
 TOY_EXISTING = ("Music", "Weather")
 TOY_EMERGING = ("Tunes", "Sports")
@@ -138,10 +138,5 @@ def toy_paths(tmp_path_factory):
 @pytest.fixture()
 def toy_setup(toy_paths):
     vectors_path, corpus_path = toy_paths
-    cfg = toy_config()
-    table = load_embeddings(vectors_path, cfg.word_dim, seed=cfg.seed)
-    table.build_intent_vectors(list(TOY_EXISTING) + list(TOY_EMERGING), mode="mean")
-    corpus_existing, corpus_emerging = load_tsv(
-        corpus_path, list(TOY_EXISTING), list(TOY_EMERGING), table
-    )
-    return cfg, table, corpus_existing, corpus_emerging
+    cfg = toy_config(dataset_path=str(corpus_path), embeddings_path=str(vectors_path))
+    return (cfg, *load_inputs(cfg))

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
+from conftest import TOY_EXISTING, toy_config
 
 from capsnlu.autodiff import Tensor
 from capsnlu.config import RunConfig
-from capsnlu.data import load_embeddings, load_snips
+from capsnlu.data import load_inputs
 from capsnlu.detection import dynamic_routing, squash
 from capsnlu.harness import (
     attention_offdiag_mean,
@@ -192,16 +192,7 @@ def _snips_config() -> RunConfig:
 @pytest.fixture(scope="session")
 def snips_trained():
     cfg = _snips_config()
-    restrict = None
-    if cfg.restrict_vocab:
-        from capsnlu.data import dataset_words
-
-        restrict = dataset_words(cfg.dataset_path)
-    table = load_embeddings(cfg.embeddings_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
-    table.build_intent_vectors(list(cfg.existing_labels) + list(cfg.emerging_labels))
-    corpus_existing, corpus_emerging = load_snips(
-        cfg.dataset_path, list(cfg.existing_labels), list(cfg.emerging_labels), table
-    )
+    table, corpus_existing, corpus_emerging = load_inputs(cfg)
     train_c, val_c, test_c = stratified_split(corpus_existing, cfg.seed)
     model, history = train(cfg, train_c, table, val_corpus=val_c)
     return cfg, table, model, history, (train_c, val_c, test_c), corpus_emerging
@@ -230,14 +221,7 @@ def test_criterion_5_zero_shot_benchmark(snips_trained):
 def test_criterion_6_regularizer_ablation():
     cfg = _snips_config()
     cfg.epochs = int(os.environ.get("CAPSNLU_ABLATION_EPOCHS", "8"))
-    from capsnlu.data import dataset_words
-
-    restrict = dataset_words(cfg.dataset_path) if cfg.restrict_vocab else None
-    table = load_embeddings(cfg.embeddings_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
-    table.build_intent_vectors(list(cfg.existing_labels) + list(cfg.emerging_labels))
-    corpus_existing, _ = load_snips(
-        cfg.dataset_path, list(cfg.existing_labels), list(cfg.emerging_labels), table
-    )
+    table, corpus_existing, _ = load_inputs(cfg)
     # stratified 500-utterance subsample
     rng = np.random.default_rng(cfg.seed)
     by_class = {}
@@ -306,16 +290,11 @@ def test_criterion_7_separable_toy(toy_setup, tmp_path):
 
 
 def test_criterion_8_determinism(toy_setup, toy_paths, tmp_path):
-    from capsnlu.data import load_tsv
-
     vectors_path, corpus_path = toy_paths
 
     def fresh_setup():
-        cfg = toy_config()
-        table = load_embeddings(vectors_path, cfg.word_dim, seed=cfg.seed)
-        table.build_intent_vectors(list(TOY_EXISTING) + list(TOY_EMERGING))
-        ex, em = load_tsv(corpus_path, list(TOY_EXISTING), list(TOY_EMERGING), table)
-        return cfg, table, ex, em
+        cfg = toy_config(dataset_path=str(corpus_path), embeddings_path=str(vectors_path))
+        return (cfg, *load_inputs(cfg))
 
     _, report1 = _run_toy(fresh_setup(), tmp_path / "run1")
     _, report2 = _run_toy(fresh_setup(), tmp_path / "run2")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capsnlu.autodiff import ContractError
+from capsnlu.config import RunConfig
 from capsnlu.data import (
     _PARSE_ROWS,
     Corpus,
@@ -14,7 +15,9 @@ from capsnlu.data import (
     ParseError,
     dataset_words,
     intent_embedding,
+    load_dataset,
     load_embeddings,
+    load_inputs,
     load_snips,
     load_tsv,
     split_label_tokens,
@@ -95,7 +98,6 @@ class TestLoadEmbeddings:
         assert "b" not in table.vocab
         assert table.vocab["c"] == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("entry", ["nan", "inf", "-Infinity", "1e39"])  # 1e39 overflows float32
     def test_non_finite_entry_names_word(self, tmp_path, entry):
         p = write_vectors(tmp_path / "v.txt", f"a 1 2\nb 3 {entry}\n")
@@ -196,6 +198,17 @@ class TestLoadEmbeddings:
         assert len(table.vocab) == len(table.vectors) == 4
         assert table.vectors[table.vocab["b"], 0] == 0.25
 
+    @pytest.mark.parametrize("word", ["<pad>", "<oov>"])
+    def test_reserved_word_on_kept_line_names_line(self, tmp_path, word):
+        # the file's word used to take the reserved name, leaving the
+        # reserved row without a word: the saved model could not be reloaded
+        p = write_vectors(tmp_path / "v.txt", f"a 1 2\n{word} 0.5 0.5\nb 3 4\n")
+        with pytest.raises(ParseError, match=rf":2: '{word}' is a reserved word"):
+            load_embeddings(p, expected_dim=2)
+        table = load_embeddings(p, expected_dim=2, restrict_to={"a", "b"})
+        assert len(table.vocab) == len(table.vectors) == 4
+        assert table.vocab[word] in (table.oov_id, table.pad_id)
+
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
         t1 = load_embeddings(p, expected_dim=2, seed=9)
@@ -290,7 +303,7 @@ class TestLoadSnips:
         assert len(ex) == 5 and len(em) == 1
         assert ex.label_counts() == {"GetWeather": 2, "PlayMusic": 3}
         assert em.label_counts() == {"AddToPlaylist": 1}
-        assert ex.domain == "existing" and em.domain == "emerging"
+        assert ex.label_names == self.EXISTING and em.label_names == self.EMERGING
         # spans concatenate back to the original utterance
         ids, lab = ex.samples[0]
         assert lab == 0 and len(ids) == 3
@@ -370,8 +383,66 @@ class TestLoadTsv:
         assert dataset_words(p) == {"play", "music"}
 
 
+class TestLoadInputs:
+    SAMPLES = {
+        "GetWeather": ["get weather now", "weather please"],
+        "PlayMusic": ["play music", "play some music"],
+        "AddToPlaylist": ["add this song"],
+    }
+    VECTORS = "play 2 2\nmusic 0 4\nget 1 0\nweather 0 1\nsong 3 1\nadd 1 3\nextra 9 9\n"
+
+    def config(self, tmp_path, layout, **overrides):
+        if layout == "snips":
+            data = make_snips_dir(tmp_path / "snips", self.SAMPLES)
+        else:
+            data = tmp_path / "data.tsv"
+            data.write_text("".join(f"{t}\t{i}\n" for i, ts in self.SAMPLES.items() for t in ts), encoding="utf-8")
+        vectors = write_vectors(tmp_path / "v.txt", self.VECTORS)
+        settings = dict(
+            word_dim=2, seed=3, dataset_path=str(data), embeddings_path=str(vectors),
+            existing_labels=("GetWeather", "PlayMusic"), emerging_labels=("AddToPlaylist",),
+            intent_embedding_mode="sum",
+        )
+        return RunConfig(**{**settings, **overrides}).validate()
+
+    @pytest.mark.parametrize("layout", ["snips", "tsv"])
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_equals_the_steps_it_replaces(self, tmp_path, layout, restrict):
+        cfg = self.config(tmp_path, layout, restrict_vocab=restrict)
+        table, ex, em = load_inputs(cfg)
+
+        existing, emerging = list(cfg.existing_labels), list(cfg.emerging_labels)
+        restrict_to = dataset_words(cfg.dataset_path) if restrict else None
+        ref = load_embeddings(cfg.embeddings_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict_to)
+        ref.build_intent_vectors(existing + emerging, mode=cfg.intent_embedding_mode)
+        ref_ex, ref_em = load_dataset(cfg.dataset_path, existing, emerging, ref)
+
+        assert list(table.vocab.items()) == list(ref.vocab.items())
+        assert ("extra" in table.vocab) == (not restrict)
+        assert table.vectors.dtype == ref.vectors.dtype and table.vectors.tobytes() == ref.vectors.tobytes()
+        assert table.intent_vectors.tobytes() == ref.intent_vectors.tobytes()
+        assert (table.oov_id, table.pad_id) == (ref.oov_id, ref.pad_id)
+        for got, want in ((ex, ref_ex), (em, ref_em)):
+            assert got.samples == want.samples and got.label_names == want.label_names
+        assert ex.label_names == existing and em.label_names == emerging
+
+    def test_paths_are_checked_dataset_first(self, tmp_path):
+        cfg = self.config(tmp_path, "tsv")
+        data, missing = cfg.dataset_path, str(tmp_path / "none")
+        for dataset_path, embeddings_path, error, message in (
+            ("", "", ContractError, "no dataset path configured"),
+            (missing, missing, FileNotFoundError, "dataset path not found"),
+            (data, "", ContractError, "no embeddings file configured"),
+            (data, missing, FileNotFoundError, "embeddings file not found"),
+        ):
+            cfg.dataset_path, cfg.embeddings_path = dataset_path, embeddings_path
+            with pytest.raises(error, match=message):
+                load_inputs(cfg)
+
+
 class TestCorpus:
     def test_subset_keeps_metadata(self, table):
-        c = Corpus([([0], 0), ([1], 0)], ["A"], ["B"], split_tag="all")
+        c = Corpus([([0], 0), ([1], 0)], ["A"], split_tag="all")
         s = c.subset([1], "test")
         assert s.samples == [([1], 0)] and s.split_tag == "test"
+        assert s.label_names == ["A"]

@@ -1,0 +1,70 @@
+"""Property test of the word-vector file surface.
+
+Every generated file either loads into a consistent EmbeddingTable or
+fails with ParseError or EmptySourceError. Any other exception fails the
+test, and so does any warning (pytest runs with warnings as errors).
+The files mix headers, duplicates, whitespace variants, blank lines,
+short and long rows, empty, non-numeric and non-finite values and the
+reserved words, at expected_dim 1-3, with and without `restrict_to`.
+"""
+
+import numpy as np
+import pytest
+
+from capsnlu.data import OOV_TOKEN, PAD_TOKEN, EmptySourceError, ParseError, load_embeddings
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+WORDS = ["a", "b", "the", "x y", OOV_TOKEN, PAD_TOKEN]
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e39", "x", "1_0", "0x1", "--1", "1e"]),
+)
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def vector_files(draw):
+    """(expected_dim, file text, restrict_to) for one vectors file."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"{draw(st.integers(0, 9))} {draw(st.sampled_from([dim, dim + 1]))}")
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        count = dim + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        fields = [draw(st.sampled_from(WORDS))] + [draw(VALUES) for _ in range(max(count, 0))]
+        line = fields[0]
+        for value in fields[1:]:
+            line += draw(SEPARATORS) + value
+        lines.append(line + draw(st.sampled_from(["", "", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    restrict = draw(st.none() | st.sets(st.sampled_from(WORDS)))
+    return dim, text, restrict
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(case=vector_files())
+def test_vector_file_loads_or_fails_by_name(tmp_path_factory, case):
+    dim, text, restrict = case
+    path = tmp_path_factory.getbasetemp() / "fuzz_vectors.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        table = load_embeddings(path, expected_dim=dim, seed=0, restrict_to=restrict)
+    except (ParseError, EmptySourceError):
+        return
+    rows = table.vectors.shape[0]
+    assert table.vectors.shape == (rows, dim)
+    assert len(table.vocab) == rows
+    assert sorted(table.vocab.values()) == list(range(rows))
+    assert table.oov_id != table.pad_id
+    assert (table.vocab[OOV_TOKEN], table.vocab[PAD_TOKEN]) == (table.oov_id, table.pad_id)
+    assert not table.vectors[table.pad_id].any()
+    assert np.isfinite(table.vectors).all()
+    if restrict is not None:
+        assert set(table.vocab) - {OOV_TOKEN, PAD_TOKEN} <= restrict

@@ -84,7 +84,7 @@ class TestTrain:
         from capsnlu.autodiff import ContractError
 
         cfg, table, corpus, _ = toy_setup
-        empty = Corpus([], corpus.existing_labels, corpus.emerging_labels)
+        empty = Corpus([], corpus.label_names)
         with pytest.raises(ContractError):
             train(cfg, empty, table)
         model, _ = train(toy_config(epochs=1), corpus, table)
@@ -289,7 +289,7 @@ class TestSplits:
         for lab, count in enumerate(per_class):
             samples += [([lab + 1], lab) for _ in range(count)]
         names = [f"c{i}" for i in range(len(per_class))]
-        return Corpus(samples, names, [], domain="existing")
+        return Corpus(samples, names)
 
     def test_split_fractions_per_class(self):
         corpus = self.make_corpus([10, 20])
@@ -322,7 +322,7 @@ class TestZeroShot:
         cfg.emerging_labels = (TOY_EMERGING[0],)
         table.build_intent_vectors(list(TOY_EXISTING) + [TOY_EMERGING[0]])
         only_tunes = [s for s in emerging.samples if s[1] == 0]
-        corpus_one = Corpus(only_tunes, list(TOY_EXISTING), [TOY_EMERGING[0]], domain="emerging")
+        corpus_one = Corpus(only_tunes, [TOY_EMERGING[0]])
         model, _ = train(cfg, corpus, table)
         report, _ = zsl_evaluate(model, corpus_one, table.intent_vectors, cfg)
         assert report.accuracy == 1.0
@@ -404,6 +404,14 @@ class TestExports:
         # the suspended generator must not hold a no_grad block open
         assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
         chunks.close()
+
+
+def _first_entry(value):
+    def damage(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return damage
 
 
 class TestPersistence:
@@ -530,4 +538,28 @@ class TestPersistence:
             arrays[key] = damage(arrays[key])
         np.savez(path, **arrays)
         with pytest.raises(ContractError, match=named):
+            load_model(tmp_path / "model")
+
+    @pytest.mark.parametrize(
+        "key, damage, problem",
+        [
+            ("lstm_fw__w_h", _first_entry(np.nan), "is not all finite floats"),
+            ("embedding", _first_entry(np.inf), "is not all finite floats"),
+            ("intent_vectors", _first_entry(np.nan), "is not all finite floats"),
+            ("w_s1", lambda a: a.astype(np.int32), "is not all finite floats"),
+            ("intent_vectors", lambda a: a[:-1], r"has shape \(3, 8\), expected \(4, 8\)"),
+            ("intent_vectors", lambda a: a[:, :-1], r"has shape \(4, 7\), expected \(4, 8\)"),
+        ],
+        ids=["nan-weight", "inf-embedding", "nan-intent-vectors", "int-weight", "intent-rows", "intent-dim"],
+    )
+    def test_non_finite_or_misshapen_arrays_are_named(self, toy_setup, tmp_path, key, damage, problem):
+        # a NaN weight used to load and serve wrong predictions, and a short
+        # intent_vectors array escaped zsl_evaluate as a bare IndexError
+        cfg, table, _, _ = toy_setup
+        path = save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz"
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        arrays[key] = damage(arrays[key])
+        np.savez(path, **arrays)
+        with pytest.raises(ContractError, match=rf"params\.npz: array '{key}' {problem}"):
             load_model(tmp_path / "model")
