@@ -9,6 +9,7 @@ turns a RunConfig into a run's table and corpora.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
@@ -284,7 +285,7 @@ def iter_snips_records(root):
             raise ParseError(f"{d}: no train_{intent}[_full].json file")
         raw = fpath.read_bytes()
         try:
-            text = raw.decode("utf-8")
+            text = raw.decode("utf-8-sig")  # a leading byte-order mark is dropped
         except UnicodeDecodeError:
             # the published benchmark files carry some latin-1 bytes
             text = raw.decode("latin-1")
@@ -306,18 +307,27 @@ def iter_snips_records(root):
 
 
 def iter_tsv_records(path):
-    """Yield (utterance, intent, location) from `utterance<TAB>intent` lines."""
+    """Yield (utterance, intent, location) from `utterance<TAB>intent` lines
+    of UTF-8 text, a leading byte-order mark dropped; lines end at LF,
+    CRLF or CR. A byte that is not UTF-8 raises ParseError naming its
+    line."""
     path = Path(path)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(exc.object[: exc.start].decode("utf-8"), newline=None).getvalue()
+        lineno = before.count("\n") + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text") from exc
     any_row = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-            any_row = True
-            yield cols[0], cols[1], f"{path}:{lineno}"
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if line.isspace():
+            continue
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
+        any_row = True
+        yield cols[0], cols[1], f"{path}:{lineno}"
     if not any_row:
         raise EmptySourceError(f"{path}: no samples")
 

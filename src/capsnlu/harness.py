@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from .data import Corpus, EmbeddingTable
 from .detection import activation_norms, margin_loss_batch
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelParams, forward_batch, init_model
+from .semantic import token_id_array
 from .zeroshot import (
     classify_emerging_batch,
     intent_similarity,
@@ -32,8 +35,9 @@ EVAL_BATCH = 64
 
 # Bytes of one block of leading-axis rows in Adam.step. The moment,
 # gradient, parameter and two temporary blocks then stay in L2 cache across
-# the update's passes.
-_ADAM_BLOCK_BYTES = 256 * 1024
+# the update's passes, and a pass over a |V| x 300 float32 embedding is a
+# few dozen numpy calls, each long enough to run without the GIL.
+_ADAM_BLOCK_BYTES = 512 * 1024
 
 
 def _row_blocks(arr: np.ndarray) -> list:
@@ -44,6 +48,24 @@ def _row_blocks(arr: np.ndarray) -> list:
     row_bytes = max(math.prod(arr.shape[1:]) * arr.itemsize, 1)
     rows = max(_ADAM_BLOCK_BYTES // row_bytes, 1)
     return [slice(s, s + rows) for s in range(0, arr.shape[0], rows)]
+
+
+class _Worker(threading.Thread):
+    """A thread whose exception, if any, `join` re-raises in the joining
+    thread."""
+
+    _error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            super().run()
+        except BaseException as exc:  # handed to the joining thread
+            self._error = exc
+
+    def join(self, timeout=None) -> None:
+        super().join(timeout)
+        if self._error is not None:
+            raise self._error
 
 
 class Adam:
@@ -63,21 +85,28 @@ class Adam:
     buffers changes a bit, and no array larger than one block is
     allocated per step.
 
-    When a parameter's gradient row record is known (see ``Tensor``),
-    the gradient terms ``(1 - b1) * g`` and ``(1 - b2) * (g * g)`` are
-    folded into the moments only on the recorded rows; the decays and
-    the parameter update still cover every row. On the other rows ``g``
-    is +0.0, and adding a +0.0 term leaves every value but -0.0 as it
-    was. The moments start at +0.0. Since ``beta2 >= 0``, ``v`` is never
-    -0.0; for ``beta1 > 0.5``, neither is ``m``, since ``b1 * m`` rounds
-    no nonzero ``m`` to zero. So the skip is exact only for
-    ``beta1 > 0.5``; a smaller beta1 folds every row.
+    ``rows_step(param, rows)`` splits one parameter's next step in two,
+    for a table of which a step reads and writes only a few rows (the
+    embedding). It yields a new leaf holding those rows, which the
+    forward and backward use in place of the table, and starts a worker
+    thread that runs the step with g = +0.0 over every row of the table:
+    the decays and the update, which need neither the gradient nor the
+    forward. ``step`` then steps the other parameters, joins the worker
+    and redoes the full step of the chosen rows from their pre-step
+    values and the leaf's gradient, and writes them back. Off those rows
+    the textbook's ``(1 - b1) * g`` and ``(1 - b2) * (g * g)`` are +0.0,
+    and adding +0.0 leaves every value but -0.0 as it was. The moments
+    start at +0.0, and ``b2 * v`` is never -0.0 since ``beta2 >= 0``;
+    ``b1 * m`` rounds no nonzero ``m`` to zero when ``beta1 > 0.5``, so
+    only a smaller beta1 adds the +0.0 to ``m``. Every element thus sees
+    the textbook's operations in its order, and the split changes no bit.
 
     ``lr`` must be finite and non-negative, both betas in [0, 1) and
     ``eps`` positive, else ContractError names the value: ``beta1 = 1``,
     say, would make the bias correction ``1 - b1**t`` zero. Every
-    parameter must be writable (a loaded model's are not), else
-    ContractError names the first that is not.
+    parameter must be writable (a loaded model's are not) and listed
+    once, else ContractError names it; a parameter listed twice would be
+    stepped twice.
     """
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -90,9 +119,12 @@ class Adam:
             if not ok:
                 raise ContractError(f"Adam {name} must be {rule}, got {value!r}")
         self.params = list(named_params)
-        for name, t in self.params:
+        for k, (name, t) in enumerate(self.params):
             if not t.values.flags.writeable:
                 raise ContractError(f"parameter {name!r} is read-only (a loaded model is frozen)")
+            for other, u in self.params[:k]:
+                if np.shares_memory(t.values, u.values):
+                    raise ContractError(f"parameters {other!r} and {name!r} share memory; Adam would step it twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -105,52 +137,111 @@ class Adam:
         self._temps = [
             np.empty((2, t.values[b[0]].size if b else 0), t.dtype) for b, (_, t) in zip(self._blocks, self.params)
         ]
+        self._open = None  # (index, rows, leaf, m rows, v rows, worker) of an open rows step
 
     def zero_grad(self) -> None:
         for _, t in self.params:
             t.reset_grad()
 
+    @contextlib.contextmanager
+    def rows_step(self, param: Tensor, rows):
+        """Start the next step of `param`, one of the optimizer's tables,
+        for the sorted distinct leading-axis `rows`, and yield a new leaf
+        holding their values; the caller runs the forward and backward on
+        the leaf and calls ``step``, which finishes it (see the class
+        docstring). Until then the table's values and moments belong to
+        the worker: nothing may read or write them. The worker is joined
+        on every way out of the block; an exception it raised is raised
+        by ``step``, or on leaving the block when no other exception is
+        on its way out."""
+        index = next((k for k, (_, t) in enumerate(self.params) if t is param), None)
+        if index is None or param.ndim == 0:
+            raise ContractError("rows_step needs a table that is one of the optimizer's parameters")
+        if self._open is not None:
+            raise ContractError("a rows step is already open")
+        rows = np.asarray(rows)
+        n = param.shape[0]
+        if not (np.issubdtype(rows.dtype, np.integer) and rows.ndim == 1 and rows.size):
+            raise ContractError("rows_step needs a non-empty 1-d array of integer row ids")
+        if rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any():
+            raise ContractError(f"rows_step needs sorted distinct row ids of the {n}-row table, got {rows}")
+        leaf = Tensor(np.take(param.values, rows, axis=0), requires_grad=True)
+        m_rows, v_rows = (np.take(a[index], rows, axis=0) for a in (self.m, self.v))
+        worker = _Worker(target=self._gradient_free_step, args=(index, self.t + 1), name="adam-rows-step")
+        worker.start()
+        self._open = (index, rows, leaf, m_rows, v_rows, worker)
+        try:
+            yield leaf
+        except BaseException:
+            self._open = None
+            with contextlib.suppress(Exception):
+                worker.join()
+            raise
+        if self._open is not None:
+            self._open = None
+            worker.join()
+            raise ContractError("rows_step left without a step()")
+
+    def _hyper(self, t: int) -> tuple:
+        return self.beta1, self.beta2, self.lr, self.eps, 1 - self.beta1**t, 1 - self.beta2**t
+
+    def _gradient_free_step(self, index: int, t: int) -> None:
+        """Step `t` of parameter `index` with g = +0.0 on every row."""
+        b1, b2, lr, eps, c1, c2 = self._hyper(t)
+        p, m, v, (s1, s2) = self.params[index][1].values, self.m[index], self.v[index], self._temps[index]
+        for key in self._blocks[index]:
+            mb, vb = m[key], v[key]
+            mb *= b1
+            if b1 <= 0.5:
+                mb += 0.0  # b1 * m may round a tiny negative m to -0.0
+            vb *= b2
+            _update(p[key], mb, vb, s1[: mb.size].reshape(mb.shape), s2[: mb.size].reshape(mb.shape), lr, eps, c1, c2)
+
     def step(self) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for (_, t), m, v, blocks, (s1, s2) in zip(self.params, self.m, self.v, self._blocks, self._temps):
-            p = t.values
-            g, rows = t.grad_and_rows()
-            cuts = None
-            if rows is not None and b1 > 0.5 and p.ndim:
-                # the recorded rows of block i are rows[cuts[i]:cuts[i + 1]]
-                cuts = np.searchsorted(rows, [key.start for key in blocks] + [p.shape[0]])
-            for i, key in enumerate(blocks):
-                pb, gb, mb, vb = p[key], g[key], m[key], v[key]
-                x = s1[: mb.size].reshape(mb.shape)
-                y = s2[: mb.size].reshape(mb.shape)
-                mb *= b1
-                vb *= b2
-                if cuts is None:
-                    _gradient_terms(gb, x, y, b1, b2)
-                    mb += x
-                    vb += y
-                elif cuts[i] < cuts[i + 1]:
-                    r = rows[cuts[i] : cuts[i + 1]] - key.start
-                    gx, gy = x[: r.size], y[: r.size]
-                    _gradient_terms(np.take(gb, r, axis=0, out=gx), gx, gy, b1, b2)
-                    mb[r] += gx
-                    vb[r] += gy
-                np.divide(mb, c1, out=x)
-                x *= lr
-                np.divide(vb, c2, out=y)
-                np.sqrt(y, out=y)
-                y += eps
-                x /= y
-                pb -= x
+        hyper = self._hyper(self.t)
+        opened, self._open = self._open, None
+        skip = opened[0] if opened is not None else None
+        for i, (_, t) in enumerate(self.params):
+            if i != skip:
+                _full_step(t.values, t.grad, self.m[i], self.v[i], self._blocks[i], self._temps[i], hyper)
+        if opened is None:
+            return
+        index, rows, leaf, m_rows, v_rows, worker = opened
+        worker.join()
+        _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
+        self.params[index][1].values[rows] = leaf.values
+        self.m[index][rows] = m_rows
+        self.v[index][rows] = v_rows
 
 
-def _gradient_terms(g, x, y, b1, b2) -> None:
-    """y = (1 - b2) * (g * g), then x = (1 - b1) * g; `g` may be `x`."""
-    np.multiply(g, g, out=y)
-    y *= 1 - b2
-    np.multiply(g, 1 - b1, out=x)
+def _full_step(p, g, m, v, blocks, temps, hyper) -> None:
+    """The textbook step of `p` from gradient `g`, in place, block by block."""
+    b1, b2, lr, eps, c1, c2 = hyper
+    s1, s2 = temps
+    for key in blocks:
+        pb, gb, mb, vb = p[key], g[key], m[key], v[key]
+        x = s1[: mb.size].reshape(mb.shape)
+        y = s2[: mb.size].reshape(mb.shape)
+        mb *= b1
+        vb *= b2
+        np.multiply(gb, gb, out=y)
+        y *= 1 - b2
+        np.multiply(gb, 1 - b1, out=x)
+        mb += x
+        vb += y
+        _update(pb, mb, vb, x, y, lr, eps, c1, c2)
+
+
+def _update(pb, mb, vb, x, y, lr, eps, c1, c2) -> None:
+    """pb -= lr * (mb / c1) / (sqrt(vb / c2) + eps), through buffers x, y."""
+    np.divide(mb, c1, out=x)
+    x *= lr
+    np.divide(vb, c2, out=y)
+    np.sqrt(y, out=y)
+    y += eps
+    x /= y
+    pb -= x
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +296,18 @@ def batch_loss(model: ModelParams, samples, cfg: RunConfig, *, training: bool, r
 
 def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Corpus | None = None):
     """Minibatch Adam on the margin+penalty loss; keeps the parameters of
-    the best validation epoch. Fully deterministic given the seed."""
+    the best validation epoch. Fully deterministic given the seed.
+
+    A step reads and writes few embedding rows: the batch's token ids and
+    the pad id (whose gradient row is zeroed, so PAD stays frozen). The
+    step gathers those rows into a leaf through ``Adam.rows_step``, with
+    the batch's ids renumbered to index it, and runs the forward and
+    backward on a model whose embedding is that leaf. Meanwhile a worker
+    thread runs the table's gradient-free Adam pass over every row; the
+    worker is joined before the step returns or raises. An id that is not
+    a row of the embedding raises `encode_tokens`' ContractError before
+    any row is gathered. Losses, parameters and moments are bit for bit
+    those of a step on the whole table."""
     cfg.validate()
     if not corpus.samples:
         raise ContractError("empty training corpus")
@@ -230,16 +332,25 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
             # order keeps gradient accumulation reproducible
             picked = np.sort(order[start : start + cfg.batch_size])
             batch = [corpus.samples[i] for i in picked]
-            loss = batch_loss(model, batch, cfg, training=True, rng=rng)
-            value = loss.item()
-            if not np.isfinite(value):
-                err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
-                err.checkpoint = last_good
-                raise err
-            optimizer.zero_grad()
-            loss.backward()
-            model.embedding.reset_grad(rows=[model.pad_id])  # PAD stays frozen
-            optimizer.step()
+            seqs = [ids for ids, _ in batch]
+            lengths = np.array([len(ids) for ids in seqs])
+            ids = token_id_array(seqs, lengths, model.embedding.shape[0])
+            rows = np.unique(np.append(ids, model.pad_id))
+            local = np.split(np.searchsorted(rows, ids), np.cumsum(lengths)[:-1])
+            local_batch = [(part.tolist(), lab) for part, (_, lab) in zip(local, batch)]
+            with optimizer.rows_step(model.embedding, rows) as leaf:
+                pad = int(np.searchsorted(rows, model.pad_id))
+                stepped = replace(model, embedding=leaf, pad_id=pad)
+                loss = batch_loss(stepped, local_batch, cfg, training=True, rng=rng)
+                value = loss.item()
+                if not np.isfinite(value):
+                    err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
+                    err.checkpoint = last_good
+                    raise err
+                optimizer.zero_grad()
+                loss.backward()
+                leaf.grad[pad] = 0.0  # PAD stays frozen
+                optimizer.step()
             loss_sum += value * len(batch)
         epoch_loss = loss_sum / n
         acc = evaluate(model, val_corpus, cfg).accuracy

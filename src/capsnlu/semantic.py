@@ -313,6 +313,21 @@ def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> np.ndarr
     return cached[1]
 
 
+def token_id_array(seqs, lengths: np.ndarray, rows: int) -> np.ndarray:
+    """The token ids of `seqs` (utterance b holds lengths[b] of them) in
+    row-major order, as int64. A negative id would read from the end of
+    a table and a fraction would be truncated, so an id that is not one
+    of the embedding's `rows` rows raises ContractError naming its
+    utterance."""
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.float64, count=int(lengths.sum()))
+    good = (flat >= 0) & (flat < rows) & (flat == np.floor(flat))
+    if not good.all():
+        k = int(np.argmin(good))
+        utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
+        raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {rows}-row embedding")
+    return flat.astype(np.int64)
+
+
 def encode_tokens(
     token_batch,
     embedding: Tensor,
@@ -357,17 +372,8 @@ def encode_tokens(
     padded = bool((lengths != t_max).any())
     if padded and pad_id is None:
         raise ContractError("ragged batches need a pad_id")
-    # a negative id would read from the end of the table and a fraction
-    # would be truncated, so every id must be a row of the embedding
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.float64, count=int(lengths.sum()))
-    vocab = embedding.shape[0]
-    good = (flat >= 0) & (flat < vocab) & (flat == np.floor(flat))
-    if not good.all():
-        k = int(np.argmin(good))
-        utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
-        raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {vocab}-row embedding")
+    ids = token_id_array(seqs, lengths, embedding.shape[0])
     mask = np.arange(t_max)[None, :] < lengths[:, None]  # B x T
-    ids = flat.astype(np.int64)
 
     fw, bw = params.lstm_fw, params.lstm_bw
     if not training and not _grad_enabled() and ids.size >= 2:
@@ -381,16 +387,14 @@ def encode_tokens(
             big_h, _ = _bilstm_states(table, slots, fw.w_h.values, bw.w_h.values, lengths)
             return Tensor(big_h), mask
 
-    if padded:
-        ids = np.append(ids, pad_id)
-    x = embedding.take_rows(ids)  # sum(lengths) [+ 1] x D_W
+    x = embedding.take_rows(np.append(ids, pad_id) if padded else ids)  # sum(lengths) [+ 1] x D_W
     if training and dropout_keep < 1.0:
         if rng is None:
             raise ContractError("dropout needs an rng")
         draws = rng.random((len(seqs), t_max, x.shape[1]))  # the padded batch's draws
         keep = np.ones(x.shape, dtype=x.values.dtype)  # the pad row keeps its projection
-        keep[: flat.size] = draws[mask] < dropout_keep
-        keep[: flat.size] /= dropout_keep
+        keep[: ids.size] = draws[mask] < dropout_keep
+        keep[: ids.size] /= dropout_keep
         x = x * Tensor(keep)  # inverted dropout; identity at evaluation
 
     return _run_bilstm(x, fw, bw, lengths), mask

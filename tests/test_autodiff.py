@@ -422,11 +422,10 @@ class TestGatherOps:
             else:
                 start = rng.normal(size=(n_rows,) + row_shape).astype(dtype)
             got = start.copy()
-            written = _scatter_add_rows(got, idx, g)
+            _scatter_add_rows(got, idx, g)
             want = start.copy()
             np.add.at(want, idx, g)
             assert got.tobytes() == want.tobytes(), draw
-            np.testing.assert_array_equal(written, np.unique(keys[g.reshape(idx.shape + (-1,)).any(axis=-1)]))
         assert negative_zeros > 0 and repeated_zero_rows > 0
 
     def test_take_rows_non_integer(self):
@@ -441,60 +440,19 @@ class TestGatherOps:
 
 
 class TestGradRowRecord:
-    """The rows of a leaf's gradient that may be nonzero: the take_rows
-    scatter records the rows it writes, and any other write, or a read of
-    ``grad``, leaves any row possibly nonzero (None)."""
+    """``reset_grad`` zeroes a leaf's whole gradient, whether row scatters
+    alone or dense writes too reached it."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_take_rows_records_the_rows_it_writes(self, dtype):
-        table = Tensor(np.ones((8, 3)), requires_grad=True, dtype=dtype)
-        c = np.ones((2, 3, 3))
-        c[1, 2] = 0.0  # a pad position: row 0 gets no gradient from it
-        loss = (table.take_rows(np.array([[5, 1, 5], [-1, 2, 0]])) * Tensor(c, dtype=dtype)).sum()
-        assert table.grad_and_rows()[1].size == 0
-        loss.backward()
-        np.testing.assert_array_equal(table.grad_and_rows()[1], [1, 2, 5, 7])
-        table.take_rows(np.array([3, 5])).sum().backward()
-        grad, rows = table.grad_and_rows()
-        np.testing.assert_array_equal(rows, [1, 2, 3, 5, 7])
-        assert not grad[[0, 4, 6]].any()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_dense_write_or_grad_read_forgets_the_rows(self, dtype):
-        table = Tensor(np.ones((6, 3)), requires_grad=True, dtype=dtype)
-        idx = np.array([4, 1])
-        (table.take_rows(idx).sum() + (table * 2.0).sum()).backward()
-        assert table.grad_and_rows()[1] is None
-        table.reset_grad()
-        table.take_rows(idx).sum().backward()
-        assert table.grad_and_rows()[1] is not None
-        table.grad[0] = 1.0
-        assert table.grad_and_rows()[1] is None
-        table.take_rows(idx).sum().backward()  # a later scatter cannot restore it
-        assert table.grad_and_rows()[1] is None
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("known", [True, False])
-    def test_reset_grad_zeroes_the_whole_buffer(self, dtype, known):
+    @pytest.mark.parametrize("lookups_only", [True, False])
+    def test_reset_grad_zeroes_the_whole_buffer(self, dtype, lookups_only):
         table = Tensor(np.ones((6, 3)), requires_grad=True, dtype=dtype)
         table.take_rows(np.array([[2, 4], [4, 0]])).sum().backward()
-        if not known:
-            table.grad[5] = -3.0  # a write the record cannot see
+        if not lookups_only:
+            table.grad[5] = -3.0
         table.reset_grad()
-        grad, rows = table.grad_and_rows()
-        assert grad.tobytes() == bytes(grad.nbytes)  # +0.0 everywhere
-        assert rows.size == 0
+        assert table.grad.tobytes() == bytes(table.grad.nbytes)  # +0.0 everywhere
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reset_grad_rows_zeroes_only_those_rows(self, dtype):
-        table = Tensor(np.ones((6, 3)), requires_grad=True, dtype=dtype)
-        table.take_rows(np.array([[2, 4], [4, 0]])).sum().backward()
-        want = table.grad_and_rows()[0].copy()
-        want[4] = 0.0
-        table.reset_grad(rows=[4])
-        grad, rows = table.grad_and_rows()
-        assert grad.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(rows, [0, 2, 4])  # the record is kept
 
 class TestSoftmaxAxis:
     def test_axis_choice_normalizes_that_axis(self):

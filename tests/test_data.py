@@ -318,6 +318,15 @@ class TestLoadSnips:
         with pytest.raises(ContractError):
             load_snips(root, ["GetWeather"], ["GetWeather"], table)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, table):
+        # json.loads refused it as invalid JSON
+        root = tmp_path / "snips"
+        (root / "GetWeather").mkdir(parents=True)
+        doc = {"GetWeather": [{"data": [{"text": "weather"}]}]}
+        (root / "GetWeather" / "train_GetWeather_full.json").write_text(json.dumps(doc), encoding="utf-8-sig")
+        ex, _ = load_snips(root, self.EXISTING, self.EMERGING, table)
+        assert ex.samples == [([table.vocab["weather"]], 0)]
+
     @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
     def test_malformed_json_names_file(self, tmp_path, table, encoding):
         # the latin-1 retry used to escape as a bare JSONDecodeError
@@ -376,6 +385,29 @@ class TestLoadTsv:
         p.write_text("play\u2028music\tPlayMusic\n", encoding="utf-8")
         ex, _ = load_tsv(p, ["PlayMusic"], [], table)
         assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, table, end, bom):
+        # found by tests/test_fuzz_datasets.py: it escaped as a bare UnicodeDecodeError
+        p = tmp_path / "toy.tsv"
+        lines = f"play music\tPlayMusic{end}get weather\tGetWeather{end}".encode()
+        p.write_bytes(bom + lines + b"caf\xe9\tPlayMusic\n")
+        with pytest.raises(ParseError, match=r"toy\.tsv:3: not UTF-8 text"):
+            load_tsv(p, ["PlayMusic", "GetWeather"], [], table)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, table):
+        # it used to stay on the first word, which then read as OOV
+        p = tmp_path / "toy.tsv"
+        p.write_text("play music\tPlayMusic\n", encoding="utf-8-sig")
+        ex, _ = load_tsv(p, ["PlayMusic"], [], table)
+        assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
+
+    def test_line_ends(self, tmp_path, table):
+        p = tmp_path / "toy.tsv"
+        p.write_bytes(b"play music\tPlayMusic\r\nget weather\tGetWeather\rplay\tPlayMusic")
+        ex, _ = load_tsv(p, ["PlayMusic", "GetWeather"], [], table)
+        assert [lab for _, lab in ex.samples] == [0, 1, 0]
 
     def test_dataset_words(self, tmp_path):
         p = tmp_path / "toy.tsv"

@@ -1,4 +1,8 @@
+import functools
 import json
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
 
 from capsnlu.autodiff import ContractError, NumericError, Tensor
+from capsnlu import harness
 from capsnlu.data import Corpus
 from capsnlu.harness import (
     Adam,
@@ -149,46 +154,71 @@ class TestAdam:
         # gradients reach a table that spans several row blocks through
         # embedding lookups, two backward passes per step, with repeated ids
         # and pad positions (id 0, no gradient); the PAD row is frozen as
-        # harness.train freezes it. Only a gradient written by lookups alone
-        # keeps its row record, and with it the row-sparse step.
+        # harness.train freezes it. Lookups alone go through the rows step:
+        # they read a leaf of the step's rows while a worker steps the whole
+        # table without gradient. A table also used densely, or written
+        # through .grad, takes the whole-table step. The rows step runs
+        # with the interpreter switching threads every microsecond, so a
+        # read or write of the table racing the worker would show.
+        if write == "lookup":
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                self._table_steps(dtype, write)
+            finally:
+                sys.setswitchinterval(interval)
+        else:
+            self._table_steps(dtype, write)
+
+    def _table_steps(self, dtype, write):
         rng = np.random.default_rng(13)
         table = Tensor(rng.normal(size=(500, 300)), requires_grad=True, dtype=dtype)
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
         opt = Adam([("table", table)], lr=1e-3)
         for step in range(1, 7):
-            opt.zero_grad()
+            lookups = []
             for _ in range(2):
                 idx = rng.integers(1, 500, size=(8, 12))
                 idx[:, 9:] = 0
                 idx[0, :4] = idx[1, 0]
                 c = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=idx.shape + (300,)).astype(dtype)
                 c[:, 9:] = 0.0
-                loss = (table.take_rows(idx) * Tensor(c)).sum()
-                if write == "lookup_and_product":
-                    loss = loss + (table * Tensor(rng.normal(size=table.shape).astype(dtype))).sum()
-                loss.backward()
-            if write == "grad_read":
-                table.grad[0] = 0.0
+                lookups.append((idx, Tensor(c)))
+            opt.zero_grad()
+            grad = np.zeros_like(table.values)
+            if write == "lookup":
+                rows = np.unique(np.concatenate([idx.ravel() for idx, _ in lookups]))
+                with opt.rows_step(table, rows) as leaf:
+                    for idx, c in lookups:
+                        (leaf.take_rows(np.searchsorted(rows, idx)) * c).sum().backward()
+                    leaf.grad[0] = 0.0  # rows[0] is the PAD row
+                    grad[rows] = leaf.grad
+                    opt.step()
             else:
-                table.reset_grad(rows=[0])
-            grad, rows = table.grad_and_rows()
-            assert (rows is not None) == (write == "lookup")
-            grads = [grad.copy()]
-            opt.step()
-            _textbook_adam(ref, grads, moments, step, 1e-3)
+                for idx, c in lookups:
+                    loss = (table.take_rows(idx) * c).sum()
+                    if write == "lookup_and_product":
+                        loss = loss + (table * Tensor(rng.normal(size=table.shape).astype(dtype))).sum()
+                    loss.backward()
+                table.grad[0] = 0.0
+                grad[...] = table.grad
+                opt.step()
+            _textbook_adam(ref, [grad], moments, step, 1e-3)
             assert _same_bits(table.values, ref[0]), step
             assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("beta1, beta2", [(0.4, 0.999), (0.5, 0.999), (0.9, -0.5), (0.9, 0.999)])
     def test_row_record_is_used_only_where_skipping_is_exact(self, dtype, beta1, beta2):
-        # step 1 leaves m[1] at -tiny (the smallest subnormal). With no
-        # gradient on row 1 at step 2, beta1 <= 0.5 rounds beta1 * m[1] to
-        # -0.0, which the textbook's + 0.0 turns into +0.0; a step that skipped
-        # row 1's gradient terms would keep -0.0. beta1 > 0.5 keeps -tiny.
-        # A negative beta2 would turn v = +0.0 on a row without gradient into
-        # beta2 * v = -0.0 in the same way, so the constructor rejects it.
+        # the rows step's worker skips the gradient terms of the rows
+        # outside the step only where that is exact. Step 1 leaves m[1] at
+        # -tiny (the smallest subnormal). At step 2 row 1 is outside the
+        # rows, so the worker steps it: beta1 <= 0.5 rounds beta1 * m[1] to
+        # -0.0, which the textbook's + 0.0 turns into +0.0, so the worker
+        # must add that +0.0; beta1 > 0.5 keeps -tiny. A negative beta2
+        # would turn v = +0.0 on a row without gradient into beta2 * v =
+        # -0.0 in the same way, so the constructor rejects it.
         table = Tensor(np.ones((4, 2)), requires_grad=True, dtype=dtype)
         if beta2 < 0:
             with pytest.raises(ContractError, match=f"Adam beta2 must be in \\[0, 1\\), got {beta2!r}"):
@@ -201,12 +231,12 @@ class TestAdam:
         opt = Adam([("table", table)], lr=1e-3, beta1=beta1, beta2=beta2)
         for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
             opt.zero_grad()
-            (table.take_rows(np.array([row])) * Tensor(np.full((1, 2), value, dtype=dtype))).sum().backward()
-            grad, rows = table.grad_and_rows()
-            np.testing.assert_array_equal(rows, [row])
-            grads = [grad.copy()]
-            opt.step()
-            _textbook_adam(ref, grads, moments, step, 1e-3, b1=beta1, b2=beta2)
+            grad = np.zeros_like(table.values)
+            with opt.rows_step(table, [row]) as leaf:
+                (leaf.take_rows(np.array([0])) * Tensor(np.full((1, 2), value, dtype=dtype))).sum().backward()
+                grad[row] = leaf.grad[0]
+                opt.step()
+            _textbook_adam(ref, [grad], moments, step, 1e-3, b1=beta1, b2=beta2)
             if step == 1:
                 assert moments[0][0][1].tolist() == [-tiny, -tiny]
             assert _same_bits(table.values, ref[0])
@@ -237,50 +267,174 @@ class TestAdam:
         rng = np.random.default_rng(12)
         table = Tensor(rng.normal(size=(2000, 300)), requires_grad=True)
         opt = Adam([("table", table)], lr=1e-3)
-        for sparse in (False, True):
+        for rows_step in (False, True):
             for _ in range(2):
                 opt.zero_grad()
-                if sparse:  # 60 lookups: the row-sparse step
-                    table.take_rows(rng.integers(0, 2000, size=(4, 15))).sum().backward()
-                else:
+                if not rows_step:
                     table.grad[...] = rng.normal(size=table.shape)
-                assert (table.grad_and_rows()[1] is not None) == sparse
+                idx = rng.integers(0, 2000, size=(4, 15))
+                rows = np.unique(idx)
                 tracemalloc.start()
                 try:
-                    opt.step()
+                    if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
+                        with opt.rows_step(table, rows) as leaf:
+                            leaf.take_rows(np.searchsorted(rows, idx)).sum().backward()
+                            opt.step()
+                    else:
+                        opt.step()
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
 
+    def test_parameter_listed_twice_is_named(self):
+        # stepping it once per entry would move it twice as far
+        t = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ContractError, match="parameters 'a' and 'b' share memory; Adam would step it twice"):
+            Adam([("a", t), ("b", t)], lr=0.1)
+        with pytest.raises(ContractError, match="parameters 'a' and 'view' share memory"):
+            Adam([("a", t), ("other", Tensor(np.ones(3), requires_grad=True)), ("view", Tensor(t.values[1:]))], lr=0.1)
+        opt = Adam([("a", t)], lr=0.1)
+        t.grad[...] = 1.0
+        opt.step()
+        np.testing.assert_allclose(t.values, 0.9)
+
+    def test_rows_step_misuse_is_named(self):
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        opt = Adam([("table", table)], lr=1e-3)
+        before = threading.active_count()
+        with pytest.raises(ContractError, match="needs a table that is one of the optimizer's parameters"):
+            with opt.rows_step(Tensor(np.ones((4, 2)), requires_grad=True), [0]):
+                pass
+        for rows in ([], [[0]], [0.5], [True]):
+            with pytest.raises(ContractError, match="needs a non-empty 1-d array of integer row ids"):
+                with opt.rows_step(table, rows):
+                    pass
+        for rows in ([1, 1], [2, 1], [-1, 2], [0, 4]):  # a repeat would be written back twice
+            with pytest.raises(ContractError, match="needs sorted distinct row ids of the 4-row table"):
+                with opt.rows_step(table, rows):
+                    pass
+        with pytest.raises(ContractError, match="a rows step is already open"):
+            with opt.rows_step(table, [0]):
+                with opt.rows_step(table, [1]):
+                    pass
+        with pytest.raises(ContractError, match="rows_step left without a step"):
+            with opt.rows_step(table, [0]):
+                pass
+        assert threading.active_count() == before
+
 
 class TestTrainStepExactness:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_row_sparse_steps_equal_dense_steps(self, dtype):
-        # harness.train freezes PAD with reset_grad(rows=...), which keeps the
-        # embedding's row record; writing the PAD row through .grad, as a copy
-        # of the loop may, drops it, so every step folds every row
-        def run(read_grad):
-            model, cfg, _, _ = build_tiny_setup(3, dtype=dtype)
-            cfg.dropout_keep = 0.7
-            rng = np.random.default_rng(5)
-            opt = Adam(model.trainable(), lr=cfg.learning_rate)
-            for _ in range(8):
-                lengths = rng.integers(1, 6, size=4)
-                batch = [(rng.integers(0, 9, size=n).tolist(), int(rng.integers(0, 3))) for n in lengths]
-                loss = batch_loss(model, batch, cfg, training=True, rng=rng)
-                opt.zero_grad()
-                loss.backward()
-                if read_grad:
-                    model.embedding.grad[model.pad_id] = 0.0
-                else:
-                    model.embedding.reset_grad(rows=[model.pad_id])
-                assert (model.embedding.grad_and_rows()[1] is None) == read_grad
-                opt.step()
-            return [t.values for _, t in model.trainable()] + opt.m + opt.v
+    def test_row_sparse_steps_equal_dense_steps(self, toy_setup, monkeypatch, dtype):
+        # harness.train steps each batch's embedding rows through a leaf
+        # while a worker steps the whole table without gradient; a copy of
+        # its loop on the whole table (the lookups scatter into the table's
+        # own .grad, then the whole-table step) must reach the same bits,
+        # over ragged batches with dropout
+        cfg, table, corpus, _ = toy_setup
+        cfg.epochs, cfg.batch_size, cfg.dropout_keep = 1, 3, 0.7  # one epoch: train keeps its last values
+        monkeypatch.setattr(harness, "init_model", functools.partial(init_model, dtype=dtype))
+        made = []
 
-        sparse, dense = run(False), run(True)
-        assert all(_same_bits(a, b) for a, b in zip(sparse, dense))
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "Adam", Recorded)
+        model, _ = train(cfg, corpus, table)
+
+        rng = np.random.default_rng(cfg.seed)
+        dense = init_model(table, cfg, rng=rng, dtype=dtype)
+        opt = Adam(dense.trainable(), lr=cfg.learning_rate)
+        order = rng.permutation(len(corpus.samples))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [corpus.samples[i] for i in np.sort(order[start : start + cfg.batch_size])]
+            loss = batch_loss(dense, batch, cfg, training=True, rng=rng)
+            opt.zero_grad()
+            loss.backward()
+            dense.embedding.grad[dense.pad_id] = 0.0
+            opt.step()
+        assert opt.t == made[0].t == 7
+        got = [t.values for _, t in model.trainable()] + made[0].m + made[0].v
+        want = [t.values for _, t in dense.trainable()] + opt.m + opt.v
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+class TestTrainThreads:
+    """Each step's gradient-free embedding pass runs on a worker thread;
+    train joins it on every way out, and its error reaches the caller."""
+
+    @pytest.fixture(autouse=True)
+    def slow_worker(self, monkeypatch):
+        # the toy table's pass takes microseconds; a slow one would still be
+        # running at the thread count below if train left it unjoined
+        real = Adam._gradient_free_step
+
+        def slow(self, index, t):
+            time.sleep(0.02)
+            real(self, index, t)
+
+        monkeypatch.setattr(Adam, "_gradient_free_step", slow)
+
+    def test_no_thread_outlives_a_normal_run(self, toy_setup):
+        cfg, table, corpus, _ = toy_setup
+        cfg.epochs = 2
+        before = threading.active_count()
+        train(cfg, corpus, table)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_diverged_run(self, toy_setup):
+        cfg, table, corpus, _ = toy_setup
+        table.vectors = table.vectors.copy()
+        table.vectors[corpus.samples[0][0][0]] = np.nan
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="training diverged"):
+            train(cfg, corpus, table)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_error_in_backward(self, toy_setup, monkeypatch):
+        cfg, table, corpus, _ = toy_setup
+
+        def broken(self):
+            raise RuntimeError("backward failed")
+
+        monkeypatch.setattr(Tensor, "backward", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="backward failed"):
+            train(cfg, corpus, table)
+        assert threading.active_count() == before
+
+    def test_worker_error_is_raised_in_the_caller(self, toy_setup, monkeypatch):
+        cfg, table, corpus, _ = toy_setup
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        def broken(self, index, t):
+            raise RuntimeError(f"worker failed at step {t}")
+
+        monkeypatch.setattr(Adam, "_gradient_free_step", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed at step 1"):
+            train(cfg, corpus, table)
+        assert threading.active_count() == before
+        assert hooked == []
+
+    @pytest.mark.parametrize("bad", [-1, "rows", 2.5])
+    def test_bad_token_id_is_named_before_any_step(self, toy_setup, bad):
+        # -1 would gather the last row and 2.5 fail as a bare IndexError
+        cfg, table, corpus, _ = toy_setup
+        rows = table.vectors.shape[0]
+        value = rows if bad == "rows" else bad
+        samples = list(corpus.samples)
+        ids, label = samples[3]
+        samples[3] = (ids[:1] + [value] + ids[1:], label)
+        cfg.batch_size = len(samples)  # one batch in corpus order
+        before = threading.active_count()
+        with pytest.raises(ContractError, match=f"utterance 3 has token id {value}, not a row of the {rows}-row embedding"):
+            train(cfg, Corpus(samples, corpus.label_names), table)
+        assert threading.active_count() == before
 
 
 class TestSplits:
