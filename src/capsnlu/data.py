@@ -270,11 +270,14 @@ def iter_snips_records(root):
     `root` holds one directory per intent, each with a
     train_<Intent>_full.json file whose samples are ordered lists of
     {"text": ...} spans; the utterance is the concatenation of the spans.
+    A root with no intent directory, or whose files hold no sample, raises
+    EmptySourceError naming it, as an empty TSV file does.
     """
     root = Path(root)
     intent_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not intent_dirs:
         raise EmptySourceError(f"{root}: no intent directories")
+    any_sample = False
     for d in intent_dirs:
         intent = d.name
         for candidate in (f"train_{intent}_full.json", f"train_{intent}.json"):
@@ -303,7 +306,10 @@ def iter_snips_records(root):
                 text = "".join(span["text"] for span in spans)
             except (TypeError, KeyError) as exc:
                 raise ParseError(f"{fpath}: sample {i}: span without text") from exc
+            any_sample = True
             yield text, intent, f"{fpath}:{i}"
+    if not any_sample:
+        raise EmptySourceError(f"{root}: no intent file holds a sample")
 
 
 def iter_tsv_records(path):

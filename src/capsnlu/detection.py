@@ -175,9 +175,10 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
 
 def activation_norms(v) -> np.ndarray:
     """||v_k|| per intent; `.argmax(-1)` picks the winning intent, ties
-    going to the lowest id."""
+    going to the lowest id. The same numpy calls as `np.linalg.norm(v,
+    axis=-1)` on a float array, so the same bits, without its dispatch."""
     vals = v.values if isinstance(v, Tensor) else np.asarray(v)
-    return np.linalg.norm(vals, axis=-1)
+    return np.sqrt(np.add.reduce(vals * vals, axis=-1))
 
 
 def _check_margins(downweight, margin_pos, margin_neg, penalty_weight):

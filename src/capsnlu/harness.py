@@ -372,25 +372,39 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
 
 
 def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig):
-    """Yield (start, chunk, ForwardPass) for each EVAL_BATCH slice of the
-    corpus. no_grad covers each forward_batch call but never a yield: a
-    consumer that stops early leaves the generator suspended, and a block
-    held open across the yield would keep graph recording off for the
-    caller, then pop another block's entry off the thread-local grad
-    stack when the generator is finally closed."""
+    """Yield (indices, ForwardPass) for each chunk of at most EVAL_BATCH
+    utterances, `indices` the chunk's corpus indices. The chunks are cut
+    from the corpus sorted by length (a stable sort, so equal lengths
+    keep corpus order), so each pads only to its own longest utterance
+    and most have no pads; consumers put their results back in corpus
+    order by `indices`. no_grad covers each forward_batch call but never
+    a yield: a consumer that stops early leaves the generator suspended,
+    and a block held open across the yield would keep graph recording off
+    for the caller, then pop another block's entry off the thread-local
+    grad stack when the generator is finally closed."""
     samples = corpus.samples
-    for start in range(0, len(samples), EVAL_BATCH):
-        chunk = samples[start : start + EVAL_BATCH]
+    order = np.argsort(np.array([len(ids) for ids, _ in samples], dtype=np.int64), kind="stable")
+    for start in range(0, len(order), EVAL_BATCH):
+        indices = order[start : start + EVAL_BATCH]
         with no_grad():
-            fwd = forward_batch(model, [ids for ids, _ in chunk], cfg)
-        yield start, chunk, fwd
+            fwd = forward_batch(model, [samples[i][0] for i in indices], cfg)
+        yield indices, fwd
+
+
+def _per_utterance(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) -> list:
+    """`read(fwd)` of every chunk, one item per utterance, in corpus order."""
+    out = [None] * len(corpus.samples)
+    for indices, fwd in _forward_chunks(model, corpus, cfg):
+        for i, item in zip(indices.tolist(), read(fwd)):
+            out[i] = item
+    return out
 
 
 def predict_existing(model: ModelParams, corpus: Corpus, cfg: RunConfig) -> np.ndarray:
-    preds = []
-    for _, _, fwd in _forward_chunks(model, corpus, cfg):
-        preds.extend(activation_norms(fwd.trace.v_final).argmax(axis=-1).tolist())
-    return np.asarray(preds, dtype=np.int64)
+    preds = np.empty(len(corpus.samples), dtype=np.int64)
+    for indices, fwd in _forward_chunks(model, corpus, cfg):
+        preds[indices] = activation_norms(fwd.trace.v_final).argmax(axis=-1)
+    return preds
 
 
 def evaluate(model: ModelParams, corpus: Corpus, cfg: RunConfig) -> MetricsReport:
@@ -407,18 +421,14 @@ def zsl_predict(model: ModelParams, corpus: Corpus, intent_vectors: np.ndarray, 
     """Zero-shot predictions plus per-utterance emerging activations."""
     k = len(cfg.existing_labels)
     sim = intent_similarity(intent_vectors[k:], intent_vectors[:k], cfg.sigma)
-    preds = []
-    acts = []
-    for _, _, fwd in _forward_chunks(model, corpus, cfg):
+    n_utts = len(corpus.samples)
+    preds = np.empty(n_utts, dtype=np.int64)
+    acts = np.empty((n_utts, sim.q.shape[0], cfg.caps_dim), dtype=np.result_type(sim.q, model.embedding.values))
+    for indices, fwd in _forward_chunks(model, corpus, cfg):
         votes = vote_vectors(fwd.trace, fwd.P)                 # B x K x R x D_P
         u = zero_shot_prediction_vectors(sim.q, votes)         # B x L x R x D_P
-        winners, n = classify_emerging_batch(u, cfg.routing_iterations)
-        preds.extend(winners.tolist())
-        acts.append(n)
-    if not acts:  # an empty corpus: no utterance, L x D_P activations each
-        dtype = np.result_type(sim.q, model.embedding.values)
-        acts.append(np.empty((0, sim.q.shape[0], cfg.caps_dim), dtype=dtype))
-    return np.asarray(preds, dtype=np.int64), np.concatenate(acts, axis=0), sim
+        preds[indices], acts[indices] = classify_emerging_batch(u, cfg.routing_iterations)
+    return preds, acts, sim
 
 
 def zsl_evaluate(model: ModelParams, corpus: Corpus, intent_vectors: np.ndarray, cfg: RunConfig):
@@ -448,11 +458,11 @@ def attention_offdiag_mean(model: ModelParams, corpus: Corpus, cfg: RunConfig) -
     if heads < 2:
         return 0.0
     off_mask = ~np.eye(heads, dtype=bool)
-    totals = []
-    for _, _, fwd in _forward_chunks(model, corpus, cfg):
+    totals = np.empty(len(corpus.samples))
+    for indices, fwd in _forward_chunks(model, corpus, cfg):
         gram = fwd.A.values @ np.swapaxes(fwd.A.values, -1, -2)  # B x R x R
-        totals.extend(np.abs(gram[:, off_mask]).mean(axis=-1).tolist())
-    return float(np.mean(totals))
+        totals[indices] = np.abs(gram[:, off_mask]).mean(axis=-1)
+    return float(totals.mean())
 
 
 # ----------------------------------------------------------------------
@@ -522,14 +532,11 @@ def export_attention(model: ModelParams, corpus: Corpus, cfg: RunConfig, words: 
     """Per-token attention scores, one row per (utterance, token, head)."""
     path = Path(path)
     lines = ["utterance\tposition\ttoken\thead\tscore"]
-    for start, chunk, fwd in _forward_chunks(model, corpus, cfg):
-        for bi, (ids, _) in enumerate(chunk):
-            for pos, wid in enumerate(ids):
-                for head in range(cfg.heads):
-                    score = fwd.A.values[bi, head, pos]
-                    lines.append(
-                        f"{start + bi}\t{pos}\t{words[wid]}\t{head}\t{_fmt(score)}"
-                    )
+    attn = _per_utterance(model, corpus, cfg, lambda fwd: fwd.A.values)
+    for i, ((ids, _), a) in enumerate(zip(corpus.samples, attn)):
+        for pos, wid in enumerate(ids):
+            for head in range(cfg.heads):
+                lines.append(f"{i}\t{pos}\t{words[wid]}\t{head}\t{_fmt(a[head, pos])}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -541,14 +548,13 @@ def export_activations_existing(model: ModelParams, corpus: Corpus, cfg: RunConf
     intent_names = list(cfg.existing_labels)
     header = ["utterance", "true_intent", "intent", "norm"] + [f"v{i}" for i in range(cfg.caps_dim)]
     lines = ["\t".join(header)]
-    for start, chunk, fwd in _forward_chunks(model, corpus, cfg):
-        v = fwd.trace.v_final.values
+    acts = _per_utterance(model, corpus, cfg, lambda fwd: fwd.trace.v_final.values)
+    for i, ((_, lab), v) in enumerate(zip(corpus.samples, acts)):
         norms = activation_norms(v)
-        for bi, (_, lab) in enumerate(chunk):
-            for k, name in enumerate(intent_names):
-                row = [str(start + bi), true_names[lab], name, _fmt(norms[bi, k])]
-                row += [_fmt(x) for x in v[bi, k]]
-                lines.append("\t".join(row))
+        for k, name in enumerate(intent_names):
+            row = [str(i), true_names[lab], name, _fmt(norms[k])]
+            row += [_fmt(x) for x in v[k]]
+            lines.append("\t".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -566,9 +572,10 @@ def export_activations_emerging(
         f"n{i}" for i in range(acts.shape[-1])
     ]
     lines = ["\t".join(header)]
+    norms = activation_norms(acts)
     for i, (_, lab) in enumerate(corpus.samples):
         for l, name in enumerate(names):
-            row = [str(i), names[lab], names[preds[i]], name, _fmt(np.linalg.norm(acts[i, l]))]
+            row = [str(i), names[lab], names[preds[i]], name, _fmt(norms[i, l])]
             row += [_fmt(x) for x in acts[i, l]]
             lines.append("\t".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -172,14 +172,16 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
     src = np.where(real, lengths[:, None] - 1 - pos, pos)  # its own inverse
     dh = w_h_fw.shape[0]
     dtype = source.dtype
-    if real.all():
-        # no pads (every B=1 request): one row gather in reading order, then
-        # two transposed copies; the piece gather below costs a B=1 request
-        # more in index arithmetic than it saves
+    pad_free = bool(real.all())
+    if pad_free:
+        # no pads (every B=1 request, most length-sorted eval chunks): one
+        # row gather in reading order, then two transposed copies, the
+        # backward direction reversed by a slice; the piece gather below
+        # costs a B=1 request more in index arithmetic than it saves
         full = np.take(source, slots, axis=0).reshape(n, steps, 2, 4, dh)
         xg = np.empty((steps, 4, 2, n, dh), dtype=dtype)
         xg[:, :, 0] = full[:, :, 0].transpose(1, 2, 0, 3)
-        xg[:, :, 1] = full[rows, src, 1].transpose(1, 2, 0, 3)
+        xg[:, :, 1] = full[:, ::-1, 1].transpose(1, 2, 0, 3)
     else:  # one gather of D_H-wide pieces (row, direction, gate)
         both = np.stack([slots, slots[rows, src]]).transpose(2, 0, 1)  # T x 2 x B rows
         pieces = both[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
@@ -206,7 +208,7 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
         kept.append((z, c_prev, tc))
     out = np.empty((n, steps, 2 * dh), dtype=dtype)
     out[..., :dh] = states[:, 0].swapaxes(0, 1)
-    out[..., dh:] = states[src, 1, rows]
+    out[..., dh:] = states[::-1, 1].swapaxes(0, 1) if pad_free else states[src, 1, rows]
     return out, (rows, src, wv, states, kept)
 
 
@@ -423,20 +425,21 @@ def attention_matrix(H: Tensor, params: SemanticCapsParams, pad_mask=None) -> Te
     graph node with parents H, w_s1 and w_s2; its VJP runs the masked
     softmax, the tanh and both products backwards, with each weight
     gradient one GEMM over every utterance and position. A row whose
-    positions are all masked raises DegenerateRowError.
+    positions are all masked raises DegenerateRowError; a mask that masks
+    nothing (an array or a nested list) takes the unmasked softmax, which
+    has the same bits as the masked one.
     """
     hv, w1, w2 = H.values, params.w_s1.values, params.w_s2.values
     hidden = np.tanh(np.matmul(w1, np.swapaxes(hv, -1, -2)))  # ... x D_A x T
     logits = np.matmul(w2, hidden)                              # ... x R x T
-    if pad_mask is None:
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    else:
+    if pad_mask is not None:
         keep = np.expand_dims(np.asarray(pad_mask, dtype=bool), -2)  # over heads
         keep = np.broadcast_to(keep, logits.shape)
         if not keep.any(axis=-1).all():
             raise DegenerateRowError("softmax row with every position masked")
-        shifted = np.where(keep, logits, -np.inf)
-        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+        if not keep.all():  # a mask that masks nothing leaves the logits as they are
+            logits = np.where(keep, logits, -np.inf)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, Tensor, no_grad
-from .detection import RoutingTrace, dynamic_routing
+from .detection import RoutingTrace, activation_norms, dynamic_routing
 
 
 @dataclass
@@ -81,8 +81,7 @@ def classify_emerging_batch(u, iterations: int):
     lowest id."""
     with no_grad():
         n = dynamic_routing(Tensor(np.asarray(u)), iterations).v_final.values
-    norms = np.linalg.norm(n, axis=-1)
-    return norms.argmax(axis=-1), n
+    return activation_norms(n).argmax(axis=-1), n
 
 
 def similarity_variance(q: np.ndarray) -> np.ndarray:

@@ -355,6 +355,15 @@ class TestLoadSnips:
             load_snips(tmp_path / "snips", self.EXISTING, self.EMERGING, table)
         assert "sample 0" in str(exc.value)
 
+    def test_no_sample_in_any_file_is_named(self, tmp_path, table):
+        # it loaded into two empty corpora, while an empty TSV file raised
+        root = make_snips_dir(tmp_path / "snips", {"GetWeather": [], "AddToPlaylist": []})
+        with pytest.raises(EmptySourceError, match=r"snips: no intent file holds a sample"):
+            load_snips(root, self.EXISTING, self.EMERGING, table)
+        make_snips_dir(root, {"PlayMusic": ["play music"]})
+        ex, em = load_snips(root, self.EXISTING, self.EMERGING, table)
+        assert len(ex) == 1 and len(em) == 0
+
     def test_disjoint_corpora(self, tmp_path, table):
         root = make_snips_dir(
             tmp_path / "snips",

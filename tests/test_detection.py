@@ -267,6 +267,19 @@ class TestClassify:
         v = np.array([[3.0, 4.0], [0.0, 1.0]])
         np.testing.assert_allclose(activation_norms(v), [5.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 5, 16), (64, 5, 16), (3, 2, 4, 7)], ids=["B=1", "B=64", "more axes"])
+    def test_activation_norms_bitwise_equal_to_linalg_norm(self, dtype, shape):
+        v = np.random.default_rng(40).normal(scale=0.7, size=shape).astype(dtype)
+        v[0, 1] = 0.0  # a zero vector
+        v[-1, -1, ..., :] = 0.0
+        for arg in (v, Tensor(v)):
+            got = activation_norms(arg)
+            want = np.linalg.norm(v, axis=-1)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (activation_norms(v)[0, 1] == 0.0).all()
+
 
 class TestRoutingGradients:
     def test_loss_through_routing_gradcheck(self):

@@ -10,10 +10,11 @@ import pytest
 
 from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
 
-from capsnlu.autodiff import ContractError, NumericError, Tensor
+from capsnlu.autodiff import ContractError, NumericError, Tensor, no_grad
 from capsnlu import harness
 from capsnlu.data import Corpus
 from capsnlu.harness import (
+    EVAL_BATCH,
     Adam,
     _forward_chunks,
     attention_offdiag_mean,
@@ -23,12 +24,13 @@ from capsnlu.harness import (
     export_activations_emerging,
     export_activations_existing,
     export_attention,
+    predict_existing,
     stratified_split,
     train,
     zsl_evaluate,
     zsl_predict,
 )
-from capsnlu.model import init_model, load_model, save_model
+from capsnlu.model import forward_batch, init_model, load_model, save_model
 
 
 class TestTrain:
@@ -552,12 +554,111 @@ class TestExports:
     def test_abandoned_forward_chunks_leave_graph_recording_on(self, toy_setup):
         cfg, table, corpus, _ = toy_setup
         chunks = _forward_chunks(init_model(table, cfg), corpus, cfg)
-        start, chunk, fwd = next(chunks)
-        assert start == 0 and len(chunk) == len(corpus.samples)
+        indices, fwd = next(chunks)
+        assert sorted(indices.tolist()) == list(range(len(corpus.samples)))
         assert not fwd.trace.v_final.requires_grad
         # the suspended generator must not hold a no_grad block open
         assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
         chunks.close()
+
+
+def _random_corpus(table, label_names, n: int, seed: int, max_len: int = 15) -> Corpus:
+    """`n` utterances of 1 to `max_len` random words (any row but the pad
+    row) with random labels, in no order of length."""
+    rng = np.random.default_rng(seed)
+    words = np.delete(np.arange(table.vectors.shape[0]), table.pad_id)
+    samples = [
+        (rng.choice(words, size=int(rng.integers(1, max_len + 1))).tolist(), int(rng.integers(len(label_names))))
+        for _ in range(n)
+    ]
+    return Corpus(samples, list(label_names))
+
+
+class TestEvalChunks:
+    """Evaluation cuts its chunks from the corpus sorted by length, and
+    every consumer puts its results back in corpus order."""
+
+    def test_chunks_cover_the_corpus_in_length_order(self, toy_setup):
+        cfg, table, corpus, _ = toy_setup
+        big = _random_corpus(table, corpus.label_names, 2 * EVAL_BATCH + 13, seed=1)
+        lengths = np.array([len(ids) for ids, _ in big.samples])
+        chunks = []
+        for indices, fwd in _forward_chunks(init_model(table, cfg), big, cfg):
+            assert fwd.A.shape[0] == len(indices)
+            assert fwd.A.shape[-1] == lengths[indices].max()  # padded only to its own longest
+            chunks.append(indices)
+        assert [len(c) for c in chunks] == [EVAL_BATCH, EVAL_BATCH, 13]
+        order = np.concatenate(chunks)
+        assert sorted(order.tolist()) == list(range(len(big)))
+        assert (np.diff(lengths[order]) >= 0).all()
+        assert order.tolist() == sorted(range(len(big)), key=lambda i: lengths[i])  # ties in corpus order
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["trained", "loaded"])
+    def test_shuffled_corpus_in_one_chunk_gives_the_same_activations(self, toy_setup, tmp_path, loaded):
+        cfg, table, corpus, emerging = toy_setup
+        cfg.epochs = 3
+        model, _ = train(cfg, corpus, table)
+        if loaded:  # frozen weights: the forward reads the projection table
+            model = load_model(save_model(model, table, cfg, tmp_path / "model")).model
+        rng = np.random.default_rng(2)
+
+        def existing_acts(c):
+            return np.stack(harness._per_utterance(model, c, cfg, lambda fwd: fwd.trace.v_final.values))
+
+        for c in (corpus, emerging):
+            assert len(c) <= EVAL_BATCH and len({len(ids) for ids, _ in c.samples}) > 1
+            perm = rng.permutation(len(c))
+            shuffled = c.subset(perm, "shuffled")
+            assert existing_acts(shuffled).tobytes() == existing_acts(c)[perm].tobytes()
+            _, acts, _ = zsl_predict(model, c, table.intent_vectors, cfg)
+            _, shuffled_acts, _ = zsl_predict(model, shuffled, table.intent_vectors, cfg)
+            assert shuffled_acts.tobytes() == acts[perm].tobytes()
+
+    def test_shuffled_corpus_over_several_chunks_gives_the_same_predictions(self, toy_setup):
+        cfg, table, corpus, _ = toy_setup
+        model, _ = train(cfg, corpus, table)
+        big = _random_corpus(table, corpus.label_names, 3 * EVAL_BATCH + 5, seed=3)
+        perm = np.random.default_rng(4).permutation(len(big))
+        shuffled = big.subset(perm, "shuffled")
+        preds = predict_existing(model, big, cfg)
+        assert len(set(preds.tolist())) > 1
+        np.testing.assert_array_equal(predict_existing(model, shuffled, cfg), preds[perm])
+        zsl, acts, _ = zsl_predict(model, big, table.intent_vectors, cfg)
+        zsl_shuffled, acts_shuffled, _ = zsl_predict(model, shuffled, table.intent_vectors, cfg)
+        assert len(set(zsl.tolist())) > 1
+        np.testing.assert_array_equal(zsl_shuffled, zsl[perm])
+        np.testing.assert_allclose(acts_shuffled, acts[perm], rtol=1e-5, atol=1e-7)
+
+    def test_exports_keep_corpus_order(self, toy_setup, tmp_path):
+        cfg, table, corpus, _ = toy_setup
+        cfg.epochs = 2
+        model, _ = train(cfg, corpus, table)
+        big = _random_corpus(table, corpus.label_names, EVAL_BATCH + 20, seed=5)
+        words = [None] * len(table.vocab)
+        for w, i in table.vocab.items():
+            words[i] = w
+        attn = export_attention(model, big, cfg, words, tmp_path / "attn.tsv").read_text(encoding="utf-8")
+        acts = export_activations_existing(model, big, cfg, tmp_path / "act.tsv").read_text(encoding="utf-8")
+        attn, acts = attn.splitlines(), acts.splitlines()
+        assert attn[0] == "utterance\tposition\ttoken\thead\tscore"
+        assert acts[0] == "\t".join(["utterance", "true_intent", "intent", "norm"] + [f"v{i}" for i in range(cfg.caps_dim)])
+        # each utterance alone, in corpus order, gives the rows
+        want_attn, want_acts = [], []
+        for i, (ids, lab) in enumerate(big.samples):
+            with no_grad():
+                fwd = forward_batch(model, [ids], cfg)
+            for pos, wid in enumerate(ids):
+                for head in range(cfg.heads):
+                    want_attn.append(([str(i), str(pos), words[wid], str(head)], [fwd.A.values[0, head, pos]]))
+            v = fwd.trace.v_final.values[0]
+            for k, name in enumerate(cfg.existing_labels):
+                want_acts.append(([str(i), big.label_names[lab], name], [np.linalg.norm(v[k]), *v[k]]))
+        for lines, want, keys in ((attn, want_attn, 4), (acts, want_acts, 3)):
+            assert len(lines) - 1 == len(want)
+            for line, (cols, values) in zip(lines[1:], want):
+                got = line.split("\t")
+                assert got[:keys] == cols
+                np.testing.assert_allclose([float(x) for x in got[keys:]], values, atol=2e-6)
 
 
 def _first_entry(value):

@@ -392,6 +392,29 @@ class TestFusedRecurrence:
             assert got.values.tobytes() == want.values.tobytes(), shape
             np.testing.assert_array_equal(mask, want_mask)
 
+    @pytest.mark.parametrize(
+        "batch, dtype",
+        # a padded batch has two rows or more, and at float64 a one-row
+        # product h @ w_h can round differently from a two-row one, so the
+        # B=1 float64 reference is the per-step graph of the test above
+        [(1, np.float32), (4, np.float32), (4, np.float64)],
+        ids=["B=1-float32", "B=4-float32", "B=4-float64"],
+    )
+    def test_pad_free_branch_bitwise_equal_to_padded_branch(self, batch, dtype):
+        rng = np.random.default_rng(41)
+        dh, rows, steps = 32, 40, 9
+        source = rng.normal(size=(rows + 1, 8 * dh)).astype(dtype)  # the last row is the pad row
+        w_fw, w_bw = (rng.normal(scale=0.3, size=(dh, 4 * dh)).astype(dtype) for _ in range(2))
+        slots = rng.integers(0, rows, size=(batch, steps))
+        got, _ = semantic._bilstm_states(source, slots, w_fw, w_bw, np.full(batch, steps))
+        # one longer utterance puts pads in every other row
+        padded = np.full((batch + 1, steps + 3), rows)
+        padded[:batch, :steps] = slots
+        padded[batch] = rng.integers(0, rows, size=steps + 3)
+        want, _ = semantic._bilstm_states(source, padded, w_fw, w_bw, [steps] * batch + [steps + 3])
+        assert got.shape == (batch, steps, 2 * dh)
+        assert got.tobytes() == np.ascontiguousarray(want[:batch, :steps]).tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_states_bitwise_equal_at_real_positions(self, dtype):
         params, emb, seqs, pad_id = _bench_shaped(dtype)
@@ -709,6 +732,21 @@ class TestAttentionNodes:
             return (orthogonality_penalty(attn) * weights).sum()
 
         assert finite_diff_check(loss_fn, [("A", attn)]) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [[12], [9] * 4], ids=["B=1", "B=4"])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_mask_that_masks_nothing_is_bitwise_unmasked(self, dtype, lengths, as_list):
+        params, emb, seqs, pad_id = _bench_shaped(dtype, lengths=lengths)
+        big_h, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
+        assert mask.all()
+        got = semantic.attention_matrix(big_h, params, pad_mask=mask.tolist() if as_list else mask).values
+        masked, _ = per_op_attend(big_h, params, pad_mask=mask)
+        unmasked = semantic.attention_matrix(big_h, params).values
+        assert got.tobytes() == masked.values.tobytes() == unmasked.tobytes()
+        mask[-1] = False
+        with pytest.raises(DegenerateRowError):
+            semantic.attention_matrix(big_h, params, pad_mask=mask.tolist() if as_list else mask)
 
     def test_all_masked_row_raises(self):
         rng = np.random.default_rng(33)
