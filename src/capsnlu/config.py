@@ -90,6 +90,8 @@ class RunConfig:
             raise ContractError("downweight and penalty_weight must be non-negative")
         if self.intent_embedding_mode not in ("mean", "sum"):
             raise ContractError("intent_embedding_mode must be 'mean' or 'sum'")
+        if not self.existing_labels:
+            raise ContractError("existing_labels must name at least one intent")
         if set(self.existing_labels) & set(self.emerging_labels):
             raise ContractError("existing and emerging label sets overlap")
         return self

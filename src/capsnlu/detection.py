@@ -26,6 +26,17 @@ the softmax over intents included, so gradients flow through the whole
 loop as the paper requires. The per-iteration b, c, s and v it keeps
 for that VJP are the `RoutingTrace` lists.
 
+Routing runs capsule-major. The GEMMs leave P in K x R x ... x D_P
+memory, and `prediction_vectors` returns it as a ... x K x R x D_P view
+with no copy. `dynamic_routing` reads that memory as it is (a P laid out
+otherwise, such as the zero-shot u, is copied once), so the softmax over
+intents and the weighted sum over heads reduce outer axes of contiguous
+blocks, and squash and the agreement reduce the contiguous D_P axis.
+Each sum adds its terms in the order the lead-major layout did, so every
+value is the same. The VJP returns P's gradient as a ... x K x R x D_P
+view of capsule-major memory, which `prediction_vectors`' VJP reads as
+it is.
+
 Callers pass a batch (P of shape B x K x R x D_P); a single utterance is
 a batch of one (B=1). The functions broadcast over any leading axes.
 """
@@ -33,7 +44,7 @@ a batch of one (B=1). The functions broadcast over any leading axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,21 +63,58 @@ class DetectionCapsParams:
         return [("detect.w", self.w)]
 
 
-@dataclass
 class RoutingTrace:
     """Per-iteration record of one routing run.
 
-    The arrays are the routing node's saved activations, shared with its
-    VJP, so they are read-only: editing one raises instead of corrupting
-    a later backward. `v_final` is the node's output, connected to the
-    graph for the loss; vote vectors read the last couplings, `c[-1]`.
+    Routing runs capsule-major: it keeps b and c as K x R x ... arrays and
+    s and v as K x ... x D_P. The lists `b`, `c`, `s` and `v` give them in
+    the caller's layout, as views of shape ... x K x R and ... x K x D_P.
+    Each list is made on its first read, since a request reads only
+    `c[-1]` and `v_final`. The arrays are the routing node's saved
+    activations, shared with its VJP, so every view is read-only: editing
+    one raises instead of corrupting a later backward. `v_final` is the
+    node's output, its values a read-only ... x K x D_P view too,
+    connected to the graph for the loss; vote vectors read the last
+    couplings, `c[-1]`.
     """
 
-    b: list[np.ndarray] = field(default_factory=list)  # logits at iteration start, ... x K x R
-    c: list[np.ndarray] = field(default_factory=list)  # coupling coefficients,    ... x K x R
-    s: list[np.ndarray] = field(default_factory=list)  # pre-activations,          ... x K x D_P
-    v: list[np.ndarray] = field(default_factory=list)  # activation vectors,       ... x K x D_P
-    v_final: Tensor | None = None
+    def __init__(self, saved: dict, perms: tuple, v_final: Tensor):
+        self._saved = saved  # the capsule-major b, c, s and v lists
+        self._perms = perms  # K x R x ... and K x ... x D_P to the caller's layout
+        self._views: dict = {}
+        self.v_final = v_final
+
+    def _lead_major(self, key: str) -> list[np.ndarray]:
+        views = self._views.get(key)
+        if views is None:
+            perm = self._perms[key in "sv"]
+            views = self._views[key] = [_read_only(x.transpose(perm)) for x in self._saved[key]]
+        return views
+
+    @property
+    def b(self) -> list[np.ndarray]:
+        """Logits at each iteration's start, ... x K x R."""
+        return self._lead_major("b")
+
+    @property
+    def c(self) -> list[np.ndarray]:
+        """Coupling coefficients, ... x K x R."""
+        return self._lead_major("c")
+
+    @property
+    def s(self) -> list[np.ndarray]:
+        """Pre-activations, ... x K x D_P."""
+        return self._lead_major("s")
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        """Activation vectors, ... x K x D_P."""
+        return self._lead_major("v")
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.setflags(write=False)
+    return view
 
 
 def init_detection_params(rng, num_intents: int, heads: int, in_dim: int, caps_dim: int, dtype=np.float32):
@@ -91,7 +139,7 @@ def prediction_vectors(m: Tensor, params: DetectionCapsParams) -> Tensor:
         )
     n = math.prod(lead)
     mr = np.swapaxes(m.values.reshape(n, r, in_dim), 0, 1)  # R x N x 2D_H, broadcast over K
-    out = np.ascontiguousarray((mr @ w.values).transpose(2, 0, 1, 3))  # N x K x R x D_P
+    out = (mr @ w.values).transpose(2, 0, 1, 3)  # N x K x R x D_P, a view of the K x R x N x D_P GEMMs
 
     def vjp(g):
         gk = g.reshape(n, k, r, caps_dim).transpose(1, 2, 0, 3)  # K x R x N x D_P
@@ -118,36 +166,40 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
     as one graph node whose output is `trace.v_final`."""
     if iterations < 1:
         raise ContractError("routing needs at least one iteration")
-    pv = p.values
-    trace = RoutingTrace()
-    b = np.zeros(pv.shape[:-1], dtype=pv.dtype)     # ... x K x R
-    real = pv.dtype.type
+    nl = p.ndim - 3
+    lead = tuple(range(nl))
+    # K x R x ... x D_P: `prediction_vectors`' memory as it is, else one copy
+    pk = np.ascontiguousarray(p.values.transpose(nl, nl + 1, *lead, nl + 2))
+    bs, cs, ss, vs = [], [], [], []
+    b = np.zeros(pk.shape[:-1], dtype=pk.dtype)     # K x R x ...
+    real = pk.dtype.type
     for it in range(iterations):
         if it:
-            e = np.exp(b - b.max(axis=-2, keepdims=True))
-            c = e / e.sum(axis=-2, keepdims=True)   # softmax over intents per head
+            e = np.exp(b - b.max(axis=0))
+            c = e / e.sum(axis=0)                   # softmax over intents per head
         else:  # the softmax of the zero logits, exactly
-            c = np.full(b.shape, real(1.0) / real(b.shape[-2]))
-        s = (c[..., None] * pv).sum(axis=-2)        # ... x K x D_P
+            c = np.full(b.shape, real(1.0) / real(b.shape[0]))
+        s = (c[..., None] * pk).sum(axis=1)         # K x ... x D_P
         v = squash(s)
-        trace.b.append(b)
-        trace.c.append(c)
-        trace.s.append(s)
-        trace.v.append(v)
+        bs.append(b)
+        cs.append(c)
+        ss.append(s)
+        vs.append(v)
         if it + 1 < iterations:
-            b = b + (pv * v[..., None, :]).sum(axis=-1)  # agreement p . v
-    for arr in trace.b + trace.c + trace.s + trace.v:
-        arr.flags.writeable = False  # the VJP's saved activations
+            b = b + (pk * v[:, None]).sum(axis=-1)  # agreement p . v
+    lead_kr = (*range(2, nl + 2), 0, 1)             # K x R x ... to ... x K x R
+    lead_kd = (*range(1, nl + 1), 0, nl + 1)        # K x ... x D_P to ... x K x D_P
 
     def vjp(g):
+        gv_out = g.transpose(nl, *lead, nl + 1)     # K x ... x D_P
         gp = gb = None  # gb: dL/d(logits entering the iteration after t)
         for t in reversed(range(iterations)):
-            c, s = trace.c[t], trace.s[t]
+            c, s = cs[t], ss[t]
             if gb is None:
-                gv = g
+                gv = gv_out
             else:  # agreement b += p . v
-                gv = (gb[..., None] * pv).sum(axis=-2)
-                gp += gb[..., None] * trace.v[t][..., None, :]
+                gv = (gb[..., None] * pk).sum(axis=1)
+                gp += gb[..., None] * vs[t][:, None]
             # squash; d sqrt at a zero norm takes its zero limit
             sumsq = (s * s).sum(axis=-1, keepdims=True)
             norm = np.sqrt(sumsq)
@@ -158,19 +210,19 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
             g_sumsq = -g_ratio * norm / (denom * denom) + g_norm
             gs = gv * (norm / denom) + 2.0 * g_sumsq * s
             # weighted sum s = sum_r c * p, then the softmax over intents
-            g_mix = gs[..., None, :] * c[..., None]
+            g_mix = gs[:, None] * c[..., None]
             if gp is None:
                 gp = g_mix
             else:
                 gp += g_mix
             if t:
-                gc = (gs[..., None, :] * pv).sum(axis=-1)
-                g_soft = c * (gc - (gc * c).sum(axis=-2, keepdims=True))
+                gc = (gs[:, None] * pk).sum(axis=-1)
+                g_soft = c * (gc - (gc * c).sum(axis=0))
                 gb = g_soft if gb is None else gb + g_soft
-        return (gp,)
+        return (gp.transpose(*lead_kr, nl + 2),)   # a ... x K x R x D_P view
 
-    trace.v_final = _result(trace.v[-1], "routing", (p,), vjp)
-    return trace
+    v_final = _result(_read_only(vs[-1].transpose(lead_kd)), "routing", (p,), vjp)
+    return RoutingTrace({"b": bs, "c": cs, "s": ss, "v": vs}, (lead_kr, lead_kd), v_final)
 
 
 def activation_norms(v) -> np.ndarray:

@@ -170,8 +170,8 @@ def _read_meta(path: Path) -> dict:
     ContractError naming the file and the key."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"{path} is not valid JSON ({exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ContractError(f"{path} is not valid UTF-8 JSON ({exc})") from exc
     for key in ("vocab", "oov_id", "pad_id", "config"):
         if not isinstance(meta, dict) or key not in meta:
             raise ContractError(f"{path} has no {key!r} entry")
@@ -220,13 +220,18 @@ def load_model(model_dir) -> ModelBundle:
     meta = _read_meta(model_dir / "meta.json")
     npz_path = model_dir / "params.npz"
     with np.load(npz_path) as npz:
-        arrays = {key.replace("__", "."): npz[key] for key in npz.files}
+        try:
+            arrays = {key.replace("__", "."): npz[key] for key in npz.files}
+        except ValueError as exc:  # an object array, which needs pickle
+            raise ContractError(f"{npz_path}: {exc}") from exc
     for key in ("embedding", "intent_vectors"):
         if key not in arrays:
             raise ContractError(f"{npz_path} has no {key!r} array")
     for key, a in arrays.items():
         if a.dtype.kind != "f" or not np.isfinite(a).all():
             raise ContractError(f"{npz_path}: array {key.replace('.', '__')!r} is not all finite floats")
+    if arrays["embedding"].ndim != 2:
+        raise ContractError(f"{npz_path}: array 'embedding' has shape {arrays['embedding'].shape}, not |V| x word_dim")
     _check_vocab(model_dir / "meta.json", meta["vocab"], arrays["embedding"].shape[0])
     _check_special_ids(model_dir / "meta.json", meta, arrays["embedding"])
     cfg = RunConfig(**{

@@ -157,12 +157,12 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
     The recurrence runs gate-major and time-major, so that every per-step
     elementwise operation reads and writes whole contiguous blocks. A
     step's z is one 4 x 2 x B x D_H array whose gate k is z[k]: the
-    product h @ w_h (2 x B x 4D_H, against the stored weights) is copied
-    into it gate-major before the inputs are added. Products against
-    per-gate D_H x D_H blocks would save that copy, but BLAS may round a
-    narrower product differently (OpenBLAS does at B=1 for D_H = 2 or 3),
-    and H must stay bitwise equal to the per-step cell. The states go to a
-    T x 2 x B x D_H buffer.
+    product h @ w_h (2 x B x 4D_H, against the stored weights) is read
+    gate-major and added to the step's inputs straight into z, one call.
+    Products against per-gate D_H x D_H blocks would save the strided
+    read, but BLAS may round a narrower product differently (OpenBLAS
+    does at B=1 for D_H = 2 or 3), and H must stay bitwise equal to the
+    per-step cell. The states go to a T x 2 x B x D_H buffer.
     """
     lengths = np.asarray(lengths)
     n, steps = lengths.size, int(lengths.max())
@@ -193,9 +193,7 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
     h = c = np.zeros((2, n, dh), dtype=dtype)
     kept = []
     for t in range(steps):
-        z = acts[t]
-        np.copyto(z, (h @ wv).reshape(2, n, 4, dh).transpose(2, 0, 1, 3))
-        z += xg[t]
+        z = np.add((h @ wv).reshape(2, n, 4, dh).transpose(2, 0, 1, 3), xg[t], out=acts[t])
         sig = z[:3]  # i, f, o
         sig *= half
         np.tanh(z, out=z)
@@ -425,19 +423,23 @@ def attention_matrix(H: Tensor, params: SemanticCapsParams, pad_mask=None) -> Te
     graph node with parents H, w_s1 and w_s2; its VJP runs the masked
     softmax, the tanh and both products backwards, with each weight
     gradient one GEMM over every utterance and position. A row whose
-    positions are all masked raises DegenerateRowError; a mask that masks
-    nothing (an array or a nested list) takes the unmasked softmax, which
-    has the same bits as the masked one.
+    positions are all masked, or a masked row of no positions, raises
+    DegenerateRowError; a mask that masks nothing (an array or a nested
+    list) takes the unmasked softmax, which has the same bits as the
+    masked one. A mask of H's shape is tested for that before it is
+    broadcast over the heads, so a pad-free batch does no mask work.
     """
     hv, w1, w2 = H.values, params.w_s1.values, params.w_s2.values
     hidden = np.tanh(np.matmul(w1, np.swapaxes(hv, -1, -2)))  # ... x D_A x T
     logits = np.matmul(w2, hidden)                              # ... x R x T
     if pad_mask is not None:
-        keep = np.expand_dims(np.asarray(pad_mask, dtype=bool), -2)  # over heads
-        keep = np.broadcast_to(keep, logits.shape)
-        if not keep.any(axis=-1).all():
-            raise DegenerateRowError("softmax row with every position masked")
-        if not keep.all():  # a mask that masks nothing leaves the logits as they are
+        keep = np.asarray(pad_mask, dtype=bool)  # ... x T
+        # a mask of H's shape that masks nothing leaves the logits as they
+        # are; an empty one is checked below, as .all() is True on it
+        if not (keep.shape == hv.shape[:-1] and keep.size and keep.all()):
+            keep = np.broadcast_to(np.expand_dims(keep, -2), logits.shape)  # over heads
+            if not keep.any(axis=-1).all():
+                raise DegenerateRowError("softmax row with every position masked")
             logits = np.where(keep, logits, -np.inf)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)

@@ -38,9 +38,7 @@ class SimilarityMatrix:
 
 def vote_vectors(trace: RoutingTrace, p) -> np.ndarray:
     """g[k][r] = c[k][r] (final iteration) * p[k][r]."""
-    if not trace.c:
-        raise ContractError("routing trace holds no coupling coefficients")
-    c = trace.c[-1]
+    c = trace.c[-1]  # routing runs at least one iteration
     pv = p.values if isinstance(p, Tensor) else np.asarray(p)
     if pv.shape[:-1] != c.shape:
         raise ContractError(f"predictions {pv.shape} do not match couplings {c.shape}")

@@ -32,6 +32,11 @@ class TestRunConfig:
         with pytest.raises(ContractError):
             RunConfig(existing_labels=("A",), emerging_labels=("A",)).validate()
 
+    def test_no_existing_labels_is_named(self):
+        # a model with no existing intent has nothing to route into
+        with pytest.raises(ContractError, match="existing_labels must name at least one intent"):
+            RunConfig(existing_labels=()).validate()
+
     def test_bad_dimension(self):
         with pytest.raises(ContractError):
             RunConfig(heads=0).validate()

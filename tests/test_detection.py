@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from capsnlu.autodiff import ContractError, Tensor, _result, finite_diff_check, softmax
+from capsnlu.autodiff import ContractError, Tensor, _result, finite_diff_check, no_grad, softmax
 from capsnlu.detection import (
     DetectionCapsParams,
     activation_norms,
@@ -334,6 +336,19 @@ def _predictions(shape, dtype, seed=41):
     return np.random.default_rng(seed).normal(scale=0.5, size=shape).astype(dtype)
 
 
+def _laid_out(lead, k, r, dtype, d=10):
+    """One P (lead x K x R x D_P) in the layouts routing meets:
+    `prediction_vectors`' capsule-major view, a C-contiguous copy of it,
+    and a non-contiguous slice."""
+    rng = np.random.default_rng(46)
+    m = Tensor(rng.normal(size=lead + (r, 8)).astype(dtype))
+    w = Tensor(rng.normal(scale=0.3, size=(k, r, 8, d)).astype(dtype))
+    p = prediction_vectors(m, DetectionCapsParams(w=w)).values
+    wide = np.zeros(lead + (k, r, 2 * d), dtype)
+    wide[..., ::2] = p
+    return {"prediction_vectors": p, "c_contiguous": np.ascontiguousarray(p), "slice": wide[..., ::2]}
+
+
 class TestFusedRouting:
     @pytest.mark.parametrize(
         "shape, dtype",
@@ -408,6 +423,45 @@ class TestFusedRouting:
             for arr in getattr(trace, key):
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, r", [(5, 3), (1, 3), (5, 1)])
+    @pytest.mark.parametrize("lead", [(), (1,), (2, 3)])
+    def test_trace_and_grad_bitwise_equal_in_every_layout(self, lead, k, r, dtype):
+        # routing reads P capsule-major (K x R x ... x D_P); the other
+        # layouts it meets are copied once, and none changes a bit
+        layouts = _laid_out(lead, k, r, dtype)
+        want, v, _ = per_op_routing(Tensor(layouts["c_contiguous"]), 3)
+        g = np.random.default_rng(47).normal(size=lead + (k, 10)).astype(dtype)
+        grads = {}
+        for name, p in layouts.items():
+            trace = dynamic_routing(Tensor(p, requires_grad=True), iterations=3)
+            for key in ("b", "c", "s", "v"):
+                for it, arr in enumerate(getattr(trace, key)):
+                    assert arr.dtype == dtype and arr.shape == want[key][it].shape, (name, key)
+                    assert arr.tobytes() == want[key][it].tobytes(), (name, key, it)
+            assert trace.v_final.values.tobytes() == v.values.tobytes(), name
+            (grads[name],) = trace.v_final._vjp(g)
+            assert grads[name].shape == p.shape
+        assert len({gp.tobytes() for gp in grads.values()}) == 1
+
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    @pytest.mark.parametrize("record", [True, False], ids=["graph", "no_grad"])
+    def test_every_trace_array_read_only_in_the_lead_major_shape(self, record, lead):
+        m, w = _detect_inputs(lead, seed=48, k=3, r=2, in_dim=6, caps_dim=5)
+        with contextlib.nullcontext() if record else no_grad():
+            trace = dynamic_routing(prediction_vectors(m, DetectionCapsParams(w=w)), iterations=3)
+        assert trace.v_final.requires_grad is record
+        shapes = {"b": lead + (3, 2), "c": lead + (3, 2), "s": lead + (3, 5), "v": lead + (3, 5)}
+        arrays = [("v_final", trace.v_final.values, shapes["v"])]
+        for key, shape in shapes.items():
+            assert len(getattr(trace, key)) == 3
+            arrays += [(key, arr, shape) for arr in getattr(trace, key)]
+        for key, arr, shape in arrays:
+            assert arr.shape == shape, key
+            assert not arr.flags.writeable, key
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +622,8 @@ class TestPredictionVectorsNode:
         got = prediction_vectors(m, DetectionCapsParams(w=w))
         want = broadcast_prediction_vectors(m, w)
         assert got.shape == want.shape == lead + (5, 3, 10)
-        assert got.values.flags.c_contiguous
+        # capsule-major: with the lead axes moved behind K x R, P's memory is C-contiguous
+        assert np.moveaxis(got.values, (len(lead), len(lead) + 1), (0, 1)).flags.c_contiguous
         _assert_close(got.values, want.values)
 
     def test_float64_grads_through_loss_match_broadcast_product(self):

@@ -755,6 +755,25 @@ class TestAttentionNodes:
         with pytest.raises(DegenerateRowError):
             attend(big_h, params, pad_mask=[[True, False, False], [False, False, False]])
 
+    @pytest.mark.parametrize("shape", [(2, 0, 4), (0, 4)], ids=["batched", "single"])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_masked_row_of_no_positions_raises(self, shape, as_list):
+        # .all() is True on an empty mask, so "masks nothing" must not skip the check
+        params = make_params(np.random.default_rng(35))
+        mask = np.ones(shape[:-1], dtype=bool)
+        with pytest.raises(DegenerateRowError):
+            semantic.attention_matrix(Tensor(np.zeros(shape)), params, pad_mask=mask.tolist() if as_list else mask)
+
+    def test_broadcast_mask_that_masks_nothing_is_bitwise_unmasked(self):
+        # a mask of another shape than H's takes the broadcasting path
+        rng = np.random.default_rng(36)
+        params = make_params(rng)
+        big_h = Tensor(rng.normal(size=(3, 4, 4)))
+        got = semantic.attention_matrix(big_h, params, pad_mask=[True] * 4).values
+        assert got.tobytes() == semantic.attention_matrix(big_h, params).values.tobytes()
+        with pytest.raises(ValueError):
+            semantic.attention_matrix(big_h, params, pad_mask=[True] * 3)
+
     def test_second_backward_doubles_leaf_grads(self):
         rng = np.random.default_rng(34)
         params = make_params(rng)
