@@ -1,36 +1,61 @@
-"""Tour of the autodiff core: build a graph, differentiate it, verify.
+"""Tour of the autodiff core: the model's nodes, backward, accumulation,
+and the finite-difference check.
+
+Every layer of the model is one graph node with a hand-written VJP. Here
+the attention head of one utterance is built from its nodes
+(`attention_matrix`, `orthogonality_penalty`, `semantic_vectors`) and
+closed with the detection capsules and the margin loss, so the loss is a
+scalar that backward can start from.
 
 Run:  python3 demos/01_autodiff_basics.py
 """
 
 import numpy as np
 
-from capsnlu.autodiff import Tensor, finite_diff_check, row_softmax
+from capsnlu.autodiff import Tensor, finite_diff_check
+from capsnlu.detection import dynamic_routing, init_detection_params, margin_loss_batch, prediction_vectors
+from capsnlu.semantic import attention_matrix, init_semantic_params, orthogonality_penalty, semantic_vectors
 
 # Leaves carry values, a zero gradient accumulator, and requires_grad.
-w = Tensor(np.array([[0.2, -0.4], [0.7, 0.1]], dtype=np.float64), requires_grad=True)
-x = Tensor(np.array([[1.0, 2.0]], dtype=np.float64))
+# H stands in for one utterance's BiLSTM states (T=5 positions, 2D_H=6);
+# float64 keeps the finite-difference check below tight.
+rng = np.random.default_rng(0)
+sem = init_semantic_params(rng, word_dim=4, hidden_dim=3, attn_dim=4, heads=2, dtype=np.float64)
+det = init_detection_params(rng, num_intents=3, heads=2, in_dim=6, caps_dim=4, dtype=np.float64)
+H = Tensor(rng.normal(scale=0.5, size=(1, 5, 6)), requires_grad=True)
 
-# Every operation records provenance, so `loss` knows its whole history.
-hidden = (x @ w).tanh()
-attn = row_softmax(hidden)
-loss = (attn @ attn.swapaxes(-1, -2) - Tensor(np.eye(1))).square().sum()  # squared Frobenius norm
-print(f"loss = {loss.item():.6f}  (op={loss.op!r}, parents={len(loss.parents)})")
 
-# Reverse-mode: one backward pass fills dL/dw for every leaf.
+def head_loss(_=None):
+    attn = attention_matrix(H, sem)          # A, R x T: parents H, w_s1, w_s2
+    penalty = orthogonality_penalty(attn)    # ||A A^T - I||^2: parent A
+    m = semantic_vectors(attn, H)            # M = A H: parents A and H
+    trace = dynamic_routing(prediction_vectors(m, det), iterations=3)
+    return margin_loss_batch(trace.v_final, [1], penalty, penalty_weight=0.01)
+
+
+# Every node records its op and parents, so `loss` knows its whole history.
+loss = head_loss()
+ops, seen, todo = [], set(), [loss]
+while todo:
+    node = todo.pop()
+    if node.parents and id(node) not in seen:
+        seen.add(id(node))
+        ops.append(node.op)
+        todo.extend(node.parents)
+print(f"loss = {loss.item():.6f}; recorded nodes: {', '.join(ops)}")
+
+# Reverse mode: one backward pass fills dL/dleaf for every leaf. H reaches
+# the loss through A and through M; its gradient is the sum of both paths.
 loss.backward()
-print("dL/dw =\n", w.grad)
+print("dL/dH[0, 0] =", np.round(H.grad[0, 0], 6))
 
 # Calling backward again accumulates: exactly twice the gradient.
-once = w.grad.copy()
+once = H.grad.copy()
 loss.backward()
-print("accumulated twice?", np.allclose(w.grad, 2 * once))
+print("accumulated twice?", np.array_equal(H.grad, 2 * once))
 
-# The independent referee: central finite differences over every entry.
-def rebuild(_):
-    h = (x @ w).tanh()
-    a = row_softmax(h)
-    return (a @ a.swapaxes(-1, -2) - Tensor(np.eye(1))).square().sum()
-
-err = finite_diff_check(rebuild, [("w", w)], epsilon=1e-4)
+# The independent referee: central finite differences over every entry of
+# H and of the attention weights, against the nodes' VJPs.
+err = finite_diff_check(head_loss, [("H", H), ("w_s1", sem.w_s1), ("w_s2", sem.w_s2)], epsilon=1e-4)
 print(f"worst relative disagreement with finite differences: {err:.2e}")
+assert err < 1e-4

@@ -25,7 +25,6 @@ from .data import (
     load_embeddings,
     load_inputs,
     load_snips,
-    load_tsv,
     tokenize,
 )
 from .detection import (

@@ -1,10 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The graph is define-by-run: every operation records its parents and a
-closure that computes vector-Jacobian products, and ``Tensor.backward``
-walks the graph once in reverse topological order. Gradients accumulate
-only on leaves, so calling ``backward`` twice doubles leaf gradients
-without corrupting intermediate nodes.
+The graph is define-by-run: a node is made by `_result`, which records
+its parents and a closure that computes vector-Jacobian products, and
+``Tensor.backward`` walks the graph once in reverse topological order.
+Gradients accumulate only on leaves, so calling ``backward`` twice
+doubles leaf gradients without corrupting intermediate nodes.
+
+The core holds only what the model records: leaves, `_result`, the row
+gather `take_rows` (the embedding lookup), ``backward``, `no_grad` and
+`finite_diff_check`. Each layer of the model is one node with a
+hand-written VJP in its own module (dropout, the BiLSTM, the attention
+matrix and its penalty, M = A @ H, the prediction vectors, routing and
+the margin loss). There is no generic arithmetic on tensors: the
+per-op reference graphs the fused nodes are tested against are built
+from free functions in the test suite.
 
 float32 is the working precision for training; gradient checks should
 build their graphs in float64, where central differences are trustworthy
@@ -15,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,10 +37,6 @@ __all__ = [
     "ContractError",
     "NumericError",
     "no_grad",
-    "concat",
-    "stack",
-    "softmax",
-    "row_softmax",
     "finite_diff_check",
 ]
 
@@ -71,19 +76,6 @@ def no_grad():
         yield
     finally:
         _STATE.stack.pop()
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -147,168 +139,7 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, {tag}, requires_grad={self.requires_grad})"
 
     # ------------------------------------------------------------------
-    # elementwise arithmetic (numpy broadcasting rules apply)
-
-    def __add__(self, other) -> "Tensor":
-        other = _coerce(other, self)
-        a, b = self, other
-
-        def vjp(g):
-            return (
-                _unbroadcast(g, a.values.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.values.shape) if b.requires_grad else None,
-            )
-
-        return _result(a.values + b.values, "add", (a, b), vjp)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = _coerce(other, self)
-        a, b = self, other
-
-        def vjp(g):
-            return (
-                _unbroadcast(g, a.values.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.values.shape) if b.requires_grad else None,
-            )
-
-        return _result(a.values - b.values, "sub", (a, b), vjp)
-
-    def __mul__(self, other) -> "Tensor":
-        other = _coerce(other, self)
-        a, b = self, other
-
-        def vjp(g):
-            return (
-                _unbroadcast(g * b.values, a.values.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.values, b.values.shape) if b.requires_grad else None,
-            )
-
-        return _result(a.values * b.values, "mul", (a, b), vjp)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = _coerce(other, self)
-        a, b = self, other
-
-        def vjp(g):
-            ga = _unbroadcast(g / b.values, a.values.shape) if a.requires_grad else None
-            gb = None
-            if b.requires_grad:
-                gb = _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape)
-            return ga, gb
-
-        return _result(a.values / b.values, "div", (a, b), vjp)
-
-    # ------------------------------------------------------------------
-    # matrix product
-
-    def __matmul__(self, other) -> "Tensor":
-        other = _coerce(other, self)
-        a, b = self, other
-        if a.values.ndim < 2 or b.values.ndim < 2:
-            raise DimensionError(
-                f"matmul needs operands of 2 or more dims, got {a.values.shape} and {b.values.shape}"
-            )
-        if a.values.shape[-1] != b.values.shape[-2]:
-            raise DimensionError(
-                f"matmul inner extents differ: {a.values.shape} x {b.values.shape}"
-            )
-        av, bv = a.values, b.values
-        try:
-            out = np.matmul(av, bv)
-        except ValueError as exc:
-            raise DimensionError(f"matmul shapes do not broadcast: {av.shape} x {bv.shape}") from exc
-
-        def vjp(g):
-            ga = gb = None
-            if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-            if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-            return ga, gb
-
-        return _result(out, "matmul", (a, b), vjp)
-
-    # ------------------------------------------------------------------
-    # elementwise maps
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.values)
-
-        def vjp(g):
-            return (g * (1.0 - y * y),)
-
-        return _result(y, "tanh", (self,), vjp)
-
-    def square(self) -> "Tensor":
-        x = self.values
-
-        def vjp(g):
-            return (2.0 * g * x,)
-
-        return _result(x * x, "square", (self,), vjp)
-
-    def sqrt(self) -> "Tensor":
-        y = np.sqrt(self.values)
-
-        def vjp(g):
-            # d sqrt/dx blows up at 0; the zero limit is what callers
-            # (e.g. vector norms of an all-zero vector) need.
-            out = np.zeros_like(y)
-            np.divide(0.5 * g, y, out=out, where=y > 0)
-            return (out,)
-
-        return _result(y, "sqrt", (self,), vjp)
-
-    # ------------------------------------------------------------------
-    # reductions and shape surgery
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self.values
-        out = np.asarray(x.sum(axis=axis, keepdims=keepdims))
-
-        def vjp(g):
-            gg = np.asarray(g)
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            return (np.broadcast_to(gg, x.shape),)
-
-        return _result(out, "sum", (self,), vjp)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        x = self.values
-        out = x.reshape(shape)
-
-        def vjp(g):
-            return (g.reshape(x.shape),)
-
-        return _result(out, "reshape", (self,), vjp)
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = np.swapaxes(self.values, a, b)
-
-        def vjp(g):
-            return (np.swapaxes(g, a, b),)
-
-        return _result(out, "swapaxes", (self,), vjp)
-
-    def __getitem__(self, key) -> "Tensor":
-        # basic indexing only (ints and slices); the result may be a view,
-        # which is safe because values are never mutated inside a graph
-        x = self.values
-        out = np.asarray(x[key])
-
-        def vjp(g):
-            buf = np.zeros_like(x)
-            buf[key] += g
-            return (buf,)
-
-        return _result(out, "slice", (self,), vjp)
+    # graph building
 
     def take_rows(self, indices) -> "Tensor":
         """Gather rows along axis 0; duplicate indices accumulate gradient.
@@ -401,12 +232,6 @@ def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
         np.add.at(dst, flat[kept[repeat]], rows[kept[repeat]])
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.values.dtype))
-
-
 def _topo_order(root: Tensor) -> list[Tensor]:
     """Reverse-topological order (root first), iterative to survive deep
     recurrent chains."""
@@ -427,90 +252,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
                 stack.append((p, False))
     order.reverse()
     return order
-
-
-# ----------------------------------------------------------------------
-# free functions
-
-
-def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
-    """Juxtapose two tensors along `axis`; other extents must agree."""
-    av, bv = a.values, b.values
-    if av.ndim != bv.ndim:
-        raise DimensionError(f"concat rank mismatch: {av.shape} vs {bv.shape}")
-    ax = axis % av.ndim
-    for i, (m, n) in enumerate(zip(av.shape, bv.shape)):
-        if i != ax and m != n:
-            raise DimensionError(f"concat shapes {av.shape} and {bv.shape} differ off axis {axis}")
-    out = np.concatenate([av, bv], axis=ax)
-    na = av.shape[ax]
-
-    def vjp(g):
-        sl = [slice(None)] * g.ndim
-        sl[ax] = slice(0, na)
-        ga = g[tuple(sl)]
-        sl[ax] = slice(na, None)
-        gb = g[tuple(sl)]
-        return (
-            ga if a.requires_grad else None,
-            gb if b.requires_grad else None,
-        )
-
-    return _result(out, "concat", (a, b), vjp)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    ts = tuple(tensors)
-    if not ts:
-        raise ContractError("stack needs at least one tensor")
-    shape0 = ts[0].values.shape
-    for t in ts[1:]:
-        if t.values.shape != shape0:
-            raise DimensionError(f"stack shapes differ: {shape0} vs {t.values.shape}")
-    out = np.stack([t.values for t in ts], axis=axis)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, i, axis=axis) if t.requires_grad else None for i, t in enumerate(ts)
-        )
-
-    return _result(out, "stack", ts, vjp)
-
-
-def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """Stabilized softmax along `axis`.
-
-    `mask` (broadcastable boolean, True = keep) forces masked positions to
-    exactly 0 and normalizes over the rest. A row with nothing to keep is
-    an error.
-    """
-    vals = x.values
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), vals.shape)
-        if not m.any(axis=axis).all():
-            raise DegenerateRowError("softmax row with every position masked")
-        shifted = np.where(m, vals, -np.inf)
-        mx = shifted.max(axis=axis, keepdims=True)
-        e = np.exp(shifted - mx)
-    else:
-        mx = vals.max(axis=axis, keepdims=True)
-        e = np.exp(vals - mx)
-    denom = e.sum(axis=axis, keepdims=True)
-    y = e / denom
-
-    def vjp(g):
-        if not x.requires_grad:
-            return (None,)
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
-
-    return _result(y, "softmax", (x,), vjp)
-
-
-def row_softmax(x: Tensor, mask=None) -> Tensor:
-    """Softmax over the last axis: each row sums to 1 over unmasked spots."""
-    return softmax(x, axis=-1, mask=mask)
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,11 @@ class RunConfig:
             raise ContractError("intent_embedding_mode must be 'mean' or 'sum'")
         if not self.existing_labels:
             raise ContractError("existing_labels must name at least one intent")
+        for name in ("existing_labels", "emerging_labels"):
+            labels = getattr(self, name)
+            for label in labels:
+                if labels.count(label) > 1:
+                    raise ContractError(f"{name} names {label!r} twice")
         if set(self.existing_labels) & set(self.emerging_labels):
             raise ContractError("existing and emerging label sets overlap")
         return self
@@ -134,10 +139,16 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse `key=value` lines; `#` starts a comment."""
+    """Parse `key=value` lines of UTF-8 text, a leading byte-order mark
+    dropped; `#` starts a comment. A file that is not UTF-8 raises
+    ContractError naming it."""
     cfg = RunConfig()
     path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        content = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not UTF-8 text") from exc
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -381,11 +381,6 @@ def load_snips(root_path, existing_labels, emerging_labels, table: EmbeddingTabl
     return _route_records(iter_snips_records(root_path), existing_labels, emerging_labels, table)
 
 
-def load_tsv(path, existing_labels, emerging_labels, table: EmbeddingTable):
-    """Load the two-column TSV fallback format into (existing, emerging)."""
-    return _route_records(iter_tsv_records(path), existing_labels, emerging_labels, table)
-
-
 def load_dataset(path, existing_labels, emerging_labels, table: EmbeddingTable):
     """Load either format, chosen by path type, into (existing, emerging)."""
     return _route_records(iter_dataset_records(path), existing_labels, emerging_labels, table)

@@ -10,7 +10,7 @@ of R attention heads turns H into one semantic vector:
 with an orthogonality penalty ||A A^T - I||_F^2 pushing heads apart.
 Callers pass a batch of token-id sequences (leading batch axis B); a
 single utterance is a batch of one (B=1), and `attend` and
-`semantic_vectors` broadcast over any leading axes.
+`semantic_vectors` take any leading axes (A and H sharing theirs).
 
 The encoder gathers only the real tokens' word vectors, packed in
 row-major order, plus the pad row once when the batch has pads. The two
@@ -36,12 +36,14 @@ either direction and never reach a real position's state. H rows at pad
 positions are unspecified: the attention gives them exactly zero
 weight, so they never reach M or a gradient.
 
-The attention head is two graph nodes with hand-written VJPs, A
-(`attention_matrix`, parents H, w_s1 and w_s2) and the penalty (parent
-A); `attend` builds both, and M is one product. The penalty is a
-training regulariser, so an evaluation forward may build A alone. Their
-forwards make the same numpy calls as a graph of per-op Tensor ops
-would, so their values are bitwise those of that graph.
+Dropout at training is one graph node on the gathered rows (parent x,
+x * keep with the inverted-dropout mask). The attention head is three
+graph nodes with hand-written VJPs: A (`attention_matrix`, parents H,
+w_s1 and w_s2), the penalty (parent A) and M (`semantic_vectors`,
+parents A and H, one product); `attend` builds the first two. The
+penalty is a training regulariser, so an evaluation forward may build A
+alone. Their forwards make the same numpy calls as a graph of per-op
+reference ops would, so their values are bitwise those of that graph.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ContractError, DegenerateRowError, Tensor, _grad_enabled, _result
+from .autodiff import ContractError, DegenerateRowError, DimensionError, Tensor, _grad_enabled, _result
 
 
 @dataclass
@@ -328,6 +330,12 @@ def token_id_array(seqs, lengths: np.ndarray, rows: int) -> np.ndarray:
     return flat.astype(np.int64)
 
 
+def _dropout(x: Tensor, keep: np.ndarray) -> Tensor:
+    """x * keep as one graph node with parent x; `keep` is the inverted
+    dropout mask, already scaled by 1 / keep probability."""
+    return _result(x.values * keep, "dropout", (x,), lambda g: (g * keep,))
+
+
 def encode_tokens(
     token_batch,
     embedding: Tensor,
@@ -395,7 +403,7 @@ def encode_tokens(
         keep = np.ones(x.shape, dtype=x.values.dtype)  # the pad row keeps its projection
         keep[: ids.size] = draws[mask] < dropout_keep
         keep[: ids.size] /= dropout_keep
-        x = x * Tensor(keep)  # inverted dropout; identity at evaluation
+        x = _dropout(x, keep)  # inverted dropout; identity at evaluation
 
     return _run_bilstm(x, fw, bw, lengths), mask
 
@@ -469,5 +477,20 @@ def attend(H: Tensor, params: SemanticCapsParams, pad_mask=None):
 
 
 def semantic_vectors(attn: Tensor, H: Tensor) -> Tensor:
-    """M = A @ H; row r is the r-th semantic vector."""
-    return attn @ H
+    """M = A @ H as one graph node; row r is the r-th semantic vector.
+    A and H need the same leading axes, and A's last extent must be H's
+    second to last (DimensionError otherwise). The VJP is G @ H^T for A
+    and A^T @ G for H."""
+    av, hv = attn.values, H.values
+    if av.ndim < 2 or hv.ndim < 2:
+        raise DimensionError(f"semantic_vectors needs operands of 2 or more dims, got {av.shape} and {hv.shape}")
+    if av.shape[-1] != hv.shape[-2] or av.shape[:-2] != hv.shape[:-2]:
+        raise DimensionError(f"semantic_vectors shapes do not conform: {av.shape} x {hv.shape}")
+
+    def vjp(g):
+        return (
+            np.matmul(g, np.swapaxes(hv, -1, -2)) if attn.requires_grad else None,
+            np.matmul(np.swapaxes(av, -1, -2), g) if H.requires_grad else None,
+        )
+
+    return _result(np.matmul(av, hv), "semantic_vectors", (attn, H), vjp)

@@ -1,3 +1,7 @@
+"""The autodiff core (leaves, take_rows, backward, no_grad,
+finite_diff_check) and the per-op reference ops of `refops` that the
+other test modules build their reference graphs from."""
+
 import math
 import tracemalloc
 
@@ -12,13 +16,10 @@ from capsnlu.autodiff import (
     Tensor,
     _result,
     _scatter_add_rows,
-    concat,
     finite_diff_check,
     no_grad,
-    row_softmax,
-    softmax,
-    stack,
 )
+import refops as ops
 
 
 def t64(values, requires_grad=False):
@@ -29,18 +30,18 @@ class TestMatmul:
     def test_identity(self):
         eye = t64(np.eye(2))
         a = t64([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose((eye @ a).values, a.values)
+        np.testing.assert_allclose(ops.matmul(eye, a).values, a.values)
 
     def test_hand_product(self):
         a = t64([[1.0, 2.0], [3.0, 4.0]])
         b = t64([[5.0], [6.0]])
-        np.testing.assert_allclose((a @ b).values, [[17.0], [39.0]])
+        np.testing.assert_allclose(ops.matmul(a, b).values, [[17.0], [39.0]])
 
     def test_inner_mismatch_names_both_shapes(self):
         a = t64(np.zeros((2, 3)))
         b = t64(np.zeros((2, 3)))
         with pytest.raises(DimensionError) as exc:
-            a @ b
+            ops.matmul(a, b)
         assert "(2, 3)" in str(exc.value)
 
     def test_triple_loop_oracle(self):
@@ -49,14 +50,14 @@ class TestMatmul:
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(3, 4))
         want = [[sum(a[i, k] * b[k, j] for k in range(3)) for j in range(4)] for i in range(2)]
-        got = (t64(a) @ t64(b)).values
+        got = ops.matmul(t64(a), t64(b)).values
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_batched_leading_dims(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 2, 3))
         b = rng.normal(size=(3, 4))
-        got = (t64(a) @ t64(b)).values
+        got = ops.matmul(t64(a), t64(b)).values
         for i in range(5):
             np.testing.assert_allclose(got[i], a[i] @ b)
 
@@ -83,11 +84,11 @@ class TestMatmul:
         w = Tensor(rng.normal(size=(shape[-1], n_out)), requires_grad="b" in grads, dtype=dtype)
         c = rng.normal(size=shape[:-1] + (n_out,))
         tol = 1e-12 if dtype == np.float64 else 1e-5
-        out = a @ w
+        out = ops.matmul(a, w)
         want = np.matmul(a.values, w.values)
         assert out.values.dtype == dtype
         assert out.values.tobytes() == want.tobytes()
-        (out * Tensor(c, dtype=dtype)).sum().backward()
+        ops.sum(ops.mul(out, Tensor(c, dtype=dtype))).backward()
         lead = "abcd"[: len(shape) - 1]
         av, wv = a.values.astype(np.float64), w.values.astype(np.float64)
         for name, t, ref in (
@@ -109,37 +110,41 @@ class TestMatmul:
             "a": t64(rng.normal(size=(3, 4, 5)), requires_grad=True),
             "w": t64(rng.normal(scale=0.5, size=(5, 2)), requires_grad=True),
         }
-        err = finite_diff_check(lambda p: (p["a"].swapaxes(0, 1) @ p["w"]).tanh().square().sum(), params)
+
+        def loss_fn(p):
+            return ops.sum(ops.square(ops.tanh(ops.matmul(ops.swapaxes(p["a"], 0, 1), p["w"]))))
+
+        err = finite_diff_check(loss_fn, params)
         assert err < 1e-6
 
 
 class TestUnary:
     def test_tanh_origin(self):
-        np.testing.assert_array_equal(t64([0.0, 0.0]).tanh().values, [0.0, 0.0])
+        np.testing.assert_array_equal(ops.tanh(t64([0.0, 0.0])).values, [0.0, 0.0])
 
     def test_square(self):
-        np.testing.assert_allclose(t64([-3.0, 2.0]).square().values, [9.0, 4.0])
+        np.testing.assert_allclose(ops.square(t64([-3.0, 2.0])).values, [9.0, 4.0])
 
 
 class TestRowSoftmax:
     def test_uniform_inputs(self):
-        out = row_softmax(t64([[0.0, 0.0, 0.0]]))
+        out = ops.row_softmax(t64([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.values, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
     def test_hand_softmax(self):
-        out = row_softmax(t64([[math.log(2.0), 0.0]]))
+        out = ops.row_softmax(t64([[math.log(2.0), 0.0]]))
         np.testing.assert_allclose(out.values, [[2 / 3, 1 / 3]], rtol=1e-12)
 
     def test_single_unmasked(self):
-        out = row_softmax(t64([[5.0, 5.0]]), mask=[[True, False]])
+        out = ops.row_softmax(t64([[5.0, 5.0]]), mask=[[True, False]])
         np.testing.assert_array_equal(out.values, [[1.0, 0.0]])
 
     def test_fully_masked_row(self):
         with pytest.raises(DegenerateRowError):
-            row_softmax(t64([[1.0, 2.0]]), mask=[[False, False]])
+            ops.row_softmax(t64([[1.0, 2.0]]), mask=[[False, False]])
 
     def test_large_values_stable(self):
-        out = row_softmax(t64([[1e4, 1e4]]))
+        out = ops.row_softmax(t64([[1e4, 1e4]]))
         np.testing.assert_allclose(out.values, [[0.5, 0.5]])
 
     def test_rows_stochastic_random(self):
@@ -149,7 +154,7 @@ class TestRowSoftmax:
             x = rng.normal(scale=5.0, size=(r, c))
             mask = rng.random((r, c)) < 0.7
             mask[np.arange(r), rng.integers(0, c, size=r)] = True  # keep rows alive
-            y = row_softmax(t64(x), mask=mask).values
+            y = ops.row_softmax(t64(x), mask=mask).values
             np.testing.assert_allclose(y.sum(axis=-1), np.ones(r), atol=1e-9)
             assert (y >= 0).all() and (y <= 1).all()
             assert (y[~mask] == 0).all()
@@ -157,64 +162,64 @@ class TestRowSoftmax:
 
 class TestConcatStack:
     def test_axis0(self):
-        out = concat(t64([1.0, 2.0]), t64([3.0]), axis=0)
+        out = ops.concat(t64([1.0, 2.0]), t64([3.0]), axis=0)
         np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
 
     def test_axis1(self):
-        out = concat(t64([[1.0], [2.0]]), t64([[3.0], [4.0]]), axis=1)
+        out = ops.concat(t64([[1.0], [2.0]]), t64([[3.0], [4.0]]), axis=1)
         np.testing.assert_array_equal(out.values, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_incompatible(self):
         with pytest.raises(DimensionError):
-            concat(t64([[1.0, 2.0]]), t64([[3.0], [4.0]]), axis=0)
+            ops.concat(t64([[1.0, 2.0]]), t64([[3.0], [4.0]]), axis=0)
 
     def test_concat_backward_splits(self):
         a = t64([1.0, 2.0], requires_grad=True)
         b = t64([3.0], requires_grad=True)
-        out = concat(a * 2.0, b * 3.0, axis=0)
-        out.sum().backward()
+        out = ops.concat(ops.mul(a, 2.0), ops.mul(b, 3.0), axis=0)
+        ops.sum(out).backward()
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         np.testing.assert_array_equal(b.grad, [3.0])
 
     def test_stack_backward(self):
         a = t64([1.0, 2.0], requires_grad=True)
         b = t64([3.0, 4.0], requires_grad=True)
-        out = stack([a, b], axis=0)
-        (out * t64([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
+        out = ops.stack([a, b], axis=0)
+        ops.sum(ops.mul(out, t64([[1.0, 2.0], [3.0, 4.0]]))).backward()
         np.testing.assert_array_equal(a.grad, [1.0, 2.0])
         np.testing.assert_array_equal(b.grad, [3.0, 4.0])
 
 
 class TestFrobenius:
     def test_zero(self):
-        assert t64(np.zeros((3, 3))).square().sum().item() == 0.0
+        assert ops.sum(ops.square(t64(np.zeros((3, 3))))).item() == 0.0
 
     def test_permutation_matrix(self):
-        assert t64([[0.0, 1.0], [1.0, 0.0]]).square().sum().item() == 2.0
+        assert ops.sum(ops.square(t64([[0.0, 1.0], [1.0, 0.0]]))).item() == 2.0
 
     def test_three_four(self):
-        assert t64([[3.0, 4.0]]).square().sum().item() == 25.0
+        assert ops.sum(ops.square(t64([[3.0, 4.0]]))).item() == 25.0
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.sum().backward()
+        ops.sum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_frobenius_grad(self):
         x = t64([[3.0]], requires_grad=True)
-        x.square().sum().backward()
+        ops.sum(ops.square(x)).backward()
         np.testing.assert_array_equal(x.grad, [[6.0]])
 
     def test_non_scalar_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            (x * 2.0).backward()
+            ops.mul(x, 2.0).backward()
 
     def test_accumulation_is_exactly_double(self):
         x = t64(np.random.default_rng(3).normal(size=(4,)), requires_grad=True)
-        loss = (x.tanh() * x).sum()
+        loss = ops.sum(ops.mul(ops.tanh(x), x))
         loss.backward()
         once = x.grad.copy()
         loss.backward()
@@ -222,7 +227,7 @@ class TestBackward:
 
     def test_reset_grad(self):
         x = t64([2.0], requires_grad=True)
-        x.square().sum().backward()
+        ops.sum(ops.square(x)).backward()
         x.reset_grad()
         np.testing.assert_array_equal(x.grad, [0.0])
 
@@ -233,13 +238,13 @@ class TestBackward:
     def test_shared_subexpression(self):
         # x used twice: d/dx (x*x) = 2x
         x = t64([3.0], requires_grad=True)
-        (x * x).sum().backward()
+        ops.sum(ops.mul(x, x)).backward()
         np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_no_grad_blocks_graph(self):
         x = t64([1.0], requires_grad=True)
         with no_grad():
-            y = x * 2.0
+            y = ops.mul(x, 2.0)
         assert not y.requires_grad
         assert y.parents == ()
 
@@ -251,13 +256,13 @@ class TestShapeAlgebra:
             n, m, p = rng.integers(1, 7, size=3)
             a = t64(rng.normal(size=(n, m)))
             b = t64(rng.normal(size=(m, p)))
-            assert (a @ b).shape == (n, p)
+            assert ops.matmul(a, b).shape == (n, p)
             ax = int(rng.integers(0, 2))
             c = t64(rng.normal(size=(n, m)))
             d_shape = [n, m]
             d_shape[ax] = int(rng.integers(1, 5))
             d = t64(rng.normal(size=tuple(d_shape)))
-            out = concat(c, d, axis=ax)
+            out = ops.concat(c, d, axis=ax)
             want = list((n, m))
             want[ax] = m + d_shape[ax] if ax == 1 else n + d_shape[ax]
             assert out.shape == tuple(want)
@@ -266,34 +271,37 @@ class TestShapeAlgebra:
         x = t64([1.0], requires_grad=True)
         y = x
         for _ in range(50):
-            y = y * 1.5 + x
-        y.sum().backward()  # topological sort would hang or fail on a cycle
+            y = ops.add(ops.mul(y, 1.5), x)
+        ops.sum(y).backward()  # topological sort would hang or fail on a cycle
         assert np.isfinite(x.grad).all()
 
 
 def _rand_graph_loss(params):
     """Composite graph over the supported op set, for gradient checking."""
     w1, w2, v = params["w1"], params["w2"], params["v"]
-    h = (v @ w1).tanh()
-    a = row_softmax(h @ w2)
-    m = a @ (0.5 * ((0.5 * (v @ w1)).tanh() + 1.0))  # the logistic sigmoid
-    pieces = concat(m, v.tanh(), axis=-1)
-    s = stack([pieces.sum(axis=0), pieces.square().sum(axis=0)], axis=0)
-    norm = (s.square().sum(axis=-1, keepdims=True) + 1.0).sqrt()
-    return (s / norm).sum() + (a @ a.swapaxes(-1, -2) - Tensor(np.eye(a.shape[0], dtype=np.float64))).square().sum()
+    h = ops.tanh(ops.matmul(v, w1))
+    a = ops.row_softmax(ops.matmul(h, w2))
+    sig = ops.mul(ops.add(ops.tanh(ops.mul(ops.matmul(v, w1), 0.5)), 1.0), 0.5)  # the logistic sigmoid
+    m = ops.matmul(a, sig)
+    pieces = ops.concat(m, ops.tanh(v), axis=-1)
+    s = ops.stack([ops.sum(pieces, axis=0), ops.sum(ops.square(pieces), axis=0)], axis=0)
+    norm = ops.sqrt(ops.add(ops.sum(ops.square(s), axis=-1, keepdims=True), 1.0))
+    gram = ops.matmul(a, ops.swapaxes(a, -1, -2))
+    eye = Tensor(np.eye(a.shape[0], dtype=np.float64))
+    return ops.add(ops.sum(ops.div(s, norm)), ops.sum(ops.square(ops.sub(gram, eye))))
 
 
 class TestFiniteDiffCheck:
     def test_square_at_three(self):
         theta = t64([3.0], requires_grad=True)
-        err = finite_diff_check(lambda p: p[0][1].square().sum(), [("theta", theta)], epsilon=1e-4)
+        err = finite_diff_check(lambda p: ops.sum(ops.square(p[0][1])), [("theta", theta)], epsilon=1e-4)
         assert err < 1e-8
 
     def test_nan_loss_raises(self):
         theta = t64([1.0], requires_grad=True)
 
         def bad(_):
-            return Tensor(np.asarray(np.nan, dtype=np.float64), requires_grad=True) * theta.sum()
+            return ops.mul(Tensor(np.asarray(np.nan, dtype=np.float64), requires_grad=True), ops.sum(theta))
 
         with pytest.raises(NumericError):
             finite_diff_check(bad, [("theta", theta)], epsilon=1e-4)
@@ -312,7 +320,7 @@ class TestFiniteDiffCheck:
     def test_bad_epsilon(self):
         theta = t64([1.0], requires_grad=True)
         with pytest.raises(ContractError):
-            finite_diff_check(lambda p: theta.sum(), [("theta", theta)], epsilon=0.0)
+            finite_diff_check(lambda p: ops.sum(theta), [("theta", theta)], epsilon=0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_composite_graphs(self, seed):
@@ -335,7 +343,7 @@ class TestGatherOps:
     def test_take_rows_accumulates_duplicates(self):
         table = t64(np.zeros((4, 3)), requires_grad=True)
         out = table.take_rows(np.array([1, 1, 3]))
-        out.sum().backward()
+        ops.sum(out).backward()
         np.testing.assert_array_equal(table.grad[1], [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(table.grad[3], [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(table.grad[0], [0.0, 0.0, 0.0])
@@ -343,7 +351,7 @@ class TestGatherOps:
     def test_take_rows_second_backward_doubles_leaf_grad(self):
         rng = np.random.default_rng(4)
         table = t64(rng.normal(size=(6, 3)), requires_grad=True)
-        loss = (table.take_rows(np.array([[4, 0], [2, 5]])) * t64(rng.normal(size=(2, 2, 3)))).sum()
+        loss = ops.sum(ops.mul(table.take_rows(np.array([[4, 0], [2, 5]])), t64(rng.normal(size=(2, 2, 3)))))
         loss.backward()
         once = table.grad.copy()
         loss.backward()
@@ -355,7 +363,11 @@ class TestGatherOps:
         idx = np.array([[1, 3, 1], [0, 3, 3]])
         c = t64(rng.normal(size=(2, 3, 4)))
         params = {"table": t64(rng.normal(size=(5, 4)), requires_grad=True)}
-        err = finite_diff_check(lambda p: ((p["table"] * 2.0).take_rows(idx) * c).tanh().sum(), params)
+
+        def loss_fn(p):
+            return ops.sum(ops.tanh(ops.mul(ops.mul(p["table"], 2.0).take_rows(idx), c)))
+
+        err = finite_diff_check(loss_fn, params)
         assert err < 1e-6
         np.testing.assert_array_equal(params["table"].grad[[2, 4]], 0.0)
 
@@ -363,7 +375,7 @@ class TestGatherOps:
         table = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)
         c = np.arange(6.0).reshape(2, 3) - 2.0
         d = np.full((4, 3), 0.5)
-        loss = (table.take_rows(np.array([3, 3])) * t64(c)).sum() + (table * t64(d)).sum()
+        loss = ops.add(ops.sum(ops.mul(table.take_rows(np.array([3, 3])), t64(c))), ops.sum(ops.mul(table, t64(d))))
         loss.backward()
         want = d.copy()
         want[3] += c[0] + c[1]
@@ -372,7 +384,7 @@ class TestGatherOps:
     def test_take_rows_backward_allocates_no_table_sized_array(self):
         table = t64(np.ones((2000, 300)), requires_grad=True)
         assert not table.grad.any()  # allocates the accumulator before tracing starts
-        loss = table.take_rows(np.array([[1, 7, 7]])).sum()
+        loss = ops.sum(table.take_rows(np.array([[1, 7, 7]])))
         tracemalloc.start()
         try:
             loss.backward()
@@ -392,7 +404,7 @@ class TestGatherOps:
         idx[:5, :4] = 7
         table = Tensor(rng.normal(size=(40, 9)), requires_grad=True, dtype=dtype)
         c = Tensor(rng.normal(size=idx.shape + (9,)), dtype=dtype)
-        loss = ((table.take_rows(idx) * c).tanh()).sum()
+        loss = ops.sum(ops.tanh(ops.mul(table.take_rows(idx), c)))
         g = (c.values * (1.0 - np.tanh(table.values[idx] * c.values) ** 2)).astype(dtype)
         want = np.zeros_like(table.values)
         for _ in range(2):
@@ -434,7 +446,7 @@ class TestGatherOps:
 
     def test_getitem_backward(self):
         x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x[:, 1].sum().backward()
+        ops.sum(ops.index(x, np.s_[:, 1])).backward()
         np.testing.assert_array_equal(x.grad, [[0, 1, 0], [0, 1, 0]])
 
 
@@ -447,7 +459,7 @@ class TestGradRowRecord:
     @pytest.mark.parametrize("lookups_only", [True, False])
     def test_reset_grad_zeroes_the_whole_buffer(self, dtype, lookups_only):
         table = Tensor(np.ones((6, 3)), requires_grad=True, dtype=dtype)
-        table.take_rows(np.array([[2, 4], [4, 0]])).sum().backward()
+        ops.sum(table.take_rows(np.array([[2, 4], [4, 0]]))).backward()
         if not lookups_only:
             table.grad[5] = -3.0
         table.reset_grad()
@@ -458,7 +470,7 @@ class TestSoftmaxAxis:
     def test_axis_choice_normalizes_that_axis(self):
         rng = np.random.default_rng(5)
         x = t64(rng.normal(size=(2, 3, 4)))
-        y = softmax(x, axis=-2)
+        y = ops.softmax(x, axis=-2)
         np.testing.assert_allclose(y.values.sum(axis=-2), np.ones((2, 4)), atol=1e-9)
 
 
@@ -475,7 +487,7 @@ class TestConcurrency:
             x = t64([2.0], requires_grad=True)
             barrier.wait()
             for _ in range(200):
-                x.square().sum().backward()
+                ops.sum(ops.square(x)).backward()
             results["grad"] = x.grad.copy()
 
         def eval_worker():
@@ -484,7 +496,7 @@ class TestConcurrency:
             y = None
             with no_grad():
                 for _ in range(200):
-                    y = x.square()
+                    y = ops.square(x)
             results["eval_requires_grad"] = y.requires_grad
 
         threads = [threading.Thread(target=grad_worker), threading.Thread(target=eval_worker)]
@@ -504,7 +516,7 @@ class TestConcurrency:
             rng = np.random.default_rng(seed)
             x = t64(rng.normal(size=(4,)), requires_grad=True)
             for _ in range(100):
-                loss = (x.tanh() * x).sum()
+                loss = ops.sum(ops.mul(ops.tanh(x), x))
                 loss.backward()
                 got = x.grad.copy()
                 x.reset_grad()

@@ -37,6 +37,19 @@ class TestRunConfig:
         with pytest.raises(ContractError, match="existing_labels must name at least one intent"):
             RunConfig(existing_labels=()).validate()
 
+    @pytest.mark.parametrize(
+        "key, labels",
+        [
+            ("existing_labels", ("GetWeather", "GetWeather", "PlayMusic")),
+            ("emerging_labels", ("RateBook", "AddToPlaylist", "RateBook")),
+        ],
+    )
+    def test_repeated_label_is_named(self, key, labels):
+        # a repeated intent passed and gave the model two capsules, or two
+        # zero-shot rows, for one label
+        with pytest.raises(ContractError, match=f"{key} names {labels[0]!r} twice"):
+            RunConfig(**{key: labels}).validate()
+
     def test_bad_dimension(self):
         with pytest.raises(ContractError):
             RunConfig(heads=0).validate()
@@ -121,6 +134,20 @@ class TestConfigFile:
         raw = line.split("=", 1)[1].strip()
         with pytest.raises(ContractError, match=f"config key {key} expects .*{raw!r}"):
             load_config(p)
+
+    def test_not_utf8_is_named(self, tmp_path):
+        # escaped as a bare UnicodeDecodeError
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"epochs = 3\nexisting_labels = Caf\xe9\n")
+        with pytest.raises(ContractError, match=f"{p}: not UTF-8 text"):
+            load_config(p)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # the mark made the first key '\ufeffepochs', an unknown key
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"\xef\xbb\xbfepochs = 3\nseed = 5\n")
+        cfg = load_config(p)
+        assert (cfg.epochs, cfg.seed) == (3, 5)
 
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), {"epochs": "3", "sigma": "2.5"})

@@ -19,7 +19,6 @@ from capsnlu.data import (
     load_embeddings,
     load_inputs,
     load_snips,
-    load_tsv,
     split_label_tokens,
     tokenize,
     words_of,
@@ -379,7 +378,7 @@ class TestLoadTsv:
     def test_roundtrip(self, tmp_path, table):
         p = tmp_path / "toy.tsv"
         p.write_text("play music\tPlayMusic\nget weather\tGetWeather\n", encoding="utf-8")
-        ex, em = load_tsv(p, ["PlayMusic", "GetWeather"], [], table)
+        ex, em = load_dataset(p, ["PlayMusic", "GetWeather"], [], table)
         assert len(ex) == 2 and len(em) == 0
         assert ex.samples[0][1] == 0 and ex.samples[1][1] == 1
 
@@ -387,12 +386,12 @@ class TestLoadTsv:
         p = tmp_path / "toy.tsv"
         p.write_text("no tabs here\n", encoding="utf-8")
         with pytest.raises(ParseError):
-            load_tsv(p, ["A"], [], table)
+            load_dataset(p, ["A"], [], table)
 
     def test_unicode_line_separator_stays_in_utterance(self, tmp_path, table):
         p = tmp_path / "toy.tsv"
         p.write_text("play\u2028music\tPlayMusic\n", encoding="utf-8")
-        ex, _ = load_tsv(p, ["PlayMusic"], [], table)
+        ex, _ = load_dataset(p, ["PlayMusic"], [], table)
         assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
@@ -403,19 +402,19 @@ class TestLoadTsv:
         lines = f"play music\tPlayMusic{end}get weather\tGetWeather{end}".encode()
         p.write_bytes(bom + lines + b"caf\xe9\tPlayMusic\n")
         with pytest.raises(ParseError, match=r"toy\.tsv:3: not UTF-8 text"):
-            load_tsv(p, ["PlayMusic", "GetWeather"], [], table)
+            load_dataset(p, ["PlayMusic", "GetWeather"], [], table)
 
     def test_byte_order_mark_is_dropped(self, tmp_path, table):
         # it used to stay on the first word, which then read as OOV
         p = tmp_path / "toy.tsv"
         p.write_text("play music\tPlayMusic\n", encoding="utf-8-sig")
-        ex, _ = load_tsv(p, ["PlayMusic"], [], table)
+        ex, _ = load_dataset(p, ["PlayMusic"], [], table)
         assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
 
     def test_line_ends(self, tmp_path, table):
         p = tmp_path / "toy.tsv"
         p.write_bytes(b"play music\tPlayMusic\r\nget weather\tGetWeather\rplay\tPlayMusic")
-        ex, _ = load_tsv(p, ["PlayMusic", "GetWeather"], [], table)
+        ex, _ = load_dataset(p, ["PlayMusic", "GetWeather"], [], table)
         assert [lab for _, lab in ex.samples] == [0, 1, 0]
 
     def test_dataset_words(self, tmp_path):

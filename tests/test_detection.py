@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from capsnlu.autodiff import ContractError, Tensor, _result, finite_diff_check, no_grad, softmax
+from capsnlu.autodiff import ContractError, Tensor, _result, finite_diff_check, no_grad
 from capsnlu.detection import (
     DetectionCapsParams,
     activation_norms,
@@ -13,6 +13,7 @@ from capsnlu.detection import (
     prediction_vectors,
     squash,
 )
+import refops as ops
 
 
 def routing_transcript_oracle(p: np.ndarray, iterations: int):
@@ -310,8 +311,8 @@ class TestRoutingGradients:
 
 
 def per_op_squash(s):
-    sumsq = s.square().sum(axis=-1, keepdims=True)
-    return s * (sumsq.sqrt() / (sumsq + 1.0))
+    sumsq = ops.sum(ops.square(s), axis=-1, keepdims=True)
+    return ops.mul(s, ops.div(ops.sqrt(sumsq), ops.add(sumsq, 1.0)))
 
 
 def per_op_routing(p, iterations):
@@ -322,10 +323,10 @@ def per_op_routing(p, iterations):
     rec = {"b": [], "c": [], "s": [], "v": []}
     for _ in range(iterations):
         rec["b"].append(b.values)
-        c = softmax(b, axis=-2)
-        s = (c.reshape(*c.shape, 1) * p).sum(axis=-2)
+        c = ops.softmax(b, axis=-2)
+        s = ops.sum(ops.mul(ops.reshape(c, *c.shape, 1), p), axis=-2)
         v = per_op_squash(s)
-        b = b + (p * v.reshape(*v.shape[:-1], 1, v.shape[-1])).sum(axis=-1)
+        b = ops.add(b, ops.sum(ops.mul(p, ops.reshape(v, *v.shape[:-1], 1, v.shape[-1])), axis=-1))
         rec["c"].append(c.values)
         rec["s"].append(s.values)
         rec["v"].append(v.values)
@@ -402,7 +403,7 @@ class TestFusedRouting:
         weights = Tensor(rng.normal(size=(2, 3, 4)))
 
         def loss_fn(q):
-            return (dynamic_routing(q["p"] * Tensor(keep), iterations).v_final * weights).sum()
+            return ops.sum(ops.mul(dynamic_routing(ops.mul(q["p"], Tensor(keep)), iterations).v_final, weights))
 
         err = finite_diff_check(loss_fn, params)
         assert err < 1e-4
@@ -411,7 +412,7 @@ class TestFusedRouting:
     def test_second_backward_doubles_grad(self):
         rng = np.random.default_rng(43)
         p = Tensor(rng.normal(size=(3, 4, 2, 5)), requires_grad=True)
-        loss = (dynamic_routing(p, 3).v_final * Tensor(rng.normal(size=(3, 4, 5)))).sum()
+        loss = ops.sum(ops.mul(dynamic_routing(p, 3).v_final, Tensor(rng.normal(size=(3, 4, 5)))))
         loss.backward()
         once = p.grad.copy()
         loss.backward()
@@ -486,13 +487,14 @@ def per_op_margin_loss(v, labels, penalty, *, downweight=0.5, margin_pos=0.9, ma
     def const(x, like):
         return Tensor(np.asarray(x, dtype=like.values.dtype))
 
-    norms = v.square().sum(axis=-1).sqrt()
-    present = _relu(const(margin_pos, norms) - norms).square()
-    absent = _relu(norms - margin_neg).square()
-    per_utt = (one * present + downweight * (const(1.0, one) - one) * absent).sum(axis=-1)
-    loss = per_utt.sum() * (1.0 / per_utt.size)
+    norms = ops.sqrt(ops.sum(ops.square(v), axis=-1))
+    present = ops.square(_relu(ops.sub(const(margin_pos, norms), norms)))
+    absent = ops.square(_relu(ops.sub(norms, margin_neg)))
+    weight_absent = ops.mul(ops.sub(const(1.0, one), one), downweight)
+    per_utt = ops.sum(ops.add(ops.mul(one, present), ops.mul(weight_absent, absent)), axis=-1)
+    loss = ops.mul(ops.sum(per_utt), 1.0 / per_utt.size)
     if penalty_weight:
-        loss = loss + penalty_weight * (penalty.sum() * (1.0 / penalty.size))
+        loss = ops.add(loss, ops.mul(ops.mul(ops.sum(penalty), 1.0 / penalty.size), penalty_weight))
     return loss
 
 
@@ -598,8 +600,8 @@ def broadcast_prediction_vectors(m, w):
     the node's K*R GEMMs must reproduce up to summation order."""
     k, r, in_dim, caps_dim = w.shape
     lead = m.shape[:-2]
-    p = m.reshape(*lead, 1, r, 1, in_dim) @ w
-    return p.reshape(*lead, k, r, caps_dim)
+    p = ops.matmul(ops.reshape(m, *lead, 1, r, 1, in_dim), w)
+    return ops.reshape(p, *lead, k, r, caps_dim)
 
 
 def _detect_inputs(lead, seed=43, k=5, r=3, in_dim=64, caps_dim=10):
@@ -645,14 +647,14 @@ class TestPredictionVectorsNode:
         params = {"m": m, "w": w}
 
         def loss_fn(q):
-            return (prediction_vectors(q["m"], DetectionCapsParams(w=q["w"])) * weights).tanh().sum()
+            return ops.sum(ops.tanh(ops.mul(prediction_vectors(q["m"], DetectionCapsParams(w=q["w"])), weights)))
 
         assert finite_diff_check(loss_fn, params) < 1e-6
 
     def test_second_backward_doubles_both_grads(self):
         m, w = _detect_inputs((4,))
         c = Tensor(np.random.default_rng(45).normal(size=(4, 5, 3, 10)))
-        loss = (prediction_vectors(m, DetectionCapsParams(w=w)) * c).sum()
+        loss = ops.sum(ops.mul(prediction_vectors(m, DetectionCapsParams(w=w)), c))
         loss.backward()
         once = m.grad.copy(), w.grad.copy()
         loss.backward()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
+import refops as ops
 
 from capsnlu.autodiff import ContractError, NumericError, Tensor, no_grad
 from capsnlu import harness
@@ -193,15 +194,16 @@ class TestAdam:
                 rows = np.unique(np.concatenate([idx.ravel() for idx, _ in lookups]))
                 with opt.rows_step(table, rows) as leaf:
                     for idx, c in lookups:
-                        (leaf.take_rows(np.searchsorted(rows, idx)) * c).sum().backward()
+                        ops.sum(ops.mul(leaf.take_rows(np.searchsorted(rows, idx)), c)).backward()
                     leaf.grad[0] = 0.0  # rows[0] is the PAD row
                     grad[rows] = leaf.grad
                     opt.step()
             else:
                 for idx, c in lookups:
-                    loss = (table.take_rows(idx) * c).sum()
+                    loss = ops.sum(ops.mul(table.take_rows(idx), c))
                     if write == "lookup_and_product":
-                        loss = loss + (table * Tensor(rng.normal(size=table.shape).astype(dtype))).sum()
+                        dense = Tensor(rng.normal(size=table.shape).astype(dtype))
+                        loss = ops.add(loss, ops.sum(ops.mul(table, dense)))
                     loss.backward()
                 table.grad[0] = 0.0
                 grad[...] = table.grad
@@ -235,7 +237,7 @@ class TestAdam:
             opt.zero_grad()
             grad = np.zeros_like(table.values)
             with opt.rows_step(table, [row]) as leaf:
-                (leaf.take_rows(np.array([0])) * Tensor(np.full((1, 2), value, dtype=dtype))).sum().backward()
+                ops.sum(ops.mul(leaf.take_rows(np.array([0])), Tensor(np.full((1, 2), value, dtype=dtype)))).backward()
                 grad[row] = leaf.grad[0]
                 opt.step()
             _textbook_adam(ref, [grad], moments, step, 1e-3, b1=beta1, b2=beta2)
@@ -280,7 +282,7 @@ class TestAdam:
                 try:
                     if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
                         with opt.rows_step(table, rows) as leaf:
-                            leaf.take_rows(np.searchsorted(rows, idx)).sum().backward()
+                            ops.sum(leaf.take_rows(np.searchsorted(rows, idx))).backward()
                             opt.step()
                     else:
                         opt.step()
@@ -558,7 +560,7 @@ class TestExports:
         assert sorted(indices.tolist()) == list(range(len(corpus.samples)))
         assert not fwd.trace.v_final.requires_grad
         # the suspended generator must not hold a no_grad block open
-        assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+        assert ops.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
         chunks.close()
 
 

@@ -1,23 +1,23 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from capsnlu import autodiff
+from capsnlu import autodiff, detection, harness, zeroshot
 from capsnlu.autodiff import (
     ContractError,
     DegenerateRowError,
+    DimensionError,
     Tensor,
-    concat,
     finite_diff_check,
     no_grad,
-    row_softmax,
-    stack,
 )
 from capsnlu.config import RunConfig
 from capsnlu import model as model_module
 from capsnlu import semantic
 from capsnlu.data import EmbeddingTable
 from capsnlu.detection import init_detection_params
-from capsnlu.harness import batch_loss, build_tiny_setup
+from capsnlu.harness import batch_loss, build_tiny_setup, evaluate, zsl_evaluate
 from capsnlu.model import ModelParams, forward_batch, init_model
 from capsnlu.semantic import (
     LstmParams,
@@ -29,6 +29,7 @@ from capsnlu.semantic import (
     orthogonality_penalty,
     semantic_vectors,
 )
+import refops as ops
 
 
 def make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2):
@@ -213,6 +214,47 @@ class TestSemanticVectors:
         got = semantic_vectors(Tensor(a), Tensor(h)).values
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3)], ids=["single", "B=1", "B=4", "lead 2x3"])
+    def test_node_bitwise_equal_to_per_op_product(self, lead, dtype):
+        # one node with parents A and H; its forward and both gradients are
+        # the per-op product's numpy calls, so every bit agrees
+        rng = np.random.default_rng(31)
+        a, h, w = (rng.normal(size=lead + shape).astype(dtype) for shape in ((3, 5), (5, 4), (3, 4)))
+        results = []
+        for build in (semantic_vectors, ops.matmul):
+            attn, big_h = Tensor(a, requires_grad=True), Tensor(h, requires_grad=True)
+            m = build(attn, big_h)
+            ops.sum(ops.mul(m, Tensor(w))).backward()
+            results.append((m.values, attn.grad, big_h.grad))
+        got, want = results
+        assert got[0].dtype == dtype
+        for g, r in zip(got, want):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+    def test_node_gradcheck(self):
+        rng = np.random.default_rng(32)
+        params = {
+            "attn": Tensor(rng.uniform(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
+            "big_h": Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True, dtype=np.float64),
+        }
+        weights = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+
+        def loss_fn(p):
+            return ops.sum(ops.tanh(ops.mul(semantic_vectors(p["attn"], p["big_h"]), weights)))
+
+        assert finite_diff_check(loss_fn, params) < 1e-6
+
+    @pytest.mark.parametrize(
+        "a_shape, h_shape",
+        [((5,), (5, 4)), ((3, 5), (4,)), ((3, 5), (4, 4)), ((2, 3, 5), (3, 5, 4)), ((3, 5), (2, 5, 4))],
+        ids=["1-D A", "1-D H", "inner extents", "lead extents", "lead ranks"],
+    )
+    def test_nonconforming_shapes_raise_dimension_error(self, a_shape, h_shape):
+        with pytest.raises(DimensionError, match=r"semantic_vectors") as exc:
+            semantic_vectors(Tensor(np.zeros(a_shape)), Tensor(np.zeros(h_shape)))
+        assert str(a_shape) in str(exc.value) and str(h_shape) in str(exc.value)
+
 
 class TestPaddingInvariance:
     def test_pads_change_nothing(self):
@@ -249,7 +291,7 @@ class TestGradients:
             big_h, _ = encode_tokens([tokens], emb, params)
             attn, penalty = attend(big_h, params)
             m = semantic_vectors(attn, big_h)
-            return m.sum() + penalty.sum()
+            return ops.add(ops.sum(m), ops.sum(penalty))
 
         named = params.trainable() + [("embedding", emb)]
         err = finite_diff_check(loss_fn, named, epsilon=1e-4)
@@ -268,7 +310,7 @@ class TestGradients:
             big_h, mask = encode_tokens(seqs, emb, params, pad_id=pad_id)
             attn, penalty = attend(big_h, params, pad_mask=mask)
             m = semantic_vectors(attn, big_h)
-            return (m * weights).sum() + penalty.sum()
+            return ops.add(ops.sum(ops.mul(m, weights)), ops.sum(penalty))
 
         named = params.trainable() + [("embedding", emb)]
         err = finite_diff_check(loss_fn, named, epsilon=1e-4)
@@ -280,7 +322,7 @@ class TestGradients:
 
 
 def _sigmoid(z):
-    return 0.5 * ((0.5 * z).tanh() + 1.0)
+    return ops.mul(ops.add(ops.tanh(ops.mul(z, 0.5)), 1.0), 0.5)
 
 
 def stepwise_lstm(xw, p):
@@ -292,15 +334,15 @@ def stepwise_lstm(xw, p):
     h = c = Tensor(np.zeros((n, dh), dtype=xw.values.dtype))
     states = []
     for t in range(steps):
-        z = xw[:, t, :] + h @ p.w_h
-        i = _sigmoid(z[:, 0:dh])
-        f = _sigmoid(z[:, dh : 2 * dh])
-        o = _sigmoid(z[:, 2 * dh : 3 * dh])
-        g = z[:, 3 * dh : 4 * dh].tanh()
-        c = f * c + i * g
-        h = o * c.tanh()
+        z = ops.add(ops.index(xw, np.s_[:, t, :]), ops.matmul(h, p.w_h))
+        i = _sigmoid(ops.index(z, np.s_[:, 0:dh]))
+        f = _sigmoid(ops.index(z, np.s_[:, dh : 2 * dh]))
+        o = _sigmoid(ops.index(z, np.s_[:, 2 * dh : 3 * dh]))
+        g = ops.tanh(ops.index(z, np.s_[:, 3 * dh : 4 * dh]))
+        c = ops.add(ops.mul(f, c), ops.mul(i, g))
+        h = ops.mul(o, ops.tanh(c))
         states.append(h)
-    return stack(states, axis=1)
+    return ops.stack(states, axis=1)
 
 
 def stepwise_encode(seqs, embedding, params, *, pad_id, keep=None):
@@ -314,19 +356,19 @@ def stepwise_encode(seqs, embedding, params, *, pad_id, keep=None):
     mask = np.arange(t_max)[None, :] < lengths[:, None]
     x = embedding.take_rows(ids)
     if keep is not None:
-        x = x * Tensor(keep)
+        x = ops.mul(x, Tensor(keep))
     pos = np.arange(t_max)
     src = np.where(mask, lengths[:, None] - 1 - pos, pos)
     rev = Tensor((src[:, :, None] == pos).astype(x.values.dtype))
     fw, bw = params.lstm_fw, params.lstm_bw
-    rows = x.reshape(-1, x.shape[-1])  # one GEMM over all positions, as the BiLSTM node projects
+    rows = ops.reshape(x, -1, x.shape[-1])  # one GEMM over all positions, as the BiLSTM node projects
 
     def project(p):
-        return (rows @ p.w_x).reshape(len(seqs), t_max, -1) + p.b
+        return ops.add(ops.reshape(ops.matmul(rows, p.w_x), len(seqs), t_max, -1), p.b)
 
     h_fw = stepwise_lstm(project(fw), fw)
-    h_bw = rev @ stepwise_lstm(rev @ project(bw), bw)
-    return concat(h_fw, h_bw, axis=-1), mask
+    h_bw = ops.matmul(rev, stepwise_lstm(ops.matmul(rev, project(bw)), bw))
+    return ops.concat(h_fw, h_bw, axis=-1), mask
 
 
 def per_op_attend(H, params, pad_mask=None):
@@ -334,13 +376,13 @@ def per_op_attend(H, params, pad_mask=None):
     the reference the two attention nodes must reproduce (the same numpy
     calls, so A and the penalty are bitwise equal; only the VJPs'
     summation order differs)."""
-    hidden = (params.w_s1 @ H.swapaxes(-1, -2)).tanh()
-    logits = params.w_s2 @ hidden
+    hidden = ops.tanh(ops.matmul(params.w_s1, ops.swapaxes(H, -1, -2)))
+    logits = ops.matmul(params.w_s2, hidden)
     mask = None if pad_mask is None else np.expand_dims(np.asarray(pad_mask, dtype=bool), -2)
-    attn = row_softmax(logits, mask=mask)
+    attn = ops.row_softmax(logits, mask=mask)
     eye = Tensor(np.eye(attn.shape[-2], dtype=attn.values.dtype))
-    dev = attn @ attn.swapaxes(-1, -2) - eye
-    return attn, dev.square().sum(axis=(-1, -2))
+    dev = ops.sub(ops.matmul(attn, ops.swapaxes(attn, -1, -2)), eye)
+    return attn, ops.sum(ops.square(dev), axis=(-1, -2))
 
 
 def _bench_shaped(dtype, seed=5, vocab=300, lengths=None, heads=3):
@@ -370,15 +412,31 @@ RECURRENCE_SHAPES = {
 }
 
 
-def _graph_nodes(root):
-    seen, todo, count = set(), [root], 0
+# the ops of one train step's graph, each recorded once
+STEP_OPS = (
+    "take_rows",
+    "dropout",
+    "bilstm",
+    "attend",
+    "penalty",
+    "semantic_vectors",
+    "prediction_vectors",
+    "routing",
+    "margin_loss",
+)
+
+
+def _graph_ops(root):
+    """The op names of the recorded nodes reachable from `root`, sorted."""
+    seen, todo, names = set(), [root], []
     while todo:
         t = todo.pop()
         if id(t) not in seen:
             seen.add(id(t))
-            count += bool(t.parents)
+            if t.parents:
+                names.append(t.op)
             todo.extend(t.parents)
-    return count
+    return sorted(names)
 
 
 class TestFusedRecurrence:
@@ -437,6 +495,50 @@ class TestFusedRecurrence:
         assert (~mask).any()
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_node_bitwise_equal_to_per_op_product(self, dtype):
+        # one node whose only parent is the gathered rows: x * keep forward
+        # and g * keep back, the per-op product's numpy calls
+        rng = np.random.default_rng(33)
+        x_vals, w = (rng.normal(size=(6, 4)).astype(dtype) for _ in range(2))
+        keep = (rng.random((6, 4)) < 0.7).astype(dtype) / 0.7
+        results = []
+        for build in (semantic._dropout, lambda x, k: ops.mul(x, Tensor(k))):
+            x = Tensor(x_vals, requires_grad=True)
+            out = build(x, keep)
+            ops.sum(ops.mul(out, Tensor(w))).backward()
+            results.append((out, x))
+        (got, got_x), (want, want_x) = results
+        assert got.op == "dropout" and got.parents == (got_x,)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got_x.grad.tobytes() == want_x.grad.tobytes()
+
+    def test_float64_dropout_grads_match_stepwise_graph(self):
+        params, emb, seqs, pad_id = _bench_shaped(np.float64)
+        keep_prob = 0.7
+        lengths = np.array([len(q) for q in seqs])
+        draws = np.random.default_rng(9).random((len(seqs), lengths.max(), emb.shape[1]))
+        keep = (draws < keep_prob).astype(np.float64) / keep_prob
+        named = params.trainable() + [("embedding", emb)]
+        grads = []
+        for fused in (True, False):
+            for _, t in named:
+                t.reset_grad()
+            if fused:
+                big_h, mask = encode_tokens(
+                    seqs, emb, params, pad_id=pad_id, training=True, dropout_keep=keep_prob,
+                    rng=np.random.default_rng(9),
+                )
+            else:
+                big_h, mask = stepwise_encode(seqs, emb, params, pad_id=pad_id, keep=keep)
+            attn, penalty = per_op_attend(big_h, params, pad_mask=mask)
+            ops.add(ops.sum(ops.square(semantic_vectors(attn, big_h))), ops.sum(penalty)).backward()
+            grads.append({name: t.grad.copy() for name, t in named})
+        got, want = grads
+        for name, _ in named:
+            scale = np.abs(want[name]).max()
+            assert scale > 0 and np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
     def test_float64_grads_match_stepwise_graph(self):
         for shape, kwargs in RECURRENCE_SHAPES.items():
             params, emb, seqs, pad_id = _bench_shaped(np.float64, **kwargs)
@@ -447,7 +549,7 @@ class TestFusedRecurrence:
                     t.reset_grad()
                 big_h, mask = encode(seqs, emb, params, pad_id=pad_id)
                 attn, penalty = per_op_attend(big_h, params, pad_mask=mask)
-                (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
+                ops.add(ops.sum(ops.square(semantic_vectors(attn, big_h))), ops.sum(penalty)).backward()
                 grads.append({name: t.grad.copy() for name, t in named})
             for name, _ in named:
                 got, want = grads
@@ -468,7 +570,7 @@ class TestFusedRecurrence:
         weights = Tensor(rng.normal(size=(3, 5, 4)) * real[:, :, None])
 
         def loss_fn(_):
-            return (_run_bilstm(x, fw, bw, lengths) * weights).sum()
+            return ops.sum(ops.mul(_run_bilstm(x, fw, bw, lengths), weights))
 
         named = [("x", x)] + fw.trainable("fw") + bw.trainable("bw")
         err = finite_diff_check(loss_fn, named)
@@ -485,7 +587,7 @@ class TestFusedRecurrence:
         x = Tensor(rng.normal(size=(lengths.sum() + 1, 5)), requires_grad=True)
         leaves = [x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h]
         weights = Tensor(rng.normal(size=(3, 4, 6)))
-        loss = (_run_bilstm(x, fw, bw, lengths) * weights).sum()
+        loss = ops.sum(ops.mul(_run_bilstm(x, fw, bw, lengths), weights))
         loss.backward()
         once = [t.grad.copy() for t in leaves]
         loss.backward()
@@ -511,7 +613,27 @@ class TestFusedRecurrence:
         model = init_model(table, cfg, rng=rng)
         samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
         loss = batch_loss(model, samples, cfg, training=True, rng=rng)
-        assert _graph_nodes(loss) <= 9
+        assert _graph_ops(loss) == sorted(STEP_OPS)
+
+    def test_evaluation_with_gradients_on_records_only_step_ops(self, toy_setup, monkeypatch):
+        # evaluate and zsl_evaluate run their forwards under no_grad; with
+        # recording left on, every node they make is one a train step makes
+        cfg, table, existing, emerging = toy_setup
+        model = init_model(table, cfg)
+        recorded = []
+        for module in (autodiff, semantic, detection):
+            def recording(values, op, parents, vjp, real=module._result):
+                out = real(values, op, parents, vjp)
+                recorded.append(out.op)  # "" when nothing was recorded
+                return out
+
+            monkeypatch.setattr(module, "_result", recording)
+        for module in (harness, zeroshot):
+            monkeypatch.setattr(module, "no_grad", contextlib.nullcontext)
+        evaluate(model, existing, cfg)
+        zsl_evaluate(model, emerging, table.intent_vectors, cfg)
+        seen = set(recorded) - {""}
+        assert {"take_rows", "semantic_vectors", "routing"} <= seen <= set(STEP_OPS), seen
 
     def test_pad_rows_carry_zero_gradient_and_scatter_matches_add_at(self, monkeypatch):
         # only the real tokens and one pad row are gathered; pad positions
@@ -531,7 +653,7 @@ class TestFusedRecurrence:
             seqs, emb, params, pad_id=pad_id, training=True, dropout_keep=0.8, rng=np.random.default_rng(3)
         )
         attn, penalty = attend(big_h, params, pad_mask=mask)
-        (semantic_vectors(attn, big_h).square().sum() + penalty.sum()).backward()
+        ops.add(ops.sum(ops.square(semantic_vectors(attn, big_h))), ops.sum(penalty)).backward()
         (idx, g), = scattered
         assert (~mask).any()
         np.testing.assert_array_equal(idx, [t for s in seqs for t in s] + [pad_id])
@@ -697,7 +819,7 @@ class TestAttentionNodes:
             for _, t in named:
                 t.reset_grad()
             attn, penalty = head(big_h, params, pad_mask=mask)
-            ((semantic_vectors(attn, big_h) * weights).sum() + penalty.sum()).backward()
+            ops.add(ops.sum(ops.mul(semantic_vectors(attn, big_h), weights)), ops.sum(penalty)).backward()
             grads.append({name: t.grad.copy() for name, t in named})
         got, want = grads
         for name, _ in named:
@@ -716,7 +838,7 @@ class TestAttentionNodes:
 
         def loss_fn(_):
             attn, _ = attend(big_h, params, pad_mask=mask)
-            return (attn * weights).sum()
+            return ops.sum(ops.mul(attn, weights))
 
         assert finite_diff_check(loss_fn, named) < 1e-6
         # masked positions get exactly zero attention, so no gradient
@@ -729,7 +851,7 @@ class TestAttentionNodes:
         weights = Tensor(rng.normal(size=batch))
 
         def loss_fn(_):
-            return (orthogonality_penalty(attn) * weights).sum()
+            return ops.sum(ops.mul(orthogonality_penalty(attn), weights))
 
         assert finite_diff_check(loss_fn, [("A", attn)]) < 1e-6
 
@@ -780,7 +902,7 @@ class TestAttentionNodes:
         big_h = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(2, 2, 4)))
         attn, penalty = attend(big_h, params, pad_mask=[[True] * 4, [True, True, True, False]])
-        loss = (semantic_vectors(attn, big_h) * weights).sum() + penalty.sum()
+        loss = ops.add(ops.sum(ops.mul(semantic_vectors(attn, big_h), weights)), ops.sum(penalty))
         leaves = [big_h, params.w_s1, params.w_s2]
         loss.backward()
         once = [t.grad.copy() for t in leaves]
