@@ -210,26 +210,18 @@ def _result(values: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
 
 def _scatter_add_rows(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     """dst[idx] += g with repeated indices accumulating: bit for bit
-    ``np.add.at(dst, idx, g)`` whenever ``dst`` holds no -0.0.
-
-    Rows of ``g`` that are all zero (of either sign) are skipped: adding
-    them leaves every entry of ``dst`` as it was, save a -0.0 that +0.0
-    would turn into +0.0. A ``.grad`` buffer never holds -0.0, since it
-    starts at +0.0 and a sum that starts at +0.0 never reaches -0.0. Pad
-    positions of a ragged batch carry such all-zero rows. Of the rows
-    kept, each index's first occurrence is added by one fancy-indexed
-    ``+=`` and only the repeats go through the slower ``np.add.at``, so
-    every row still receives its terms in index order."""
+    ``np.add.at(dst, idx, g)``. Each index's first occurrence is added by
+    one fancy-indexed ``+=`` and only the repeats go through the slower
+    ``np.add.at``, so every row still receives its terms in index order."""
     flat = idx.reshape(-1)
     flat = np.where(flat < 0, flat + dst.shape[0], flat)  # one key per row
     rows = g.reshape(flat.shape + dst.shape[1:])
-    kept = np.flatnonzero(rows.any(axis=tuple(range(1, rows.ndim))))
-    uniq, first = np.unique(flat[kept], return_index=True)
-    dst[uniq] += rows[kept[first]]
-    if first.size < kept.size:
-        repeat = np.ones(kept.size, dtype=bool)
+    uniq, first = np.unique(flat, return_index=True)
+    dst[uniq] += rows[first]
+    if first.size < flat.size:
+        repeat = np.ones(flat.size, dtype=bool)
         repeat[first] = False
-        np.add.at(dst, flat[kept[repeat]], rows[kept[repeat]])
+        np.add.at(dst, flat[repeat], rows[repeat])
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

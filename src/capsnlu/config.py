@@ -9,6 +9,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import ContractError
 
 OUTPUT_DIR_ENV = "CAPSNLU_OUTPUT_DIR"
@@ -76,12 +78,15 @@ class RunConfig:
         for name in ("word_dim", "hidden_dim", "attn_dim", "heads", "caps_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
-        if not 0.0 < self.dropout_keep <= 1.0:
-            raise ContractError("dropout_keep must be in (0, 1]")
+        keep = self.dropout_keep
+        with np.errstate(divide="ignore", over="ignore"):  # in float32, as encode_tokens divides
+            finite_inverse = np.isfinite(np.float32(1.0) / np.float32(keep))
+        if not (0.0 < keep <= 1.0 and finite_inverse):
+            raise ContractError(f"dropout_keep must be in (0, 1] with a finite float32 reciprocal, got {keep!r}")
         if not 0.0 <= self.margin_neg < self.margin_pos <= 1.0:
             raise ContractError("margins must satisfy 0 <= margin_neg < margin_pos <= 1")
-        if self.sigma <= 0:
-            raise ContractError("sigma must be positive")
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+            raise ContractError(f"sigma must be positive with a positive, finite square, got {self.sigma!r}")
         if self.routing_iterations < 1:
             raise ContractError("routing_iterations must be at least 1")
         if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:

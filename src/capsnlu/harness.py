@@ -68,6 +68,9 @@ class _Worker(threading.Thread):
             raise self._error
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's settings: Kingma & Ba's defaults, as in the paper
+
+
 class Adam:
     """Adaptive-moment gradient descent over named tensors (Kingma & Ba).
 
@@ -77,47 +80,39 @@ class Adam:
         v = b2 * v + (1 - b2) * (g * g)
         p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
-    evaluated with numpy's usual casting of the Python-float
-    hyperparameters. It runs the same elementwise operations in the same
-    order, but in place on the persistent moments and parameters, one
-    block of leading-axis rows at a time. Each operation is correctly
-    rounded per element, so neither the blocking nor the reuse of
-    buffers changes a bit, and no array larger than one block is
-    allocated per step.
+    with b1, b2 and eps the module's BETA1, BETA2 and EPS, evaluated with
+    numpy's usual casting of Python floats. It runs the same elementwise
+    operations in the same order, but in place on the persistent moments
+    and parameters, one block of leading-axis rows at a time. Each
+    operation is correctly rounded per element, so neither the blocking
+    nor the reuse of buffers changes a bit, and no array larger than one
+    block is allocated per step.
 
-    ``rows_step(param, rows)`` splits one parameter's next step in two,
-    for a table of which a step reads and writes only a few rows (the
-    embedding). It yields a new leaf holding those rows, which the
-    forward and backward use in place of the table, and starts a worker
-    thread that runs the step with g = +0.0 over every row of the table:
-    the decays and the update, which need neither the gradient nor the
-    forward. ``step`` then steps the other parameters, joins the worker
+    ``with rows_step(param, rows) as leaf:`` is one step for a table of
+    which a step reads and writes only a few rows (the embedding). The
+    block gets a new leaf holding those rows, which the forward and
+    backward use in place of the table, while a worker thread runs the
+    step with g = +0.0 over every row of the table: the decays and the
+    update, which need neither the gradient nor the forward. When the
+    block exits normally it steps the other parameters, joins the worker
     and redoes the full step of the chosen rows from their pre-step
     values and the leaf's gradient, and writes them back. Off those rows
     the textbook's ``(1 - b1) * g`` and ``(1 - b2) * (g * g)`` are +0.0,
-    and adding +0.0 leaves every value but -0.0 as it was. The moments
-    start at +0.0, and ``b2 * v`` is never -0.0 since ``beta2 >= 0``;
-    ``b1 * m`` rounds no nonzero ``m`` to zero when ``beta1 > 0.5``, so
-    only a smaller beta1 adds the +0.0 to ``m``. Every element thus sees
-    the textbook's operations in its order, and the split changes no bit.
+    and adding +0.0 leaves every value but -0.0 as it was. No moment is
+    ever -0.0: both start at +0.0, v is a sum of squares, and ``b1 * m``
+    rounds no nonzero m to zero. So every element sees the textbook's
+    operations in its order, and the split changes no bit. Between steps
+    the optimizer holds only ``t``, ``m`` and ``v`` as state.
 
-    ``lr`` must be finite and non-negative, both betas in [0, 1) and
-    ``eps`` positive, else ContractError names the value: ``beta1 = 1``,
-    say, would make the bias correction ``1 - b1**t`` zero. Every
-    parameter must be writable (a loaded model's are not) and listed
+    ``lr`` must be finite and non-negative, else ContractError names it.
+    Every parameter must be writable (a loaded model's are not) and listed
     once, else ContractError names it; a parameter listed twice would be
     stepped twice.
     """
 
-    def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        for name, value, ok, rule in (
-            ("lr", lr, math.isfinite(lr) and lr >= 0, "finite and non-negative"),
-            ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
-            ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
-            ("eps", eps, eps > 0, "positive"),
-        ):
-            if not ok:
-                raise ContractError(f"Adam {name} must be {rule}, got {value!r}")
+    def __init__(self, named_params, lr: float):
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ContractError(f"Adam lr must be finite and non-negative, got {lr!r}")
         self.params = list(named_params)
         for k, (name, t) in enumerate(self.params):
             if not t.values.flags.writeable:
@@ -126,9 +121,6 @@ class Adam:
                 if np.shares_memory(t.values, u.values):
                     raise ContractError(f"parameters {other!r} and {name!r} share memory; Adam would step it twice")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(t.values) for _, t in self.params]
         self.v = [np.zeros_like(t.values) for _, t in self.params]
@@ -137,7 +129,7 @@ class Adam:
         self._temps = [
             np.empty((2, t.values[b[0]].size if b else 0), t.dtype) for b, (_, t) in zip(self._blocks, self.params)
         ]
-        self._open = None  # (index, rows, leaf, m rows, v rows, worker) of an open rows step
+        self._in_rows_step = False  # a worker owns a table while True
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -145,19 +137,20 @@ class Adam:
 
     @contextlib.contextmanager
     def rows_step(self, param: Tensor, rows):
-        """Start the next step of `param`, one of the optimizer's tables,
-        for the sorted distinct leading-axis `rows`, and yield a new leaf
-        holding their values; the caller runs the forward and backward on
-        the leaf and calls ``step``, which finishes it (see the class
-        docstring). Until then the table's values and moments belong to
-        the worker: nothing may read or write them. The worker is joined
-        on every way out of the block; an exception it raised is raised
-        by ``step``, or on leaving the block when no other exception is
-        on its way out."""
+        """One step, with `param`, one of the optimizer's tables, stepped
+        through a new leaf holding its sorted distinct leading-axis `rows`
+        (see the class docstring): the block runs the forward and backward on
+        the leaf, and its normal exit takes the step. Inside the block the
+        worker owns the table's values and moments: nothing may read or write
+        them, and a nested block or a ``step()`` raises ContractError. The
+        worker is joined on every way out, and its exception, if any, is
+        raised when no other is on its way out. A block left by an exception
+        advances no ``t`` and steps no other parameter, but the table keeps
+        the worker's gradient-free pass."""
         index = next((k for k, (_, t) in enumerate(self.params) if t is param), None)
         if index is None or param.ndim == 0:
             raise ContractError("rows_step needs a table that is one of the optimizer's parameters")
-        if self._open is not None:
+        if self._in_rows_step:
             raise ContractError("a rows step is already open")
         rows = np.asarray(rows)
         n = param.shape[0]
@@ -169,77 +162,75 @@ class Adam:
         m_rows, v_rows = (np.take(a[index], rows, axis=0) for a in (self.m, self.v))
         worker = _Worker(target=self._gradient_free_step, args=(index, self.t + 1), name="adam-rows-step")
         worker.start()
-        self._open = (index, rows, leaf, m_rows, v_rows, worker)
+        self._in_rows_step = True
         try:
             yield leaf
+            self.t += 1
+            hyper = self._hyper(self.t)
+            self._dense_steps(hyper, skip=index)  # while the worker runs
         except BaseException:
-            self._open = None
             with contextlib.suppress(Exception):
                 worker.join()
             raise
-        if self._open is not None:
-            self._open = None
-            worker.join()
-            raise ContractError("rows_step left without a step()")
+        finally:
+            self._in_rows_step = False
+        worker.join()
+        _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
+        param.values[rows] = leaf.values
+        self.m[index][rows] = m_rows
+        self.v[index][rows] = v_rows
 
     def _hyper(self, t: int) -> tuple:
-        return self.beta1, self.beta2, self.lr, self.eps, 1 - self.beta1**t, 1 - self.beta2**t
+        return self.lr, 1 - BETA1**t, 1 - BETA2**t
 
     def _gradient_free_step(self, index: int, t: int) -> None:
         """Step `t` of parameter `index` with g = +0.0 on every row."""
-        b1, b2, lr, eps, c1, c2 = self._hyper(t)
+        lr, c1, c2 = self._hyper(t)
         p, m, v, (s1, s2) = self.params[index][1].values, self.m[index], self.v[index], self._temps[index]
         for key in self._blocks[index]:
             mb, vb = m[key], v[key]
-            mb *= b1
-            if b1 <= 0.5:
-                mb += 0.0  # b1 * m may round a tiny negative m to -0.0
-            vb *= b2
-            _update(p[key], mb, vb, s1[: mb.size].reshape(mb.shape), s2[: mb.size].reshape(mb.shape), lr, eps, c1, c2)
+            mb *= BETA1
+            vb *= BETA2
+            _update(p[key], mb, vb, s1[: mb.size].reshape(mb.shape), s2[: mb.size].reshape(mb.shape), lr, c1, c2)
 
-    def step(self) -> None:
-        self.t += 1
-        hyper = self._hyper(self.t)
-        opened, self._open = self._open, None
-        skip = opened[0] if opened is not None else None
+    def _dense_steps(self, hyper: tuple, skip: int | None = None) -> None:
         for i, (_, t) in enumerate(self.params):
             if i != skip:
                 _full_step(t.values, t.grad, self.m[i], self.v[i], self._blocks[i], self._temps[i], hyper)
-        if opened is None:
-            return
-        index, rows, leaf, m_rows, v_rows, worker = opened
-        worker.join()
-        _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
-        self.params[index][1].values[rows] = leaf.values
-        self.m[index][rows] = m_rows
-        self.v[index][rows] = v_rows
+
+    def step(self) -> None:
+        """One step of every parameter from its ``.grad``."""
+        if self._in_rows_step:
+            raise ContractError("step() inside a rows_step block would race its worker over the table")
+        self.t += 1
+        self._dense_steps(self._hyper(self.t))
 
 
 def _full_step(p, g, m, v, blocks, temps, hyper) -> None:
     """The textbook step of `p` from gradient `g`, in place, block by block."""
-    b1, b2, lr, eps, c1, c2 = hyper
+    lr, c1, c2 = hyper
     s1, s2 = temps
     for key in blocks:
         pb, gb, mb, vb = p[key], g[key], m[key], v[key]
         x = s1[: mb.size].reshape(mb.shape)
         y = s2[: mb.size].reshape(mb.shape)
-        mb *= b1
-        vb *= b2
+        mb *= BETA1
+        vb *= BETA2
         np.multiply(gb, gb, out=y)
-        y *= 1 - b2
-        np.multiply(gb, 1 - b1, out=x)
+        y *= 1 - BETA2
+        np.multiply(gb, 1 - BETA1, out=x)
         mb += x
         vb += y
-        _update(pb, mb, vb, x, y, lr, eps, c1, c2)
+        _update(pb, mb, vb, x, y, lr, c1, c2)
 
 
-def _update(pb, mb, vb, x, y, lr, eps, c1, c2) -> None:
-    """pb -= lr * (mb / c1) / (sqrt(vb / c2) + eps), through buffers x, y."""
+def _update(pb, mb, vb, x, y, lr, c1, c2) -> None:
+    """pb -= lr * (mb / c1) / (sqrt(vb / c2) + EPS), through buffers x, y."""
     np.divide(mb, c1, out=x)
     x *= lr
     np.divide(vb, c2, out=y)
     np.sqrt(y, out=y)
-    y += eps
+    y += EPS
     x /= y
     pb -= x
 
@@ -299,15 +290,16 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     the best validation epoch. Fully deterministic given the seed.
 
     A step reads and writes few embedding rows: the batch's token ids and
-    the pad id (whose gradient row is zeroed, so PAD stays frozen). The
-    step gathers those rows into a leaf through ``Adam.rows_step``, with
-    the batch's ids renumbered to index it, and runs the forward and
-    backward on a model whose embedding is that leaf. Meanwhile a worker
-    thread runs the table's gradient-free Adam pass over every row; the
-    worker is joined before the step returns or raises. An id that is not
-    a row of the embedding raises `encode_tokens`' ContractError before
-    any row is gathered. Losses, parameters and moments are bit for bit
-    those of a step on the whole table."""
+    the pad id (whose gradient row is zeroed, so PAD stays frozen). Each
+    step is one ``Adam.rows_step`` block, which gathers those rows into a
+    leaf, with the batch's ids renumbered to index it; the block runs the
+    forward and backward on a model whose embedding is that leaf, and its
+    exit takes the Adam step. Meanwhile a worker thread runs the table's
+    gradient-free Adam pass over every row; the worker is joined before
+    the step returns or raises. An id that is not a row of the embedding
+    raises `encode_tokens`' ContractError before any row is gathered.
+    Losses, parameters and moments are bit for bit those of a step on the
+    whole table."""
     cfg.validate()
     if not corpus.samples:
         raise ContractError("empty training corpus")
@@ -335,11 +327,11 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
             seqs = [ids for ids, _ in batch]
             lengths = np.array([len(ids) for ids in seqs])
             ids = token_id_array(seqs, lengths, model.embedding.shape[0])
-            rows = np.unique(np.append(ids, model.pad_id))
-            local = np.split(np.searchsorted(rows, ids), np.cumsum(lengths)[:-1])
+            rows, inverse = np.unique(np.append(ids, model.pad_id), return_inverse=True)
+            local = np.split(inverse[:-1], np.cumsum(lengths)[:-1])
             local_batch = [(part.tolist(), lab) for part, (_, lab) in zip(local, batch)]
+            pad = int(inverse[-1])
             with optimizer.rows_step(model.embedding, rows) as leaf:
-                pad = int(np.searchsorted(rows, model.pad_id))
                 stepped = replace(model, embedding=leaf, pad_id=pad)
                 loss = batch_loss(stepped, local_batch, cfg, training=True, rng=rng)
                 value = loss.item()
@@ -350,7 +342,6 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
                 optimizer.zero_grad()
                 loss.backward()
                 leaf.grad[pad] = 0.0  # PAD stays frozen
-                optimizer.step()
             loss_sum += value * len(batch)
         epoch_loss = loss_sum / n
         acc = evaluate(model, val_corpus, cfg).accuracy

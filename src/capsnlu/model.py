@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, _grad_enabled
+from .autodiff import ContractError, Tensor
 from .config import RunConfig
 from .data import EmbeddingTable
 from .detection import (
@@ -21,7 +21,6 @@ from .detection import (
 )
 from .semantic import (
     SemanticCapsParams,
-    attend,
     attention_matrix,
     encode_tokens,
     init_semantic_params,
@@ -69,15 +68,15 @@ class ModelParams:
 class ForwardPass:
     """Products of one batched forward run.
 
-    `penalty` holds the B orthogonality penalties of A. A forward that
-    records a graph builds it with A; one under `no_grad` leaves it to the
-    first read of `penalty`, which computes it from A once, since
-    evaluation never reads it."""
+    `penalty` holds the B orthogonality penalties of A, computed from A
+    on its first read and kept; evaluation never reads it. The training
+    loss reads it under the forward's grad mode, so a recorded forward
+    gets the penalty node with parent A."""
 
     A: Tensor              # B x R x T
     P: Tensor              # B x K x R x D_P
     trace: RoutingTrace
-    _penalty: Tensor | None = field(default=None, repr=False)
+    _penalty: Tensor | None = field(default=None, init=False, repr=False)
 
     @property
     def penalty(self) -> Tensor:
@@ -120,14 +119,11 @@ def forward_batch(
         dropout_keep=cfg.dropout_keep,
         rng=rng,
     )
-    if _grad_enabled():  # the training graph builds the penalty node with A
-        attn, penalty = attend(big_h, model.semantic, pad_mask=mask)
-    else:
-        attn, penalty = attention_matrix(big_h, model.semantic, pad_mask=mask), None
+    attn = attention_matrix(big_h, model.semantic, pad_mask=mask)
     m = semantic_vectors(attn, big_h)
     p = prediction_vectors(m, model.detection)
     trace = dynamic_routing(p, cfg.routing_iterations)
-    return ForwardPass(A=attn, P=p, trace=trace, _penalty=penalty)
+    return ForwardPass(A=attn, P=p, trace=trace)
 
 
 # ----------------------------------------------------------------------

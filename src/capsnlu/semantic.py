@@ -41,9 +41,10 @@ x * keep with the inverted-dropout mask). The attention head is three
 graph nodes with hand-written VJPs: A (`attention_matrix`, parents H,
 w_s1 and w_s2), the penalty (parent A) and M (`semantic_vectors`,
 parents A and H, one product); `attend` builds the first two. The
-penalty is a training regulariser, so an evaluation forward may build A
-alone. Their forwards make the same numpy calls as a graph of per-op
-reference ops would, so their values are bitwise those of that graph.
+penalty is a training regulariser, so a forward builds A alone and
+leaves the penalty to its first read. Their forwards make the same numpy
+calls as a graph of per-op reference ops would, so their values are
+bitwise those of that graph.
 """
 
 from __future__ import annotations

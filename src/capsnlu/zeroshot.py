@@ -47,9 +47,10 @@ def vote_vectors(trace: RoutingTrace, p) -> np.ndarray:
 
 def intent_similarity(emerging_vecs, existing_vecs, sigma: float) -> SimilarityMatrix:
     """Softmax over existing intents of the scaled squared embedding
-    distance; `sigma` flattens the distribution as it grows."""
-    if not 0 < sigma < np.inf:
-        raise ContractError(f"sigma must be positive and finite, got {sigma!r}")
+    distance; `sigma` flattens the distribution as it grows, and must be
+    positive with a positive, finite square (the distances' divisor)."""
+    if not (sigma > 0 and 0 < sigma * sigma < np.inf):
+        raise ContractError(f"sigma must be positive with a positive, finite square, got {sigma!r}")
     ez = np.asarray(emerging_vecs, dtype=np.float64)
     ey = np.asarray(existing_vecs, dtype=np.float64)
     if ez.ndim != 2 or ey.ndim != 2 or ez.shape[1] != ey.shape[1]:

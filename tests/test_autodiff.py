@@ -412,9 +412,10 @@ class TestGatherOps:
             np.add.at(want, idx, g)
             assert table.grad.tobytes() == want.tobytes()
 
-    def test_scatter_skipping_zero_rows_is_bytewise_add_at(self):
-        # all-zero rows (either sign) are skipped; that must leave dst byte
-        # equal to np.add.at, from a +0.0 start and from a non-zero one
+    def test_scatter_of_zero_and_repeated_rows_is_bytewise_add_at(self):
+        # all-zero rows (either sign), some of them at repeated indices, are
+        # added like any other; dst must stay byte equal to np.add.at, from
+        # a +0.0 start and from a non-zero one
         rng = np.random.default_rng(8)
         negative_zeros = repeated_zero_rows = 0
         for draw in range(240):

@@ -28,6 +28,18 @@ class TestRunConfig:
         with pytest.raises(ContractError):
             RunConfig(dropout_keep=0.0).validate()
 
+    def test_dropout_keep_without_float32_reciprocal_is_named(self):
+        # float32 rounds 1e-50 to 0, so encode_tokens' keep /= dropout_keep
+        # would divide 0 by 0 and feed NaN into the loss
+        with pytest.raises(ContractError, match="dropout_keep must be in \\(0, 1\\] with a finite float32 reciprocal, got 1e-50"):
+            RunConfig(dropout_keep=1e-50).validate()
+        RunConfig(dropout_keep=3e-39).validate()  # a subnormal whose reciprocal float32 holds
+
+    def test_sigma_whose_square_underflows_is_named(self):
+        # sigma * sigma = 0 would make every similarity row all NaN
+        with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e-200"):
+            RunConfig(sigma=1e-200).validate()
+
     def test_overlapping_labels(self):
         with pytest.raises(ContractError):
             RunConfig(existing_labels=("A",), emerging_labels=("A",)).validate()

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import sys
@@ -102,9 +103,10 @@ class TestTrain:
             attention_offdiag_mean(model, empty, cfg)
 
 
-def _textbook_adam(params, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+def _textbook_adam(params, grads, moments, t, lr):
     """One Adam step as a fresh-array expression: the reference Adam.step
     must reproduce bit for bit."""
+    b1, b2, eps = 0.9, 0.999, 1e-8  # written out, not read from harness: the oracle stays independent
     for i, (p, g) in enumerate(zip(params, grads)):
         m, v = moments[i]
         m = b1 * m + (1 - b1) * g
@@ -197,7 +199,6 @@ class TestAdam:
                         ops.sum(ops.mul(leaf.take_rows(np.searchsorted(rows, idx)), c)).backward()
                     leaf.grad[0] = 0.0  # rows[0] is the PAD row
                     grad[rows] = leaf.grad
-                    opt.step()
             else:
                 for idx, c in lookups:
                     loss = ops.sum(ops.mul(table.take_rows(idx), c))
@@ -213,55 +214,33 @@ class TestAdam:
             assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("beta1, beta2", [(0.4, 0.999), (0.5, 0.999), (0.9, -0.5), (0.9, 0.999)])
-    def test_row_record_is_used_only_where_skipping_is_exact(self, dtype, beta1, beta2):
+    def test_row_record_is_used_only_where_skipping_is_exact(self, dtype):
         # the rows step's worker skips the gradient terms of the rows
-        # outside the step only where that is exact. Step 1 leaves m[1] at
-        # -tiny (the smallest subnormal). At step 2 row 1 is outside the
-        # rows, so the worker steps it: beta1 <= 0.5 rounds beta1 * m[1] to
-        # -0.0, which the textbook's + 0.0 turns into +0.0, so the worker
-        # must add that +0.0; beta1 > 0.5 keeps -tiny. A negative beta2
-        # would turn v = +0.0 on a row without gradient into beta2 * v =
-        # -0.0 in the same way, so the constructor rejects it.
+        # outside the step, which is exact only if no moment it decays
+        # becomes -0.0. Step 1 leaves m[1] at -tiny (the smallest
+        # subnormal). At step 2 row 1 is outside the rows, so the worker
+        # steps it: 0.9 * m[1] keeps -tiny, where a beta1 <= 0.5 would
+        # round it to the -0.0 that the textbook's + 0.0 turns into +0.0.
         table = Tensor(np.ones((4, 2)), requires_grad=True, dtype=dtype)
-        if beta2 < 0:
-            with pytest.raises(ContractError, match=f"Adam beta2 must be in \\[0, 1\\), got {beta2!r}"):
-                Adam([("table", table)], lr=1e-3, beta1=beta1, beta2=beta2)
-            return
         tiny = np.finfo(dtype).smallest_subnormal
-        first = -round(1 / (1 - beta1)) * tiny  # (1 - beta1) * first rounds to -tiny
+        first = -10 * tiny  # (1 - 0.9) * first rounds to -tiny
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
-        opt = Adam([("table", table)], lr=1e-3, beta1=beta1, beta2=beta2)
+        opt = Adam([("table", table)], lr=1e-3)
         for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
             opt.zero_grad()
             grad = np.zeros_like(table.values)
             with opt.rows_step(table, [row]) as leaf:
                 ops.sum(ops.mul(leaf.take_rows(np.array([0])), Tensor(np.full((1, 2), value, dtype=dtype)))).backward()
                 grad[row] = leaf.grad[0]
-                opt.step()
-            _textbook_adam(ref, [grad], moments, step, 1e-3, b1=beta1, b2=beta2)
+            _textbook_adam(ref, [grad], moments, step, 1e-3)
             if step == 1:
                 assert moments[0][0][1].tolist() == [-tiny, -tiny]
             assert _same_bits(table.values, ref[0])
             assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
-        assert np.signbit(moments[0][0][1]).all() == (beta1 > 0.5)
+        assert np.signbit(moments[0][0][1]).all()
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("lr", -1e-3),
-            ("lr", float("nan")),
-            ("lr", float("inf")),
-            ("beta1", 1.0),  # 1 - beta1**t = 0: step would divide by zero
-            ("beta1", -0.1),
-            ("beta2", -0.5),  # beta2 * v would turn +0.0 into -0.0
-            ("beta2", 1.0),
-            ("beta1", float("nan")),
-            ("eps", 0.0),
-            ("eps", -1e-8),
-        ],
-    )
+    @pytest.mark.parametrize("name, value", [("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))])
     def test_rejects_hyperparameter_out_of_range(self, name, value):
         table = Tensor(np.ones((4, 2)), requires_grad=True)
         with pytest.raises(ContractError, match=f"Adam {name} must be .*, got {value!r}"):
@@ -283,7 +262,6 @@ class TestAdam:
                     if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
                         with opt.rows_step(table, rows) as leaf:
                             ops.sum(leaf.take_rows(np.searchsorted(rows, idx))).backward()
-                            opt.step()
                     else:
                         opt.step()
                     peak = tracemalloc.get_traced_memory()[1]
@@ -322,9 +300,10 @@ class TestAdam:
             with opt.rows_step(table, [0]):
                 with opt.rows_step(table, [1]):
                     pass
-        with pytest.raises(ContractError, match="rows_step left without a step"):
+        with pytest.raises(ContractError, match="step\\(\\) inside a rows_step block would race its worker"):
             with opt.rows_step(table, [0]):
-                pass
+                opt.step()
+        assert opt.t == 0  # no block above took a step
         assert threading.active_count() == before
 
 
@@ -409,6 +388,32 @@ class TestTrainThreads:
         with pytest.raises(RuntimeError, match="backward failed"):
             train(cfg, corpus, table)
         assert threading.active_count() == before
+
+    def test_between_steps_the_optimizer_holds_no_open_step(self, toy_setup, monkeypatch):
+        # what resume relies on: after every step Adam has the attributes
+        # of a fresh one and no worker is alive, so a step's leaf and
+        # worker need no saving
+        cfg, table, corpus, _ = toy_setup
+        cfg.epochs = 2
+        keys, workers = [], []
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                keys.append(sorted(vars(self)))
+
+            @contextlib.contextmanager
+            def rows_step(self, param, rows):
+                with super().rows_step(param, rows) as leaf:
+                    yield leaf
+                keys.append(sorted(vars(self)))
+                workers.append([w for w in threading.enumerate() if w.name == "adam-rows-step"])
+
+        monkeypatch.setattr(harness, "Adam", Recorded)
+        train(cfg, corpus, table)
+        steps = cfg.epochs * -(-len(corpus.samples) // cfg.batch_size)
+        assert len(keys) == 1 + steps and all(k == keys[0] for k in keys)
+        assert workers == [[]] * steps
 
     def test_worker_error_is_raised_in_the_caller(self, toy_setup, monkeypatch):
         cfg, table, corpus, _ = toy_setup

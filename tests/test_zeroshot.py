@@ -74,6 +74,11 @@ class TestIntentSimilarity:
             with pytest.raises(ContractError, match="sigma"):
                 intent_similarity(np.zeros((1, 2)), np.zeros((1, 2)), sigma=sigma)
 
+    def test_sigma_whose_square_underflows_is_named(self):
+        # sigma * sigma = 0 would divide every distance by zero: all-NaN rows
+        with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e-200"):
+            intent_similarity(np.eye(2), np.eye(2), sigma=1e-200)
+
     def test_rows_stochastic_and_positive(self):
         # sigma >= 1 with unit-scale embeddings keeps every exp(-d)
         # representable; below float underflow Q saturates to one-hot
