@@ -35,10 +35,22 @@ class TestRunConfig:
             RunConfig(dropout_keep=1e-50).validate()
         RunConfig(dropout_keep=3e-39).validate()  # a subnormal whose reciprocal float32 holds
 
+    @pytest.mark.parametrize("keep", [1e-45, 2e-39])
+    def test_dropout_keep_whose_float32_reciprocal_overflows_is_named(self, keep):
+        # float32 holds these keeps, but not 1 / keep: the kept positions
+        # would be scaled to inf
+        with pytest.raises(ContractError, match=f"dropout_keep must be in .* finite float32 reciprocal, got {keep!r}"):
+            RunConfig(dropout_keep=keep).validate()
+
     def test_sigma_whose_square_underflows_is_named(self):
         # sigma * sigma = 0 would make every similarity row all NaN
         with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e-200"):
             RunConfig(sigma=1e-200).validate()
+
+    def test_sigma_whose_square_overflows_is_named(self):
+        # sigma * sigma = inf would make every similarity row uniform
+        with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e\\+200"):
+            RunConfig(sigma=1e200).validate()
 
     def test_overlapping_labels(self):
         with pytest.raises(ContractError):

@@ -246,6 +246,13 @@ class TestAdam:
         with pytest.raises(ContractError, match=f"Adam {name} must be .*, got {value!r}"):
             Adam([("table", table)], **{"lr": 1e-3, name: value})
 
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "eps"])
+    def test_betas_and_eps_are_not_settings(self, name):
+        # every caller trains with the paper's defaults: Adam takes lr alone
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        with pytest.raises(TypeError, match=name):
+            Adam([("table", table)], lr=1e-3, **{name: 0.5})
+
     def test_step_allocates_no_parameter_sized_array(self):
         rng = np.random.default_rng(12)
         table = Tensor(rng.normal(size=(2000, 300)), requires_grad=True)
@@ -307,6 +314,27 @@ class TestAdam:
         assert threading.active_count() == before
 
 
+    def test_block_left_by_an_exception_takes_no_step(self):
+        # t and the other parameters and their moments are as before, no
+        # worker outlives the block, and the next block steps as usual
+        rng = np.random.default_rng(3)
+        table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=3), requires_grad=True)
+        opt = Adam([("table", table), ("w", w)], lr=1e-3)
+        w.grad[...] = 1.0
+        w0 = w.values.copy()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="forward failed"):
+            with opt.rows_step(table, [1, 4]):
+                raise RuntimeError("forward failed")
+        assert opt.t == 0 and threading.active_count() == before
+        assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
+        with opt.rows_step(table, [1, 4]) as leaf:
+            ops.sum(leaf).backward()
+        assert opt.t == 1 and not _same_bits(w.values, w0) and opt.m[0][[1, 4]].all()
+        assert threading.active_count() == before
+
+
 class TestTrainStepExactness:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_sparse_steps_equal_dense_steps(self, toy_setup, monkeypatch, dtype):
@@ -343,6 +371,37 @@ class TestTrainStepExactness:
         got = [t.values for _, t in model.trainable()] + made[0].m + made[0].v
         want = [t.values for _, t in dense.trainable()] + opt.m + opt.v
         assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+    def test_each_batch_is_renumbered_onto_the_rows_it_steps(self, toy_setup, monkeypatch):
+        # the leaf's row k is table row rows[k]: the local ids cover every
+        # row, the local pad is the table's pad row, and mapped back through
+        # the rows one epoch's batches are the corpus's utterances
+        cfg, table, corpus, _ = toy_setup
+        cfg.epochs, cfg.batch_size = 1, 3
+        stepped_rows, seen = [], []
+
+        class Recorded(Adam):
+            @contextlib.contextmanager
+            def rows_step(self, param, rows):
+                stepped_rows.append(np.asarray(rows))
+                with super().rows_step(param, rows) as leaf:
+                    yield leaf
+
+        real_loss = harness.batch_loss
+
+        def recording_loss(model, batch, *args, **kwargs):
+            rows = stepped_rows[-1]
+            assert rows[model.pad_id] == table.pad_id
+            assert sorted({i for ids, _ in batch for i in ids} | {model.pad_id}) == list(range(len(rows)))
+            seen.extend((tuple(rows[ids].tolist()), label) for ids, label in batch)
+            return real_loss(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "Adam", Recorded)
+        monkeypatch.setattr(harness, "batch_loss", recording_loss)
+        train(cfg, corpus, table)
+        assert len(stepped_rows) == -(-len(corpus.samples) // cfg.batch_size)
+        assert sorted(seen) == sorted((tuple(ids), label) for ids, label in corpus.samples)
 
 
 class TestTrainThreads:

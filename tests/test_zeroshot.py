@@ -79,6 +79,12 @@ class TestIntentSimilarity:
         with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e-200"):
             intent_similarity(np.eye(2), np.eye(2), sigma=1e-200)
 
+    def test_sigma_whose_square_overflows_is_named(self):
+        # sigma * sigma = inf would scale every distance to -0.0: uniform
+        # rows that ignore the embeddings, as an infinite sigma would give
+        with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e\\+200"):
+            intent_similarity(np.eye(2), np.eye(2), sigma=1e200)
+
     def test_rows_stochastic_and_positive(self):
         # sigma >= 1 with unit-scale embeddings keeps every exp(-d)
         # representable; below float underflow Q saturates to one-hot
