@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import math
+import queue
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -33,11 +35,15 @@ log = logging.getLogger(__name__)
 EVAL_BATCH = 64
 
 
-# Bytes of one block of leading-axis rows in Adam.step. The moment,
-# gradient, parameter and two temporary blocks then stay in L2 cache across
-# the update's passes, and a pass over a |V| x 300 float32 embedding is a
-# few dozen numpy calls, each long enough to run without the GIL.
-_ADAM_BLOCK_BYTES = 512 * 1024
+# Bytes of one block of leading-axis rows in Adam's passes. Each numpy call
+# of the rows step's gradient-free pass takes the GIL once between the
+# forward's and backward's own calls, so fewer, longer calls slow them less:
+# at 1 MiB a 6,345 x 300 float32 table's pass is 8 blocks of 9 calls (15 at
+# 512 KiB). Larger blocks hand off less still but fall further out of L2,
+# so the pass itself slows, and where one CPU runs both threads that cost
+# is paid in full: 4 MiB blocks trained slower than 512 KiB pinned to one
+# CPU, 1 MiB did not.
+_ADAM_BLOCK_BYTES = 1024 * 1024
 
 
 def _row_blocks(arr: np.ndarray) -> list:
@@ -51,21 +57,45 @@ def _row_blocks(arr: np.ndarray) -> list:
 
 
 class _Worker(threading.Thread):
-    """A thread whose exception, if any, `join` re-raises in the joining
-    thread."""
+    """A daemon thread that runs the jobs it is given one at a time, in
+    order. ``wait`` blocks until every submitted job is done and re-raises
+    the first one's exception, if any, in the waiting thread, so a wait cut
+    short (by KeyboardInterrupt) is made up by the next. ``stop`` lets the
+    submitted jobs finish, then ends and joins the thread."""
 
-    _error: BaseException | None = None
+    def __init__(self):
+        super().__init__(name="adam-rows-step", daemon=True)
+        self._jobs = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self.pending = 0  # jobs submitted and not yet waited for
+        self.start()
 
     def run(self) -> None:
-        try:
-            super().run()
-        except BaseException as exc:  # handed to the joining thread
-            self._error = exc
+        while (job := self._jobs.get()) is not None:
+            try:
+                job()
+            except BaseException as exc:  # handed to the waiting thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+            job = None  # between jobs the thread holds nothing of the last
 
-    def join(self, timeout=None) -> None:
-        super().join(timeout)
-        if self._error is not None:
-            raise self._error
+    def submit(self, job) -> None:
+        self.pending += 1
+        self._jobs.put(job)
+
+    def wait(self) -> None:
+        error = None
+        while self.pending:
+            result = self._done.get()
+            self.pending -= 1
+            error = error or result
+        if error is not None:
+            raise error
+
+    def stop(self) -> None:
+        self._jobs.put(None)
+        self.join()
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's settings: Kingma & Ba's defaults, as in the paper
@@ -91,18 +121,27 @@ class Adam:
     ``with rows_step(param, rows) as leaf:`` is one step for a table of
     which a step reads and writes only a few rows (the embedding). The
     block gets a new leaf holding those rows, which the forward and
-    backward use in place of the table, while a worker thread runs the
-    step with g = +0.0 over every row of the table: the decays and the
-    update, which need neither the gradient nor the forward. When the
-    block exits normally it steps the other parameters, joins the worker
-    and redoes the full step of the chosen rows from their pre-step
-    values and the leaf's gradient, and writes them back. Off those rows
-    the textbook's ``(1 - b1) * g`` and ``(1 - b2) * (g * g)`` are +0.0,
-    and adding +0.0 leaves every value but -0.0 as it was. No moment is
-    ever -0.0: both start at +0.0, v is a sum of squares, and ``b1 * m``
-    rounds no nonzero m to zero. So every element sees the textbook's
-    operations in its order, and the split changes no bit. Between steps
-    the optimizer holds only ``t``, ``m`` and ``v`` as state.
+    backward use in place of the table, while the optimizer's worker
+    thread runs the step with g = +0.0 over every row of the table: the
+    decays and the update, which need neither the gradient nor the
+    forward. When the block exits normally it steps the other parameters,
+    waits for the worker's pass and redoes the full step of the chosen
+    rows from their pre-step values and the leaf's gradient, and writes
+    them back. Off those rows the textbook's ``(1 - b1) * g`` and
+    ``(1 - b2) * (g * g)`` are +0.0, and adding +0.0 leaves every value
+    but -0.0 as it was. No moment is ever -0.0: both start at +0.0, v is
+    a sum of squares, and ``b1 * m`` rounds no nonzero m to zero. So
+    every element sees the textbook's operations in its order, and the
+    split changes no bit. Between steps the optimizer holds only ``t``,
+    ``m`` and ``v`` as state.
+
+    The worker is one daemon thread named ``adam-rows-step``, started by
+    the first ``rows_step`` (an optimizer that only ``step``s starts
+    none) and given one job per block, the table's gradient-free pass;
+    between blocks it holds no job and nothing of a step. ``close()``
+    waits for a running pass, then stops and joins the thread; it may be
+    called again, and ``with Adam(...) as optimizer:`` calls it on the
+    way out. A ``rows_step`` after ``close()`` raises ContractError.
 
     ``lr`` must be finite and non-negative, else ContractError names it.
     Every parameter must be writable (a loaded model's are not) and listed
@@ -129,7 +168,23 @@ class Adam:
         self._temps = [
             np.empty((2, t.values[b[0]].size if b else 0), t.dtype) for b, (_, t) in zip(self._blocks, self.params)
         ]
-        self._in_rows_step = False  # a worker owns a table while True
+        self._in_rows_step = False  # the worker owns a table while True
+        self._worker: _Worker | None = None  # started by the first rows_step
+        self._closed = False
+
+    def __enter__(self) -> "Adam":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Let the worker finish its pass, if one runs, then stop and join
+        it. Calling it again does nothing."""
+        self._closed = True
+        if self._worker is not None:
+            self._worker.stop()
+            self._worker = None
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -143,10 +198,12 @@ class Adam:
         the leaf, and its normal exit takes the step. Inside the block the
         worker owns the table's values and moments: nothing may read or write
         them, and a nested block or a ``step()`` raises ContractError. The
-        worker is joined on every way out, and its exception, if any, is
-        raised when no other is on its way out. A block left by an exception
-        advances no ``t`` and steps no other parameter, but the table keeps
-        the worker's gradient-free pass."""
+        block waits for the worker's pass on every way out, and the pass's
+        exception, if any, is raised when no other is on its way out. A block
+        left by an exception advances no ``t`` and steps no other parameter,
+        but the table keeps the worker's gradient-free pass."""
+        if self._closed:
+            raise ContractError("rows_step on a closed Adam: close() stopped its worker")
         index = next((k for k, (_, t) in enumerate(self.params) if t is param), None)
         if index is None or param.ndim == 0:
             raise ContractError("rows_step needs a table that is one of the optimizer's parameters")
@@ -160,8 +217,10 @@ class Adam:
             raise ContractError(f"rows_step needs sorted distinct row ids of the {n}-row table, got {rows}")
         leaf = Tensor(np.take(param.values, rows, axis=0), requires_grad=True)
         m_rows, v_rows = (np.take(a[index], rows, axis=0) for a in (self.m, self.v))
-        worker = _Worker(target=self._gradient_free_step, args=(index, self.t + 1), name="adam-rows-step")
-        worker.start()
+        if self._worker is None:
+            self._worker = _Worker()
+        worker = self._worker
+        worker.submit(functools.partial(self._gradient_free_step, index, self.t + 1))
         self._in_rows_step = True
         try:
             yield leaf
@@ -170,11 +229,11 @@ class Adam:
             self._dense_steps(hyper, skip=index)  # while the worker runs
         except BaseException:
             with contextlib.suppress(Exception):
-                worker.join()
+                worker.wait()
             raise
         finally:
             self._in_rows_step = False
-        worker.join()
+        worker.wait()
         _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
         param.values[rows] = leaf.values
         self.m[index][rows] = m_rows
@@ -294,9 +353,11 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     step is one ``Adam.rows_step`` block, which gathers those rows into a
     leaf, with the batch's ids renumbered to index it; the block runs the
     forward and backward on a model whose embedding is that leaf, and its
-    exit takes the Adam step. Meanwhile a worker thread runs the table's
-    gradient-free Adam pass over every row; the worker is joined before
-    the step returns or raises. An id that is not a row of the embedding
+    exit takes the Adam step. Meanwhile the optimizer's one worker thread
+    runs the table's gradient-free Adam pass over every row, and the step
+    waits for it before it returns or raises. The optimizer is closed on
+    every way out of ``train``, so its worker never outlives the call. An
+    id that is not a row of the embedding
     raises `encode_tokens`' ContractError before any row is gathered.
     Losses, parameters and moments are bit for bit those of a step on the
     whole table."""
@@ -311,48 +372,48 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
 
     if val_corpus is None or not val_corpus.samples:
         val_corpus = corpus
-    optimizer = Adam(model.trainable(), lr=cfg.learning_rate)
     n = len(corpus.samples)
     best_acc = -1.0
     best_values = last_good = model.snapshot()
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            # the shuffle picks batch membership; canonical within-batch
-            # order keeps gradient accumulation reproducible
-            picked = np.sort(order[start : start + cfg.batch_size])
-            batch = [corpus.samples[i] for i in picked]
-            seqs = [ids for ids, _ in batch]
-            lengths = np.array([len(ids) for ids in seqs])
-            ids = token_id_array(seqs, lengths, model.embedding.shape[0])
-            rows, inverse = np.unique(np.append(ids, model.pad_id), return_inverse=True)
-            local = np.split(inverse[:-1], np.cumsum(lengths)[:-1])
-            local_batch = [(part.tolist(), lab) for part, (_, lab) in zip(local, batch)]
-            pad = int(inverse[-1])
-            with optimizer.rows_step(model.embedding, rows) as leaf:
-                stepped = replace(model, embedding=leaf, pad_id=pad)
-                loss = batch_loss(stepped, local_batch, cfg, training=True, rng=rng)
-                value = loss.item()
-                if not np.isfinite(value):
-                    err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
-                    err.checkpoint = last_good
-                    raise err
-                optimizer.zero_grad()
-                loss.backward()
-                leaf.grad[pad] = 0.0  # PAD stays frozen
-            loss_sum += value * len(batch)
-        epoch_loss = loss_sum / n
-        acc = evaluate(model, val_corpus, cfg).accuracy
-        history.epoch_losses.append(epoch_loss)
-        history.val_accuracies.append(acc)
-        last_good = model.snapshot()
-        if acc >= best_acc:  # ties keep the later, more-converged epoch
-            best_acc = acc
-            best_values = last_good  # neither dict is mutated later
-            history.best_epoch = epoch
-        log.info("epoch %d: loss=%.6f val_acc=%.4f", epoch, epoch_loss, acc)
+    with Adam(model.trainable(), lr=cfg.learning_rate) as optimizer:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                # the shuffle picks batch membership; canonical within-batch
+                # order keeps gradient accumulation reproducible
+                picked = np.sort(order[start : start + cfg.batch_size])
+                batch = [corpus.samples[i] for i in picked]
+                seqs = [ids for ids, _ in batch]
+                lengths = np.array([len(ids) for ids in seqs])
+                ids = token_id_array(seqs, lengths, model.embedding.shape[0])
+                rows, inverse = np.unique(np.append(ids, model.pad_id), return_inverse=True)
+                local = np.split(inverse[:-1], np.cumsum(lengths)[:-1])
+                local_batch = [(part.tolist(), lab) for part, (_, lab) in zip(local, batch)]
+                pad = int(inverse[-1])
+                with optimizer.rows_step(model.embedding, rows) as leaf:
+                    stepped = replace(model, embedding=leaf, pad_id=pad)
+                    loss = batch_loss(stepped, local_batch, cfg, training=True, rng=rng)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
+                        err.checkpoint = last_good
+                        raise err
+                    optimizer.zero_grad()
+                    loss.backward()
+                    leaf.grad[pad] = 0.0  # PAD stays frozen
+                loss_sum += value * len(batch)
+            epoch_loss = loss_sum / n
+            acc = evaluate(model, val_corpus, cfg).accuracy
+            history.epoch_losses.append(epoch_loss)
+            history.val_accuracies.append(acc)
+            last_good = model.snapshot()
+            if acc >= best_acc:  # ties keep the later, more-converged epoch
+                best_acc = acc
+                best_values = last_good  # neither dict is mutated later
+                history.best_epoch = epoch
+            log.info("epoch %d: loss=%.6f val_acc=%.4f", epoch, epoch_loss, acc)
 
     model.restore(best_values)
     return model, history

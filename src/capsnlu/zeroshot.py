@@ -48,7 +48,8 @@ def vote_vectors(trace: RoutingTrace, p) -> np.ndarray:
 def intent_similarity(emerging_vecs, existing_vecs, sigma: float) -> SimilarityMatrix:
     """Softmax over existing intents of the scaled squared embedding
     distance; `sigma` flattens the distribution as it grows, and must be
-    positive with a positive, finite square (the distances' divisor)."""
+    positive with a positive, finite square (the distances' divisor) that
+    leaves every scaled distance finite."""
     if not (sigma > 0 and 0 < sigma * sigma < np.inf):
         raise ContractError(f"sigma must be positive with a positive, finite square, got {sigma!r}")
     ez = np.asarray(emerging_vecs, dtype=np.float64)
@@ -56,7 +57,10 @@ def intent_similarity(emerging_vecs, existing_vecs, sigma: float) -> SimilarityM
     if ez.ndim != 2 or ey.ndim != 2 or ez.shape[1] != ey.shape[1]:
         raise ContractError(f"embedding shapes do not conform: {ez.shape} vs {ey.shape}")
     diff = ez[:, None, :] - ey[None, :, :]            # L x K x D_I
-    dist = (diff * diff).sum(axis=-1) / (sigma * sigma)
+    with np.errstate(over="ignore"):
+        dist = (diff * diff).sum(axis=-1) / (sigma * sigma)
+    if not np.isfinite(dist).all():  # the max shift below would make -inf - -inf = NaN
+        raise ContractError(f"sigma {sigma!r} leaves a scaled embedding distance that is not finite")
     neg = -dist
     neg -= neg.max(axis=-1, keepdims=True)
     e = np.exp(neg)

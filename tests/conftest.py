@@ -6,6 +6,8 @@ same vector as the existing label "Music", and "Sports" sits far from
 everything.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,17 @@ def toy_setup(toy_paths):
     vectors_path, corpus_path = toy_paths
     cfg = toy_config(dataset_path=str(corpus_path), embeddings_path=str(vectors_path))
     return (cfg, *load_inputs(cfg))
+
+
+def _adam_workers():
+    return {t for t in threading.enumerate() if t.name == "adam-rows-step"}
+
+
+@pytest.fixture(autouse=True)
+def no_adam_worker_left_running():
+    """Fails a test that leaves an Adam worker thread alive: whatever starts
+    one must close its optimizer on every way out."""
+    before = _adam_workers()
+    yield
+    left = _adam_workers() - before
+    assert not left, f"{len(left)} adam-rows-step thread(s) still alive; an Adam was not closed"

@@ -122,9 +122,9 @@ def _same_bits(a, b):
 
 
 class TestAdam:
-    # 500 rows of 300 span several row blocks in float32 and in float64,
+    # 2,000 rows of 300 span several row blocks in float32 and in float64,
     # and are a multiple of neither block length
-    SHAPES = [(500, 300), (3, 4, 5, 6), (7,), ()]
+    SHAPES = [(2000, 300), (3, 4, 5, 6), (7,), ()]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lr", [1e-3, 0.05, 0.0])
@@ -156,62 +156,87 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("write", ["lookup", "lookup_and_product", "grad_read"])
     def test_table_step_bitwise_equal_to_textbook_update(self, dtype, write):
-        # gradients reach a table that spans several row blocks through
-        # embedding lookups, two backward passes per step, with repeated ids
-        # and pad positions (id 0, no gradient); the PAD row is frozen as
-        # harness.train freezes it. Lookups alone go through the rows step:
-        # they read a leaf of the step's rows while a worker steps the whole
-        # table without gradient. A table also used densely, or written
-        # through .grad, takes the whole-table step. The rows step runs
-        # with the interpreter switching threads every microsecond, so a
-        # read or write of the table racing the worker would show.
-        if write == "lookup":
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                self._table_steps(dtype, write)
-            finally:
-                sys.setswitchinterval(interval)
-        else:
-            self._table_steps(dtype, write)
+        # gradients reach a 500-row table through embedding lookups, two
+        # backward passes per step, with repeated ids and pad positions (id
+        # 0, no gradient); the PAD row is frozen as harness.train freezes
+        # it. Lookups alone go through the rows step: they read a leaf of
+        # the step's rows while a worker steps the whole table without
+        # gradient. A table also used densely, or written through .grad,
+        # takes the whole-table step.
+        self._table_steps(dtype, write, 500)
 
-    def _table_steps(self, dtype, write):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("write", ["lookup", "lookup_and_product", "grad_read"])
+    def test_table_over_several_blocks_steps_bitwise_equal_to_textbook_update(self, dtype, write):
+        # the same steps on 2,000 rows: 3 row blocks in float32 and 5 in
+        # float64, where 500 rows are one block in float32
+        assert len(harness._row_blocks(np.empty((2000, 300), dtype))) >= 3
+        self._table_steps(dtype, write, 2000)
+
+    def test_embedding_sized_table_pass_runs_in_eight_blocks(self, monkeypatch):
+        # a 6,345 x 300 float32 table, the size of train-snips' embedding:
+        # each block is 9 numpy calls of the worker's pass, and each call
+        # takes the GIL once from the forward and backward beside it
+        table = Tensor(np.zeros((6345, 300), np.float32), requires_grad=True)
+        updated = []
+        real = harness._update
+
+        def counted(pb, *args):
+            updated.append(len(pb))
+            real(pb, *args)
+
+        monkeypatch.setattr(harness, "_update", counted)
+        Adam([("table", table)], lr=1e-3)._gradient_free_step(0, 1)
+        assert len(updated) <= 8 and sum(updated) == 6345
+
+    def _table_steps(self, dtype, write, n_rows):
+        # The rows step runs with the interpreter switching threads every
+        # microsecond, so a read or write of the table racing the worker
+        # would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._table_steps_at_any_switch(dtype, write, n_rows)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _table_steps_at_any_switch(self, dtype, write, n_rows):
         rng = np.random.default_rng(13)
-        table = Tensor(rng.normal(size=(500, 300)), requires_grad=True, dtype=dtype)
+        table = Tensor(rng.normal(size=(n_rows, 300)), requires_grad=True, dtype=dtype)
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
-        opt = Adam([("table", table)], lr=1e-3)
-        for step in range(1, 7):
-            lookups = []
-            for _ in range(2):
-                idx = rng.integers(1, 500, size=(8, 12))
-                idx[:, 9:] = 0
-                idx[0, :4] = idx[1, 0]
-                c = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=idx.shape + (300,)).astype(dtype)
-                c[:, 9:] = 0.0
-                lookups.append((idx, Tensor(c)))
-            opt.zero_grad()
-            grad = np.zeros_like(table.values)
-            if write == "lookup":
-                rows = np.unique(np.concatenate([idx.ravel() for idx, _ in lookups]))
-                with opt.rows_step(table, rows) as leaf:
+        with Adam([("table", table)], lr=1e-3) as opt:
+            for step in range(1, 7):
+                lookups = []
+                for _ in range(2):
+                    idx = rng.integers(1, n_rows, size=(8, 12))
+                    idx[:, 9:] = 0
+                    idx[0, :4] = idx[1, 0]
+                    c = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=idx.shape + (300,)).astype(dtype)
+                    c[:, 9:] = 0.0
+                    lookups.append((idx, Tensor(c)))
+                opt.zero_grad()
+                grad = np.zeros_like(table.values)
+                if write == "lookup":
+                    rows = np.unique(np.concatenate([idx.ravel() for idx, _ in lookups]))
+                    with opt.rows_step(table, rows) as leaf:
+                        for idx, c in lookups:
+                            ops.sum(ops.mul(leaf.take_rows(np.searchsorted(rows, idx)), c)).backward()
+                        leaf.grad[0] = 0.0  # rows[0] is the PAD row
+                        grad[rows] = leaf.grad
+                else:
                     for idx, c in lookups:
-                        ops.sum(ops.mul(leaf.take_rows(np.searchsorted(rows, idx)), c)).backward()
-                    leaf.grad[0] = 0.0  # rows[0] is the PAD row
-                    grad[rows] = leaf.grad
-            else:
-                for idx, c in lookups:
-                    loss = ops.sum(ops.mul(table.take_rows(idx), c))
-                    if write == "lookup_and_product":
-                        dense = Tensor(rng.normal(size=table.shape).astype(dtype))
-                        loss = ops.add(loss, ops.sum(ops.mul(table, dense)))
-                    loss.backward()
-                table.grad[0] = 0.0
-                grad[...] = table.grad
-                opt.step()
-            _textbook_adam(ref, [grad], moments, step, 1e-3)
-            assert _same_bits(table.values, ref[0]), step
-            assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
+                        loss = ops.sum(ops.mul(table.take_rows(idx), c))
+                        if write == "lookup_and_product":
+                            dense = Tensor(rng.normal(size=table.shape).astype(dtype))
+                            loss = ops.add(loss, ops.sum(ops.mul(table, dense)))
+                        loss.backward()
+                    table.grad[0] = 0.0
+                    grad[...] = table.grad
+                    opt.step()
+                _textbook_adam(ref, [grad], moments, step, 1e-3)
+                assert _same_bits(table.values, ref[0]), step
+                assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_record_is_used_only_where_skipping_is_exact(self, dtype):
@@ -226,18 +251,18 @@ class TestAdam:
         first = -10 * tiny  # (1 - 0.9) * first rounds to -tiny
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
-        opt = Adam([("table", table)], lr=1e-3)
-        for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
-            opt.zero_grad()
-            grad = np.zeros_like(table.values)
-            with opt.rows_step(table, [row]) as leaf:
-                ops.sum(ops.mul(leaf.take_rows(np.array([0])), Tensor(np.full((1, 2), value, dtype=dtype)))).backward()
-                grad[row] = leaf.grad[0]
-            _textbook_adam(ref, [grad], moments, step, 1e-3)
-            if step == 1:
-                assert moments[0][0][1].tolist() == [-tiny, -tiny]
-            assert _same_bits(table.values, ref[0])
-            assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
+        with Adam([("table", table)], lr=1e-3) as opt:
+            for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
+                opt.zero_grad()
+                grad = np.zeros_like(table.values)
+                with opt.rows_step(table, [row]) as leaf:
+                    ops.sum(ops.mul(leaf.take_rows(np.array([0])), Tensor(np.full((1, 2), value, dtype=dtype)))).backward()
+                    grad[row] = leaf.grad[0]
+                _textbook_adam(ref, [grad], moments, step, 1e-3)
+                if step == 1:
+                    assert moments[0][0][1].tolist() == [-tiny, -tiny]
+                assert _same_bits(table.values, ref[0])
+                assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
         assert np.signbit(moments[0][0][1]).all()
 
     @pytest.mark.parametrize("name, value", [("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))])
@@ -256,25 +281,25 @@ class TestAdam:
     def test_step_allocates_no_parameter_sized_array(self):
         rng = np.random.default_rng(12)
         table = Tensor(rng.normal(size=(2000, 300)), requires_grad=True)
-        opt = Adam([("table", table)], lr=1e-3)
-        for rows_step in (False, True):
-            for _ in range(2):
-                opt.zero_grad()
-                if not rows_step:
-                    table.grad[...] = rng.normal(size=table.shape)
-                idx = rng.integers(0, 2000, size=(4, 15))
-                rows = np.unique(idx)
-                tracemalloc.start()
-                try:
-                    if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
-                        with opt.rows_step(table, rows) as leaf:
-                            ops.sum(leaf.take_rows(np.searchsorted(rows, idx))).backward()
-                    else:
-                        opt.step()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
+        with Adam([("table", table)], lr=1e-3) as opt:
+            for rows_step in (False, True):
+                for _ in range(2):
+                    opt.zero_grad()
+                    if not rows_step:
+                        table.grad[...] = rng.normal(size=table.shape)
+                    idx = rng.integers(0, 2000, size=(4, 15))
+                    rows = np.unique(idx)
+                    tracemalloc.start()
+                    try:
+                        if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
+                            with opt.rows_step(table, rows) as leaf:
+                                ops.sum(leaf.take_rows(np.searchsorted(rows, idx))).backward()
+                        else:
+                            opt.step()
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
 
     def test_parameter_listed_twice_is_named(self):
         # stepping it once per entry would move it twice as far
@@ -311,28 +336,71 @@ class TestAdam:
             with opt.rows_step(table, [0]):
                 opt.step()
         assert opt.t == 0  # no block above took a step
+        opt.close()
         assert threading.active_count() == before
 
-
     def test_block_left_by_an_exception_takes_no_step(self):
-        # t and the other parameters and their moments are as before, no
-        # worker outlives the block, and the next block steps as usual
+        # t and the other parameters and their moments are as before, the
+        # worker holds no pending pass after the block, the next block steps
+        # as usual, and no worker outlives the optimizer
         rng = np.random.default_rng(3)
         table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=3), requires_grad=True)
-        opt = Adam([("table", table), ("w", w)], lr=1e-3)
-        w.grad[...] = 1.0
-        w0 = w.values.copy()
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="forward failed"):
-            with opt.rows_step(table, [1, 4]):
-                raise RuntimeError("forward failed")
-        assert opt.t == 0 and threading.active_count() == before
-        assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
-        with opt.rows_step(table, [1, 4]) as leaf:
-            ops.sum(leaf).backward()
-        assert opt.t == 1 and not _same_bits(w.values, w0) and opt.m[0][[1, 4]].all()
+        with Adam([("table", table), ("w", w)], lr=1e-3) as opt:
+            w.grad[...] = 1.0
+            w0 = w.values.copy()
+            with pytest.raises(RuntimeError, match="forward failed"):
+                with opt.rows_step(table, [1, 4]):
+                    raise RuntimeError("forward failed")
+            assert opt.t == 0 and opt._worker.pending == 0
+            assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
+            with opt.rows_step(table, [1, 4]) as leaf:
+                ops.sum(leaf).backward()
+            assert opt.t == 1 and not _same_bits(w.values, w0) and opt.m[0][[1, 4]].all()
         assert threading.active_count() == before
+
+    def test_close_waits_for_the_pass_and_may_be_called_again(self):
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        before = threading.active_count()
+        opt = Adam([("table", table)], lr=1e-3)
+        opt.close()  # no rows step ran, so no worker was started
+        opt = Adam([("table", table)], lr=1e-3)
+        with opt.rows_step(table, [1]) as leaf:
+            ops.sum(leaf).backward()
+        worker, done = opt._worker, []
+        assert worker.is_alive() and threading.active_count() == before + 1
+        worker.submit(lambda: (time.sleep(0.05), done.append(True)))
+        opt.close()
+        assert done == [True] and not worker.is_alive() and threading.active_count() == before
+        opt.close()
+        assert threading.active_count() == before
+
+    def test_a_wait_cut_short_is_made_up_by_the_next(self):
+        # a KeyboardInterrupt can cut a block's wait short and leave its
+        # pass running; the next block must wait for that pass as well, or
+        # its write-back would race it over the table
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        with Adam([("table", table)], lr=1e-3) as opt:
+            with opt.rows_step(table, [1]) as leaf:
+                ops.sum(leaf).backward()
+            done = []
+            opt._worker.submit(lambda: (time.sleep(0.05), done.append(True)))  # the pass left running
+            with opt.rows_step(table, [2]) as leaf:
+                ops.sum(leaf).backward()
+            assert done == [True] and opt._worker.pending == 0 and opt.t == 2
+
+    def test_rows_step_after_close_is_named(self):
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        before = threading.active_count()
+        with Adam([("table", table)], lr=1e-3) as opt:
+            with opt.rows_step(table, [1]) as leaf:
+                ops.sum(leaf).backward()
+        stepped = table.values.copy()
+        with pytest.raises(ContractError, match="rows_step on a closed Adam: close\\(\\) stopped its worker"):
+            with opt.rows_step(table, [1]):
+                pass
+        assert opt.t == 1 and _same_bits(table.values, stepped) and threading.active_count() == before
 
 
 class TestTrainStepExactness:
@@ -405,13 +473,15 @@ class TestTrainStepExactness:
 
 
 class TestTrainThreads:
-    """Each step's gradient-free embedding pass runs on a worker thread;
-    train joins it on every way out, and its error reaches the caller."""
+    """Each step's gradient-free embedding pass runs on the optimizer's one
+    worker thread; train stops it on every way out, and its error reaches
+    the caller."""
 
     @pytest.fixture(autouse=True)
     def slow_worker(self, monkeypatch):
         # the toy table's pass takes microseconds; a slow one would still be
-        # running at the thread count below if train left it unjoined
+        # running at the thread count below if train left it unjoined, and
+        # any worker left alive is still running
         real = Adam._gradient_free_step
 
         def slow(self, index, t):
@@ -450,8 +520,9 @@ class TestTrainThreads:
 
     def test_between_steps_the_optimizer_holds_no_open_step(self, toy_setup, monkeypatch):
         # what resume relies on: after every step Adam has the attributes
-        # of a fresh one and no worker is alive, so a step's leaf and
-        # worker need no saving
+        # of a fresh one, and its worker, the same single thread for every
+        # step, has no pending pass and holds no leaf, so neither a step's
+        # leaf nor its worker needs saving
         cfg, table, corpus, _ = toy_setup
         cfg.epochs = 2
         keys, workers = [], []
@@ -466,13 +537,30 @@ class TestTrainThreads:
                 with super().rows_step(param, rows) as leaf:
                     yield leaf
                 keys.append(sorted(vars(self)))
-                workers.append([w for w in threading.enumerate() if w.name == "adam-rows-step"])
+                worker = self._worker
+                idle = worker.pending == 0 and worker._jobs.empty() and worker._done.empty()
+                holds_leaf = any(isinstance(x, Tensor) for x in vars(worker).values())
+                workers.append((worker, [w for w in threading.enumerate() if w.name == "adam-rows-step"], idle, holds_leaf))
 
         monkeypatch.setattr(harness, "Adam", Recorded)
         train(cfg, corpus, table)
         steps = cfg.epochs * -(-len(corpus.samples) // cfg.batch_size)
         assert len(keys) == 1 + steps and all(k == keys[0] for k in keys)
-        assert workers == [[]] * steps
+        worker = workers[0][0]
+        assert workers == [(worker, [worker], True, False)] * steps
+        assert not worker.is_alive()
+
+    def test_no_thread_outlives_a_keyboard_interrupt(self, toy_setup, monkeypatch):
+        cfg, table, corpus, _ = toy_setup
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Tensor, "backward", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, corpus, table)
+        assert threading.active_count() == before
 
     def test_worker_error_is_raised_in_the_caller(self, toy_setup, monkeypatch):
         cfg, table, corpus, _ = toy_setup

@@ -85,6 +85,13 @@ class TestIntentSimilarity:
         with pytest.raises(ContractError, match="sigma must be positive with a positive, finite square, got 1e\\+200"):
             intent_similarity(np.eye(2), np.eye(2), sigma=1e200)
 
+    def test_sigma_whose_scaled_distance_overflows_is_named(self):
+        # sigma * sigma = 1e-320 is positive and finite, but the distances
+        # 2 and 5 scale past float64's range: the softmax's max shift would
+        # give inf - inf, all-NaN rows
+        with pytest.raises(ContractError, match="sigma 1e-160 leaves a scaled embedding distance that is not finite"):
+            intent_similarity([[1, 0]], [[0, 1], [0, 2]], sigma=1e-160)
+
     def test_rows_stochastic_and_positive(self):
         # sigma >= 1 with unit-scale embeddings keeps every exp(-d)
         # representable; below float underflow Q saturates to one-hot
