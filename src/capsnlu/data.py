@@ -30,6 +30,7 @@ PAD_TOKEN = "<pad>"
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
 _PARSE_ROWS = 1024  # kept vector rows per numpy parse call
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, under surrogateescape
 
 
 class ParseError(ValueError):
@@ -112,7 +113,8 @@ def tokenize(utterance: str, table: EmbeddingTable) -> list[int]:
     words = words_of(utterance)
     if not words:
         raise EmptyUtteranceError(f"utterance reduced to zero tokens: {utterance!r}")
-    return [table.word_id(w) for w in words]
+    get, oov_id = table.vocab.get, table.oov_id
+    return [get(w, oov_id) for w in words]
 
 
 def split_label_tokens(label: str) -> list[str]:
@@ -169,6 +171,20 @@ def _parse_rows(path: Path, pending: list[str], linenos: list[int], dtype) -> np
         return block.astype(dtype, copy=False)
 
 
+def _lines_before_undecodable(path: Path, after: int) -> tuple[list, int]:
+    """The (lineno, line) pairs after line `after` and before the first
+    line of `path` that holds a byte that is not UTF-8, and that line's
+    number. Lines break as in text mode."""
+    rest = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > after:
+                if _UNDECODED.search(line):
+                    break
+                rest.append((lineno, line))
+    return rest, lineno
+
+
 def load_embeddings(
     path,
     expected_dim: int,
@@ -197,7 +213,8 @@ def load_embeddings(
     U+0085, VT, FF, FS/GS/RS), so a word may contain those. The OOV
     vector is drawn uniformly from [-0.5/D, 0.5/D] with the run seed;
     PAD is zero. A kept line whose word is one of those two reserved
-    names raises ParseError.
+    names raises ParseError, and so does a byte that is not UTF-8 on any
+    line, kept or dropped.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -211,35 +228,47 @@ def load_embeddings(
             pending.clear()
             linenos.clear()
 
+    undecodable = None  # the UnicodeDecodeError, once the first bad byte's line is known
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace() or (lineno == 1 and _is_header(line)):
-                continue
-            fields = line.rstrip("\n")
-            if fields.count(" ") != expected_dim:
-                # some vector files use general whitespace; normalise it
-                fields = " ".join(line.split())
-                if fields.count(" ") != expected_dim:
-                    flush()  # a bad value on an earlier kept line is reported first
-                    raise ParseError(
-                        f"{path}:{lineno}: expected a word and {expected_dim} values, "
-                        f"got {fields.count(' ') + 1} fields"
-                    )
-            word, _, values = fields.partition(" ")
-            if word in vocab or (restrict_to is not None and word not in restrict_to):
-                continue  # first occurrence wins
-            if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
-                flush()
-                raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
-            if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
-                flush()
-                raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
-            pending.append(values)
-            linenos.append(lineno)
-            vocab[word] = len(vocab)
-            if len(pending) == _PARSE_ROWS:
-                flush()
+        lines, lineno = enumerate(fh, start=1), 0
+        while lines is not None:
+            try:
+                for lineno, line in lines:
+                    if line.isspace() or (lineno == 1 and _is_header(line)):
+                        continue
+                    fields = line.rstrip("\n")
+                    if fields.count(" ") != expected_dim:
+                        # some vector files use general whitespace; normalise it
+                        fields = " ".join(line.split())
+                        if fields.count(" ") != expected_dim:
+                            flush()  # a bad value on an earlier kept line is reported first
+                            raise ParseError(
+                                f"{path}:{lineno}: expected a word and {expected_dim} values, "
+                                f"got {fields.count(' ') + 1} fields"
+                            )
+                    word, _, values = fields.partition(" ")
+                    if word in vocab or (restrict_to is not None and word not in restrict_to):
+                        continue  # first occurrence wins
+                    if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
+                        flush()
+                        raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
+                    if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
+                        flush()
+                        raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
+                    pending.append(values)
+                    linenos.append(lineno)
+                    vocab[word] = len(vocab)
+                    if len(pending) == _PARSE_ROWS:
+                        flush()
+                lines = None
+            except UnicodeDecodeError as exc:
+                # the decoder reads ahead of the lines handed out: take the
+                # lines before the bad byte's, then name that line
+                undecodable = exc
+                lines, bad_lineno = _lines_before_undecodable(path, lineno)
     flush()
+    if undecodable is not None:
+        raise ParseError(f"{path}:{bad_lineno}: not UTF-8 text") from undecodable
 
     if not blocks:
         raise EmptySourceError(f"{path}: no embedding records")

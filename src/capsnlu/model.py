@@ -12,18 +12,15 @@ import numpy as np
 from .autodiff import ContractError, Tensor
 from .config import RunConfig
 from .data import EmbeddingTable
-from .detection import (
-    DetectionCapsParams,
-    RoutingTrace,
-    dynamic_routing,
-    init_detection_params,
-    prediction_vectors,
-)
+from .detection import DetectionCapsParams, RoutingTrace, dynamic_routing, prediction_vectors
 from .semantic import (
+    LstmParams,
     SemanticCapsParams,
     attention_matrix,
     encode_tokens,
-    init_semantic_params,
+    glorot,
+    lstm_bias,
+    lstm_weight,
     orthogonality_penalty,
     semantic_vectors,
 )
@@ -85,21 +82,62 @@ class ForwardPass:
         return self._penalty
 
 
+def _param_shapes(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, by its `trainable()` name and in that
+    order: the one schema `init_model` builds and `load_model` reads."""
+    d_w, d_h, d_a, heads = cfg.word_dim, cfg.hidden_dim, cfg.attn_dim, cfg.heads
+    shapes = {"embedding": (vocab_size, d_w)}
+    for direction in ("lstm_fw", "lstm_bw"):
+        shapes[f"{direction}.w_x"] = (d_w, 4 * d_h)
+        shapes[f"{direction}.w_h"] = (d_h, 4 * d_h)
+        shapes[f"{direction}.b"] = (1, 4 * d_h)
+    shapes["w_s1"] = (d_a, 2 * d_h)
+    shapes["w_s2"] = (heads, d_a)
+    shapes["detect.w"] = (len(cfg.existing_labels), heads, 2 * d_h, cfg.caps_dim)
+    return shapes
+
+
+def _init_weight(rng, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A fresh value for weight `name`, drawn as the layers' own inits
+    draw it: the attention matrices are out x in, the detection
+    transforms ... x in x out."""
+    if name.endswith(".b"):
+        return lstm_bias(shape[1] // 4, dtype)
+    if name.startswith("lstm"):
+        return lstm_weight(rng, shape[0], shape[1] // 4, dtype)
+    if name == "detect.w":
+        return glorot(rng, shape, shape[2], shape[3], dtype)
+    return glorot(rng, shape, shape[1], shape[0], dtype)
+
+
+def _model_from(values: dict[str, np.ndarray], pad_id: int) -> ModelParams:
+    """ModelParams over `values`, one array per schema name, as is."""
+    t = {name: Tensor(a, requires_grad=True) for name, a in values.items()}
+    fw, bw = (LstmParams(t[f"{d}.w_x"], t[f"{d}.w_h"], t[f"{d}.b"]) for d in ("lstm_fw", "lstm_bw"))
+    return ModelParams(
+        embedding=t["embedding"],
+        semantic=SemanticCapsParams(lstm_fw=fw, lstm_bw=bw, w_s1=t["w_s1"], w_s2=t["w_s2"]),
+        detection=DetectionCapsParams(w=t["detect.w"]),
+        pad_id=pad_id,
+    )
+
+
 def init_model(table: EmbeddingTable, cfg: RunConfig, rng=None, dtype=np.float32) -> ModelParams:
+    """A fresh model over `table`: the embedding is one `dtype` copy of
+    the table's vectors with the PAD row zeroed, and every other weight is
+    drawn from `rng` (default: seeded by `cfg.seed`) in schema order, at
+    the shapes of `_param_shapes`."""
     if table.dim != cfg.word_dim:
         raise ContractError(f"embedding dim {table.dim} does not match word_dim {cfg.word_dim}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    emb = table.vectors.astype(dtype).copy()
+    emb = table.vectors.astype(dtype)  # a copy, even at the table's dtype
     emb[table.pad_id] = 0.0
-    return ModelParams(
-        embedding=Tensor(emb, requires_grad=True),
-        semantic=init_semantic_params(rng, cfg.word_dim, cfg.hidden_dim, cfg.attn_dim, cfg.heads, dtype),
-        detection=init_detection_params(
-            rng, len(cfg.existing_labels), cfg.heads, 2 * cfg.hidden_dim, cfg.caps_dim, dtype
-        ),
-        pad_id=table.pad_id,
-    )
+    values = {"embedding": emb}
+    for name, shape in _param_shapes(cfg, emb.shape[0]).items():
+        if name != "embedding":
+            values[name] = _init_weight(rng, name, shape, dtype)
+    return _model_from(values, table.pad_id)
 
 
 def forward_batch(
@@ -135,7 +173,7 @@ class ModelBundle:
     """A reloaded model plus everything needed to run it on new text."""
 
     model: ModelParams
-    table: EmbeddingTable  # vocab + the tuned embedding matrix
+    table: EmbeddingTable  # vocab + the tuned embedding matrix (the model's own array, read-only)
     intent_vectors: np.ndarray  # (K+L) x D_W from the pretrained vectors
     config: RunConfig
 
@@ -206,18 +244,44 @@ def _check_special_ids(path: Path, meta: dict, embedding: np.ndarray) -> None:
         raise ContractError(f"{path}: 'pad_id' is {meta['pad_id']}, a nonzero row; the PAD row is all zero")
 
 
+def _check_params(npz_path: Path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Each schema parameter must be saved at its shape, in the
+    embedding's dtype, which is native float32 or float64, and the file
+    must hold no other array but `intent_vectors`; else ContractError
+    naming the file and the parameter or array."""
+    dtype = arrays["embedding"].dtype
+    if dtype not in (np.float32, np.float64):
+        raise ContractError(f"{npz_path}: parameter 'embedding' has dtype {dtype}, expected float32 or float64")
+    for name, shape in shapes.items():
+        a = arrays.get(name.replace(".", "__"))
+        if a is None:
+            raise ContractError(f"{npz_path}: parameter {name!r} is missing")
+        if a.shape != shape:
+            raise ContractError(f"{npz_path}: parameter {name!r} has shape {a.shape}, expected {shape}")
+        if a.dtype != dtype:
+            raise ContractError(f"{npz_path}: parameter {name!r} has dtype {a.dtype}, expected {dtype}, the embedding's")
+    extra = arrays.keys() - {name.replace(".", "__") for name in shapes} - {"intent_vectors"}
+    if extra:
+        raise ContractError(f"{npz_path}: array {min(extra)!r} is not a parameter of this model")
+
+
 def load_model(model_dir) -> ModelBundle:
     """The model `save_model` wrote to `model_dir`, for inference; its
     arrays must be finite floats, with one `word_dim` intent vector per
-    label. Every parameter array is read-only, so the encoder gathers each
-    token's input projections from a table built once (see
-    `encode_tokens`); `snapshot()` gives writable copies."""
+    label, and every parameter at its `_param_shapes` shape in the
+    embedding's dtype. The arrays are checked before anything is built,
+    then become the parameters as they are: no weight is drawn and none is
+    copied but a Fortran-order one (made C-contiguous). Every parameter
+    array is read-only, so the encoder gathers each token's input
+    projections from a table built once (see `encode_tokens`);
+    `snapshot()` gives writable copies. The bundle's `table.vectors` is
+    the model's embedding array, so it is read-only too."""
     model_dir = Path(model_dir)
     meta = _read_meta(model_dir / "meta.json")
     npz_path = model_dir / "params.npz"
     with np.load(npz_path) as npz:
         try:
-            arrays = {key.replace("__", "."): npz[key] for key in npz.files}
+            arrays = {key: npz[key] for key in npz.files}
         except ValueError as exc:  # an object array, which needs pickle
             raise ContractError(f"{npz_path}: {exc}") from exc
     for key in ("embedding", "intent_vectors"):
@@ -225,7 +289,7 @@ def load_model(model_dir) -> ModelBundle:
             raise ContractError(f"{npz_path} has no {key!r} array")
     for key, a in arrays.items():
         if a.dtype.kind != "f" or not np.isfinite(a).all():
-            raise ContractError(f"{npz_path}: array {key.replace('.', '__')!r} is not all finite floats")
+            raise ContractError(f"{npz_path}: array {key!r} is not all finite floats")
     if arrays["embedding"].ndim != 2:
         raise ContractError(f"{npz_path}: array 'embedding' has shape {arrays['embedding'].shape}, not |V| x word_dim")
     _check_vocab(model_dir / "meta.json", meta["vocab"], arrays["embedding"].shape[0])
@@ -241,16 +305,19 @@ def load_model(model_dir) -> ModelBundle:
     if arrays["intent_vectors"].shape != want:
         got = arrays["intent_vectors"].shape
         raise ContractError(f"{npz_path}: array 'intent_vectors' has shape {got}, expected {want}")
+    shapes = _param_shapes(cfg, arrays["embedding"].shape[0])
+    _check_params(npz_path, arrays, shapes)
+    values = {}
+    for name in shapes:
+        a = np.ascontiguousarray(arrays[name.replace(".", "__")])
+        a.flags.writeable = False
+        values[name] = a
     table = EmbeddingTable(
         vocab={w: i for i, w in enumerate(meta["vocab"])},
-        vectors=arrays["embedding"],
+        vectors=values["embedding"],
         oov_id=meta["oov_id"],
         pad_id=meta["pad_id"],
         intent_vectors=arrays["intent_vectors"],
     )
-    rng = np.random.default_rng(cfg.seed)
-    model = init_model(table, cfg, rng=rng, dtype=arrays["embedding"].dtype)
-    model.restore(arrays)
-    for _, t in model.trainable():
-        t.values.flags.writeable = False
+    model = _model_from(values, table.pad_id)
     return ModelBundle(model=model, table=table, intent_vectors=arrays["intent_vectors"], config=cfg)

@@ -95,15 +95,23 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) ->
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def init_lstm_params(rng, word_dim: int, hidden_dim: int, dtype=np.float32) -> LstmParams:
-    w_x = np.hstack([glorot(rng, (word_dim, hidden_dim), word_dim, hidden_dim, dtype) for _ in range(4)])
-    w_h = np.hstack([glorot(rng, (hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype) for _ in range(4)])
+def lstm_weight(rng, fan_in: int, hidden_dim: int, dtype) -> np.ndarray:
+    """fan_in x 4D_H: one Glorot block per gate, side by side."""
+    return np.hstack([glorot(rng, (fan_in, hidden_dim), fan_in, hidden_dim, dtype) for _ in range(4)])
+
+
+def lstm_bias(hidden_dim: int, dtype) -> np.ndarray:
+    """1 x 4D_H: zero but the forget gate's ones, open at the start."""
     b = np.zeros((1, 4 * hidden_dim), dtype=dtype)
-    b[0, hidden_dim : 2 * hidden_dim] = 1.0  # open forget gates at the start
+    b[0, hidden_dim : 2 * hidden_dim] = 1.0
+    return b
+
+
+def init_lstm_params(rng, word_dim: int, hidden_dim: int, dtype=np.float32) -> LstmParams:
     return LstmParams(
-        w_x=Tensor(w_x, requires_grad=True),
-        w_h=Tensor(w_h, requires_grad=True),
-        b=Tensor(b, requires_grad=True),
+        w_x=Tensor(lstm_weight(rng, word_dim, hidden_dim, dtype), requires_grad=True),
+        w_h=Tensor(lstm_weight(rng, hidden_dim, hidden_dim, dtype), requires_grad=True),
+        b=Tensor(lstm_bias(hidden_dim, dtype), requires_grad=True),
     )
 
 

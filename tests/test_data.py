@@ -208,6 +208,35 @@ class TestLoadEmbeddings:
         assert len(table.vocab) == len(table.vectors) == 4
         assert table.vocab[word] in (table.oov_id, table.pad_id)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("restrict_to", [None, {"a"}], ids=["all", "restricted"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, end, restrict_to):
+        # it escaped as a bare UnicodeDecodeError, with and without restrict_to
+        p = tmp_path / "v.txt"
+        p.write_bytes(f"a 1 2{end}b\xff 3 4{end}".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"v\.txt:2: not UTF-8 text"):
+            load_embeddings(p, expected_dim=2, restrict_to=restrict_to)
+
+    def test_non_utf8_byte_far_into_the_file_names_its_line(self, tmp_path):
+        # the decoder reads ahead of the lines handed out, several chunks in
+        lines = [f"w{i} {i} 1" for i in range(3 * _PARSE_ROWS)] + ["z\udce2 1 2", "y 3 4"]
+        p = tmp_path / "v.txt"
+        p.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError, match=rf":{3 * _PARSE_ROWS + 1}: not UTF-8 text"):
+            load_embeddings(p, expected_dim=2)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("a 1 2\nb 3\nc\udcff 1 2\n", ":2: expected a word"), ("a 1 2\nb 3 x\nc\udcff 1 2\n", ":2: non-numeric")],
+        ids=["field-count", "bad-value"],
+    )
+    def test_error_before_a_non_utf8_byte_is_reported_first(self, tmp_path, text, named):
+        # both lines sit in the chunk the decoder read ahead before failing
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError, match=named):
+            load_embeddings(p, expected_dim=2)
+
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
         t1 = load_embeddings(p, expected_dim=2, seed=9)

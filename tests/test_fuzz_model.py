@@ -10,10 +10,13 @@ emerging intents, with the arrays that count them resized), remove, add
 and retype `meta.json` entries (the vocabulary's words, the special
 ids, every config key), replace the whole document, and remove, add,
 reshape, retype and poison with non-finite values the arrays of
-`params.npz`.
+`params.npz`. A dimension key may also take a value far past the saved
+model's: `load_model` checks the saved shapes against the config's
+before it builds anything, so a mismatch allocates nothing.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ ARRAY_NAMES = [
     "embedding", "intent_vectors", "detect__w", "w_s1", "w_s2",
     "lstm_fw__w_x", "lstm_fw__w_h", "lstm_fw__b", "lstm_bw__w_x", "lstm_bw__w_h", "lstm_bw__b",
 ]
-# JSON values of every type, small enough that no config builds a large model
+# JSON values of every type, small enough that no config runs long
 VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -51,6 +54,8 @@ VALUES = st.one_of(
     st.sampled_from([[], ["play"], [1, 2], [["a"]], [None]]),
     st.sampled_from([{}, {"a": 1}]),
 )
+DIMENSION_KEYS = ("word_dim", "hidden_dim", "attn_dim", "heads", "caps_dim")
+DIMENSIONS = st.integers(7, 4096) | st.sampled_from([2**31, 2**63, 10**30])
 DTYPES = st.sampled_from(["float16", "float32", "float64", "int64", "bool", "complex64", ">f4", "<U1", "object"])
 
 
@@ -73,7 +78,7 @@ def _saved_files(directory):
 @st.composite
 def meta_mutations(draw):
     """One change to meta.json as (kind, args)."""
-    kind = draw(st.sampled_from(["top", "drop", "vocab", "vocab_len", "special", "config", "config_drop", "document"]))
+    kind = draw(st.sampled_from(["top", "drop", "vocab", "vocab_len", "special", "config", "config_drop", "dimension", "document"]))
     if kind == "top":
         return kind, (draw(st.sampled_from(["vocab", "oov_id", "pad_id", "config", "extra"])), draw(VALUES))
     if kind == "drop":
@@ -88,6 +93,8 @@ def meta_mutations(draw):
     if kind in ("config", "config_drop"):
         key = draw(st.sampled_from(sorted(CFG.as_dict()) + ["unknown_key"]))
         return kind, (key, draw(VALUES))
+    if kind == "dimension":  # a config key set past the saved model's size
+        return "config", (draw(st.sampled_from(DIMENSION_KEYS)), draw(DIMENSIONS))
     return kind, (draw(st.sampled_from(["[]", "3", '"model"', "null", "{", "", "\udcff"])),)
 
 
@@ -257,3 +264,37 @@ def test_config_without_existing_labels_is_named(tmp_path):
     # it loaded, and its first prediction divided by zero intents
     with pytest.raises(ContractError, match="existing_labels must name at least one intent"):
         _load_after(tmp_path, relabel=(0, 2))
+
+
+@pytest.mark.parametrize("key", ["extra", "lstm_fw__w_y", "detect.w"])
+def test_array_that_is_not_a_parameter_is_named(tmp_path, key):
+    # the first two loaded silently; "detect.w" took the place of "detect__w"
+    # (both were read as parameter detect.w) and was named only by its shape
+    with pytest.raises(ContractError, match=rf"params\.npz: array '{key}' is not a parameter of this model"):
+        _load_after(tmp_path, **{key: np.zeros(2, np.float32)})
+
+
+@pytest.mark.parametrize("dtype", ["float16", ">f4"])
+def test_model_saved_in_an_unsupported_float_dtype_is_named(tmp_path, dtype):
+    # every array in that dtype: the model's arrays are native float32 or float64
+    meta, arrays = _saved_files(tmp_path)
+    arrays = {key: a.astype(dtype) for key, a in arrays.items()}
+    np.savez(tmp_path / "params.npz", **arrays)
+    with pytest.raises(ContractError, match=rf"parameter 'embedding' has dtype {dtype}, expected float32 or float64"):
+        load_model(tmp_path)
+
+
+def test_config_dimension_past_the_saved_model_allocates_nothing(tmp_path):
+    # the config's model (two 1024 x 4096 float32 w_h, 32 MiB) was built
+    # before the shapes were compared: 50 MB traced and ~0.1 s per load
+    meta, arrays = _saved_files(tmp_path)
+    meta["config"]["hidden_dim"] = 1024
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match=r"parameter 'lstm_fw\.w_x' has shape \(4, 12\), expected \(4, 4096\)"):
+            load_model(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20), f"peak {peak} bytes"

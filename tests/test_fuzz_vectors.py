@@ -5,7 +5,8 @@ fails with ParseError or EmptySourceError. Any other exception fails the
 test, and so does any warning (pytest runs with warnings as errors).
 The files mix headers, duplicates, whitespace variants, blank lines,
 short and long rows, empty, non-numeric and non-finite values and the
-reserved words, at expected_dim 1-3, with and without `restrict_to`.
+reserved words and bytes that are not UTF-8, at expected_dim 1-3, with
+and without `restrict_to`.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ WORDS = ["a", "b", "the", "x y", OOV_TOKEN, PAD_TOKEN]
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
     st.integers(-5, 5).map(str),
-    st.sampled_from(["", "nan", "inf", "-inf", "1e39", "x", "1_0", "0x1", "--1", "1e"]),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e39", "x", "1_0", "0x1", "--1", "1e", "\udce91"]),
 )
 SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
 
@@ -53,7 +54,7 @@ def vector_files(draw):
 def test_vector_file_loads_or_fails_by_name(tmp_path_factory, case):
     dim, text, restrict = case
     path = tmp_path_factory.getbasetemp() / "fuzz_vectors.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     try:
         table = load_embeddings(path, expected_dim=dim, seed=0, restrict_to=restrict)
     except (ParseError, EmptySourceError):

@@ -32,7 +32,10 @@ from capsnlu.harness import (
     zsl_evaluate,
     zsl_predict,
 )
+from capsnlu import model as model_module
+from capsnlu.detection import init_detection_params
 from capsnlu.model import forward_batch, init_model, load_model, save_model
+from capsnlu.semantic import init_semantic_params
 
 
 class TestTrain:
@@ -845,6 +848,100 @@ class TestPersistence:
         snap = bundle.model.snapshot()
         assert snap.keys() == {name for name, _ in bundle.model.trainable()}
         assert all(a.flags.writeable for a in snap.values())
+
+    @staticmethod
+    def _init_then_restore(bundle, arrays, dtype):
+        """The model as loading built it before the parameter schema: a
+        seeded init_model, restore of the saved arrays, then frozen."""
+        model = init_model(bundle.table, bundle.config, rng=np.random.default_rng(bundle.config.seed), dtype=dtype)
+        model.restore({key.replace("__", "."): a for key, a in arrays.items()})
+        for _, t in model.trainable():
+            t.values.flags.writeable = False
+        return model
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_parameters_equal_init_then_restore(self, toy_setup, tmp_path, dtype):
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg, rng=np.random.default_rng(3), dtype=dtype), table, cfg, tmp_path / "model")
+        bundle = load_model(out)
+        with np.load(out / "params.npz") as npz:
+            arrays = dict(npz)
+        reference = self._init_then_restore(bundle, arrays, dtype)
+        for (name, got), (_, want) in zip(bundle.model.trainable(), reference.trainable(), strict=True):
+            assert got.dtype == want.dtype == dtype, name
+            assert got.values.tobytes() == want.values.tobytes(), name
+            assert got.values.flags.c_contiguous and not got.values.flags.writeable, name
+            assert got.requires_grad, name
+        assert bundle.table.vectors is bundle.model.embedding.values  # one copy, shared and read-only
+
+    def test_fortran_order_array_loads_c_contiguous(self, toy_setup, tmp_path):
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
+        with np.load(out / "params.npz") as npz:
+            arrays = dict(npz)
+        arrays["lstm_fw__w_x"] = np.asfortranarray(arrays["lstm_fw__w_x"])
+        np.savez(out / "params.npz", **arrays)
+        with np.load(out / "params.npz") as npz:
+            assert npz["lstm_fw__w_x"].flags.f_contiguous and not npz["lstm_fw__w_x"].flags.c_contiguous
+        w_x = load_model(out).model.semantic.lstm_fw.w_x.values
+        assert w_x.flags.c_contiguous and not w_x.flags.writeable
+        assert w_x.tobytes() == np.ascontiguousarray(arrays["lstm_fw__w_x"]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_model_runs_bitwise_as_init_then_restore(self, toy_setup, tmp_path, dtype):
+        cfg, table, corpus, emerging = toy_setup
+        cfg.epochs = 2
+        trained, _ = train(cfg, corpus, table)
+        model = init_model(table, cfg, dtype=dtype)
+        model.restore({name: t.values.astype(dtype) for name, t in trained.trainable()})
+        out = save_model(model, table, cfg, tmp_path / "model")
+        bundle = load_model(out)
+        with np.load(out / "params.npz") as npz:
+            reference = self._init_then_restore(bundle, dict(npz), dtype)
+        runs = []
+        for m in (bundle.model, reference):
+            with no_grad():
+                v = forward_batch(m, [ids for ids, _ in corpus.samples], cfg).trace.v_final.values
+            preds = predict_existing(m, corpus, cfg)
+            zpreds, acts, sim = zsl_predict(m, emerging, bundle.intent_vectors, cfg)
+            runs.append([m.semantic._projections[1], v, preds, zpreds, acts, sim.q])
+        assert len(set(runs[0][2].tolist())) > 1
+        for got, want in zip(*runs, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_load_builds_no_model_and_draws_nothing(self, toy_setup, tmp_path, monkeypatch):
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_model must read the saved arrays, not build or draw a model")
+
+        monkeypatch.setattr(model_module, "init_model", forbidden)
+        monkeypatch.setattr(model_module.ModelParams, "restore", forbidden)
+        monkeypatch.setattr(model_module, "glorot", forbidden)
+        monkeypatch.setattr(model_module, "lstm_weight", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        assert load_model(out).model.embedding.shape == table.vectors.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_model_draws_as_the_layer_inits(self, toy_setup, dtype):
+        # the schema-driven init makes the layers' own inits' draws, in their order
+        cfg, table, _, _ = toy_setup
+        model = init_model(table, cfg, rng=np.random.default_rng(4), dtype=dtype)
+        rng = np.random.default_rng(4)
+        semantic = init_semantic_params(rng, cfg.word_dim, cfg.hidden_dim, cfg.attn_dim, cfg.heads, dtype)
+        detection = init_detection_params(rng, len(cfg.existing_labels), cfg.heads, 2 * cfg.hidden_dim, cfg.caps_dim, dtype)
+        want = {"embedding": None, **dict(semantic.trainable()), **dict(detection.trainable())}
+        got = dict(model.trainable())
+        assert list(got) == list(want) == list(model_module._param_shapes(cfg, len(table.vocab)))
+        for name, t in want.items():
+            if t is not None:
+                assert got[name].dtype == t.dtype and got[name].values.tobytes() == t.values.tobytes(), name
+        emb = got["embedding"].values
+        assert emb.dtype == dtype and not np.shares_memory(emb, table.vectors)
+        assert not emb[table.pad_id].any()
+        keep = np.arange(len(emb)) != table.pad_id
+        assert emb[keep].tobytes() == table.vectors[keep].astype(dtype).tobytes()
 
     def test_writes_to_a_loaded_model_are_named(self, toy_setup, tmp_path):
         # both used to fail with a bare "read-only" ValueError, Adam's only
