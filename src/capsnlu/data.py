@@ -214,7 +214,7 @@ def load_embeddings(
     vector is drawn uniformly from [-0.5/D, 0.5/D] with the run seed;
     PAD is zero. A kept line whose word is one of those two reserved
     names raises ParseError, and so does a byte that is not UTF-8 on any
-    line, kept or dropped.
+    line, kept or dropped. A leading byte-order mark is dropped.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -234,6 +234,8 @@ def load_embeddings(
         while lines is not None:
             try:
                 for lineno, line in lines:
+                    if lineno == 1:
+                        line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first word
                     if line.isspace() or (lineno == 1 and _is_header(line)):
                         continue
                     fields = line.rstrip("\n")

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
-import functools
 import json
 import logging
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -56,48 +54,6 @@ def _row_blocks(arr: np.ndarray) -> list:
     return [slice(s, s + rows) for s in range(0, arr.shape[0], rows)]
 
 
-class _Worker(threading.Thread):
-    """A daemon thread that runs the jobs it is given one at a time, in
-    order. ``wait`` blocks until every submitted job is done and re-raises
-    the first one's exception, if any, in the waiting thread, so a wait cut
-    short (by KeyboardInterrupt) is made up by the next. ``stop`` lets the
-    submitted jobs finish, then ends and joins the thread."""
-
-    def __init__(self):
-        super().__init__(name="adam-rows-step", daemon=True)
-        self._jobs = queue.SimpleQueue()
-        self._done = queue.SimpleQueue()
-        self.pending = 0  # jobs submitted and not yet waited for
-        self.start()
-
-    def run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            try:
-                job()
-            except BaseException as exc:  # handed to the waiting thread
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-            job = None  # between jobs the thread holds nothing of the last
-
-    def submit(self, job) -> None:
-        self.pending += 1
-        self._jobs.put(job)
-
-    def wait(self) -> None:
-        error = None
-        while self.pending:
-            result = self._done.get()
-            self.pending -= 1
-            error = error or result
-        if error is not None:
-            raise error
-
-    def stop(self) -> None:
-        self._jobs.put(None)
-        self.join()
-
-
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's settings: Kingma & Ba's defaults, as in the paper
 
 
@@ -121,27 +77,29 @@ class Adam:
     ``with rows_step(param, rows) as leaf:`` is one step for a table of
     which a step reads and writes only a few rows (the embedding). The
     block gets a new leaf holding those rows, which the forward and
-    backward use in place of the table, while the optimizer's worker
-    thread runs the step with g = +0.0 over every row of the table: the
-    decays and the update, which need neither the gradient nor the
-    forward. When the block exits normally it steps the other parameters,
-    waits for the worker's pass and redoes the full step of the chosen
-    rows from their pre-step values and the leaf's gradient, and writes
-    them back. Off those rows the textbook's ``(1 - b1) * g`` and
-    ``(1 - b2) * (g * g)`` are +0.0, and adding +0.0 leaves every value
-    but -0.0 as it was. No moment is ever -0.0: both start at +0.0, v is
-    a sum of squares, and ``b1 * m`` rounds no nonzero m to zero. So
-    every element sees the textbook's operations in its order, and the
-    split changes no bit. Between steps the optimizer holds only ``t``,
-    ``m`` and ``v`` as state.
+    backward use in place of the table, while the optimizer's thread runs
+    the step with g = +0.0 over every row of the table: the decays and
+    the update, which need neither the gradient nor the forward. When the
+    block exits normally it steps the other parameters, waits for that
+    pass and redoes the full step of the chosen rows from their pre-step
+    values and the leaf's gradient, and writes them back. Off those rows
+    the textbook's ``(1 - b1) * g`` and ``(1 - b2) * (g * g)`` are +0.0,
+    and adding +0.0 leaves every value but -0.0 as it was. No moment is
+    ever -0.0: both start at +0.0, v is a sum of squares, and ``b1 * m``
+    rounds no nonzero m to zero. So every element sees the textbook's
+    operations in its order, and the split changes no bit. Between steps
+    the optimizer holds only ``t``, ``m`` and ``v`` as state.
 
-    The worker is one daemon thread named ``adam-rows-step``, started by
-    the first ``rows_step`` (an optimizer that only ``step``s starts
-    none) and given one job per block, the table's gradient-free pass;
-    between blocks it holds no job and nothing of a step. ``close()``
-    waits for a running pass, then stops and joins the thread; it may be
-    called again, and ``with Adam(...) as optimizer:`` calls it on the
-    way out. A ``rows_step`` after ``close()`` raises ContractError.
+    The pass runs on the optimizer's one-thread ThreadPoolExecutor, whose
+    thread (``adam-rows-step_0``) the first ``rows_step`` starts: an
+    optimizer that only ``step``s starts none. The thread is not a
+    daemon; it ends on ``close()``, which waits for a running pass, or
+    once the optimizer is collected. ``close()`` may be called again,
+    ``with Adam(...) as optimizer:`` calls it on the way out, and a
+    ``rows_step`` after it raises ContractError. A wait cut short (by
+    KeyboardInterrupt) can leave a block's pass running over the table,
+    so the next block waits for it before it gathers its rows, and so
+    does ``step()`` before it steps.
 
     ``lr`` must be finite and non-negative, else ContractError names it.
     Every parameter must be writable (a loaded model's are not) and listed
@@ -168,8 +126,9 @@ class Adam:
         self._temps = [
             np.empty((2, t.values[b[0]].size if b else 0), t.dtype) for b, (_, t) in zip(self._blocks, self.params)
         ]
-        self._in_rows_step = False  # the worker owns a table while True
-        self._worker: _Worker | None = None  # started by the first rows_step
+        self._in_rows_step = False  # the pass owns a table while True
+        self._executor = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="adam-rows-step")
+        self._pass: concurrent.futures.Future | None = None  # the last rows_step's pass
         self._closed = False
 
     def __enter__(self) -> "Adam":
@@ -179,12 +138,10 @@ class Adam:
         self.close()
 
     def close(self) -> None:
-        """Let the worker finish its pass, if one runs, then stop and join
-        it. Calling it again does nothing."""
+        """Let a running pass finish, then end the thread. Calling it again
+        does nothing."""
         self._closed = True
-        if self._worker is not None:
-            self._worker.stop()
-            self._worker = None
+        self._executor.shutdown()
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -196,12 +153,13 @@ class Adam:
         through a new leaf holding its sorted distinct leading-axis `rows`
         (see the class docstring): the block runs the forward and backward on
         the leaf, and its normal exit takes the step. Inside the block the
-        worker owns the table's values and moments: nothing may read or write
+        pass owns the table's values and moments: nothing may read or write
         them, and a nested block or a ``step()`` raises ContractError. The
-        block waits for the worker's pass on every way out, and the pass's
-        exception, if any, is raised when no other is on its way out. A block
-        left by an exception advances no ``t`` and steps no other parameter,
-        but the table keeps the worker's gradient-free pass."""
+        block waits for the previous block's pass before it gathers the rows
+        and for its own on every way out, and its own pass's exception, if
+        any, is raised when no other is on its way out. A block left by an
+        exception advances no ``t`` and steps no other parameter, but the
+        table keeps the gradient-free pass."""
         if self._closed:
             raise ContractError("rows_step on a closed Adam: close() stopped its worker")
         index = next((k for k, (_, t) in enumerate(self.params) if t is param), None)
@@ -215,25 +173,23 @@ class Adam:
             raise ContractError("rows_step needs a non-empty 1-d array of integer row ids")
         if rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any():
             raise ContractError(f"rows_step needs sorted distinct row ids of the {n}-row table, got {rows}")
+        if self._pass is not None:  # a pass whose wait was cut short may still run
+            concurrent.futures.wait([self._pass])
         leaf = Tensor(np.take(param.values, rows, axis=0), requires_grad=True)
         m_rows, v_rows = (np.take(a[index], rows, axis=0) for a in (self.m, self.v))
-        if self._worker is None:
-            self._worker = _Worker()
-        worker = self._worker
-        worker.submit(functools.partial(self._gradient_free_step, index, self.t + 1))
+        self._pass = done = self._executor.submit(self._gradient_free_step, index, self.t + 1)
         self._in_rows_step = True
         try:
             yield leaf
             self.t += 1
             hyper = self._hyper(self.t)
-            self._dense_steps(hyper, skip=index)  # while the worker runs
+            self._dense_steps(hyper, skip=index)  # while the pass runs
         except BaseException:
-            with contextlib.suppress(Exception):
-                worker.wait()
+            concurrent.futures.wait([done])
             raise
         finally:
             self._in_rows_step = False
-        worker.wait()
+        done.result()
         _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
         param.values[rows] = leaf.values
         self.m[index][rows] = m_rows
@@ -261,6 +217,8 @@ class Adam:
         """One step of every parameter from its ``.grad``."""
         if self._in_rows_step:
             raise ContractError("step() inside a rows_step block would race its worker over the table")
+        if self._pass is not None:
+            concurrent.futures.wait([self._pass])
         self.t += 1
         self._dense_steps(self._hyper(self.t))
 
@@ -353,14 +311,13 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     step is one ``Adam.rows_step`` block, which gathers those rows into a
     leaf, with the batch's ids renumbered to index it; the block runs the
     forward and backward on a model whose embedding is that leaf, and its
-    exit takes the Adam step. Meanwhile the optimizer's one worker thread
-    runs the table's gradient-free Adam pass over every row, and the step
-    waits for it before it returns or raises. The optimizer is closed on
-    every way out of ``train``, so its worker never outlives the call. An
-    id that is not a row of the embedding
-    raises `encode_tokens`' ContractError before any row is gathered.
-    Losses, parameters and moments are bit for bit those of a step on the
-    whole table."""
+    exit takes the Adam step. Meanwhile the optimizer's thread runs the
+    table's gradient-free Adam pass over every row, and the step waits
+    for it before it returns or raises. The optimizer is closed on every
+    way out of ``train``, so its thread never outlives the call. An id
+    that is not a row of the embedding raises `encode_tokens`'
+    ContractError before any row is gathered. Losses, parameters and
+    moments are bit for bit those of a step on the whole table."""
     cfg.validate()
     if not corpus.samples:
         raise ContractError("empty training corpus")

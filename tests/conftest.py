@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from capsnlu import harness
 from capsnlu.config import RunConfig
 from capsnlu.data import load_inputs
 
@@ -144,15 +145,27 @@ def toy_setup(toy_paths):
     return (cfg, *load_inputs(cfg))
 
 
-def _adam_workers():
-    return {t for t in threading.enumerate() if t.name == "adam-rows-step"}
+def _adam_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("adam-rows-step")}
 
 
 @pytest.fixture(autouse=True)
-def no_adam_worker_left_running():
-    """Fails a test that leaves an Adam worker thread alive: whatever starts
-    one must close its optimizer on every way out."""
-    before = _adam_workers()
+def no_adam_worker_left_running(monkeypatch):
+    """Fails a test that leaves an Adam's thread alive: whatever starts one
+    must close its optimizer on every way out. Each Adam made during the
+    test is kept until the check, so the thread of one that was never
+    closed cannot end unseen when the optimizer is collected."""
+    made = []
+    init = harness.Adam.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(harness.Adam, "__init__", keep)
+    before = _adam_threads()
     yield
-    left = _adam_workers() - before
+    left = _adam_threads() - before
+    for opt in made:
+        opt.close()
     assert not left, f"{len(left)} adam-rows-step thread(s) still alive; an Adam was not closed"

@@ -237,6 +237,31 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match=named):
             load_embeddings(p, expected_dim=2)
 
+    @pytest.mark.parametrize(
+        "text, restrict_to",
+        [("the 1 2\nb 3 4\n", None), ("2 2\nthe 1 2\nb 3 4\n", None), ("the 1 2\nb 3 4\n", {"the"})],
+        ids=["word", "header", "restricted"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, restrict_to):
+        # it was read as part of the first word, so "the" was OOV (and
+        # dropped by restrict_to), and a header behind it was a bad row
+        p = tmp_path / "v.txt"
+        p.write_text(text, encoding="utf-8-sig")
+        table = load_embeddings(p, expected_dim=2, restrict_to=restrict_to)
+        assert table.vocab["the"] == 0 and not any(w.startswith("\ufeff") for w in table.vocab)
+        np.testing.assert_array_equal(table.vectors[0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("a 1 2\nb 3\n", r"v\.txt:2: expected a word"), ("2 2\nb\udcff 3 4\n", r"v\.txt:2: not UTF-8 text")],
+        ids=["field-count", "header-before-non-utf8"],
+    )
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, text, named):
+        p = tmp_path / "v.txt"
+        p.write_bytes(("\ufeff" + text).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError, match=named):
+            load_embeddings(p, expected_dim=2)
+
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
         t1 = load_embeddings(p, expected_dim=2, seed=9)

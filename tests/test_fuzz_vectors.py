@@ -5,8 +5,8 @@ fails with ParseError or EmptySourceError. Any other exception fails the
 test, and so does any warning (pytest runs with warnings as errors).
 The files mix headers, duplicates, whitespace variants, blank lines,
 short and long rows, empty, non-numeric and non-finite values and the
-reserved words and bytes that are not UTF-8, at expected_dim 1-3, with
-and without `restrict_to`.
+reserved words, bytes that are not UTF-8 and a leading byte-order mark,
+at expected_dim 1-3, with and without `restrict_to`.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def vector_files(draw):
             line += draw(SEPARATORS) + value
         lines.append(line + draw(st.sampled_from(["", "", " "])))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    text = draw(st.sampled_from(["", "", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
     restrict = draw(st.none() | st.sets(st.sampled_from(WORDS)))
     return dim, text, restrict
 
@@ -67,5 +67,6 @@ def test_vector_file_loads_or_fails_by_name(tmp_path_factory, case):
     assert (table.vocab[OOV_TOKEN], table.vocab[PAD_TOKEN]) == (table.oov_id, table.pad_id)
     assert not table.vectors[table.pad_id].any()
     assert np.isfinite(table.vectors).all()
+    assert not any(word.startswith("\ufeff") for word in table.vocab)
     if restrict is not None:
         assert set(table.vocab) - {OOV_TOKEN, PAD_TOKEN} <= restrict

@@ -1,10 +1,14 @@
+import concurrent.futures
 import contextlib
 import functools
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,16 @@ def _textbook_adam(params, grads, moments, t, lr):
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(args, cwd=None):
+    """Run the interpreter with `args` in a process of its own, with the
+    package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestAdam:
@@ -342,10 +356,12 @@ class TestAdam:
         opt.close()
         assert threading.active_count() == before
 
-    def test_block_left_by_an_exception_takes_no_step(self):
-        # t and the other parameters and their moments are as before, the
-        # worker holds no pending pass after the block, the next block steps
-        # as usual, and no worker outlives the optimizer
+    def test_block_left_by_an_exception_takes_no_step(self, monkeypatch):
+        # t and the other parameters and their moments are as before, no
+        # pass is pending or queued after the block (a slow one included),
+        # the next block steps as usual, and no worker outlives the optimizer
+        real_pass = Adam._gradient_free_step
+        monkeypatch.setattr(Adam, "_gradient_free_step", lambda *args: (time.sleep(0.05), real_pass(*args)))
         rng = np.random.default_rng(3)
         table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=3), requires_grad=True)
@@ -356,7 +372,7 @@ class TestAdam:
             with pytest.raises(RuntimeError, match="forward failed"):
                 with opt.rows_step(table, [1, 4]):
                     raise RuntimeError("forward failed")
-            assert opt.t == 0 and opt._worker.pending == 0
+            assert opt.t == 0 and opt._pass.done() and opt._executor._work_queue.empty()
             assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
             with opt.rows_step(table, [1, 4]) as leaf:
                 ops.sum(leaf).backward()
@@ -367,31 +383,122 @@ class TestAdam:
         table = Tensor(np.ones((4, 2)), requires_grad=True)
         before = threading.active_count()
         opt = Adam([("table", table)], lr=1e-3)
-        opt.close()  # no rows step ran, so no worker was started
+        opt.close()  # no rows step ran, so no thread was started
+        assert threading.active_count() == before
         opt = Adam([("table", table)], lr=1e-3)
         with opt.rows_step(table, [1]) as leaf:
             ops.sum(leaf).backward()
-        worker, done = opt._worker, []
+        (worker,), done = opt._executor._threads, []
         assert worker.is_alive() and threading.active_count() == before + 1
-        worker.submit(lambda: (time.sleep(0.05), done.append(True)))
+        opt._executor.submit(lambda: (time.sleep(0.05), done.append(True)))
         opt.close()
         assert done == [True] and not worker.is_alive() and threading.active_count() == before
         opt.close()
         assert threading.active_count() == before
 
-    def test_a_wait_cut_short_is_made_up_by_the_next(self):
-        # a KeyboardInterrupt can cut a block's wait short and leave its
-        # pass running; the next block must wait for that pass as well, or
-        # its write-back would race it over the table
+    @staticmethod
+    def _cut_a_wait_short(opt, table, monkeypatch) -> list:
+        """After one step of row 1, run a block of row 3 whose wait a
+        KeyboardInterrupt cuts short, leaving its pass for step 2 running;
+        the pass then adds 10 to table row 2 and appends its step to the
+        list returned."""
+        real_pass, done = Adam._gradient_free_step, []
+
+        def late_pass(self, index, t):
+            time.sleep(0.1)
+            real_pass(self, index, t)
+            table.values[2] += 10.0  # a write the next step must keep
+            done.append(t)
+
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        with opt.rows_step(table, [1]) as leaf:
+            ops.sum(leaf).backward()
+        with monkeypatch.context() as mp, pytest.raises(KeyboardInterrupt):
+            mp.setattr(Adam, "_gradient_free_step", late_pass)
+            mp.setattr(concurrent.futures.Future, "result", interrupted)
+            with opt.rows_step(table, [3]) as leaf:
+                ops.sum(leaf).backward()
+        return done
+
+    def test_a_wait_cut_short_is_made_up_by_the_next(self, monkeypatch):
+        # the next block must wait for the pass left running before it
+        # gathers its rows, or its write-back would undo what the pass wrote
         table = Tensor(np.ones((4, 2)), requires_grad=True)
         with Adam([("table", table)], lr=1e-3) as opt:
-            with opt.rows_step(table, [1]) as leaf:
-                ops.sum(leaf).backward()
-            done = []
-            opt._worker.submit(lambda: (time.sleep(0.05), done.append(True)))  # the pass left running
+            done = self._cut_a_wait_short(opt, table, monkeypatch)
             with opt.rows_step(table, [2]) as leaf:
+                assert done == [2] and leaf.values.tolist() == [[11.0, 11.0]]
                 ops.sum(leaf).backward()
-            assert done == [True] and opt._worker.pending == 0 and opt.t == 2
+            np.testing.assert_allclose(table.values[2], 10.99936, atol=1e-5)
+            assert opt.t == 3
+
+    def test_step_after_a_wait_cut_short_waits_for_the_pass(self, monkeypatch):
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        with Adam([("table", table)], lr=1e-3) as opt:
+            done = self._cut_a_wait_short(opt, table, monkeypatch)
+            opt.zero_grad()
+            opt.step()
+            assert done == [2] and table.values[2].tolist() == [11.0, 11.0] and opt.t == 3
+
+    def test_unclosed_optimizer_thread_ends_when_it_is_collected(self):
+        # run apart: the leak gate in conftest keeps every Adam a test makes
+        script = """if True:
+            import gc, threading
+            import numpy as np
+            from capsnlu.autodiff import Tensor
+            from capsnlu.harness import Adam
+            table = Tensor(np.ones((4, 2)), requires_grad=True)
+            opt = Adam([("table", table)], lr=1e-3)
+            with opt.rows_step(table, [1]) as leaf:
+                leaf.grad[...] = 1.0
+            (thread,) = [t for t in threading.enumerate() if t.name.startswith("adam-rows-step")]
+            del opt, leaf
+            gc.collect()
+            thread.join(timeout=10)
+            print(thread.is_alive())
+        """
+        proc = _run_python(["-c", script])
+        assert proc.stdout == "False\n", proc.stderr
+
+    def test_leak_gate_fails_a_test_that_leaves_an_optimizer_unclosed(self, tmp_path):
+        # the conftest gate, run over a file of its own: a test whose Adam ran
+        # a rows step and was never closed errors, even when the optimizer was
+        # dropped and collected, which ends its thread
+        (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
+        (tmp_path / "test_gate.py").write_text(
+            """import gc
+import numpy as np
+from capsnlu.autodiff import Tensor
+from capsnlu.harness import Adam
+
+def stepped():
+    table = Tensor(np.ones((4, 2)), requires_grad=True)
+    opt = Adam([("table", table)], lr=1e-3)
+    with opt.rows_step(table, [1]) as leaf:
+        leaf.grad[...] = 1.0
+    return opt
+
+def test_unclosed():
+    opt = stepped()
+
+def test_unclosed_and_collected():
+    stepped()
+    gc.collect()
+
+def test_closed():
+    stepped().close()
+
+def test_only_steps():
+    Adam([("w", Tensor(np.ones(3), requires_grad=True))], lr=1e-3).step()
+"""
+        )
+        proc = _run_python(["-m", "pytest", "-q", "-rE", "-p", "no:cacheprovider", str(tmp_path)], cwd=tmp_path)
+        errors = sorted(line.split()[1] for line in proc.stdout.splitlines() if line.startswith("ERROR "))
+        assert errors == ["test_gate.py::test_unclosed", "test_gate.py::test_unclosed_and_collected"], proc.stdout
+        assert "4 passed, 2 errors" in proc.stdout, proc.stdout
+        assert "1 adam-rows-step thread(s) still alive; an Adam was not closed" in proc.stdout
 
     def test_rows_step_after_close_is_named(self):
         table = Tensor(np.ones((4, 2)), requires_grad=True)
@@ -540,10 +647,16 @@ class TestTrainThreads:
                 with super().rows_step(param, rows) as leaf:
                     yield leaf
                 keys.append(sorted(vars(self)))
-                worker = self._worker
-                idle = worker.pending == 0 and worker._jobs.empty() and worker._done.empty()
-                holds_leaf = any(isinstance(x, Tensor) for x in vars(worker).values())
-                workers.append((worker, [w for w in threading.enumerate() if w.name == "adam-rows-step"], idle, holds_leaf))
+                (worker,) = self._executor._threads
+                idle = self._pass.done() and self._executor._work_queue.empty()
+                held = list(vars(worker).values())
+                frame = sys._current_frames()[worker.ident]
+                while frame is not None:
+                    held += frame.f_locals.values()
+                    frame = frame.f_back
+                holds_leaf = any(isinstance(x, Tensor) for x in held)
+                adam_threads = [w for w in threading.enumerate() if w.name.startswith("adam-rows-step")]
+                workers.append((worker, adam_threads, idle, holds_leaf))
 
         monkeypatch.setattr(harness, "Adam", Recorded)
         train(cfg, corpus, table)
