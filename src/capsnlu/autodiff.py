@@ -22,7 +22,6 @@ at tight tolerances.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable
 
@@ -66,15 +65,15 @@ def _grad_enabled() -> bool:
     return getattr(_STATE, "stack", None) is None or _STATE.stack[-1]
 
 
-@contextlib.contextmanager
-def no_grad():
+class no_grad:
     """Disable graph recording inside the block (pure evaluation)."""
-    if getattr(_STATE, "stack", None) is None:
-        _STATE.stack = [True]
-    _STATE.stack.append(False)
-    try:
-        yield
-    finally:
+
+    def __enter__(self) -> None:
+        if getattr(_STATE, "stack", None) is None:
+            _STATE.stack = [True]
+        _STATE.stack.append(False)
+
+    def __exit__(self, *exc) -> None:
         _STATE.stack.pop()
 
 
@@ -195,7 +194,7 @@ def _result(values: np.ndarray, op: str, parents: tuple, vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.values = values
     out._grad = None
-    if any(p.requires_grad for p in parents) and _grad_enabled():
+    if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op = op
         out.parents = parents

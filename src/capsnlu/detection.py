@@ -178,7 +178,8 @@ def dynamic_routing(p: Tensor, iterations: int) -> RoutingTrace:
             e = np.exp(b - b.max(axis=0))
             c = e / e.sum(axis=0)                   # softmax over intents per head
         else:  # the softmax of the zero logits, exactly
-            c = np.full(b.shape, real(1.0) / real(b.shape[0]))
+            c = np.empty_like(b)
+            c.fill(real(1.0) / real(b.shape[0]))
         s = (c[..., None] * pk).sum(axis=1)         # K x ... x D_P
         v = squash(s)
         bs.append(b)

@@ -19,22 +19,24 @@ recurrence in one graph node, `_run_bilstm`: it projects the packed rows
 (one GEMM per direction), then `_bilstm_states` gathers the projections
 once into a per-position layout, by a B x T grid of row indices in which
 a pad slot indexes the pad row, with the backward direction taking each
-sequence in reversed order (within its length, pads left in place). It
+sequence in reversed order (within its length, pads left in place); a
+batch without pads, told from its lengths, is reversed by a slice. It
 steps both directions left to right from a zero state and gathers the
 backward states back into reading order; backpropagation through time
 is the node's hand-written VJP. A projection depends only on the token's
 id, so on a frozen model (read-only weights, as `load_model` returns
 them) an evaluation forward builds a |V| x 8D_H table of every word's
-projections once, on first use, and `_bilstm_states` gathers from that
-table directly, with the token ids as the grid and the pad id at pad
-slots, without a graph. Either way the rows are gathered once, straight
-into the step layout. The recurrence is gate-major and time-major: step
-t's inputs and activations are one contiguous 4 x 2 x B x D_H block
-(gate, direction), so each per-step elementwise operation is one numpy
-call on contiguous memory. Trailing pads come after every real token in
-either direction and never reach a real position's state. H rows at pad
-positions are unspecified: the attention gives them exactly zero
-weight, so they never reach M or a gradient.
+projections and the stack of both directions' w_h once, on first use,
+and `_bilstm_states` gathers from that table directly, with the token
+ids as the grid and the pad id at pad slots, without a graph. Either way
+the rows are gathered once, straight into the step layout. The
+recurrence is gate-major and time-major: step t's inputs and activations
+are one contiguous 4 x 2 x B x D_H block (gate, direction), so each
+per-step elementwise operation is one numpy call on contiguous memory,
+and every step's h @ w_h goes into one buffer. Trailing pads come after
+every real token in either direction and never reach a real position's
+state. H rows at pad positions are unspecified: the attention gives them
+exactly zero weight, so they never reach M or a gradient.
 
 Dropout at training is one graph node on the gathered rows (parent x,
 x * keep with the inverted-dropout mask). The attention head is three
@@ -75,7 +77,7 @@ class SemanticCapsParams:
     lstm_bw: LstmParams
     w_s1: Tensor  # D_A x 2D_H
     w_s2: Tensor  # R   x D_A
-    # (the five arrays it was built from, the |V| x 8D_H projection table)
+    # (the seven arrays they were built from, the |V| x 8D_H projection table, the w_h stack)
     _projections: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -142,17 +144,28 @@ def _input_projections(xv: np.ndarray, fw: LstmParams, bw: LstmParams) -> np.nda
     return proj
 
 
-def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_h_bw: np.ndarray, lengths):
+def _reversal_grid(lengths, steps: int):
+    """(rows, real, src) of a B x T batch: B x 1 utterance ids, the real
+    positions' mask, and each slot's position with each utterance's real
+    positions reversed (pads stay), its own inverse."""
+    lengths = np.asarray(lengths)[:, None]
+    pos = np.arange(steps)
+    real = pos < lengths
+    return np.arange(lengths.size)[:, None], real, np.where(real, lengths - 1 - pos, pos)
+
+
+def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, lengths):
     """Both LSTM directions from a zero state over gathered input projections.
 
     `source` holds input-projection rows, each the forward then the
     backward direction's x @ w_x + b, and `slots` is a B x T grid of row
-    indices into it: position t of utterance b reads row slots[b, t], and
-    a pad slot (t >= lengths[b]) indexes the pad row. Returns (H, saved):
-    H is B x T x 2D_H (T the longest length), forward states then
-    backward, and `saved` is what the VJP of `_run_bilstm` reads:
-    (rows, src, wv, states, kept), kept one (z, c_{t-1}, tanh(c_t)) per
-    step.
+    indices into it (T the longest of `lengths`): position t of utterance
+    b reads row slots[b, t], and a pad slot (t >= lengths[b]) indexes the
+    pad row. `wv` is the 2 x D_H x 4D_H stack of the forward and backward
+    w_h. Returns (H, saved): H is B x T x 2D_H, forward states then
+    backward, and `saved` is what the VJP of `_run_bilstm` reads: (grid,
+    states, kept), grid the `_reversal_grid` when the batch has pads and
+    None without, kept one (z, c_{t-1}, tanh(c_t)) per step.
 
     The rows are gathered once, straight into a T x 4 x 2 x B x D_H
     layout (step, gate, direction): the backward direction takes each
@@ -168,23 +181,19 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
     The recurrence runs gate-major and time-major, so that every per-step
     elementwise operation reads and writes whole contiguous blocks. A
     step's z is one 4 x 2 x B x D_H array whose gate k is z[k]: the
-    product h @ w_h (2 x B x 4D_H, against the stored weights) is read
-    gate-major and added to the step's inputs straight into z, one call.
-    Products against per-gate D_H x D_H blocks would save the strided
-    read, but BLAS may round a narrower product differently (OpenBLAS
-    does at B=1 for D_H = 2 or 3), and H must stay bitwise equal to the
-    per-step cell. The states go to a T x 2 x B x D_H buffer.
+    product h @ w_h goes into one 2 x B x 4D_H buffer, against the stored
+    weights, and its gate-major view, made once, is added to the step's
+    inputs straight into z. Products against per-gate D_H x D_H blocks
+    would save the strided read, but BLAS may round a narrower product
+    differently (OpenBLAS does at B=1 for D_H = 2 or 3), and H must stay
+    bitwise equal to the per-step cell. The states go to a T x 2 x B x D_H
+    buffer.
     """
-    lengths = np.asarray(lengths)
-    n, steps = lengths.size, int(lengths.max())
-    pos = np.arange(steps)
-    rows = np.arange(n)[:, None]
-    real = pos < lengths[:, None]                          # B x T
-    src = np.where(real, lengths[:, None] - 1 - pos, pos)  # its own inverse
-    dh = w_h_fw.shape[0]
+    n, steps = slots.shape
+    dh = wv.shape[1]
     dtype = source.dtype
-    pad_free = bool(real.all())
-    if pad_free:
+    grid = None
+    if min(lengths) == steps:
         # no pads (every B=1 request, most length-sorted eval chunks): one
         # row gather in reading order, then two transposed copies, the
         # backward direction reversed by a slice; the piece gather below
@@ -194,17 +203,20 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
         xg[:, :, 0] = full[:, :, 0].transpose(1, 2, 0, 3)
         xg[:, :, 1] = full[:, ::-1, 1].transpose(1, 2, 0, 3)
     else:  # one gather of D_H-wide pieces (row, direction, gate)
+        grid = rows, _, src = _reversal_grid(lengths, steps)
         both = np.stack([slots, slots[rows, src]]).transpose(2, 0, 1)  # T x 2 x B rows
         pieces = both[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
         xg = np.take(source.reshape(-1, dh), pieces, axis=0)
-    wv = np.stack([w_h_fw, w_h_bw])
-    half, one = dtype.type(0.5), dtype.type(1.0)  # numpy scalars dispatch faster than Python floats
+    half, one = np.array(0.5, dtype), np.array(1.0, dtype)  # 0-d arrays dispatch faster than any scalar
     acts = np.empty_like(xg)
     states = np.empty((steps, 2, n, dh), dtype=dtype)
+    prod = np.empty((2, n, 4 * dh), dtype=dtype)
+    prod_gates = prod.reshape(2, n, 4, dh).transpose(2, 0, 1, 3)
     h = c = np.zeros((2, n, dh), dtype=dtype)
     kept = []
     for t in range(steps):
-        z = np.add((h @ wv).reshape(2, n, 4, dh).transpose(2, 0, 1, 3), xg[t], out=acts[t])
+        np.matmul(h, wv, out=prod)
+        z = np.add(prod_gates, xg[t], out=acts[t])
         sig = z[:3]  # i, f, o
         sig *= half
         np.tanh(z, out=z)
@@ -217,8 +229,8 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, w_h_fw: np.ndarray, w_
         kept.append((z, c_prev, tc))
     out = np.empty((n, steps, 2 * dh), dtype=dtype)
     out[..., :dh] = states[:, 0].swapaxes(0, 1)
-    out[..., dh:] = states[::-1, 1].swapaxes(0, 1) if pad_free else states[src, 1, rows]
-    return out, (rows, src, wv, states, kept)
+    out[..., dh:] = states[::-1, 1].swapaxes(0, 1) if grid is None else states[src, 1, rows]
+    return out, (grid, states, kept)
 
 
 def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
@@ -237,7 +249,8 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     without pads has no pad row, so a lone token stays the one-row product
     it always was.
 
-    The VJP is backpropagation through time over the kept activations,
+    The VJP, which reuses the reversal grid of a padded batch's gather or
+    builds it, is backpropagation through time over the kept activations,
     cell states and tanh(c). The gate arithmetic of a step runs on a
     contiguous gate-major dz, which is then copied into a direction-major
     2 x B x T x 4D_H buffer. There dh_{t-1} is one GEMM per direction
@@ -250,21 +263,21 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     """
     xv = x.values
     lengths = np.asarray(lengths)
-    real = np.arange(lengths.max()) < lengths[:, None]
-    total = int(lengths.sum())
-    if xv.shape[0] != total + (not real.all()):
+    n, steps, total = lengths.size, int(lengths.max()), int(lengths.sum())
+    if xv.shape[0] != total + (total != n * steps):
         raise ContractError(f"{xv.shape[0]} packed rows for lengths summing to {total}")
-    slots = np.full(real.shape, total)  # pad slots read the pad row, last
-    slots[real] = np.arange(total)
+    slots = np.full((n, steps), total)  # pad slots read the pad row, last
+    slots[np.arange(steps) < lengths[:, None]] = np.arange(total)
+    wv = np.stack([fw.w_h.values, bw.w_h.values])
     proj = _input_projections(xv, fw, bw)
-    out, saved = _bilstm_states(proj, slots, fw.w_h.values, bw.w_h.values, lengths)
-    rows, src, wv, states, kept = saved
-    steps, _, n, dh = states.shape
+    out, (grid, states, kept) = _bilstm_states(proj, slots, wv, lengths)
+    dh = states.shape[-1]
     four_dh = 4 * dh
     dtype = xv.dtype
     one = dtype.type(1.0)
 
     def vjp(grad):
+        rows, real, src = grid or _reversal_grid(lengths, steps)
         w_t = np.swapaxes(wv, -1, -2)
         dstates = np.empty_like(states)
         dstates[:, 0] = grad[..., :dh].swapaxes(0, 1)
@@ -305,38 +318,44 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     return _result(out, "bilstm", (x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h), vjp)
 
 
-def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> np.ndarray | None:
-    """Every word's input projections of both directions, the |V| x 8D_H
-    `_input_projections` of the whole embedding, or None when any of the
-    five arrays it is made from (the embedding and both directions' w_x
-    and b) is writable. Built on first use and cached on `params`, keyed
-    on those arrays' identity; read-only arrays are taken as frozen, so
-    the table cannot go stale while it is used."""
+def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> tuple | None:
+    """The frozen model's encoder constants, (table, wv), or None when
+    any of the seven arrays they are made from (the embedding and both
+    directions' w_x, b and w_h) is writable. table is every word's input
+    projections of both directions, the |V| x 8D_H `_input_projections`
+    of the whole embedding, and wv the 2 x D_H x 4D_H stack of the
+    forward and backward w_h that `_bilstm_states` reads; both are
+    read-only. Built on first use and cached on `params`, keyed on those
+    seven arrays' identity; read-only arrays are taken as frozen, so
+    neither can go stale while it is used."""
     fw, bw = params.lstm_fw, params.lstm_bw
-    sources = (embedding.values, fw.w_x.values, fw.b.values, bw.w_x.values, bw.b.values)
+    sources = (embedding.values, fw.w_x.values, fw.b.values, bw.w_x.values, bw.b.values, fw.w_h.values, bw.w_h.values)
     if any(a.flags.writeable for a in sources):
         return None
     cached = params._projections
     if cached is None or any(a is not b for a, b in zip(cached[0], sources)):
-        table = _input_projections(embedding.values, fw, bw)
-        table.flags.writeable = False
-        params._projections = cached = (sources, table)
-    return cached[1]
+        table, wv = _input_projections(embedding.values, fw, bw), np.stack(sources[5:])
+        table.flags.writeable = wv.flags.writeable = False
+        params._projections = cached = (sources, table, wv)
+    return cached[1:]
 
 
-def token_id_array(seqs, lengths: np.ndarray, rows: int) -> np.ndarray:
+def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
     """The token ids of `seqs` (utterance b holds lengths[b] of them) in
     row-major order, as int64. A negative id would read from the end of
     a table and a fraction would be truncated, so an id that is not one
     of the embedding's `rows` rows raises ContractError naming its
-    utterance."""
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.float64, count=int(lengths.sum()))
+    utterance. The ids' minimum, maximum and integrality are checked
+    first; only a batch that fails them is searched for the first bad id."""
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.float64, count=int(sum(lengths)))
+    if not flat.size or (flat.min() >= 0 and flat.max() < rows):  # False on NaN: no cast below sees one
+        ids = flat.astype(np.int64)
+        if (ids == flat).all():
+            return ids
     good = (flat >= 0) & (flat < rows) & (flat == np.floor(flat))
-    if not good.all():
-        k = int(np.argmin(good))
-        utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
-        raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {rows}-row embedding")
-    return flat.astype(np.int64)
+    k = int(np.argmin(good))
+    utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
+    raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {rows}-row embedding")
 
 
 def _dropout(x: Tensor, keep: np.ndarray) -> Tensor:
@@ -356,8 +375,9 @@ def encode_tokens(
     rng: np.random.Generator | None = None,
 ):
     """Encode a batch: a list of token-id sequences, padded to the longest
-    with `pad_id` (needed only when lengths differ). An id that is not a
-    row of the embedding raises ContractError naming its utterance.
+    with `pad_id` (needed, and checked, only when lengths differ). A token
+    id that is not a row of the embedding raises ContractError naming its
+    utterance, and so does a needed `pad_id` naming itself.
 
     Only the real tokens' rows are gathered, packed in row-major order,
     plus the pad row once when the batch has pads; their projections are
@@ -366,14 +386,15 @@ def encode_tokens(
     position and dimension, B x T x D_W as for a padded batch, and keeps
     the real positions' draws.
 
-    On frozen weights (the embedding and both directions' w_x and b all
-    read-only, as `load_model` leaves them), with no graph recorded (not
-    training, under `no_grad`) and at least two tokens, the step layout
-    is gathered straight from `_projection_table` by token id, pad slots
-    reading the pad id's row, in place of the word vectors' gather, two
-    GEMMs and the packed rows. A GEMM's rows do not depend on how many
-    rows it has, from 2 up, so H is bitwise the same; a lone token (B=1,
-    T=1) keeps its one-row product.
+    On frozen weights (the embedding and both directions' w_x, b and w_h
+    all read-only, as `load_model` leaves them), with no graph recorded
+    (not training, under `no_grad`) and at least two tokens, the step
+    layout is gathered straight from `_projection_table` by token id, pad
+    slots reading the pad id's row, in place of the word vectors' gather,
+    two GEMMs and the packed rows, and the recurrence reads its cached w_h
+    stack. A GEMM's rows do not depend on how many rows it has, from 2 up,
+    so H is bitwise the same; a lone token (B=1, T=1) keeps its one-row
+    product.
 
     Returns (H, mask): H is B x T x 2D_H, the forward and backward LSTM
     states per position, and mask marks the real positions. The backward
@@ -382,26 +403,30 @@ def encode_tokens(
     unspecified; `attend` masks them out.
     """
     seqs = [list(s) for s in token_batch]
-    if not seqs or any(len(s) == 0 for s in seqs):
+    lengths = [len(s) for s in seqs]
+    if not lengths or min(lengths) == 0:
         raise ContractError("every utterance must have at least one token")
-    lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
-    t_max = int(lengths.max())
-    padded = bool((lengths != t_max).any())
+    t_max = max(lengths)
+    padded = min(lengths) != t_max
+    rows = embedding.shape[0]
     if padded and pad_id is None:
         raise ContractError("ragged batches need a pad_id")
-    ids = token_id_array(seqs, lengths, embedding.shape[0])
-    mask = np.arange(t_max)[None, :] < lengths[:, None]  # B x T
+    if padded and not (isinstance(pad_id, (int, np.integer)) and 0 <= pad_id < rows):
+        raise ContractError(f"pad_id {pad_id!r} is not a row of the {rows}-row embedding")
+    ids = token_id_array(seqs, lengths, rows)
+    mask = np.arange(t_max) < np.array(lengths)[:, None]  # B x T
 
     fw, bw = params.lstm_fw, params.lstm_bw
     if not training and not _grad_enabled() and ids.size >= 2:
-        table = _projection_table(embedding, params)
-        if table is not None:
+        frozen = _projection_table(embedding, params)
+        if frozen is not None:
+            table, wv = frozen
             if padded:
                 slots = np.full(mask.shape, pad_id, dtype=np.int64)
                 slots[mask] = ids
             else:
                 slots = ids.reshape(mask.shape)
-            big_h, _ = _bilstm_states(table, slots, fw.w_h.values, bw.w_h.values, lengths)
+            big_h, _ = _bilstm_states(table, slots, wv, lengths)
             return Tensor(big_h), mask
 
     x = embedding.take_rows(np.append(ids, pad_id) if padded else ids)  # sum(lengths) [+ 1] x D_W

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, no_grad
+from .autodiff import ContractError, Tensor
 from .detection import RoutingTrace, activation_norms, dynamic_routing
 
 
@@ -82,8 +82,7 @@ def classify_emerging_batch(u, iterations: int):
     """Route emerging predictions u (B x L x R x D_P) into activation
     vectors n (B x L x D_P); returns (winner ids, n), ties going to the
     lowest id."""
-    with no_grad():
-        n = dynamic_routing(Tensor(np.asarray(u)), iterations).v_final.values
+    n = dynamic_routing(Tensor(np.asarray(u)), iterations).v_final.values  # a leaf input records no graph
     return activation_norms(n).argmax(axis=-1), n
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_EMERGING, TOY_EXISTING, toy_config
+from conftest import TOY_EMERGING, TOY_EXISTING, _adam_threads, toy_config
 import refops as ops
 
 from capsnlu.autodiff import ContractError, NumericError, Tensor, no_grad
@@ -372,7 +372,7 @@ class TestAdam:
             with pytest.raises(RuntimeError, match="forward failed"):
                 with opt.rows_step(table, [1, 4]):
                     raise RuntimeError("forward failed")
-            assert opt.t == 0 and opt._pass.done() and opt._executor._work_queue.empty()
+            assert opt.t == 0 and opt._pass.done()  # every submit goes through _pass, so none is queued
             assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
             with opt.rows_step(table, [1, 4]) as leaf:
                 ops.sum(leaf).backward()
@@ -386,9 +386,10 @@ class TestAdam:
         opt.close()  # no rows step ran, so no thread was started
         assert threading.active_count() == before
         opt = Adam([("table", table)], lr=1e-3)
+        others = _adam_threads()
         with opt.rows_step(table, [1]) as leaf:
             ops.sum(leaf).backward()
-        (worker,), done = opt._executor._threads, []
+        (worker,), done = _adam_threads() - others, []
         assert worker.is_alive() and threading.active_count() == before + 1
         opt._executor.submit(lambda: (time.sleep(0.05), done.append(True)))
         opt.close()
@@ -647,15 +648,14 @@ class TestTrainThreads:
                 with super().rows_step(param, rows) as leaf:
                     yield leaf
                 keys.append(sorted(vars(self)))
-                (worker,) = self._executor._threads
-                idle = self._pass.done() and self._executor._work_queue.empty()
+                (worker,) = adam_threads = list(_adam_threads())
+                idle = self._pass.done()  # every submit goes through _pass
                 held = list(vars(worker).values())
                 frame = sys._current_frames()[worker.ident]
                 while frame is not None:
                     held += frame.f_locals.values()
                     frame = frame.f_back
                 holds_leaf = any(isinstance(x, Tensor) for x in held)
-                adam_threads = [w for w in threading.enumerate() if w.name.startswith("adam-rows-step")]
                 workers.append((worker, adam_threads, idle, holds_leaf))
 
         monkeypatch.setattr(harness, "Adam", Recorded)

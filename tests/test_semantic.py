@@ -1,9 +1,10 @@
 import contextlib
+import re
 
 import numpy as np
 import pytest
 
-from capsnlu import autodiff, detection, harness, zeroshot
+from capsnlu import autodiff, detection, harness
 from capsnlu.autodiff import (
     ContractError,
     DegenerateRowError,
@@ -16,7 +17,7 @@ from capsnlu.config import RunConfig
 from capsnlu import model as model_module
 from capsnlu import semantic
 from capsnlu.data import EmbeddingTable
-from capsnlu.detection import init_detection_params
+from capsnlu.detection import activation_norms, init_detection_params
 from capsnlu.harness import batch_loss, build_tiny_setup, evaluate, zsl_evaluate
 from capsnlu.model import ModelParams, forward_batch, init_model
 from capsnlu.semantic import (
@@ -29,6 +30,7 @@ from capsnlu.semantic import (
     orthogonality_penalty,
     semantic_vectors,
 )
+from capsnlu.zeroshot import classify_emerging_batch, intent_similarity, vote_vectors, zero_shot_prediction_vectors
 import refops as ops
 
 
@@ -90,6 +92,16 @@ class TestInit:
         assert params.w_s1.shape == (3, 8) and params.w_s2.shape == (2, 3)
 
 
+def _tiny_model(frozen: bool):
+    """`build_tiny_setup(0)`, its parameter arrays read-only when `frozen`
+    so that a forward under `no_grad` takes the projection table."""
+    model, cfg, tokens, label = build_tiny_setup(0)
+    if frozen:
+        for _, t in model.trainable():
+            t.values.flags.writeable = False
+    return model, cfg, tokens, label
+
+
 class TestBilstmEncode:
     def test_zero_weights_zero_states(self):
         params = zero_params(word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
@@ -130,13 +142,40 @@ class TestBilstmEncode:
             h[:, 1:], ref_lstm(xs[::-1], w_x, w_h, b)[::-1], rtol=1e-12
         )
 
-    @pytest.mark.parametrize("bad", [-1, 10, 1.5])
-    def test_token_id_outside_the_embedding_is_named(self, bad):
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+    @pytest.mark.parametrize("bad", [-1, 10, 1.5, np.nan, np.inf, -np.inf, 1e300])
+    def test_token_id_outside_the_embedding_is_named(self, bad, frozen):
         # -1 would read the pad row, 10 raise a bare IndexError and 1.5 be
-        # truncated to row 1
-        model, cfg, tokens, _ = build_tiny_setup(0)
-        with pytest.raises(ContractError, match=f"utterance 1 has token id {bad},"):
-            forward_batch(model, [tokens, [3, bad, 2]], cfg)
+        # truncated to row 1; NaN fails every comparison of the first check
+        model, cfg, tokens, _ = _tiny_model(frozen)
+        with no_grad() if frozen else contextlib.nullcontext():
+            with pytest.raises(ContractError, match=re.escape(f"utterance 1 has token id {bad},")):
+                forward_batch(model, [tokens, [3, bad, 2]], cfg)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+    def test_token_ids_of_other_types_read_their_rows(self, frozen):
+        # -0.0 passes the check as row 0, True as row 1, numpy ints as themselves
+        model, cfg, tokens, _ = _tiny_model(frozen)
+        odd = [3, -0.0, True, np.int64(2), np.int32(7)]
+        assert semantic.token_id_array([odd], np.array([5]), 10).tolist() == [3, 0, 1, 2, 7]
+        with no_grad() if frozen else contextlib.nullcontext():
+            got = forward_batch(model, [odd, tokens], cfg).trace.v_final.values
+            want = forward_batch(model, [[3, 0, 1, 2, 7], tokens], cfg).trace.v_final.values
+        assert got.tobytes() == want.tobytes()
+        assert (model.semantic._projections is not None) == frozen
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+    @pytest.mark.parametrize("bad", [10, 10**6, 2.5, -1])
+    def test_pad_id_outside_the_embedding_is_named(self, bad, frozen):
+        # 10 and 10**6 raised a bare IndexError (the table path a piece
+        # index), 2.5 was refused by take_rows or truncated to row 2, and -1
+        # read the last row
+        model, _, _, _ = _tiny_model(frozen)
+        with no_grad() if frozen else contextlib.nullcontext():
+            with pytest.raises(ContractError, match=re.escape(f"pad_id {bad!r} is not a row of the 10-row embedding")):
+                encode_tokens([[0, 1, 2], [3]], model.embedding, model.semantic, pad_id=bad)
+            # a batch without pads never reads the pad id
+            encode_tokens([[0, 1, 2], [3, 4, 5]], model.embedding, model.semantic, pad_id=bad)
 
     def test_random_batch_matches_oracle_per_sequence(self):
         rng = np.random.default_rng(7)
@@ -464,12 +503,12 @@ class TestFusedRecurrence:
         source = rng.normal(size=(rows + 1, 8 * dh)).astype(dtype)  # the last row is the pad row
         w_fw, w_bw = (rng.normal(scale=0.3, size=(dh, 4 * dh)).astype(dtype) for _ in range(2))
         slots = rng.integers(0, rows, size=(batch, steps))
-        got, _ = semantic._bilstm_states(source, slots, w_fw, w_bw, np.full(batch, steps))
+        got, _ = semantic._bilstm_states(source, slots, np.stack([w_fw, w_bw]), np.full(batch, steps))
         # one longer utterance puts pads in every other row
         padded = np.full((batch + 1, steps + 3), rows)
         padded[:batch, :steps] = slots
         padded[batch] = rng.integers(0, rows, size=steps + 3)
-        want, _ = semantic._bilstm_states(source, padded, w_fw, w_bw, [steps] * batch + [steps + 3])
+        want, _ = semantic._bilstm_states(source, padded, np.stack([w_fw, w_bw]), [steps] * batch + [steps + 3])
         assert got.shape == (batch, steps, 2 * dh)
         assert got.tobytes() == np.ascontiguousarray(want[:batch, :steps]).tobytes()
 
@@ -628,8 +667,8 @@ class TestFusedRecurrence:
                 return out
 
             monkeypatch.setattr(module, "_result", recording)
-        for module in (harness, zeroshot):
-            monkeypatch.setattr(module, "no_grad", contextlib.nullcontext)
+        # zeroshot routes a leaf of u, which records no graph without no_grad
+        monkeypatch.setattr(harness, "no_grad", contextlib.nullcontext)
         evaluate(model, existing, cfg)
         zsl_evaluate(model, emerging, table.intent_vectors, cfg)
         seen = set(recorded) - {""}
@@ -688,13 +727,22 @@ def _encode(model, seqs, **kwargs):
 class TestProjectionTable:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_frozen_forward_bitwise_equal_to_writable(self, dtype):
+        # the whole request: the forward, the existing intent's norms, then
+        # the zero-shot head's votes, u, and the emerging winners and n
         cfg = RunConfig()
+        rng = np.random.default_rng(8)
+        q = intent_similarity(rng.normal(size=(2, 6)), rng.normal(size=(5, 6)), 1.5).q
         for shape, kwargs in RECURRENCE_SHAPES.items():
             live, seqs = _bench_model(dtype, **kwargs)
             frozen, _ = _bench_model(dtype, frozen=True, **kwargs)
+            heads = []
             with no_grad():
                 got_h, want_h = _encode(frozen, seqs), _encode(live, seqs)
                 got, want = forward_batch(frozen, seqs, cfg), forward_batch(live, seqs, cfg)
+                for fwd in (got, want):
+                    g = vote_vectors(fwd.trace, fwd.P)
+                    u = zero_shot_prediction_vectors(q, g)
+                    heads.append((activation_norms(fwd.trace.v_final), g, u, *classify_emerging_batch(u, 3)))
             # a lone token keeps the one-row product the graph path computes
             assert (frozen.semantic._projections is None) == (shape == "B=1, T=1"), shape
             assert live.semantic._projections is None
@@ -703,6 +751,8 @@ class TestProjectionTable:
             for name in ("A", "P", "penalty"):
                 assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), (shape, name)
             assert got.trace.v_final.values.tobytes() == want.trace.v_final.values.tobytes(), shape
+            for name, a, b in zip(("norms", "votes", "u", "winners", "n"), *heads):
+                assert a.shape[0] == len(seqs) and a.tobytes() == b.tobytes(), (shape, name)
 
     def test_eval_forward_computes_the_penalty_on_first_read(self, monkeypatch):
         model, seqs = _bench_model(np.float32, frozen=True)
@@ -746,8 +796,11 @@ class TestProjectionTable:
             table = model.semantic._projections[1]
             _encode(model, seqs[:5])
         assert builds == [model.embedding.shape[0]]  # one build, over the whole vocabulary
-        assert model.semantic._projections[1] is table
-        assert not table.flags.writeable
+        _, cached, wv = model.semantic._projections
+        assert cached is table
+        assert not table.flags.writeable and not wv.flags.writeable
+        fw, bw = model.semantic.lstm_fw, model.semantic.lstm_bw
+        assert wv.tobytes() == np.stack([fw.w_h.values, bw.w_h.values]).tobytes()
 
     def test_table_rebuilt_when_an_array_is_replaced(self):
         model, seqs = _bench_model(np.float64, frozen=True)
@@ -763,6 +816,23 @@ class TestProjectionTable:
         assert model.semantic._projections[1] is not table
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("direction", ["lstm_fw", "lstm_bw"])
+    def test_table_and_stack_rebuilt_when_a_w_h_is_replaced(self, direction):
+        # w_h is no part of the table, but the cached stack is read from it
+        model, seqs = _bench_model(np.float64, frozen=True)
+        live, _ = _bench_model(np.float64)
+        with no_grad():
+            _encode(model, seqs)
+            _, table, wv = model.semantic._projections
+            for m in (model, live):
+                w_h = getattr(m.semantic, direction).w_h
+                w_h.values = w_h.values * 0.5
+            getattr(model.semantic, direction).w_h.values.flags.writeable = False
+            got, want = _encode(model, seqs), _encode(live, seqs)
+        _, new_table, new_wv = model.semantic._projections
+        assert new_table is not table and new_wv is not wv and not new_wv.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
     def test_table_unused_while_recording_or_on_writable_arrays(self):
         model, seqs = _bench_model(np.float32, frozen=True)
         live, _ = _bench_model(np.float32)
@@ -772,7 +842,7 @@ class TestProjectionTable:
             got = _encode(model, seqs, training=True, dropout_keep=1.0)
         assert got.tobytes() == want.tobytes()
         fw, bw = model.semantic.lstm_fw, model.semantic.lstm_bw
-        for t in (model.embedding, fw.w_x, fw.b, bw.w_x, bw.b):
+        for t in (model.embedding, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h):
             t.values.flags.writeable = True
             with no_grad():
                 assert _encode(model, seqs).tobytes() == want.tobytes()
