@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -145,15 +146,16 @@ def _parse_value(name: str, raw: str):
 
 def load_config(path) -> RunConfig:
     """Parse `key=value` lines of UTF-8 text, a leading byte-order mark
-    dropped; `#` starts a comment. A file that is not UTF-8 raises
-    ContractError naming it."""
+    dropped; `#` starts a comment, and lines end only at LF, CRLF or CR,
+    so a comment may hold FF, U+0085 or U+2028. A file that is not UTF-8
+    raises ContractError naming it."""
     cfg = RunConfig()
     path = Path(path)
     try:
         content = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not UTF-8 text") from exc
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

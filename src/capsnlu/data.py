@@ -9,7 +9,6 @@ turns a RunConfig into a run's table and corpora.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import re
@@ -171,18 +170,18 @@ def _parse_rows(path: Path, pending: list[str], linenos: list[int], dtype) -> np
         return block.astype(dtype, copy=False)
 
 
-def _lines_before_undecodable(path: Path, after: int) -> tuple[list, int]:
-    """The (lineno, line) pairs after line `after` and before the first
-    line of `path` that holds a byte that is not UTF-8, and that line's
-    number. Lines break as in text mode."""
-    rest = []
+def _text_lines(path: Path):
+    """Yield (lineno, line) over the lines of `path` as UTF-8 text, from 1.
+    Lines end only at LF, CRLF or CR (each read as "\\n"), and a leading
+    byte-order mark is dropped. A line that holds a byte that is not
+    UTF-8 raises ParseError naming it."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno > after:
-                if _UNDECODED.search(line):
-                    break
-                rest.append((lineno, line))
-    return rest, lineno
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
+            if not line.isascii() and _UNDECODED.search(line):
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line
 
 
 def load_embeddings(
@@ -207,14 +206,13 @@ def load_embeddings(
     ("1_0") and non-ASCII digits, and it takes the ASCII separators
     U+001C..U+001F around a value as whitespace. A non-numeric or
     non-finite value (nan, inf, or one the dtype overflows) raises
-    ParseError on a kept line and is ignored on a dropped one; errors
-    name the first bad line in file order. Lines break only at LF, CRLF
-    or CR, not at the other separators of `str.splitlines` (U+2028,
-    U+0085, VT, FF, FS/GS/RS), so a word may contain those. The OOV
-    vector is drawn uniformly from [-0.5/D, 0.5/D] with the run seed;
-    PAD is zero. A kept line whose word is one of those two reserved
-    names raises ParseError, and so does a byte that is not UTF-8 on any
-    line, kept or dropped. A leading byte-order mark is dropped.
+    ParseError on a kept line and is ignored on a dropped one. A kept
+    line whose word is the reserved `<oov>` or `<pad>` raises ParseError,
+    and so does a byte that is not UTF-8 on any line, kept or dropped;
+    errors name the first bad line in file order. Lines are read by
+    `_text_lines`, so a word may hold U+2028, U+0085, VT, FF or FS/GS/RS.
+    The OOV vector is drawn uniformly from [-0.5/D, 0.5/D] with the run
+    seed; PAD is zero.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -223,54 +221,40 @@ def load_embeddings(
     linenos: list[int] = []
 
     def flush():
-        if pending:
-            blocks.append(_parse_rows(path, pending, linenos, dtype))
-            pending.clear()
-            linenos.clear()
+        nonlocal pending, linenos
+        if pending:  # cleared before the parse, so a failed chunk is not parsed again
+            chunk, at, pending, linenos = pending, linenos, [], []
+            blocks.append(_parse_rows(path, chunk, at, dtype))
 
-    undecodable = None  # the UnicodeDecodeError, once the first bad byte's line is known
-    with open(path, "r", encoding="utf-8") as fh:
-        lines, lineno = enumerate(fh, start=1), 0
-        while lines is not None:
-            try:
-                for lineno, line in lines:
-                    if lineno == 1:
-                        line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first word
-                    if line.isspace() or (lineno == 1 and _is_header(line)):
-                        continue
-                    fields = line.rstrip("\n")
-                    if fields.count(" ") != expected_dim:
-                        # some vector files use general whitespace; normalise it
-                        fields = " ".join(line.split())
-                        if fields.count(" ") != expected_dim:
-                            flush()  # a bad value on an earlier kept line is reported first
-                            raise ParseError(
-                                f"{path}:{lineno}: expected a word and {expected_dim} values, "
-                                f"got {fields.count(' ') + 1} fields"
-                            )
-                    word, _, values = fields.partition(" ")
-                    if word in vocab or (restrict_to is not None and word not in restrict_to):
-                        continue  # first occurrence wins
-                    if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
-                        flush()
-                        raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
-                    if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
-                        flush()
-                        raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
-                    pending.append(values)
-                    linenos.append(lineno)
-                    vocab[word] = len(vocab)
-                    if len(pending) == _PARSE_ROWS:
-                        flush()
-                lines = None
-            except UnicodeDecodeError as exc:
-                # the decoder reads ahead of the lines handed out: take the
-                # lines before the bad byte's, then name that line
-                undecodable = exc
-                lines, bad_lineno = _lines_before_undecodable(path, lineno)
+    try:
+        for lineno, line in _text_lines(path):
+            if line.isspace() or (lineno == 1 and _is_header(line)):
+                continue
+            fields = line.rstrip("\n")
+            if fields.count(" ") != expected_dim:
+                # some vector files use general whitespace; normalise it
+                fields = " ".join(line.split())
+                if fields.count(" ") != expected_dim:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected a word and {expected_dim} values, "
+                        f"got {fields.count(' ') + 1} fields"
+                    )
+            word, _, values = fields.partition(" ")
+            if word in vocab or (restrict_to is not None and word not in restrict_to):
+                continue  # first occurrence wins
+            if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
+                raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
+            if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
+                raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
+            pending.append(values)
+            linenos.append(lineno)
+            vocab[word] = len(vocab)
+            if len(pending) == _PARSE_ROWS:
+                flush()
+    except ParseError:
+        flush()  # a bad value on an earlier kept line is reported first
+        raise
     flush()
-    if undecodable is not None:
-        raise ParseError(f"{path}:{bad_lineno}: not UTF-8 text") from undecodable
 
     if not blocks:
         raise EmptySourceError(f"{path}: no embedding records")
@@ -345,19 +329,11 @@ def iter_snips_records(root):
 
 def iter_tsv_records(path):
     """Yield (utterance, intent, location) from `utterance<TAB>intent` lines
-    of UTF-8 text, a leading byte-order mark dropped; lines end at LF,
-    CRLF or CR. A byte that is not UTF-8 raises ParseError naming its
-    line."""
+    read by `_text_lines`. The file is streamed: the records before the
+    first bad line in file order are yielded, then ParseError names it."""
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        before = io.StringIO(exc.object[: exc.start].decode("utf-8"), newline=None).getvalue()
-        lineno = before.count("\n") + 1
-        raise ParseError(f"{path}:{lineno}: not UTF-8 text") from exc
     any_row = False
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, line in _text_lines(path):
         if line.isspace():
             continue
         cols = line.rstrip("\n").split("\t")

@@ -52,6 +52,7 @@ bitwise those of that graph.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,17 +346,34 @@ def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
     row-major order, as int64. A negative id would read from the end of
     a table and a fraction would be truncated, so an id that is not one
     of the embedding's `rows` rows raises ContractError naming its
-    utterance. The ids' minimum, maximum and integrality are checked
-    first; only a batch that fails them is searched for the first bad id."""
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.float64, count=int(sum(lengths)))
-    if not flat.size or (flat.min() >= 0 and flat.max() < rows):  # False on NaN: no cast below sees one
-        ids = flat.astype(np.int64)
-        if (ids == flat).all():
+    utterance, and so does one that is not a real number (a string would
+    parse as a number), naming it as given. The ids' type, minimum,
+    maximum and integrality are checked first; only a batch that fails
+    them is searched for the first bad id."""
+    flat = list(itertools.chain.from_iterable(seqs))
+    try:
+        values = np.array(flat)
+    except ValueError:  # sequences of different lengths among the ids
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
+        for k, v in enumerate(flat):
+            if not isinstance(v, numbers.Real):
+                raise ContractError(f"utterance {_utterance_at(lengths, k)} has token id {v!r}, not a real number")
+        values = np.fromiter(flat, dtype=np.float64, count=len(flat))  # ints past int64, Fractions
+    if not values.size or (values.min() >= 0 and values.max() < rows):  # False on NaN: no cast below sees one
+        ids = values.astype(np.int64, copy=False)
+        if (ids == values).all():
             return ids
-    good = (flat >= 0) & (flat < rows) & (flat == np.floor(flat))
-    k = int(np.argmin(good))
-    utt = int(np.searchsorted(np.cumsum(lengths), k, side="right"))
-    raise ContractError(f"utterance {utt} has token id {flat[k]:.15g}, not a row of the {rows}-row embedding")
+    values = values.astype(np.float64, copy=False)
+    k = int(np.argmin((values >= 0) & (values < rows) & (values == np.floor(values))))
+    raise ContractError(
+        f"utterance {_utterance_at(lengths, k)} has token id {values[k]:.15g}, not a row of the {rows}-row embedding"
+    )
+
+
+def _utterance_at(lengths, k: int) -> int:
+    """The utterance that holds the k-th id of the flattened batch."""
+    return int(np.searchsorted(np.cumsum(lengths), k, side="right"))
 
 
 def _dropout(x: Tensor, keep: np.ndarray) -> Tensor:

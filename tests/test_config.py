@@ -173,6 +173,17 @@ class TestConfigFile:
         cfg = load_config(p)
         assert (cfg.epochs, cfg.seed) == (3, 5)
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028"], ids=["ff", "fs", "nel", "ls"])
+    def test_separator_in_a_comment_keeps_line_numbers(self, tmp_path, sep):
+        # str.splitlines broke the comment in two, so its second half
+        # failed as line 2 and every later line number shifted by one
+        p = tmp_path / "run.cfg"
+        p.write_text(f"# a comment{sep}that goes on\nepochs = 3\n", encoding="utf-8")
+        assert load_config(p).epochs == 3
+        p.write_text(f"# a comment{sep}that goes on\nepochs = 3\nseed 5\n", encoding="utf-8")
+        with pytest.raises(ContractError, match=f"{p}:3: expected key=value"):
+            load_config(p)
+
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), {"epochs": "3", "sigma": "2.5"})
         assert cfg.epochs == 3 and cfg.sigma == 2.5

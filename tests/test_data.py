@@ -15,6 +15,7 @@ from capsnlu.data import (
     ParseError,
     dataset_words,
     intent_embedding,
+    iter_tsv_records,
     load_dataset,
     load_embeddings,
     load_inputs,
@@ -448,7 +449,8 @@ class TestLoadTsv:
         ex, _ = load_dataset(p, ["PlayMusic"], [], table)
         assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
 
-    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    # the last head has no mark: it puts line 3 past the decoder's first 8 KiB
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf", b"play " * 2000])
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_non_utf8_byte_names_its_line(self, tmp_path, table, end, bom):
         # found by tests/test_fuzz_datasets.py: it escaped as a bare UnicodeDecodeError
@@ -457,6 +459,23 @@ class TestLoadTsv:
         p.write_bytes(bom + lines + b"caf\xe9\tPlayMusic\n")
         with pytest.raises(ParseError, match=r"toy\.tsv:3: not UTF-8 text"):
             load_dataset(p, ["PlayMusic", "GetWeather"], [], table)
+
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path, table):
+        # the whole file was decoded before any line was read, so the
+        # non-UTF-8 byte on line 3 was named instead of line 2's columns
+        p = tmp_path / "toy.tsv"
+        p.write_bytes(b"play music\tPlayMusic\nget\tweather\tGetWeather\ncaf\xe9\tPlayMusic\n")
+        with pytest.raises(ParseError, match=r"toy\.tsv:2: expected 2 tab-separated columns, got 3"):
+            load_dataset(p, ["PlayMusic", "GetWeather"], [], table)
+
+    def test_records_before_a_non_utf8_byte_are_streamed(self, tmp_path):
+        p = tmp_path / "toy.tsv"
+        p.write_bytes(b"play music\tPlayMusic\r\nget weather\tGetWeather\rcaf\xe9\tPlayMusic\n")
+        records = iter_tsv_records(p)
+        assert next(records) == ("play music", "PlayMusic", f"{p}:1")
+        assert next(records) == ("get weather", "GetWeather", f"{p}:2")
+        with pytest.raises(ParseError, match=r"toy\.tsv:3: not UTF-8 text"):
+            next(records)
 
     def test_byte_order_mark_is_dropped(self, tmp_path, table):
         # it used to stay on the first word, which then read as OOV

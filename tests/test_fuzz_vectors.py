@@ -6,8 +6,12 @@ test, and so does any warning (pytest runs with warnings as errors).
 The files mix headers, duplicates, whitespace variants, blank lines,
 short and long rows, empty, non-numeric and non-finite values and the
 reserved words, bytes that are not UTF-8 and a leading byte-order mark,
-at expected_dim 1-3, with and without `restrict_to`.
+at expected_dim 1-3, with and without `restrict_to`. An error names no
+line past the first one that holds a byte that is not UTF-8, and names
+that line only as not UTF-8 text.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from capsnlu.data import OOV_TOKEN, PAD_TOKEN, EmptySourceError, ParseError, loa
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-WORDS = ["a", "b", "the", "x y", OOV_TOKEN, PAD_TOKEN]
+WORDS = ["a", "b", "the", "x y", "caf\udce9", OOV_TOKEN, PAD_TOKEN]
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
     st.integers(-5, 5).map(str),
@@ -55,10 +59,19 @@ def test_vector_file_loads_or_fails_by_name(tmp_path_factory, case):
     dim, text, restrict = case
     path = tmp_path_factory.getbasetemp() / "fuzz_vectors.txt"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    # lines end at LF, CRLF or CR; the first one holding a byte that is not UTF-8
+    lines = re.split("\r\n|\r|\n", text)
+    first_bad = next((n for n, line in enumerate(lines, start=1) if re.search("[\udc80-\udcff]", line)), None)
     try:
         table = load_embeddings(path, expected_dim=dim, seed=0, restrict_to=restrict)
-    except (ParseError, EmptySourceError):
+    except (ParseError, EmptySourceError) as exc:
+        named = re.search(r":(\d+): ", str(exc))
+        line = int(named.group(1)) if named else None
+        # no line past the first bad byte's is named, and that one only as not UTF-8
+        assert line is None or first_bad is None or line <= first_bad, exc
+        assert ("not UTF-8 text" in str(exc)) == (line is not None and line == first_bad), exc
         return
+    assert first_bad is None
     rows = table.vectors.shape[0]
     assert table.vectors.shape == (rows, dim)
     assert len(table.vocab) == rows

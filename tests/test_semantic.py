@@ -1,5 +1,6 @@
 import contextlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,6 +152,30 @@ class TestBilstmEncode:
         with no_grad() if frozen else contextlib.nullcontext():
             with pytest.raises(ContractError, match=re.escape(f"utterance 1 has token id {bad},")):
                 forward_batch(model, [tokens, [3, bad, 2]], cfg)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["3", b"3", " 4 ", "1e0", None, 1 + 2j, object(), [2]],
+        ids=["str", "bytes", "spaced", "exponent", "none", "complex", "object", "list"],
+    )
+    def test_token_id_that_is_not_a_real_number_is_named(self, bad, frozen):
+        # strings and bytes were parsed as numbers and read rows 3, 3, 4
+        # and 1; None read as "token id nan"; a complex number or a plain
+        # object escaped as a bare TypeError
+        model, cfg, tokens, _ = _tiny_model(frozen)
+        want = re.escape(f"utterance 1 has token id {bad!r}, not a real number")
+        with pytest.raises(ContractError, match=want):
+            semantic.token_id_array([tokens, [3, bad, 2]], [len(tokens), 3], 10)
+        with no_grad() if frozen else contextlib.nullcontext():
+            with pytest.raises(ContractError, match=want):
+                forward_batch(model, [tokens, [3, bad, 2]], cfg)
+
+    def test_token_ids_numpy_holds_as_objects_read_as_numbers(self):
+        # a Fraction is a real number and reads its row; an int past int64 is named as before
+        assert semantic.token_id_array([[Fraction(3, 1), 1]], [2], 10).tolist() == [3, 1]
+        with pytest.raises(ContractError, match=re.escape("utterance 0 has token id 1e+30, not a row")):
+            semantic.token_id_array([[1, 10**30]], [2], 10)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
     def test_token_ids_of_other_types_read_their_rows(self, frozen):
