@@ -9,6 +9,7 @@ turns a RunConfig into a run's table and corpora.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import re
@@ -29,7 +30,8 @@ PAD_TOKEN = "<pad>"
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
 _PARSE_ROWS = 1024  # kept vector rows per numpy parse call
-_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, under surrogateescape
+_UNDECODED = "\udcff"  # what _text_lines decodes each run of bytes that is not UTF-8 to
+codecs.register_error("capsnlu.undecoded", lambda exc: (_UNDECODED, exc.end))
 
 
 class ParseError(ValueError):
@@ -175,11 +177,13 @@ def _text_lines(path: Path):
     Lines end only at LF, CRLF or CR (each read as "\\n"), and a leading
     byte-order mark is dropped. A line that holds a byte that is not
     UTF-8 raises ParseError naming it."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8", errors="capsnlu.undecoded") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1:
                 line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
-            if not line.isascii() and _UNDECODED.search(line):
+                if not line:  # the mark was all the file held
+                    return
+            if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
                 raise ParseError(f"{path}:{lineno}: not UTF-8 text")
             yield lineno, line
 

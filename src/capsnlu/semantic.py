@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -347,9 +348,10 @@ def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
     a table and a fraction would be truncated, so an id that is not one
     of the embedding's `rows` rows raises ContractError naming its
     utterance, and so does one that is not a real number (a string would
-    parse as a number), naming it as given. The ids' type, minimum,
-    maximum and integrality are checked first; only a batch that fails
-    them is searched for the first bad id."""
+    parse as a number), naming it as given; a Decimal reads as a number.
+    The ids' type, minimum, maximum and integrality are checked first;
+    only a batch that fails them is searched, and it names its first id
+    that is not a real number, if any, before its first other bad id."""
     flat = list(itertools.chain.from_iterable(seqs))
     try:
         values = np.array(flat)
@@ -357,9 +359,9 @@ def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
         values = None
     if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
         for k, v in enumerate(flat):
-            if not isinstance(v, numbers.Real):
+            if not isinstance(v, (numbers.Real, Decimal)):
                 raise ContractError(f"utterance {_utterance_at(lengths, k)} has token id {v!r}, not a real number")
-        values = np.fromiter(flat, dtype=np.float64, count=len(flat))  # ints past int64, Fractions
+        values = np.fromiter(flat, dtype=np.float64, count=len(flat))  # ints past int64, Fractions, Decimals
     if not values.size or (values.min() >= 0 and values.max() < rows):  # False on NaN: no cast below sees one
         ids = values.astype(np.int64, copy=False)
         if (ids == values).all():

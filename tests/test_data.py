@@ -86,6 +86,13 @@ class TestLoadEmbeddings:
         with pytest.raises(EmptySourceError):
             load_embeddings(p, expected_dim=2)
 
+    def test_byte_order_mark_alone_is_an_empty_file(self, tmp_path):
+        # the mark was read as a one-field row: "expected a word and 2 values, got 1 fields"
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(EmptySourceError, match=r"v\.txt: no embedding records"):
+            load_embeddings(p, expected_dim=2)
+
     def test_header_detected_and_skipped(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "2 3\na 1 2 3\nb 4 5 6\n")
         table = load_embeddings(p, expected_dim=3)
@@ -483,6 +490,12 @@ class TestLoadTsv:
         p.write_text("play music\tPlayMusic\n", encoding="utf-8-sig")
         ex, _ = load_dataset(p, ["PlayMusic"], [], table)
         assert ex.samples == [([table.vocab["play"], table.vocab["music"]], 0)]
+
+    def test_byte_order_mark_alone_is_an_empty_file(self, tmp_path, table):
+        p = tmp_path / "toy.tsv"
+        p.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(EmptySourceError, match=r"toy\.tsv: no samples"):
+            load_dataset(p, ["PlayMusic"], [], table)
 
     def test_line_ends(self, tmp_path, table):
         p = tmp_path / "toy.tsv"

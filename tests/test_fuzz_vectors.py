@@ -21,7 +21,7 @@ from capsnlu.data import OOV_TOKEN, PAD_TOKEN, EmptySourceError, ParseError, loa
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-WORDS = ["a", "b", "the", "x y", "caf\udce9", OOV_TOKEN, PAD_TOKEN]
+WORDS = ["a", "b", "the", "x y", OOV_TOKEN, PAD_TOKEN]
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
     st.integers(-5, 5).map(str),
@@ -31,8 +31,9 @@ SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
 
 
 @st.composite
-def vector_files(draw):
-    """(expected_dim, file text, restrict_to) for one vectors file."""
+def vector_files(draw, words):
+    """(expected_dim, file text, restrict_to) for one vectors file whose
+    words are drawn from `words`."""
     dim = draw(st.integers(1, 3))
     lines = []
     if draw(st.booleans()):
@@ -42,21 +43,31 @@ def vector_files(draw):
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
             continue
         count = dim + draw(st.sampled_from([0, 0, 0, -1, 1]))
-        fields = [draw(st.sampled_from(WORDS))] + [draw(VALUES) for _ in range(max(count, 0))]
+        fields = [draw(st.sampled_from(words))] + [draw(VALUES) for _ in range(max(count, 0))]
         line = fields[0]
         for value in fields[1:]:
             line += draw(SEPARATORS) + value
         lines.append(line + draw(st.sampled_from(["", "", " "])))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = draw(st.sampled_from(["", "", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
-    restrict = draw(st.none() | st.sets(st.sampled_from(WORDS)))
+    restrict = draw(st.none() | st.sets(st.sampled_from(words)))
     return dim, text, restrict
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(case=vector_files())
+@given(case=vector_files(WORDS))
 def test_vector_file_loads_or_fails_by_name(tmp_path_factory, case):
-    dim, text, restrict = case
+    check_vector_file(tmp_path_factory, *case)
+
+
+# a word that is not UTF-8 fails most files it is in, so it gets its own examples
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=vector_files(WORDS + ["caf\udce9"]))
+def test_non_utf8_word_names_its_line(tmp_path_factory, case):
+    check_vector_file(tmp_path_factory, *case)
+
+
+def check_vector_file(tmp_path_factory, dim, text, restrict):
     path = tmp_path_factory.getbasetemp() / "fuzz_vectors.txt"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     # lines end at LF, CRLF or CR; the first one holding a byte that is not UTF-8

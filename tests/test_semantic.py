@@ -1,5 +1,6 @@
 import contextlib
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -172,10 +173,15 @@ class TestBilstmEncode:
                 forward_batch(model, [tokens, [3, bad, 2]], cfg)
 
     def test_token_ids_numpy_holds_as_objects_read_as_numbers(self):
-        # a Fraction is a real number and reads its row; an int past int64 is named as before
+        # a Fraction or a Decimal reads its row; an int past int64 is named as before
         assert semantic.token_id_array([[Fraction(3, 1), 1]], [2], 10).tolist() == [3, 1]
+        assert semantic.token_id_array([[Decimal(3), 1]], [2], 10).tolist() == [3, 1]
         with pytest.raises(ContractError, match=re.escape("utterance 0 has token id 1e+30, not a row")):
             semantic.token_id_array([[1, 10**30]], [2], 10)
+
+    def test_token_id_that_is_not_a_real_number_is_named_before_a_bad_row(self):
+        with pytest.raises(ContractError, match=re.escape("utterance 1 has token id '3', not a real number")):
+            semantic.token_id_array([[99], ["3"]], [1, 1], 10)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
     def test_token_ids_of_other_types_read_their_rows(self, frozen):
