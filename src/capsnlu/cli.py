@@ -2,8 +2,7 @@
 
 Subcommands: train, eval, zsl-eval, export-attention,
 export-activations, gradcheck. Configuration comes from a key=value
-file (--config) with individual keys overridable via --set KEY=VALUE
-and a few dedicated flags.
+file (--config) with individual keys overridable via --set KEY=VALUE.
 """
 
 from __future__ import annotations
@@ -70,15 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key")
-        p.add_argument("--dataset", help="dataset directory (benchmark layout) or TSV file")
-        p.add_argument("--embeddings", help="word-vector text file")
-        p.add_argument("--output-dir", help="where reports and models go")
-        p.add_argument("--seed", type=int)
         p.add_argument("--verbose", action="store_true")
 
     p_train = sub.add_parser("train", help="train on the existing intents")
     common(p_train)
-    p_train.add_argument("--epochs", type=int)
 
     for name, help_text in (
         ("eval", "evaluate a trained model on held-out existing intents"),
@@ -107,19 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    """Config keys set on the command line, by flag or by --set."""
+    """Config keys set on the command line by --set."""
     direct = {}
-    if getattr(args, "dataset", None):
-        direct["dataset_path"] = args.dataset
-    if getattr(args, "embeddings", None):
-        direct["embeddings_path"] = args.embeddings
-    if getattr(args, "output_dir", None):
-        direct["output_dir"] = args.output_dir
-    if getattr(args, "seed", None) is not None:
-        direct["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        direct["epochs"] = args.epochs
-    for item in getattr(args, "set", []):
+    for item in args.set:
         if "=" not in item:
             raise ContractError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -130,7 +114,6 @@ def _overrides(args) -> dict:
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     apply_overrides(cfg, _overrides(args))
-    cfg.mode = args.command.replace("-", "_")
     return cfg.validate()
 
 

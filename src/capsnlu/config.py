@@ -63,7 +63,6 @@ class RunConfig:
     dataset_path: str = ""
     embeddings_path: str = ""
     output_dir: str = ""
-    mode: str = "train"
     existing_labels: tuple = SNIPS_EXISTING
     emerging_labels: tuple = SNIPS_EMERGING
     intent_embedding_mode: str = "mean"  # "sum" is the other documented reading
@@ -169,7 +168,7 @@ def load_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     for key, raw in overrides.items():
-        setattr(cfg, key, _parse_value(key, raw) if isinstance(raw, str) else raw)
+        setattr(cfg, key, _parse_value(key, raw))
     return cfg
 
 

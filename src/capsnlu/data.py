@@ -420,15 +420,18 @@ def require_file(path: str, what: str) -> Path:
 def load_inputs(cfg: RunConfig):
     """A run's (table, existing, emerging) from its config. Both paths
     are checked first, the dataset's, then the vectors file's. The
-    dataset is read once: with `restrict_vocab` its words are the ones
-    kept from the vectors file, and its records are then routed into the
-    two corpora. The table's intent vectors are those of existing_labels
-    + emerging_labels, by `intent_embedding_mode`."""
+    dataset is read once: with `restrict_vocab` its words and every
+    label's tokens are the ones kept from the vectors file, and its
+    records are then routed into the two corpora. The table's intent
+    vectors are those of existing_labels + emerging_labels, by
+    `intent_embedding_mode`."""
     data_path = require_file(cfg.dataset_path, "dataset path")
     emb_path = require_file(cfg.embeddings_path, "embeddings file")
     records = list(iter_dataset_records(data_path))
-    restrict = _record_words(records) if cfg.restrict_vocab else None
-    table = load_embeddings(emb_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
     existing, emerging = list(cfg.existing_labels), list(cfg.emerging_labels)
+    restrict = None
+    if cfg.restrict_vocab:
+        restrict = _record_words(records).union(*map(split_label_tokens, existing + emerging))
+    table = load_embeddings(emb_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
     table.build_intent_vectors(existing + emerging, mode=cfg.intent_embedding_mode)
     return (table, *_route_records(records, existing, emerging, table))

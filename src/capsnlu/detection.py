@@ -55,10 +55,6 @@ from .autodiff import ContractError, Tensor, _result
 class DetectionCapsParams:
     w: Tensor  # K x R x 2D_H x D_P, one transform per (intent, head)
 
-    @property
-    def num_intents(self) -> int:
-        return self.w.shape[0]
-
     def trainable(self):
         return [("detect.w", self.w)]
 

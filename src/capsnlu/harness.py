@@ -508,10 +508,11 @@ def build_tiny_setup(seed: int, dtype=np.float64):
     return model, cfg, tokens, label
 
 
-def full_loss_gradcheck(seed: int = 0, epsilon: float = 1e-4, kink_gap: float = 1e-3, max_tries: int = 25):
+def full_loss_gradcheck(seed: int = 0, epsilon: float = 1e-4):
     """Gradient-check the complete loss (attention, squash, every routing
     round) in float64. Draws whose activation norms sit within `kink_gap`
     of a hinge margin are re-rolled. Returns (max relative error, seed)."""
+    kink_gap, max_tries = 1e-3, 25
     for attempt in range(seed, seed + max_tries):
         model, cfg, tokens, label = build_tiny_setup(attempt)
 

@@ -201,7 +201,8 @@ def save_model(model: ModelParams, table: EmbeddingTable, cfg: RunConfig, out_di
 
 def _read_meta(path: Path) -> dict:
     """meta.json with every entry and every RunConfig key present, else
-    ContractError naming the file and the key."""
+    ContractError naming the file and the key. The `mode` key that older
+    runs saved in the config is dropped."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -209,7 +210,9 @@ def _read_meta(path: Path) -> dict:
     for key in ("vocab", "oov_id", "pad_id", "config"):
         if not isinstance(meta, dict) or key not in meta:
             raise ContractError(f"{path} has no {key!r} entry")
-    cfg_keys = set(meta["config"]) if isinstance(meta["config"], dict) else set()
+    config = meta["config"] if isinstance(meta["config"], dict) else {}
+    config.pop("mode", None)
+    cfg_keys = set(config)
     known = {f.name for f in fields(RunConfig)}
     for problem, keys in (("unknown", cfg_keys - known), ("missing", known - cfg_keys)):
         if keys:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -351,7 +352,8 @@ def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
     parse as a number), naming it as given; a Decimal reads as a number.
     The ids' type, minimum, maximum and integrality are checked first;
     only a batch that fails them is searched, and it names its first id
-    that is not a real number, if any, before its first other bad id."""
+    that is not a real number, if any, then its first id past float64's
+    range, as written, before its first other bad id."""
     flat = list(itertools.chain.from_iterable(seqs))
     try:
         values = np.array(flat)
@@ -361,7 +363,13 @@ def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
         for k, v in enumerate(flat):
             if not isinstance(v, (numbers.Real, Decimal)):
                 raise ContractError(f"utterance {_utterance_at(lengths, k)} has token id {v!r}, not a real number")
-        values = np.fromiter(flat, dtype=np.float64, count=len(flat))  # ints past int64, Fractions, Decimals
+        try:
+            values = np.fromiter(flat, dtype=np.float64, count=len(flat))  # ints past int64, Fractions, Decimals
+        except OverflowError:
+            k = next(k for k, v in enumerate(flat) if abs(v) > sys.float_info.max)
+            raise ContractError(
+                f"utterance {_utterance_at(lengths, k)} has token id {flat[k]}, not a row of the {rows}-row embedding"
+            ) from None
     if not values.size or (values.min() >= 0 and values.max() < rows):  # False on NaN: no cast below sees one
         ids = values.astype(np.int64, copy=False)
         if (ids == values).all():

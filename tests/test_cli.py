@@ -7,6 +7,7 @@ import pytest
 from conftest import build_toy_corpus, build_toy_vectors
 
 from capsnlu.cli import main
+from capsnlu.model import load_model
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,27 @@ class TestExportcommands:
 
 
     @pytest.mark.parametrize("domain", ["existing", "emerging"])
+    def test_limit_keeps_the_first_utterances(self, trained_run, tmp_path, domain):
+        cfg_path, _ = trained_run
+        out = tmp_path / "act.tsv"
+        args = ["export-activations", "--config", str(cfg_path), "--domain", domain, "--split", "all"]
+        assert main([*args, "--limit", "3", "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted({row.split("\t")[0] for row in rows}) == ["0", "1", "2"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:][: len(rows)] == rows
+
+    @pytest.mark.parametrize("limit", ["2.5", "all"])
+    def test_non_integer_limit_rejected(self, trained_run, tmp_path, capsys, limit):
+        cfg_path, _ = trained_run
+        out = tmp_path / "act.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["export-activations", "--config", str(cfg_path), "--limit", limit, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"expected a whole number >= 0, got {limit!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("domain", ["existing", "emerging"])
     def test_negative_limit_rejected(self, trained_run, tmp_path, capsys, domain):
         # -3 used to write a header-only file (existing) or crash in zsl_predict (emerging)
         cfg_path, _ = trained_run
@@ -167,6 +189,12 @@ class TestDiagnostics:
         code = main(["train", "--config", str(cfg_path)])
         assert code != 0
         assert "dataset" in capsys.readouterr().err
+
+    def test_missing_model_directory_named(self, trained_run, tmp_path, capsys):
+        cfg_path, _ = trained_run
+        missing = tmp_path / "no_model"
+        assert main(["eval", "--config", str(cfg_path), "--model", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: model directory not found: {missing}\n"
 
     def test_truncated_model_named(self, trained_run, tmp_path, capsys):
         cfg_path, out_dir = trained_run
@@ -209,7 +237,7 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize(
         "override, key",
-        [(["--set", "sigma=50"], "sigma"), (["--seed", "99"], "seed")],
+        [(["--set", "sigma=50"], "sigma"), (["--set", "seed=99"], "seed")],
         ids=["set_sigma", "seed"],
     )
     def test_model_command_rejects_changed_setting(self, trained_run, capsys, override, key):
@@ -219,12 +247,42 @@ class TestDiagnostics:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
-        assert main(["zsl-eval", "--config", str(cfg_path), "--set", "sigma=0.1", "--seed", "7"]) == 0
+        assert main(["zsl-eval", "--config", str(cfg_path), "--set", "sigma=0.1", "--set", "seed=7"]) == 0
 
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--no-such-flag"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--epochs", "3"], ["--seed", "1"], ["--dataset", "d"], ["--embeddings", "e"], ["--output-dir", "o"]],
+        ids=["epochs", "seed", "dataset", "embeddings", "output_dir"],
+    )
+    def test_config_keys_have_no_flags(self, trained_run, flag):
+        """A config key is set on the command line only by --set."""
+        cfg_path, _ = trained_run
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg_path), *flag])
+        assert exc.value.code != 0
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mode_is_not_a_config_key(self, trained_run, capsys, command):
+        # eval named it as differing from the model's, and train ignored it
+        cfg_path, _ = trained_run
+        assert main([command, "--config", str(cfg_path), "--set", "mode=eval"]) == 2
+        assert "unknown config key 'mode'" in capsys.readouterr().err
+
+    def test_meta_with_a_saved_mode_loads(self, trained_run, tmp_path, capsys):
+        # runs saved RunConfig.mode in meta.json before the field went
+        cfg_path, out_dir = trained_run
+        old = shutil.copytree(out_dir / "model", tmp_path / "model")
+        meta = json.loads((old / "meta.json").read_text(encoding="utf-8"))
+        meta["config"]["mode"] = "train"
+        (old / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        assert load_model(old).config == load_model(out_dir / "model").config
+        assert main(["eval", "--config", str(cfg_path), "--model", str(old)]) == 0
+        assert "accuracy" in capsys.readouterr().out
 
     def test_bad_set_key(self, toy_files, tmp_path, capsys):
         root, vectors, corpus = toy_files

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from capsnlu.autodiff import ContractError
@@ -74,6 +76,22 @@ class TestRunConfig:
         with pytest.raises(ContractError, match=f"{key} names {labels[0]!r} twice"):
             RunConfig(**{key: labels}).validate()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("routing_iterations", 0, "routing_iterations must be at least 1"),
+            ("batch_size", 0, "batch_size, epochs and learning_rate must be non-negative"),
+            ("epochs", -1, "batch_size, epochs and learning_rate must be non-negative"),
+            ("learning_rate", -0.1, "batch_size, epochs and learning_rate must be non-negative"),
+            ("downweight", -0.5, "downweight and penalty_weight must be non-negative"),
+            ("penalty_weight", -1.0, "downweight and penalty_weight must be non-negative"),
+            ("intent_embedding_mode", "max", "intent_embedding_mode must be 'mean' or 'sum'"),
+        ],
+    )
+    def test_setting_out_of_range_is_named(self, key, value, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            RunConfig(**{key: value}).validate()
+
     def test_bad_dimension(self):
         with pytest.raises(ContractError):
             RunConfig(heads=0).validate()
@@ -95,7 +113,7 @@ class TestRunConfig:
             ("dropout_keep", True, "a number"),
             ("restrict_vocab", "no", "a bool"),
             ("restrict_vocab", 1, "a bool"),
-            ("mode", None, "a string"),
+            ("output_dir", None, "a string"),
             ("existing_labels", "GetWeather", "a tuple of strings"),
             ("emerging_labels", ("RateBook", 3), "a tuple of strings"),
         ],
@@ -151,7 +169,9 @@ class TestConfigFile:
         with pytest.raises(ContractError):
             load_config(p)
 
-    @pytest.mark.parametrize("line, key", [("epochs = abc", "epochs"), ("sigma = 4,0", "sigma")])
+    @pytest.mark.parametrize(
+        "line, key", [("epochs = abc", "epochs"), ("sigma = 4,0", "sigma"), ("restrict_vocab = maybe", "restrict_vocab")]
+    )
     def test_non_numeric_value_is_named(self, tmp_path, line, key):
         p = tmp_path / "run.cfg"
         p.write_text(line + "\n", encoding="utf-8")

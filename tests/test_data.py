@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import toy_config
+
 from capsnlu.autodiff import ContractError
 from capsnlu.config import RunConfig
 from capsnlu.data import (
@@ -333,6 +335,16 @@ class TestIntentEmbedding:
         assert split_label_tokens("RateBook") == ["rate", "book"]
         assert split_label_tokens("SearchScreeningEvent") == ["search", "screening", "event"]
 
+    def test_label_without_word_characters_is_named(self, table):
+        with pytest.raises(ContractError, match="intent name '__' has no word characters"):
+            split_label_tokens("__")
+        with pytest.raises(ContractError, match="intent name '-' has no word characters"):
+            intent_embedding("-", table)
+
+    def test_unknown_mode_is_named(self, table):
+        with pytest.raises(ContractError, match="unknown intent embedding mode 'max'"):
+            intent_embedding("PlayMusic", table, mode="max")
+
     def test_oov_label_token_uses_oov_vector(self, table):
         got = intent_embedding("Zzz", table)
         np.testing.assert_allclose(got, table.vectors[table.oov_id])
@@ -551,6 +563,18 @@ class TestLoadInputs:
         for got, want in ((ex, ref_ex), (em, ref_em)):
             assert got.samples == want.samples and got.label_names == want.label_names
         assert ex.label_names == existing and em.label_names == emerging
+
+    def test_restricted_table_keeps_label_tokens(self, toy_paths):
+        # "tunes" and "sports" occur in no utterance, so the restricted
+        # table dropped them and both intent vectors read the OOV row
+        vectors, corpus = toy_paths
+        on, off = (
+            load_inputs(toy_config(dataset_path=str(corpus), embeddings_path=str(vectors), restrict_vocab=r))[0]
+            for r in (True, False)
+        )
+        assert {"tunes", "sports"} <= on.vocab.keys()
+        assert on.intent_vectors.dtype == off.intent_vectors.dtype
+        assert on.intent_vectors.tobytes() == off.intent_vectors.tobytes()
 
     def test_paths_are_checked_dataset_first(self, tmp_path):
         cfg = self.config(tmp_path, "tsv")

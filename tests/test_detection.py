@@ -248,6 +248,11 @@ class TestMarginLoss:
             margin_loss_batch(Tensor(np.zeros((4, 3, 2))), labels, Tensor(np.zeros(4)))
         assert str(np.asarray(labels).shape) in str(exc.value)
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_label_outside_the_intents_is_named(self, bad):
+        with pytest.raises(ContractError, match="label outside the 3 intents"):
+            margin_loss_batch(Tensor(np.zeros((4, 3, 2))), [0, bad, 1, 0], Tensor(np.zeros(4)))
+
 
 class TestClassify:
     def test_unique_max(self):

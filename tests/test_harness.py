@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -108,6 +109,13 @@ class TestTrain:
             evaluate(model, empty, cfg)
         with pytest.raises(ContractError, match="empty corpus"):
             attention_offdiag_mean(model, empty, cfg)
+        with pytest.raises(ContractError, match="empty corpus"):
+            zsl_evaluate(model, Corpus([], list(TOY_EMERGING)), table.intent_vectors, cfg)
+
+    def test_one_head_has_no_overlap(self, toy_setup):
+        cfg, table, corpus, _ = toy_setup
+        one = toy_config(heads=1)
+        assert attention_offdiag_mean(init_model(table, one), corpus, one) == 0.0
 
 
 def _textbook_adam(params, grads, moments, t, lr):
@@ -1065,6 +1073,40 @@ class TestPersistence:
             Adam(bundle.model.trainable(), lr=0.01)
         with pytest.raises(ContractError, match="parameter 'embedding' is read-only"):
             bundle.model.restore(bundle.model.snapshot())
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (None, "is missing"),
+            (lambda a: a[:1], r"has shape \(1, 6\), expected \(2, 6\)"),
+            (lambda a: a.astype(np.float64), "has dtype float64, expected float32"),
+        ],
+        ids=["missing", "shape", "dtype"],
+    )
+    def test_restore_names_a_bad_value_before_copying(self, toy_setup, damage, problem):
+        cfg, table, _, _ = toy_setup
+        model = init_model(table, cfg)
+        before = model.snapshot()
+        values = {name: a + 1 for name, a in before.items()}
+        if damage is None:
+            del values["w_s2"]
+        else:
+            values["w_s2"] = damage(values["w_s2"])
+        with pytest.raises(ContractError, match=f"parameter 'w_s2' {problem}"):
+            model.restore(values)
+        for name, t in model.trainable():
+            np.testing.assert_array_equal(t.values, before[name])
+
+    def test_init_names_a_word_dim_that_is_not_the_table_dim(self, toy_setup):
+        _, table, _, _ = toy_setup
+        with pytest.raises(ContractError, match="embedding dim 8 does not match word_dim 9"):
+            init_model(table, toy_config(word_dim=9))
+
+    def test_save_needs_intent_vectors(self, toy_setup, tmp_path):
+        cfg, table, _, _ = toy_setup
+        bare = dataclasses.replace(table, intent_vectors=None)
+        with pytest.raises(ContractError, match="table has no intent vectors"):
+            save_model(init_model(bare, cfg), bare, cfg, tmp_path / "model")
 
     def test_restore_names_a_read_only_parameter_before_copying(self, toy_setup):
         cfg, table, _, _ = toy_setup

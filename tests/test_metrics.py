@@ -28,6 +28,11 @@ class TestComputeMetrics:
         with pytest.raises(ContractError):
             compute_metrics([], [], 2)
 
+    @pytest.mark.parametrize("truth, preds", [([0, 1], [0]), ([[0, 1]], [[0, 1]])], ids=["lengths", "2-d"])
+    def test_labels_and_predictions_of_other_shapes_are_named(self, truth, preds):
+        with pytest.raises(ContractError, match="labels and predictions must be equal-length 1-D"):
+            compute_metrics(truth, preds, 2)
+
     def test_negative_prediction_is_named(self):
         # np.add.at would count -1 as the last class and report accuracy 1.0
         with pytest.raises(ContractError, match="prediction -1"):

@@ -145,10 +145,19 @@ class TestBilstmEncode:
         )
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
-    @pytest.mark.parametrize("bad", [-1, 10, 1.5, np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -1, 10, 1.5, np.nan, np.inf, -np.inf, 1e300,
+            pytest.param(10**400, id="int_past_float64"),
+            pytest.param(-(10**400), id="negative_int_past_float64"),
+            pytest.param(Fraction(10**400, 3), id="fraction_past_float64"),
+        ],
+    )
     def test_token_id_outside_the_embedding_is_named(self, bad, frozen):
         # -1 would read the pad row, 10 raise a bare IndexError and 1.5 be
-        # truncated to row 1; NaN fails every comparison of the first check
+        # truncated to row 1; NaN fails every comparison of the first check;
+        # an id past float64's range escaped as a bare OverflowError
         model, cfg, tokens, _ = _tiny_model(frozen)
         with no_grad() if frozen else contextlib.nullcontext():
             with pytest.raises(ContractError, match=re.escape(f"utterance 1 has token id {bad},")):
@@ -194,6 +203,21 @@ class TestBilstmEncode:
             want = forward_batch(model, [[3, 0, 1, 2, 7], tokens], cfg).trace.v_final.values
         assert got.tobytes() == want.tobytes()
         assert (model.semantic._projections is not None) == frozen
+
+    @pytest.mark.parametrize(
+        "batch, kwargs, message",
+        [
+            ([[1, 2], []], {}, "every utterance must have at least one token"),
+            ([], {}, "every utterance must have at least one token"),
+            ([[1, 2], [3]], {}, "ragged batches need a pad_id"),
+            ([[1, 2]], {"training": True, "dropout_keep": 0.5}, "dropout needs an rng"),
+        ],
+        ids=["empty_utterance", "empty_batch", "ragged_without_pad", "dropout_without_rng"],
+    )
+    def test_batch_that_cannot_be_encoded_is_named(self, batch, kwargs, message):
+        model, _, _, _ = _tiny_model(False)
+        with pytest.raises(ContractError, match=message):
+            encode_tokens(batch, model.embedding, model.semantic, **kwargs)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
     @pytest.mark.parametrize("bad", [10, 10**6, 2.5, -1])

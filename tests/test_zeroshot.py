@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ class TestIntentSimilarity:
         for sigma in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ContractError, match="sigma"):
                 intent_similarity(np.zeros((1, 2)), np.zeros((1, 2)), sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "emerging, existing", [((2, 3), (4, 5)), ((3,), (4, 3)), ((2, 3), (4, 3, 1))], ids=["dims", "1-d", "3-d"]
+    )
+    def test_embeddings_that_do_not_conform_are_named(self, emerging, existing):
+        with pytest.raises(ContractError, match=re.escape(f"embedding shapes do not conform: {emerging} vs {existing}")):
+            intent_similarity(np.zeros(emerging), np.zeros(existing), sigma=1.0)
 
     def test_sigma_whose_square_underflows_is_named(self):
         # sigma * sigma = 0 would divide every distance by zero: all-NaN rows
