@@ -199,7 +199,9 @@ def load_embeddings(
 
     A first line of two integers ("count dim") is a header and is
     skipped. Every other non-blank line must hold a word and
-    `expected_dim` values, else ParseError. Duplicate words keep their
+    `expected_dim` values, else ParseError. A line is split at single
+    spaces when it holds `expected_dim` of them and no tab, else at runs
+    of any whitespace. Duplicate words keep their
     first occurrence, and `restrict_to` drops words outside the given
     set. The file is streamed and only kept lines are parsed, in chunks
     of `_PARSE_ROWS` rows by numpy's text reader, so memory follows the
@@ -235,8 +237,9 @@ def load_embeddings(
             if line.isspace() or (lineno == 1 and _is_header(line)):
                 continue
             fields = line.rstrip("\n")
-            if fields.count(" ") != expected_dim:
-                # some vector files use general whitespace; normalise it
+            if fields.count(" ") != expected_dim or "\t" in fields:
+                # some vector files use general whitespace (a tab among
+                # spaces would hide in a word or value); normalise it
                 fields = " ".join(line.split())
                 if fields.count(" ") != expected_dim:
                     raise ParseError(

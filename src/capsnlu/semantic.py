@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import sys
+import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -157,7 +158,7 @@ def _reversal_grid(lengths, steps: int):
     return np.arange(lengths.size)[:, None], real, np.where(real, lengths - 1 - pos, pos)
 
 
-def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, lengths):
+def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, lengths, keep: bool = False):
     """Both LSTM directions from a zero state over gathered input projections.
 
     `source` holds input-projection rows, each the forward then the
@@ -168,7 +169,8 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, length
     w_h. Returns (H, saved): H is B x T x 2D_H, forward states then
     backward, and `saved` is what the VJP of `_run_bilstm` reads: (grid,
     states, kept), grid the `_reversal_grid` when the batch has pads and
-    None without, kept one (z, c_{t-1}, tanh(c_t)) per step.
+    None without, kept one (z, c_{t-1}, tanh(c_t)) per step when `keep`
+    is true and None otherwise (no VJP reads it).
 
     The rows are gathered once, straight into a T x 4 x 2 x B x D_H
     layout (step, gate, direction): the backward direction takes each
@@ -186,11 +188,12 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, length
     step's z is one 4 x 2 x B x D_H array whose gate k is z[k]: the
     product h @ w_h goes into one 2 x B x 4D_H buffer, against the stored
     weights, and its gate-major view, made once, is added to the step's
-    inputs straight into z. Products against per-gate D_H x D_H blocks
-    would save the strided read, but BLAS may round a narrower product
-    differently (OpenBLAS does at B=1 for D_H = 2 or 3), and H must stay
-    bitwise equal to the per-step cell. The states go to a T x 2 x B x D_H
-    buffer.
+    inputs, in place over them: step t's inputs are read only there, so
+    the gathered layout is the one buffer of activations. Products against
+    per-gate D_H x D_H blocks would save the strided read, but BLAS may
+    round a narrower product differently (OpenBLAS does at B=1 for D_H = 2
+    or 3), and H must stay bitwise equal to the per-step cell. The states
+    go to a T x 2 x B x D_H buffer.
     """
     n, steps = slots.shape
     dh = wv.shape[1]
@@ -211,15 +214,14 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, length
         pieces = both[:, None] * 8 + np.arange(2)[:, None] * 4 + np.arange(4)[:, None, None]
         xg = np.take(source.reshape(-1, dh), pieces, axis=0)
     half, one = np.array(0.5, dtype), np.array(1.0, dtype)  # 0-d arrays dispatch faster than any scalar
-    acts = np.empty_like(xg)
     states = np.empty((steps, 2, n, dh), dtype=dtype)
     prod = np.empty((2, n, 4 * dh), dtype=dtype)
     prod_gates = prod.reshape(2, n, 4, dh).transpose(2, 0, 1, 3)
     h = c = np.zeros((2, n, dh), dtype=dtype)
-    kept = []
+    kept = [] if keep else None
     for t in range(steps):
         np.matmul(h, wv, out=prod)
-        z = np.add(prod_gates, xg[t], out=acts[t])
+        z = np.add(prod_gates, xg[t], out=xg[t])
         sig = z[:3]  # i, f, o
         sig *= half
         np.tanh(z, out=z)
@@ -229,7 +231,8 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, length
         c += z[0] * z[3]
         tc = np.tanh(c)
         h = np.multiply(z[2], tc, out=states[t])
-        kept.append((z, c_prev, tc))
+        if keep:
+            kept.append((z, c_prev, tc))
     out = np.empty((n, steps, 2 * dh), dtype=dtype)
     out[..., :dh] = states[:, 0].swapaxes(0, 1)
     out[..., dh:] = states[::-1, 1].swapaxes(0, 1) if grid is None else states[src, 1, rows]
@@ -273,7 +276,7 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     slots[np.arange(steps) < lengths[:, None]] = np.arange(total)
     wv = np.stack([fw.w_h.values, bw.w_h.values])
     proj = _input_projections(xv, fw, bw)
-    out, (grid, states, kept) = _bilstm_states(proj, slots, wv, lengths)
+    out, (grid, states, kept) = _bilstm_states(proj, slots, wv, lengths, keep=True)
     dh = states.shape[-1]
     four_dh = 4 * dh
     dtype = xv.dtype
@@ -321,6 +324,13 @@ def _run_bilstm(x: Tensor, fw: LstmParams, bw: LstmParams, lengths) -> Tensor:
     return _result(out, "bilstm", (x, fw.w_x, fw.b, bw.w_x, bw.b, fw.w_h, bw.w_h), vjp)
 
 
+_PROJECTION_LOCK = threading.Lock()  # held while a projection table is built
+
+
+def _is_current(cached: tuple | None, sources: tuple) -> bool:
+    return cached is not None and all(a is b for a, b in zip(cached[0], sources))
+
+
 def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> tuple | None:
     """The frozen model's encoder constants, (table, wv), or None when
     any of the seven arrays they are made from (the embedding and both
@@ -330,16 +340,22 @@ def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> tuple | 
     forward and backward w_h that `_bilstm_states` reads; both are
     read-only. Built on first use and cached on `params`, keyed on those
     seven arrays' identity; read-only arrays are taken as frozen, so
-    neither can go stale while it is used."""
+    neither can go stale while it is used. A cached table is read without
+    a lock; a missing or stale one is built under a module lock, after a
+    second look at the cache, so threads that need it at once build it
+    once."""
     fw, bw = params.lstm_fw, params.lstm_bw
     sources = (embedding.values, fw.w_x.values, fw.b.values, bw.w_x.values, bw.b.values, fw.w_h.values, bw.w_h.values)
     if any(a.flags.writeable for a in sources):
         return None
     cached = params._projections
-    if cached is None or any(a is not b for a, b in zip(cached[0], sources)):
-        table, wv = _input_projections(embedding.values, fw, bw), np.stack(sources[5:])
-        table.flags.writeable = wv.flags.writeable = False
-        params._projections = cached = (sources, table, wv)
+    if not _is_current(cached, sources):
+        with _PROJECTION_LOCK:
+            cached = params._projections
+            if not _is_current(cached, sources):  # another thread may have built it
+                table, wv = _input_projections(embedding.values, fw, bw), np.stack(sources[5:])
+                table.flags.writeable = wv.flags.writeable = False
+                params._projections = cached = (sources, table, wv)
     return cached[1:]
 
 

@@ -135,13 +135,27 @@ class TestLoadEmbeddings:
         assert table.vocab["w7"] == 0 and len(table.vectors) == 3
         assert peak < 0.5 * size, f"peak {peak} bytes for a {size}-byte file"
 
-    @pytest.mark.parametrize("sep", ["\u2028", "\x85"])
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x0b", "\x0c"])
     def test_word_with_unicode_line_separator(self, tmp_path, sep):
         """Only LF, CRLF and CR end a line; str.splitlines would also break here."""
         p = write_vectors(tmp_path / "v.txt", f"a{sep}b 1 2\nc 3 4\n")
         table = load_embeddings(p, expected_dim=2)
         assert table.vocab[f"a{sep}b"] == 0 and table.vocab["c"] == 1
         np.testing.assert_array_equal(table.vectors[0], [1.0, 2.0])
+
+    def test_tab_among_spaces_names_line(self, tmp_path):
+        # a line holding a tab is split at any whitespace: this one loaded
+        # the word 'a\t1' with [2, 3]
+        p = write_vectors(tmp_path / "v.txt", "b 4 5\na\t1 2 3\n")
+        with pytest.raises(ParseError, match=r"v\.txt:2: expected a word and 2 values, got 4 fields"):
+            load_embeddings(p, expected_dim=2)
+
+    def test_tab_then_trailing_space_loads(self, tmp_path):
+        # it raised "non-numeric vector entry"
+        p = write_vectors(tmp_path / "v.txt", "a\t0.0 \n")
+        table = load_embeddings(p, expected_dim=1)
+        assert table.vocab["a"] == 0 and len(table.vectors) == 3
+        np.testing.assert_array_equal(table.vectors[0], [0.0])
 
     @pytest.mark.parametrize(
         "text, restrict_to",

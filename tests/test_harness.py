@@ -38,6 +38,7 @@ from capsnlu.harness import (
     zsl_predict,
 )
 from capsnlu import model as model_module
+from capsnlu import semantic
 from capsnlu.detection import init_detection_params
 from capsnlu.model import forward_batch, init_model, load_model, save_model
 from capsnlu.semantic import init_semantic_params
@@ -829,16 +830,6 @@ class TestExports:
         assert len(lines2) - 1 == len(emerging.samples) * len(TOY_EMERGING)
         assert lines2[0].startswith("utterance\ttrue_intent\tpredicted_intent")
 
-    def test_abandoned_forward_chunks_leave_graph_recording_on(self, toy_setup):
-        cfg, table, corpus, _ = toy_setup
-        chunks = _forward_chunks(init_model(table, cfg), corpus, cfg)
-        indices, fwd = next(chunks)
-        assert sorted(indices.tolist()) == list(range(len(corpus.samples)))
-        assert not fwd.trace.v_final.requires_grad
-        # the suspended generator must not hold a no_grad block open
-        assert ops.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
-        chunks.close()
-
 
 def _random_corpus(table, label_names, n: int, seed: int, max_len: int = 15) -> Corpus:
     """`n` utterances of 1 to `max_len` random words (any row but the pad
@@ -861,7 +852,7 @@ class TestEvalChunks:
         big = _random_corpus(table, corpus.label_names, 2 * EVAL_BATCH + 13, seed=1)
         lengths = np.array([len(ids) for ids, _ in big.samples])
         chunks = []
-        for indices, fwd in _forward_chunks(init_model(table, cfg), big, cfg):
+        for indices, fwd in _forward_chunks(init_model(table, cfg), big, cfg, lambda fwd: fwd):
             assert fwd.A.shape[0] == len(indices)
             assert fwd.A.shape[-1] == lengths[indices].max()  # padded only to its own longest
             chunks.append(indices)
@@ -937,6 +928,225 @@ class TestEvalChunks:
                 got = line.split("\t")
                 assert got[:keys] == cols
                 np.testing.assert_allclose([float(x) for x in got[keys:]], values, atol=2e-6)
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Make the process look as if it may run on `n` CPUs."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _eval_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("eval-chunk")]
+
+
+def _record_forwards(monkeypatch, before=None) -> list:
+    """Wrap the harness's forward_batch: each call appends (thread name,
+    token batch) and runs `before(tokens)`, if given, first."""
+    calls = []
+    forward = harness.forward_batch
+
+    def recorded(model, tokens, cfg, **kwargs):
+        calls.append((threading.current_thread().name, tokens))
+        if before is not None:
+            before(tokens)
+        return forward(model, tokens, cfg, **kwargs)
+
+    monkeypatch.setattr(harness, "forward_batch", recorded)
+    return calls
+
+
+def _chunk_head(corpus: Corpus, chunk: int) -> int:
+    """The corpus index of the first utterance of eval chunk `chunk`."""
+    lengths = np.array([len(ids) for ids, _ in corpus.samples])
+    return int(np.argsort(lengths, kind="stable")[chunk * EVAL_BATCH])
+
+
+def _with_bad_ids(corpus: Corpus, bad: dict) -> Corpus:
+    """`corpus` with the first token of the first utterance of each chunk
+    `c` in `bad` replaced by the id bad[c]; lengths, and so chunks, stay."""
+    samples = list(corpus.samples)
+    for chunk, bad_id in bad.items():
+        i = _chunk_head(corpus, chunk)
+        ids, lab = samples[i]
+        samples[i] = ([bad_id, *ids[1:]], lab)
+    return Corpus(samples, list(corpus.label_names))
+
+
+class _Interrupting:
+    """A forward pass whose every read raises KeyboardInterrupt."""
+
+    def __getattr__(self, name):
+        raise KeyboardInterrupt
+
+
+class TestEvalPool:
+    """Evaluation runs its chunks on one worker thread per CPU, with the
+    outputs of a one-thread run, and no worker outlives the call."""
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["trained", "loaded"])
+    def test_one_and_two_cpus_give_identical_bytes(self, toy_setup, tmp_path, monkeypatch, loaded):
+        cfg, table, corpus, emerging = toy_setup
+        cfg.epochs = 2
+        model, _ = train(cfg, corpus, table)
+        if loaded:  # frozen weights: the workers share the projection table
+            model = load_model(save_model(model, table, cfg, tmp_path / "model")).model
+        big = _random_corpus(table, corpus.label_names, 2 * EVAL_BATCH + 13, seed=6)
+        big_emerging = _random_corpus(table, emerging.label_names, 2 * EVAL_BATCH + 7, seed=7)
+        words = [None] * len(table.vocab)
+        for w, i in table.vocab.items():
+            words[i] = w
+
+        def outputs(n: int) -> list:
+            _cpus(monkeypatch, n)
+            calls = _record_forwards(monkeypatch)
+            out = tmp_path / f"cpus{n}"
+            out.mkdir()
+            got = [
+                np.stack(harness._per_utterance(model, big, cfg, lambda fwd: fwd.trace.v_final.values)).tobytes(),
+                *(a.tobytes() for a in zsl_predict(model, big_emerging, table.intent_vectors, cfg)[:2]),
+                export_attention(model, big, cfg, words, out / "attn.tsv").read_bytes(),
+                export_activations_existing(model, big, cfg, out / "act.tsv").read_bytes(),
+                export_activations_emerging(model, big_emerging, table.intent_vectors, cfg, out / "em.tsv").read_bytes(),
+            ]
+            return got, {name.split("_")[0] for name, _ in calls}
+
+        one, one_threads = outputs(1)
+        two, two_threads = outputs(2)
+        assert one_threads == {threading.main_thread().name}
+        assert two_threads == {"eval-chunk"}
+        assert len(one) == len(two) == 6
+        for a, b in zip(one, two):
+            assert a == b
+
+    def test_one_chunk_starts_no_thread(self, toy_setup, monkeypatch):
+        cfg, table, corpus, emerging = toy_setup
+        _cpus(monkeypatch, 2)
+        calls = _record_forwards(monkeypatch)
+        model = init_model(table, cfg)
+        evaluate(model, corpus, cfg)
+        zsl_evaluate(model, emerging, table.intent_vectors, cfg)
+        assert [name for name, _ in calls] == [threading.main_thread().name] * 2
+
+    def test_first_failing_chunk_in_chunk_order_raises(self, toy_setup, monkeypatch):
+        cfg, table, corpus, _ = toy_setup
+        rows = len(table.vocab)
+        model = init_model(table, cfg)
+        big = _with_bad_ids(_random_corpus(table, corpus.label_names, 2 * EVAL_BATCH + 9, seed=8), {0: rows + 1, 1: rows + 2})
+        _cpus(monkeypatch, 1)
+        with pytest.raises(ContractError) as inline:
+            predict_existing(model, big, cfg)
+        assert f"token id {rows + 1}, " in str(inline.value)
+        _cpus(monkeypatch, 2)
+        # chunk 0 fails after chunk 1 has failed
+        _record_forwards(monkeypatch, lambda tokens: time.sleep(0.2) if rows + 1 in tokens[0] else None)
+        with pytest.raises(ContractError) as pooled:
+            predict_existing(model, big, cfg)
+        assert str(pooled.value) == str(inline.value)
+
+    def test_failing_chunk_cancels_the_queued_ones(self, toy_setup, monkeypatch):
+        cfg, table, corpus, _ = toy_setup
+        rows = len(table.vocab)
+        model = init_model(table, cfg)
+        big = _with_bad_ids(_random_corpus(table, corpus.label_names, 8 * EVAL_BATCH, seed=9), {0: rows})
+        _cpus(monkeypatch, 2)
+        calls = _record_forwards(monkeypatch, lambda tokens: None if rows in tokens[0] else time.sleep(0.2))
+        with pytest.raises(ContractError, match=f"token id {rows}, "):
+            predict_existing(model, big, cfg)
+        # chunk 0 and the one chunk each worker may start before the caller
+        # sees chunk 0 fail; none of the other five
+        assert len(calls) <= 3
+        assert not _eval_threads()
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises", "interrupted"])
+    @pytest.mark.parametrize(
+        "call",
+        ["evaluate", "zsl_evaluate", "export_attention", "export_activations_existing", "export_activations_emerging"],
+    )
+    def test_no_worker_outlives_the_call(self, toy_setup, tmp_path, monkeypatch, call, outcome):
+        cfg, table, corpus, emerging = toy_setup
+        model = init_model(table, cfg)
+        labels = emerging.label_names if call in ("zsl_evaluate", "export_activations_emerging") else corpus.label_names
+        big = _random_corpus(table, labels, 3 * EVAL_BATCH, seed=10)
+        if outcome == "raises":
+            big = _with_bad_ids(big, {2: len(table.vocab)})
+        _cpus(monkeypatch, 2)
+        calls = _record_forwards(monkeypatch)
+        if outcome == "interrupted":  # the read of chunk 1 raises
+            forward, head = harness.forward_batch, big.samples[_chunk_head(big, 1)][0]
+            monkeypatch.setattr(
+                harness, "forward_batch", lambda m, tokens, c: _Interrupting() if tokens[0] is head else forward(m, tokens, c)
+            )
+        words = [None] * len(table.vocab)
+        for w, i in table.vocab.items():
+            words[i] = w
+        run = {
+            "evaluate": lambda: evaluate(model, big, cfg),
+            "zsl_evaluate": lambda: zsl_evaluate(model, big, table.intent_vectors, cfg),
+            "export_attention": lambda: export_attention(model, big, cfg, words, tmp_path / "out.tsv"),
+            "export_activations_existing": lambda: export_activations_existing(model, big, cfg, tmp_path / "out.tsv"),
+            "export_activations_emerging": lambda: export_activations_emerging(
+                model, big, table.intent_vectors, cfg, tmp_path / "out.tsv"
+            ),
+        }[call]
+        error = {"returns": None, "raises": ContractError, "interrupted": KeyboardInterrupt}[outcome]
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            run()
+        assert calls and all(name.startswith("eval-chunk") for name, _ in calls)
+        assert not _eval_threads()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_forward_chunks_leave_graph_recording_on(self, toy_setup, monkeypatch, cpus):
+        cfg, table, corpus, _ = toy_setup
+        model = init_model(table, cfg)
+        big = _random_corpus(table, corpus.label_names, 2 * EVAL_BATCH, seed=11)
+        _cpus(monkeypatch, cpus)
+        chunks = _forward_chunks(model, big, cfg, lambda fwd: fwd.trace.v_final.requires_grad)
+        assert [recorded for _, recorded in chunks] == [False, False]
+        assert ops.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+        with pytest.raises(ContractError):
+            _forward_chunks(model, _with_bad_ids(big, {1: len(table.vocab)}), cfg, lambda fwd: None)
+        assert ops.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+
+    def test_concurrent_first_use_builds_the_projection_table_once(self, toy_setup, tmp_path, monkeypatch):
+        cfg, table, corpus, _ = toy_setup
+        model = load_model(save_model(init_model(table, cfg), table, cfg, tmp_path / "model")).model
+        builds = []
+        project = semantic._input_projections
+
+        def slow(*args):
+            builds.append(threading.current_thread().name)
+            time.sleep(0.1)  # every thread reaches the cache while this one builds
+            return project(*args)
+
+        monkeypatch.setattr(semantic, "_input_projections", slow)
+        threads = 4
+        start = threading.Barrier(threads, timeout=10)
+
+        def first_use(_):
+            start.wait()
+            return semantic._projection_table(model.embedding, model.semantic)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+                got = list(pool.map(first_use, range(threads), timeout=10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 1
+        assert all(g[0] is got[0][0] and g[1] is got[0][1] for g in got)
+
+        class NoLock:
+            def __enter__(self):
+                raise AssertionError("a built table was read under the lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(semantic, "_PROJECTION_LOCK", NoLock())
+        with no_grad():
+            forward_batch(model, [corpus.samples[0][0]], cfg)  # one request, B=1
+        assert len(builds) == 1
 
 
 def _first_entry(value):
