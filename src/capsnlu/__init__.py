@@ -5,7 +5,19 @@ plus multi-head self-attention encoder that extracts semantic capsule
 vectors, agreement routing into per-intent detection capsules trained
 with a max-margin loss, and a zero-shot layer that builds capsules for
 emerging intents out of vote vectors and label-embedding similarity.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, before numpy loads: the
+products are small, and BLAS threads of their own only compete with the
+evaluation workers and the Adam thread. A value already set wins, and a
+program that loaded numpy first keeps numpy's own setting.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .autodiff import (
     ContractError,

@@ -10,6 +10,8 @@ turns a RunConfig into a run's table and corpora.
 from __future__ import annotations
 
 import codecs
+import functools
+import itertools
 import json
 import logging
 import re
@@ -21,6 +23,7 @@ import numpy as np
 
 from .autodiff import ContractError
 from .config import RunConfig
+from .semantic import TokenBatch, id_values
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +84,12 @@ class EmbeddingTable:
 @dataclass
 class Corpus:
     """Tokenized utterances with integer intent labels, each an index
-    into `label_names`."""
+    into `label_names`.
+
+    On first batched use (`lengths` or `batch`) the corpus packs every
+    utterance's ids into one array (see `semantic.id_values`), with each
+    utterance's start and length, once; `samples` is read-only from then
+    on, since the packed ids do not follow a change to it."""
 
     samples: list[tuple[list[int], int]]
     label_names: list[str]
@@ -89,6 +97,27 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @functools.cached_property
+    def _packed(self) -> tuple:
+        """(values, starts, lengths) of the corpus's ids, in corpus order."""
+        lengths = np.fromiter((len(ids) for ids, _ in self.samples), dtype=np.int64, count=len(self.samples))
+        values = id_values(list(itertools.chain.from_iterable(ids for ids, _ in self.samples)))
+        return values, np.cumsum(lengths) - lengths, lengths
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each utterance's number of ids (int64), in corpus order."""
+        return self._packed[2]
+
+    def batch(self, indices) -> TokenBatch:
+        """The utterances at `indices` (an int array), in that order, cut
+        from the packed ids by numpy indexing alone."""
+        values, starts, lengths = self._packed
+        lengths = lengths[indices]
+        ends = np.cumsum(lengths)
+        at = np.repeat(starts[indices] - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+        return TokenBatch(values[at], lengths)
 
     def label_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(self.label_names, 0)

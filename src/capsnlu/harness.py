@@ -401,7 +401,9 @@ def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) ->
     and `fwd` its ForwardPass. The chunks are cut from the corpus sorted
     by length (a stable sort, so equal lengths keep corpus order), so
     each pads only to its own longest utterance and most have no pads;
-    consumers put their results back in corpus order by `indices`.
+    consumers put their results back in corpus order by `indices`. Each
+    chunk's ids are a `TokenBatch` cut by `Corpus.batch` from the ids the
+    corpus packs once, so a worker does no per-token Python work.
 
     Each chunk's forward_batch and `read` run together under a no_grad
     block of their own, on a ThreadPoolExecutor (threads named
@@ -416,13 +418,12 @@ def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) ->
     the first failing chunk in chunk order raises its own exception,
     after the chunks not yet started are cancelled and the running ones
     have finished."""
-    samples = corpus.samples
-    order = np.argsort(np.array([len(ids) for ids, _ in samples], dtype=np.int64), kind="stable")
+    order = np.argsort(corpus.lengths, kind="stable")  # packs the corpus's ids, on this thread
     chunks = [order[start : start + EVAL_BATCH] for start in range(0, len(order), EVAL_BATCH)]
 
     def run(indices):
         with no_grad():
-            return indices, read(forward_batch(model, [samples[i][0] for i in indices], cfg))
+            return indices, read(forward_batch(model, corpus.batch(indices), cfg))
 
     workers = min(_eval_workers(), len(chunks))
     if workers <= 1:

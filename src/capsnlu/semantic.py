@@ -8,8 +8,9 @@ of R attention heads turns H into one semantic vector:
     M = A @ H                                       # R x 2D_H
 
 with an orthogonality penalty ||A A^T - I||_F^2 pushing heads apart.
-Callers pass a batch of token-id sequences (leading batch axis B); a
-single utterance is a batch of one (B=1), and `attend` and
+Callers pass a batch of token-id sequences (leading batch axis B), as a
+list or as a `TokenBatch` (the ids flat, with each utterance's length);
+a single utterance is a batch of one (B=1), and `attend` and
 `semantic_vectors` take any leading axes (A and H sharing theirs).
 
 The encoder gathers only the real tokens' word vectors, packed in
@@ -57,6 +58,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -359,42 +361,76 @@ def _projection_table(embedding: Tensor, params: SemanticCapsParams) -> tuple | 
     return cached[1:]
 
 
-def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
-    """The token ids of `seqs` (utterance b holds lengths[b] of them) in
-    row-major order, as int64. A negative id would read from the end of
-    a table and a fraction would be truncated, so an id that is not one
-    of the embedding's `rows` rows raises ContractError naming its
-    utterance, and so does one that is not a real number (a string would
-    parse as a number), naming it as given; a Decimal reads as a number.
-    The ids' type, minimum, maximum and integrality are checked first;
-    only a batch that fails them is searched, and it names its first id
-    that is not a real number, if any, then its first id past float64's
-    range, as written, before its first other bad id."""
-    flat = list(itertools.chain.from_iterable(seqs))
+class TokenBatch(NamedTuple):
+    """A batch of token-id sequences in one array form: `values` holds
+    every utterance's ids in row-major order (see `id_values`) and
+    `lengths` (int64) how many ids each utterance has."""
+
+    values: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, seqs) -> "TokenBatch":
+        """The batch of a list of token-id sequences."""
+        seqs = [list(s) for s in seqs]
+        flat = list(itertools.chain.from_iterable(seqs))
+        return cls(id_values(flat), np.array([len(s) for s in seqs], dtype=np.int64))
+
+
+def id_values(flat: list) -> np.ndarray:
+    """The token ids of `flat` as one 1-d array: numpy's own array of them
+    when that is 1-d and numeric, else a 1-d object array of the given
+    objects, so `check_token_ids` names a string, a nested list or an
+    int past int64 as given."""
     try:
         values = np.array(flat)
     except ValueError:  # sequences of different lengths among the ids
         values = None
     if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
-        for k, v in enumerate(flat):
+        values = np.fromiter(flat, dtype=object, count=len(flat))
+    return values
+
+
+def check_token_ids(batch: TokenBatch, rows: int) -> np.ndarray:
+    """The ids of `batch` as int64, once each is one of the embedding's
+    `rows` rows. A negative id would read from the end of a table and a
+    fraction would be truncated, so an id that is not a row raises
+    ContractError naming its utterance within the batch, and so does one
+    that is not a real number (a string would parse as a number), naming
+    it as given; a Decimal reads as a number. The ids' type, minimum,
+    maximum and integrality are checked first; only a batch that fails
+    them is searched, and it names its first id that is not a real
+    number, if any, then its first id past float64's range, as written,
+    before its first other bad id."""
+    values, lengths = batch
+    if values.dtype.kind == "O":
+        for k, v in enumerate(values):
             if not isinstance(v, (numbers.Real, Decimal)):
                 raise ContractError(f"utterance {_utterance_at(lengths, k)} has token id {v!r}, not a real number")
         try:
-            values = np.fromiter(flat, dtype=np.float64, count=len(flat))  # ints past int64, Fractions, Decimals
+            values = np.fromiter(values, dtype=np.float64, count=len(values))  # ints past int64, Fractions, Decimals
         except OverflowError:
-            k = next(k for k, v in enumerate(flat) if abs(v) > sys.float_info.max)
+            # only a Python int or Fraction overflows; a numpy scalar would warn on the comparison
+            k = next(k for k, v in enumerate(values) if not isinstance(v, np.generic) and abs(v) > sys.float_info.max)
             raise ContractError(
-                f"utterance {_utterance_at(lengths, k)} has token id {flat[k]}, not a row of the {rows}-row embedding"
+                f"utterance {_utterance_at(lengths, k)} has token id {values[k]}, not a row of the {rows}-row embedding"
             ) from None
     if not values.size or (values.min() >= 0 and values.max() < rows):  # False on NaN: no cast below sees one
         ids = values.astype(np.int64, copy=False)
-        if (ids == values).all():
+        if ids is values or (ids == values).all():  # int64 ids are their own cast
             return ids
     values = values.astype(np.float64, copy=False)
     k = int(np.argmin((values >= 0) & (values < rows) & (values == np.floor(values))))
     raise ContractError(
         f"utterance {_utterance_at(lengths, k)} has token id {values[k]:.15g}, not a row of the {rows}-row embedding"
     )
+
+
+def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
+    """The token ids of `seqs` (utterance b holds lengths[b] of them) in
+    row-major order, as int64, through `check_token_ids`."""
+    flat = id_values(list(itertools.chain.from_iterable(seqs)))
+    return check_token_ids(TokenBatch(flat, np.asarray(lengths, dtype=np.int64)), rows)
 
 
 def _utterance_at(lengths, k: int) -> int:
@@ -418,10 +454,12 @@ def encode_tokens(
     dropout_keep: float = 1.0,
     rng: np.random.Generator | None = None,
 ):
-    """Encode a batch: a list of token-id sequences, padded to the longest
+    """Encode a batch: a `TokenBatch`, or a list of token-id sequences,
+    which becomes one at entry (`TokenBatch.of`), padded to the longest
     with `pad_id` (needed, and checked, only when lengths differ). A token
     id that is not a row of the embedding raises ContractError naming its
-    utterance, and so does a needed `pad_id` naming itself.
+    utterance (`check_token_ids`), and so does a needed `pad_id` naming
+    itself.
 
     Only the real tokens' rows are gathered, packed in row-major order,
     plus the pad row once when the batch has pads; their projections are
@@ -446,8 +484,8 @@ def encode_tokens(
     never reach a real position's state. H rows at pad positions are
     unspecified; `attend` masks them out.
     """
-    seqs = [list(s) for s in token_batch]
-    lengths = [len(s) for s in seqs]
+    batch = token_batch if isinstance(token_batch, TokenBatch) else TokenBatch.of(token_batch)
+    lengths = batch.lengths.tolist()
     if not lengths or min(lengths) == 0:
         raise ContractError("every utterance must have at least one token")
     t_max = max(lengths)
@@ -457,8 +495,8 @@ def encode_tokens(
         raise ContractError("ragged batches need a pad_id")
     if padded and not (isinstance(pad_id, (int, np.integer)) and 0 <= pad_id < rows):
         raise ContractError(f"pad_id {pad_id!r} is not a row of the {rows}-row embedding")
-    ids = token_id_array(seqs, lengths, rows)
-    mask = np.arange(t_max) < np.array(lengths)[:, None]  # B x T
+    ids = check_token_ids(batch, rows)
+    mask = np.arange(t_max) < batch.lengths[:, None]  # B x T
 
     fw, bw = params.lstm_fw, params.lstm_bw
     if not training and not _grad_enabled() and ids.size >= 2:
@@ -477,7 +515,7 @@ def encode_tokens(
     if training and dropout_keep < 1.0:
         if rng is None:
             raise ContractError("dropout needs an rng")
-        draws = rng.random((len(seqs), t_max, x.shape[1]))  # the padded batch's draws
+        draws = rng.random((len(lengths), t_max, x.shape[1]))  # the padded batch's draws
         keep = np.ones(x.shape, dtype=x.values.dtype)  # the pad row keeps its projection
         keep[: ids.size] = draws[mask] < dropout_keep
         keep[: ids.size] /= dropout_keep

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from capsnlu import model as model_module
 from capsnlu import semantic
 from capsnlu.detection import init_detection_params
 from capsnlu.model import forward_batch, init_model, load_model, save_model
-from capsnlu.semantic import init_semantic_params
+from capsnlu.semantic import TokenBatch, init_semantic_params, token_id_array
 
 
 class TestTrain:
@@ -940,12 +941,14 @@ def _eval_threads() -> list:
 
 
 def _record_forwards(monkeypatch, before=None) -> list:
-    """Wrap the harness's forward_batch: each call appends (thread name,
-    token batch) and runs `before(tokens)`, if given, first."""
+    """Wrap the harness's forward_batch: each call checks that its chunk
+    came as a TokenBatch, appends (thread name, token batch) and runs
+    `before(tokens)`, if given, first."""
     calls = []
     forward = harness.forward_batch
 
     def recorded(model, tokens, cfg, **kwargs):
+        assert isinstance(tokens, TokenBatch)
         calls.append((threading.current_thread().name, tokens))
         if before is not None:
             before(tokens)
@@ -953,6 +956,11 @@ def _record_forwards(monkeypatch, before=None) -> list:
 
     monkeypatch.setattr(harness, "forward_batch", recorded)
     return calls
+
+
+def _first_ids(tokens: TokenBatch) -> list:
+    """The ids of the first utterance of a chunk."""
+    return tokens.values[: tokens.lengths[0]].tolist()
 
 
 def _chunk_head(corpus: Corpus, chunk: int) -> int:
@@ -1038,10 +1046,34 @@ class TestEvalPool:
         assert f"token id {rows + 1}, " in str(inline.value)
         _cpus(monkeypatch, 2)
         # chunk 0 fails after chunk 1 has failed
-        _record_forwards(monkeypatch, lambda tokens: time.sleep(0.2) if rows + 1 in tokens[0] else None)
+        _record_forwards(monkeypatch, lambda tokens: time.sleep(0.2) if rows + 1 in _first_ids(tokens) else None)
         with pytest.raises(ContractError) as pooled:
             predict_existing(model, big, cfg)
         assert str(pooled.value) == str(inline.value)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, None, 2.5, np.nan, "rows", [2], 2**70, Decimal("1.5")],
+        ids=["negative", "rows", "fraction", "nan", "string", "list", "int_past_int64", "decimal"],
+    )
+    def test_first_bad_chunk_names_its_id(self, toy_setup, monkeypatch, bad, cpus):
+        # a bad id in chunk 1 and another in chunk 2, each chunk cut from the
+        # corpus's packed ids: chunk 1 raises the list batch's own error
+        cfg, table, corpus, _ = toy_setup
+        rows = len(table.vocab)
+        bad = rows if bad is None else bad  # one past the last row
+        model = init_model(table, cfg)
+        big = _with_bad_ids(_random_corpus(table, corpus.label_names, 3 * EVAL_BATCH, seed=12), {1: bad, 2: -2})
+        chunk = np.argsort([len(ids) for ids, _ in big.samples], kind="stable")[EVAL_BATCH : 2 * EVAL_BATCH]
+        seqs = [big.samples[i][0] for i in chunk]
+        with pytest.raises(ContractError) as listed:
+            token_id_array(seqs, [len(s) for s in seqs], rows)
+        assert str(listed.value).startswith("utterance 0 has token id ")
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ContractError) as pooled:
+            predict_existing(model, big, cfg)
+        assert str(pooled.value) == str(listed.value)
 
     def test_failing_chunk_cancels_the_queued_ones(self, toy_setup, monkeypatch):
         cfg, table, corpus, _ = toy_setup
@@ -1049,7 +1081,7 @@ class TestEvalPool:
         model = init_model(table, cfg)
         big = _with_bad_ids(_random_corpus(table, corpus.label_names, 8 * EVAL_BATCH, seed=9), {0: rows})
         _cpus(monkeypatch, 2)
-        calls = _record_forwards(monkeypatch, lambda tokens: None if rows in tokens[0] else time.sleep(0.2))
+        calls = _record_forwards(monkeypatch, lambda tokens: None if rows in _first_ids(tokens) else time.sleep(0.2))
         with pytest.raises(ContractError, match=f"token id {rows}, "):
             predict_existing(model, big, cfg)
         # chunk 0 and the one chunk each worker may start before the caller
@@ -1074,7 +1106,9 @@ class TestEvalPool:
         if outcome == "interrupted":  # the read of chunk 1 raises
             forward, head = harness.forward_batch, big.samples[_chunk_head(big, 1)][0]
             monkeypatch.setattr(
-                harness, "forward_batch", lambda m, tokens, c: _Interrupting() if tokens[0] is head else forward(m, tokens, c)
+                harness,
+                "forward_batch",
+                lambda m, tokens, c: _Interrupting() if _first_ids(tokens) == head else forward(m, tokens, c),
             )
         words = [None] * len(table.vocab)
         for w, i in table.vocab.items():

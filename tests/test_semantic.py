@@ -18,7 +18,7 @@ from capsnlu.autodiff import (
 from capsnlu.config import RunConfig
 from capsnlu import model as model_module
 from capsnlu import semantic
-from capsnlu.data import EmbeddingTable
+from capsnlu.data import Corpus, EmbeddingTable
 from capsnlu.detection import activation_norms, init_detection_params
 from capsnlu.harness import batch_loss, build_tiny_setup, evaluate, zsl_evaluate
 from capsnlu.model import ModelParams, forward_batch, init_model
@@ -187,6 +187,9 @@ class TestBilstmEncode:
         assert semantic.token_id_array([[Decimal(3), 1]], [2], 10).tolist() == [3, 1]
         with pytest.raises(ContractError, match=re.escape("utterance 0 has token id 1e+30, not a row")):
             semantic.token_id_array([[1, 10**30]], [2], 10)
+        # ids that numpy would stack into a 2-d array are still named one by one
+        with pytest.raises(ContractError, match=re.escape("utterance 0 has token id [3], not a real number")):
+            semantic.token_id_array([[[3], [4]]], [2], 10)
 
     def test_token_id_that_is_not_a_real_number_is_named_before_a_bad_row(self):
         with pytest.raises(ContractError, match=re.escape("utterance 1 has token id '3', not a real number")):
@@ -203,6 +206,53 @@ class TestBilstmEncode:
             want = forward_batch(model, [[3, 0, 1, 2, 7], tokens], cfg).trace.v_final.values
         assert got.tobytes() == want.tobytes()
         assert (model.semantic._projections is not None) == frozen
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 10, 2.5, np.nan, "rows", [2], 2**70, Decimal("1.5")],
+        ids=["negative", "rows", "fraction", "nan", "string", "list", "int_past_int64", "decimal"],
+    )
+    def test_corpus_chunk_and_list_batch_name_the_same_id(self, bad, frozen):
+        # the chunk is cut from the corpus's packed ids, which a string, a
+        # list, an int past int64 or a Decimal make an object array
+        model, cfg, tokens, _ = _tiny_model(frozen)
+        rows = model.embedding.shape[0]
+        assert rows == 10
+        samples = [(tokens, 0), ([1, 2], 1), ([3, bad, 2], 0), ([0, 1, 2], 2), ([4], 1)]
+        corpus = Corpus(samples, ["a", "b", "c"])
+        indices = np.array([3, 2, 0])  # the bad utterance is the chunk's second
+        seqs = [samples[i][0] for i in indices]
+        errors = []
+        for run in (
+            lambda: semantic.token_id_array(seqs, [len(s) for s in seqs], rows),
+            lambda: semantic.check_token_ids(corpus.batch(indices), rows),
+            lambda: forward_batch(model, seqs, cfg),
+            lambda: forward_batch(model, corpus.batch(indices), cfg),
+        ):
+            with no_grad() if frozen else contextlib.nullcontext():
+                with pytest.raises(ContractError) as caught:
+                    run()
+            errors.append(str(caught.value))
+        assert errors[0].startswith("utterance 1 has token id ")
+        assert errors == [errors[0]] * 4
+
+    def test_corpus_chunk_with_an_empty_utterance_is_named(self):
+        model, cfg, tokens, _ = build_tiny_setup(0)
+        corpus = Corpus([(tokens, 0), ([], 1), ([1, 2], 0)], ["a", "b", "c"])
+        for batch in (corpus.batch(np.array([2, 1])), [[1, 2], []]):
+            with pytest.raises(ContractError, match="every utterance must have at least one token"):
+                forward_batch(model, batch, cfg)
+
+    def test_corpus_chunk_gives_the_list_batch_bytes(self):
+        model, cfg, tokens, _ = _tiny_model(True)
+        corpus = Corpus([(tokens, 0), ([1, 2], 1), ([3, 7, 2], 0), ([0, 1, 2], 2), ([4], 1)], ["a", "b", "c"])
+        indices = np.array([4, 1, 2, 0])
+        with no_grad():
+            got = forward_batch(model, corpus.batch(indices), cfg)
+            want = forward_batch(model, [corpus.samples[i][0] for i in indices], cfg)
+        assert got.A.values.tobytes() == want.A.values.tobytes()
+        assert got.trace.v_final.values.tobytes() == want.trace.v_final.values.tobytes()
 
     @pytest.mark.parametrize(
         "batch, kwargs, message",
