@@ -20,7 +20,7 @@ from .data import Corpus, EmbeddingTable
 from .detection import activation_norms, margin_loss_batch
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelParams, forward_batch, init_model
-from .semantic import token_id_array
+from .semantic import TokenBatch, check_token_ids
 from .zeroshot import (
     classify_emerging_batch,
     intent_similarity,
@@ -95,7 +95,7 @@ class Adam:
     ever -0.0: both start at +0.0, v is a sum of squares, and ``b1 * m``
     rounds no nonzero m to zero. So every element sees the textbook's
     operations in its order, and the split changes no bit. Between steps
-    the optimizer holds only ``t``, ``m`` and ``v`` as state.
+    the optimizer's state is ``t``, ``m``, ``v`` and any aborted step.
 
     The pass runs on the optimizer's one-thread ThreadPoolExecutor, whose
     thread (``adam-rows-step_0``) the first ``rows_step`` starts: an
@@ -103,10 +103,11 @@ class Adam:
     daemon; it ends on ``close()``, which waits for a running pass, or
     once the optimizer is collected. ``close()`` may be called again,
     ``with Adam(...) as optimizer:`` calls it on the way out, and a
-    ``rows_step`` after it raises ContractError. A wait cut short (by
-    KeyboardInterrupt) can leave a block's pass running over the table,
-    so the next block waits for it before it gathers its rows, and so
-    does ``step()`` before it steps.
+    ``rows_step`` after it raises ContractError. A step that an exception
+    leaves, from its block or its own exit (the wait for the pass, the
+    rows' step, the write-back), is aborted: its pass may have moved the
+    table while ``t`` and the rest did not, so the next ``rows_step`` or
+    ``step()`` raises ContractError naming it.
 
     ``lr`` must be finite and non-negative, else ContractError names it.
     Every parameter must be writable (a loaded model's are not) and listed
@@ -135,7 +136,7 @@ class Adam:
         ]
         self._in_rows_step = False  # the pass owns a table while True
         self._executor = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="adam-rows-step")
-        self._pass: concurrent.futures.Future | None = None  # the last rows_step's pass
+        self._aborted = ""  # why no step may follow, once one was aborted
         self._closed = False
 
     def __enter__(self) -> "Adam":
@@ -162,13 +163,14 @@ class Adam:
         the leaf, and its normal exit takes the step. Inside the block the
         pass owns the table's values and moments: nothing may read or write
         them, and a nested block or a ``step()`` raises ContractError. The
-        block waits for the previous block's pass before it gathers the rows
-        and for its own on every way out, and its own pass's exception, if
-        any, is raised when no other is on its way out. A block left by an
-        exception advances no ``t`` and steps no other parameter, but the
-        table keeps the gradient-free pass."""
+        block waits for its pass on every way out, and the pass's exception,
+        if any, is raised when no other is on its way out. A block left by
+        an exception aborts its step: the optimizer takes no other (see the
+        class docstring)."""
         if self._closed:
             raise ContractError("rows_step on a closed Adam: close() stopped its worker")
+        if self._aborted:
+            raise ContractError(self._aborted)
         index = next((k for k, (_, t) in enumerate(self.params) if t is param), None)
         if index is None or param.ndim == 0:
             raise ContractError("rows_step needs a table that is one of the optimizer's parameters")
@@ -180,27 +182,27 @@ class Adam:
             raise ContractError("rows_step needs a non-empty 1-d array of integer row ids")
         if rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any():
             raise ContractError(f"rows_step needs sorted distinct row ids of the {n}-row table, got {rows}")
-        if self._pass is not None:  # a pass whose wait was cut short may still run
-            concurrent.futures.wait([self._pass])
         leaf = Tensor(np.take(param.values, rows, axis=0), requires_grad=True)
         m_rows, v_rows = (np.take(a[index], rows, axis=0) for a in (self.m, self.v))
-        self._pass = done = self._executor.submit(self._gradient_free_step, index, self.t + 1)
+        step = self.t + 1
+        done = self._executor.submit(self._gradient_free_step, index, step)
         self._in_rows_step = True
         try:
             yield leaf
-            self.t += 1
-            hyper = self._hyper(self.t)
+            self.t = step
+            hyper = self._hyper(step)
             self._dense_steps(hyper, skip=index)  # while the pass runs
+            done.result()
+            _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
+            param.values[rows] = leaf.values
+            self.m[index][rows] = m_rows
+            self.v[index][rows] = v_rows
         except BaseException:
+            self._aborted = f"Adam step {step} was aborted by an exception; the optimizer takes no further step"
             concurrent.futures.wait([done])
             raise
         finally:
             self._in_rows_step = False
-        done.result()
-        _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
-        param.values[rows] = leaf.values
-        self.m[index][rows] = m_rows
-        self.v[index][rows] = v_rows
 
     def _hyper(self, t: int) -> tuple:
         return self.lr, 1 - BETA1**t, 1 - BETA2**t
@@ -224,8 +226,8 @@ class Adam:
         """One step of every parameter from its ``.grad``."""
         if self._in_rows_step:
             raise ContractError("step() inside a rows_step block would race its worker over the table")
-        if self._pass is not None:
-            concurrent.futures.wait([self._pass])
+        if self._aborted:
+            raise ContractError(self._aborted)
         self.t += 1
         self._dense_steps(self._hyper(self.t))
 
@@ -294,9 +296,8 @@ class TrainHistory:
     best_epoch: int = -1
 
 
-def batch_loss(model: ModelParams, samples, cfg: RunConfig, *, training: bool, rng=None) -> Tensor:
-    tokens = [ids for ids, _ in samples]
-    labels = [lab for _, lab in samples]
+def batch_loss(model: ModelParams, tokens, labels, cfg: RunConfig, *, training: bool, rng=None) -> Tensor:
+    """The margin loss of a batch (a list or a `TokenBatch`) and its labels."""
     fwd = forward_batch(model, tokens, cfg, training=training, rng=rng)
     return margin_loss_batch(
         fwd.trace.v_final,
@@ -313,7 +314,8 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     """Minibatch Adam on the margin+penalty loss; keeps the parameters of
     the best validation epoch. Fully deterministic given the seed.
 
-    A step reads and writes few embedding rows: the batch's token ids and
+    A step cuts its batch from the corpus's packed ids (`Corpus.batch`)
+    and reads and writes few embedding rows: the batch's token ids and
     the pad id (whose gradient row is zeroed, so PAD stays frozen). Each
     step is one ``Adam.rows_step`` block, which gathers those rows into a
     leaf, with the batch's ids renumbered to index it; the block runs the
@@ -322,7 +324,7 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     table's gradient-free Adam pass over every row, and the step waits
     for it before it returns or raises. The optimizer is closed on every
     way out of ``train``, so its thread never outlives the call. An id
-    that is not a row of the embedding raises `encode_tokens`'
+    that is not a row of the embedding raises `check_token_ids`'
     ContractError before any row is gathered. Losses, parameters and
     moments are bit for bit those of a step on the whole table."""
     cfg.validate()
@@ -337,6 +339,7 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     if val_corpus is None or not val_corpus.samples:
         val_corpus = corpus
     n = len(corpus.samples)
+    labels = np.array([lab for _, lab in corpus.samples], dtype=np.int64)
     best_acc = -1.0
     best_values = last_good = model.snapshot()
 
@@ -348,17 +351,14 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
                 # the shuffle picks batch membership; canonical within-batch
                 # order keeps gradient accumulation reproducible
                 picked = np.sort(order[start : start + cfg.batch_size])
-                batch = [corpus.samples[i] for i in picked]
-                seqs = [ids for ids, _ in batch]
-                lengths = np.array([len(ids) for ids in seqs])
-                ids = token_id_array(seqs, lengths, model.embedding.shape[0])
+                batch = corpus.batch(picked)
+                ids = check_token_ids(batch, model.embedding.shape[0])
                 rows, inverse = np.unique(np.append(ids, model.pad_id), return_inverse=True)
-                local = np.split(inverse[:-1], np.cumsum(lengths)[:-1])
-                local_batch = [(part.tolist(), lab) for part, (_, lab) in zip(local, batch)]
+                local = TokenBatch(inverse[:-1], batch.lengths)
                 pad = int(inverse[-1])
                 with optimizer.rows_step(model.embedding, rows) as leaf:
                     stepped = replace(model, embedding=leaf, pad_id=pad)
-                    loss = batch_loss(stepped, local_batch, cfg, training=True, rng=rng)
+                    loss = batch_loss(stepped, local, labels[picked], cfg, training=True, rng=rng)
                     value = loss.item()
                     if not np.isfinite(value):
                         err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
@@ -367,7 +367,7 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
                     optimizer.zero_grad()
                     loss.backward()
                     leaf.grad[pad] = 0.0  # PAD stays frozen
-                loss_sum += value * len(batch)
+                loss_sum += value * len(picked)
             epoch_loss = loss_sum / n
             acc = evaluate(model, val_corpus, cfg).accuracy
             history.epoch_losses.append(epoch_loss)
@@ -400,10 +400,11 @@ def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) ->
     utterances, in chunk order: `indices` are the chunk's corpus indices
     and `fwd` its ForwardPass. The chunks are cut from the corpus sorted
     by length (a stable sort, so equal lengths keep corpus order), so
-    each pads only to its own longest utterance and most have no pads;
-    consumers put their results back in corpus order by `indices`. Each
-    chunk's ids are a `TokenBatch` cut by `Corpus.batch` from the ids the
-    corpus packs once, so a worker does no per-token Python work.
+    each pads only to its own longest utterance (only a chunk of one
+    length has no pads); consumers put their results back in corpus order
+    by `indices`. Each chunk's ids are a `TokenBatch` cut by `Corpus.batch`
+    from the ids the corpus packs once, so a worker does no per-token
+    Python work.
 
     Each chunk's forward_batch and `read` run together under a no_grad
     block of their own, on a ThreadPoolExecutor (threads named
@@ -565,7 +566,7 @@ def full_loss_gradcheck(seed: int = 0, epsilon: float = 1e-4):
         model, cfg, tokens, label = build_tiny_setup(attempt)
 
         def loss_fn(_):
-            return batch_loss(model, [(tokens, label)], cfg, training=False)
+            return batch_loss(model, [tokens], [label], cfg, training=False)
 
         with no_grad():
             fwd = forward_batch(model, [tokens], cfg)

@@ -193,16 +193,20 @@ def _bilstm_states(source: np.ndarray, slots: np.ndarray, wv: np.ndarray, length
     inputs, in place over them: step t's inputs are read only there, so
     the gathered layout is the one buffer of activations. Products against
     per-gate D_H x D_H blocks would save the strided read, but BLAS may
-    round a narrower product differently (OpenBLAS does at B=1 for D_H = 2
-    or 3), and H must stay bitwise equal to the per-step cell. The states
-    go to a T x 2 x B x D_H buffer.
+    round a narrower product differently, and H must stay bitwise equal to
+    the per-step cell: on one-thread OpenBLAS 0.3.31 (Haswell kernels),
+    over D_H 1-64 and B in {1, 2, 3, 7, 32, 256}, per-gate products differ
+    in float32 at D_H = 4 (B = 1) and most D_H from 33, and in float64 at
+    B = 1 for each D_H from 2 not a multiple of 4 and at every B for most
+    D_H from 17 (20 among them); D_H = 8, 16, 24, 32, 48 and 64 match. The
+    states go to a T x 2 x B x D_H buffer.
     """
     n, steps = slots.shape
     dh = wv.shape[1]
     dtype = source.dtype
     grid = None
     if min(lengths) == steps:
-        # no pads (every B=1 request, most length-sorted eval chunks): one
+        # no pads (every B=1 request, an eval chunk of one length): one
         # row gather in reading order, then two transposed copies, the
         # backward direction reversed by a slice; the piece gather below
         # costs a B=1 request more in index arithmetic than it saves
@@ -424,13 +428,6 @@ def check_token_ids(batch: TokenBatch, rows: int) -> np.ndarray:
     raise ContractError(
         f"utterance {_utterance_at(lengths, k)} has token id {values[k]:.15g}, not a row of the {rows}-row embedding"
     )
-
-
-def token_id_array(seqs, lengths, rows: int) -> np.ndarray:
-    """The token ids of `seqs` (utterance b holds lengths[b] of them) in
-    row-major order, as int64, through `check_token_ids`."""
-    flat = id_values(list(itertools.chain.from_iterable(seqs)))
-    return check_token_ids(TokenBatch(flat, np.asarray(lengths, dtype=np.int64)), rows)
 
 
 def _utterance_at(lengths, k: int) -> int:

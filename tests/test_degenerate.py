@@ -71,9 +71,9 @@ def test_degenerate_shape(case):
     overrides, seqs = CASES[case]
     model, cfg = _setup(overrides, np.float64)
     k = len(cfg.existing_labels)
-    samples = [(s, i % k) for i, s in enumerate(seqs)]
+    labels = [i % k for i in range(len(seqs))]
 
-    err = finite_diff_check(lambda _: batch_loss(model, samples, cfg, training=False), model.trainable())
+    err = finite_diff_check(lambda _: batch_loss(model, seqs, labels, cfg, training=False), model.trainable())
     assert err <= 1e-4
 
     model32, _ = _setup(overrides, np.float32)

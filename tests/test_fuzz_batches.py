@@ -1,14 +1,15 @@
-"""Property test of the packed corpus ids that evaluation cuts its chunks from.
+"""Property test of the packed corpus ids that evaluation and training
+cut their batches from.
 
 For a random corpus and a random index array, `Corpus.batch(indices)`
-through `check_token_ids` gives exactly what `token_id_array` gives for
-the same utterances as lists: the same int64 ids, or a ContractError
-with the same text. Most ids are rows of a 10-row embedding; the rest
-are the kinds an id check meets: negative and past-the-end ints,
-fractions, NaN and infinities, strings, nested lists, ints past int64
-and past float64, Decimals, bools and numpy ints. One bad id anywhere
-in the corpus changes the packed array's dtype, so chunks without one
-are checked too.
+through `check_token_ids` gives exactly what the same utterances as
+lists give through `TokenBatch.of`, the path every list caller takes:
+the same int64 ids, or a ContractError with the same text. Most ids
+are rows of a 10-row embedding; the rest are the kinds an id check
+meets: negative and past-the-end ints, fractions, NaN and infinities,
+strings, nested lists, ints past int64 and past float64, Decimals, bools
+and numpy ints. One bad id anywhere in the corpus changes the packed
+array's dtype, so chunks without one are checked too.
 """
 
 from decimal import Decimal
@@ -18,7 +19,7 @@ import pytest
 
 from capsnlu.autodiff import ContractError
 from capsnlu.data import Corpus
-from capsnlu.semantic import check_token_ids, token_id_array
+from capsnlu.semantic import TokenBatch, check_token_ids
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -55,5 +56,5 @@ def test_corpus_batch_gives_the_list_batch_ids_or_error(case):
     chosen = [seqs[i] for i in indices]
     assert batch.lengths.dtype == np.int64
     assert batch.lengths.tolist() == [len(s) for s in chosen]
-    want = outcome(lambda: token_id_array(chosen, [len(s) for s in chosen], ROWS))
+    want = outcome(lambda: check_token_ids(TokenBatch.of(chosen), ROWS))
     assert outcome(lambda: check_token_ids(batch, ROWS)) == want

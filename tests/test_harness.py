@@ -42,7 +42,7 @@ from capsnlu import model as model_module
 from capsnlu import semantic
 from capsnlu.detection import init_detection_params
 from capsnlu.model import forward_batch, init_model, load_model, save_model
-from capsnlu.semantic import TokenBatch, init_semantic_params, token_id_array
+from capsnlu.semantic import TokenBatch, check_token_ids, init_semantic_params
 
 
 class TestTrain:
@@ -355,23 +355,35 @@ class TestAdam:
             with pytest.raises(ContractError, match="needs sorted distinct row ids of the 4-row table"):
                 with opt.rows_step(table, rows):
                     pass
-        with pytest.raises(ContractError, match="a rows step is already open"):
-            with opt.rows_step(table, [0]):
-                with opt.rows_step(table, [1]):
-                    pass
-        with pytest.raises(ContractError, match="step\\(\\) inside a rows_step block would race its worker"):
-            with opt.rows_step(table, [0]):
-                opt.step()
-        assert opt.t == 0  # no block above took a step
+        assert opt.t == 0  # no block above was entered
         opt.close()
+        # each misuse inside a block aborts that block's step
+        for misuse, message in [
+            (lambda opt: opt.rows_step(table, [1]).__enter__(), "a rows step is already open"),
+            (Adam.step, "step\\(\\) inside a rows_step block would race its worker"),
+        ]:
+            with Adam([("table", table)], lr=1e-3) as opt:
+                with pytest.raises(ContractError, match=message):
+                    with opt.rows_step(table, [0]):
+                        misuse(opt)
+                assert opt.t == 0
+                with pytest.raises(ContractError, match="Adam step 1 was aborted"):
+                    opt.step()
         assert threading.active_count() == before
 
     def test_block_left_by_an_exception_takes_no_step(self, monkeypatch):
-        # t and the other parameters and their moments are as before, no
-        # pass is pending or queued after the block (a slow one included),
-        # the next block steps as usual, and no worker outlives the optimizer
-        real_pass = Adam._gradient_free_step
-        monkeypatch.setattr(Adam, "_gradient_free_step", lambda *args: (time.sleep(0.05), real_pass(*args)))
+        # t and the other parameters and their moments are as before, the
+        # block's pass (a slow one) has finished when the block is left,
+        # the optimizer refuses every later step, naming the aborted one,
+        # and no worker outlives the optimizer
+        real_pass, finished = Adam._gradient_free_step, []
+
+        def slow_pass(self, index, t):
+            time.sleep(0.05)
+            real_pass(self, index, t)
+            finished.append(t)
+
+        monkeypatch.setattr(Adam, "_gradient_free_step", slow_pass)
         rng = np.random.default_rng(3)
         table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=3), requires_grad=True)
@@ -382,12 +394,40 @@ class TestAdam:
             with pytest.raises(RuntimeError, match="forward failed"):
                 with opt.rows_step(table, [1, 4]):
                     raise RuntimeError("forward failed")
-            assert opt.t == 0 and opt._pass.done()  # every submit goes through _pass, so none is queued
+            assert opt.t == 0 and finished == [1]
             assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
-            with opt.rows_step(table, [1, 4]) as leaf:
-                ops.sum(leaf).backward()
-            assert opt.t == 1 and not _same_bits(w.values, w0) and opt.m[0][[1, 4]].all()
+            stepped = table.values.copy()
+            refused = "Adam step 1 was aborted by an exception; the optimizer takes no further step"
+            with pytest.raises(ContractError, match=refused):
+                with opt.rows_step(table, [1, 4]):
+                    pass
+            with pytest.raises(ContractError, match=refused):
+                opt.step()
+            assert opt.t == 0 and finished == [1] and _same_bits(table.values, stepped) and _same_bits(w.values, w0)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["pass", "rows_step", "write_back"])
+    def test_step_whose_exit_raises_is_refused_after(self, monkeypatch, failing):
+        # the block ran, but the wait for the pass, the rows' step or the
+        # write-back raised on its exit: that step is aborted as well
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        with Adam([("table", table)], lr=1e-3) as opt:
+            with opt.rows_step(table, [1]) as leaf:
+                ops.sum(leaf).backward()
+            if failing == "pass":
+                monkeypatch.setattr(Adam, "_gradient_free_step", lambda *args: 1 / 0)
+            elif failing == "rows_step":
+                monkeypatch.setattr(harness, "_full_step", lambda *args: 1 / 0)
+            with pytest.raises((ZeroDivisionError, ValueError)):
+                with opt.rows_step(table, [2]) as leaf:
+                    ops.sum(leaf).backward()
+                    if failing == "write_back":
+                        leaf.values = np.ones((2, 2))  # two rows cannot be written back into row 2
+            with pytest.raises(ContractError, match="Adam step 2 was aborted"):
+                with opt.rows_step(table, [1]):
+                    pass
+            with pytest.raises(ContractError, match="Adam step 2 was aborted"):
+                opt.step()
 
     def test_close_waits_for_the_pass_and_may_be_called_again(self):
         table = Tensor(np.ones((4, 2)), requires_grad=True)
@@ -409,7 +449,7 @@ class TestAdam:
 
     @staticmethod
     def _cut_a_wait_short(opt, table, monkeypatch) -> list:
-        """After one step of row 1, run a block of row 3 whose wait a
+        """After one step of row 1, run a block of row 3 whose waits a
         KeyboardInterrupt cuts short, leaving its pass for step 2 running;
         the pass then adds 10 to table row 2 and appends its step to the
         list returned."""
@@ -418,10 +458,10 @@ class TestAdam:
         def late_pass(self, index, t):
             time.sleep(0.1)
             real_pass(self, index, t)
-            table.values[2] += 10.0  # a write the next step must keep
+            table.values[2] += 10.0
             done.append(t)
 
-        def interrupted(self, timeout=None):
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         with opt.rows_step(table, [1]) as leaf:
@@ -429,29 +469,34 @@ class TestAdam:
         with monkeypatch.context() as mp, pytest.raises(KeyboardInterrupt):
             mp.setattr(Adam, "_gradient_free_step", late_pass)
             mp.setattr(concurrent.futures.Future, "result", interrupted)
+            mp.setattr(concurrent.futures, "wait", interrupted)
             with opt.rows_step(table, [3]) as leaf:
                 ops.sum(leaf).backward()
         return done
 
-    def test_a_wait_cut_short_is_made_up_by_the_next(self, monkeypatch):
-        # the next block must wait for the pass left running before it
-        # gathers its rows, or its write-back would undo what the pass wrote
+    def test_rows_step_after_a_wait_cut_short_is_refused(self, monkeypatch):
+        # the pass left running may still write the table, so the next
+        # block is refused before it gathers a row; close() waits for the pass
         table = Tensor(np.ones((4, 2)), requires_grad=True)
+        before = threading.active_count()
         with Adam([("table", table)], lr=1e-3) as opt:
             done = self._cut_a_wait_short(opt, table, monkeypatch)
-            with opt.rows_step(table, [2]) as leaf:
-                assert done == [2] and leaf.values.tolist() == [[11.0, 11.0]]
-                ops.sum(leaf).backward()
-            np.testing.assert_allclose(table.values[2], 10.99936, atol=1e-5)
-            assert opt.t == 3
+            with pytest.raises(ContractError, match="Adam step 2 was aborted by an exception"):
+                with opt.rows_step(table, [2]):
+                    pass
+            assert opt.t == 2
+        assert done == [2] and table.values[2].tolist() == [11.0, 11.0] and threading.active_count() == before
 
-    def test_step_after_a_wait_cut_short_waits_for_the_pass(self, monkeypatch):
+    def test_step_after_a_wait_cut_short_is_refused(self, monkeypatch):
         table = Tensor(np.ones((4, 2)), requires_grad=True)
+        before = threading.active_count()
         with Adam([("table", table)], lr=1e-3) as opt:
             done = self._cut_a_wait_short(opt, table, monkeypatch)
             opt.zero_grad()
-            opt.step()
-            assert done == [2] and table.values[2].tolist() == [11.0, 11.0] and opt.t == 3
+            with pytest.raises(ContractError, match="Adam step 2 was aborted by an exception"):
+                opt.step()
+            assert opt.t == 2
+        assert done == [2] and table.values[2].tolist() == [11.0, 11.0] and threading.active_count() == before
 
     def test_unclosed_optimizer_thread_ends_when_it_is_collected(self):
         # run apart: the leak gate in conftest keeps every Adam a test makes
@@ -551,7 +596,7 @@ class TestTrainStepExactness:
         order = rng.permutation(len(corpus.samples))
         for start in range(0, len(order), cfg.batch_size):
             batch = [corpus.samples[i] for i in np.sort(order[start : start + cfg.batch_size])]
-            loss = batch_loss(dense, batch, cfg, training=True, rng=rng)
+            loss = batch_loss(dense, [ids for ids, _ in batch], [lab for _, lab in batch], cfg, training=True, rng=rng)
             opt.zero_grad()
             loss.backward()
             dense.embedding.grad[dense.pad_id] = 0.0
@@ -562,10 +607,30 @@ class TestTrainStepExactness:
         assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [(3, 3, 3), (4, 1, 3)], ids=["pad_free", "padded"])
+    def test_list_batch_and_token_batch_give_the_same_bytes(self, dtype, lengths):
+        # train hands batch_loss a TokenBatch, callers a list: the loss and
+        # every leaf's gradient must not depend on which, dropout included
+        model, cfg, _, _ = build_tiny_setup(0, dtype=dtype)
+        cfg.dropout_keep = 0.7
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(0, 8, size=n).tolist() for n in lengths]
+        got = []
+        for tokens in (seqs, TokenBatch.of(seqs)):
+            for _, t in model.trainable():
+                t.reset_grad()
+            loss = batch_loss(model, tokens, [0, 2, 1], cfg, training=True, rng=np.random.default_rng(9))
+            loss.backward()
+            got.append([loss.values.tobytes()] + [t.grad.tobytes() for _, t in model.trainable()])
+        assert got[0] == got[1]
+        assert all(t.grad.any() for _, t in model.trainable())
+
     def test_each_batch_is_renumbered_onto_the_rows_it_steps(self, toy_setup, monkeypatch):
-        # the leaf's row k is table row rows[k]: the local ids cover every
-        # row, the local pad is the table's pad row, and mapped back through
-        # the rows one epoch's batches are the corpus's utterances
+        # the leaf's row k is table row rows[k]: each batch is a TokenBatch
+        # of int64 local ids that cover every row, the local pad is the
+        # table's pad row, and mapped back through the rows one epoch's
+        # batches are the corpus's utterances
         cfg, table, corpus, _ = toy_setup
         cfg.epochs, cfg.batch_size = 1, 3
         stepped_rows, seen = [], []
@@ -579,12 +644,14 @@ class TestTrainStepExactness:
 
         real_loss = harness.batch_loss
 
-        def recording_loss(model, batch, *args, **kwargs):
+        def recording_loss(model, tokens, labels, *args, **kwargs):
             rows = stepped_rows[-1]
+            assert isinstance(tokens, TokenBatch) and tokens.values.dtype == np.int64
             assert rows[model.pad_id] == table.pad_id
-            assert sorted({i for ids, _ in batch for i in ids} | {model.pad_id}) == list(range(len(rows)))
-            seen.extend((tuple(rows[ids].tolist()), label) for ids, label in batch)
-            return real_loss(model, batch, *args, **kwargs)
+            assert sorted(set(tokens.values.tolist()) | {model.pad_id}) == list(range(len(rows)))
+            utterances = np.split(rows[tokens.values], np.cumsum(tokens.lengths)[:-1])
+            seen.extend((tuple(ids.tolist()), int(label)) for ids, label in zip(utterances, labels))
+            return real_loss(model, tokens, labels, *args, **kwargs)
 
         monkeypatch.setattr(harness, "Adam", Recorded)
         monkeypatch.setattr(harness, "batch_loss", recording_loss)
@@ -599,17 +666,20 @@ class TestTrainThreads:
     the caller."""
 
     @pytest.fixture(autouse=True)
-    def slow_worker(self, monkeypatch):
+    def slow_worker(self, monkeypatch) -> list:
         # the toy table's pass takes microseconds; a slow one would still be
         # running at the thread count below if train left it unjoined, and
-        # any worker left alive is still running
-        real = Adam._gradient_free_step
+        # any worker left alive is still running; the steps whose pass has
+        # finished are listed
+        real, finished = Adam._gradient_free_step, []
 
         def slow(self, index, t):
             time.sleep(0.02)
             real(self, index, t)
+            finished.append(t)
 
         monkeypatch.setattr(Adam, "_gradient_free_step", slow)
+        return finished
 
     def test_no_thread_outlives_a_normal_run(self, toy_setup):
         cfg, table, corpus, _ = toy_setup
@@ -639,7 +709,7 @@ class TestTrainThreads:
             train(cfg, corpus, table)
         assert threading.active_count() == before
 
-    def test_between_steps_the_optimizer_holds_no_open_step(self, toy_setup, monkeypatch):
+    def test_between_steps_the_optimizer_holds_no_open_step(self, toy_setup, monkeypatch, slow_worker):
         # what resume relies on: after every step Adam has the attributes
         # of a fresh one, and its worker, the same single thread for every
         # step, has no pending pass and holds no leaf, so neither a step's
@@ -659,7 +729,7 @@ class TestTrainThreads:
                     yield leaf
                 keys.append(sorted(vars(self)))
                 (worker,) = adam_threads = list(_adam_threads())
-                idle = self._pass.done()  # every submit goes through _pass
+                idle = slow_worker == list(range(1, self.t + 1))  # every pass submitted has finished
                 held = list(vars(worker).values())
                 frame = sys._current_frames()[worker.ident]
                 while frame is not None:
@@ -703,20 +773,42 @@ class TestTrainThreads:
         assert threading.active_count() == before
         assert hooked == []
 
-    @pytest.mark.parametrize("bad", [-1, "rows", 2.5])
-    def test_bad_token_id_is_named_before_any_step(self, toy_setup, bad):
-        # -1 would gather the last row and 2.5 fail as a bare IndexError
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, None, 2.5, np.nan, "rows", [2], 2**70, Decimal("1.5")],
+        ids=["negative", "rows", "fraction", "nan", "string", "list", "int_past_int64", "decimal"],
+    )
+    def test_bad_token_id_is_named_before_any_step(self, toy_setup, monkeypatch, bad):
+        # -1 would gather the last row and 2.5 fail as a bare IndexError;
+        # the batch cut from the corpus's packed ids raises the list batch's
+        # own error, and the optimizer takes no step
         cfg, table, corpus, _ = toy_setup
         rows = table.vectors.shape[0]
-        value = rows if bad == "rows" else bad
+        bad = rows if bad is None else bad  # one past the last row
         samples = list(corpus.samples)
         ids, label = samples[3]
-        samples[3] = (ids[:1] + [value] + ids[1:], label)
+        samples[3] = (ids[:1] + [bad] + ids[1:], label)
         cfg.batch_size = len(samples)  # one batch in corpus order
+        with pytest.raises(ContractError) as listed:
+            check_token_ids(TokenBatch.of([ids for ids, _ in samples]), rows)
+        assert str(listed.value).startswith("utterance 3 has token id ")
+        made = []
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "Adam", Recorded)
         before = threading.active_count()
-        with pytest.raises(ContractError, match=f"utterance 3 has token id {value}, not a row of the {rows}-row embedding"):
+        with pytest.raises(ContractError) as trained:
             train(cfg, Corpus(samples, corpus.label_names), table)
+        assert str(trained.value) == str(listed.value)
         assert threading.active_count() == before
+        fresh = init_model(table, cfg, rng=np.random.default_rng(cfg.seed))
+        (opt,) = made
+        assert opt.t == 0
+        assert all(_same_bits(t.values, f.values) for (_, t), (_, f) in zip(opt.params, fresh.trainable()))
 
 
 class TestSplits:
@@ -1068,7 +1160,7 @@ class TestEvalPool:
         chunk = np.argsort([len(ids) for ids, _ in big.samples], kind="stable")[EVAL_BATCH : 2 * EVAL_BATCH]
         seqs = [big.samples[i][0] for i in chunk]
         with pytest.raises(ContractError) as listed:
-            token_id_array(seqs, [len(s) for s in seqs], rows)
+            check_token_ids(TokenBatch.of(seqs), rows)
         assert str(listed.value).startswith("utterance 0 has token id ")
         _cpus(monkeypatch, cpus)
         with pytest.raises(ContractError) as pooled:

@@ -176,31 +176,31 @@ class TestBilstmEncode:
         model, cfg, tokens, _ = _tiny_model(frozen)
         want = re.escape(f"utterance 1 has token id {bad!r}, not a real number")
         with pytest.raises(ContractError, match=want):
-            semantic.token_id_array([tokens, [3, bad, 2]], [len(tokens), 3], 10)
+            semantic.check_token_ids(semantic.TokenBatch.of([tokens, [3, bad, 2]]), 10)
         with no_grad() if frozen else contextlib.nullcontext():
             with pytest.raises(ContractError, match=want):
                 forward_batch(model, [tokens, [3, bad, 2]], cfg)
 
     def test_token_ids_numpy_holds_as_objects_read_as_numbers(self):
         # a Fraction or a Decimal reads its row; an int past int64 is named as before
-        assert semantic.token_id_array([[Fraction(3, 1), 1]], [2], 10).tolist() == [3, 1]
-        assert semantic.token_id_array([[Decimal(3), 1]], [2], 10).tolist() == [3, 1]
+        assert semantic.check_token_ids(semantic.TokenBatch.of([[Fraction(3, 1), 1]]), 10).tolist() == [3, 1]
+        assert semantic.check_token_ids(semantic.TokenBatch.of([[Decimal(3), 1]]), 10).tolist() == [3, 1]
         with pytest.raises(ContractError, match=re.escape("utterance 0 has token id 1e+30, not a row")):
-            semantic.token_id_array([[1, 10**30]], [2], 10)
+            semantic.check_token_ids(semantic.TokenBatch.of([[1, 10**30]]), 10)
         # ids that numpy would stack into a 2-d array are still named one by one
         with pytest.raises(ContractError, match=re.escape("utterance 0 has token id [3], not a real number")):
-            semantic.token_id_array([[[3], [4]]], [2], 10)
+            semantic.check_token_ids(semantic.TokenBatch.of([[[3], [4]]]), 10)
 
     def test_token_id_that_is_not_a_real_number_is_named_before_a_bad_row(self):
         with pytest.raises(ContractError, match=re.escape("utterance 1 has token id '3', not a real number")):
-            semantic.token_id_array([[99], ["3"]], [1, 1], 10)
+            semantic.check_token_ids(semantic.TokenBatch.of([[99], ["3"]]), 10)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
     def test_token_ids_of_other_types_read_their_rows(self, frozen):
         # -0.0 passes the check as row 0, True as row 1, numpy ints as themselves
         model, cfg, tokens, _ = _tiny_model(frozen)
         odd = [3, -0.0, True, np.int64(2), np.int32(7)]
-        assert semantic.token_id_array([odd], np.array([5]), 10).tolist() == [3, 0, 1, 2, 7]
+        assert semantic.check_token_ids(semantic.TokenBatch.of([odd]), 10).tolist() == [3, 0, 1, 2, 7]
         with no_grad() if frozen else contextlib.nullcontext():
             got = forward_batch(model, [odd, tokens], cfg).trace.v_final.values
             want = forward_batch(model, [[3, 0, 1, 2, 7], tokens], cfg).trace.v_final.values
@@ -225,7 +225,7 @@ class TestBilstmEncode:
         seqs = [samples[i][0] for i in indices]
         errors = []
         for run in (
-            lambda: semantic.token_id_array(seqs, [len(s) for s in seqs], rows),
+            lambda: semantic.check_token_ids(semantic.TokenBatch.of(seqs), rows),
             lambda: semantic.check_token_ids(corpus.batch(indices), rows),
             lambda: forward_batch(model, seqs, cfg),
             lambda: forward_batch(model, corpus.batch(indices), cfg),
@@ -755,8 +755,9 @@ class TestFusedRecurrence:
         )
         cfg = RunConfig(existing_labels=("a", "b", "c", "d", "e"), emerging_labels=())
         model = init_model(table, cfg, rng=rng)
-        samples = [(rng.integers(0, vocab - 2, size=n).tolist(), int(n % 5)) for n in rng.integers(5, 16, size=32)]
-        loss = batch_loss(model, samples, cfg, training=True, rng=rng)
+        lengths = rng.integers(5, 16, size=32)
+        tokens = [rng.integers(0, vocab - 2, size=n).tolist() for n in lengths]
+        loss = batch_loss(model, tokens, (lengths % 5).tolist(), cfg, training=True, rng=rng)
         assert _graph_ops(loss) == sorted(STEP_OPS)
 
     def test_evaluation_with_gradients_on_records_only_step_ops(self, toy_setup, monkeypatch):
