@@ -13,15 +13,22 @@ Run:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from capsnlu.autodiff import Tensor, finite_diff_check
-from capsnlu.detection import dynamic_routing, init_detection_params, margin_loss_batch, prediction_vectors
-from capsnlu.semantic import attention_matrix, init_semantic_params, orthogonality_penalty, semantic_vectors
+from capsnlu.config import RunConfig
+from capsnlu.data import EmbeddingTable
+from capsnlu.detection import dynamic_routing, margin_loss_batch, prediction_vectors
+from capsnlu.model import init_model
+from capsnlu.semantic import attention_matrix, orthogonality_penalty, semantic_vectors
 
 # Leaves carry values, a zero gradient accumulator, and requires_grad.
+# init_model draws every weight (here over a table of just the OOV and PAD
+# rows); the tour takes the attention head and the detection capsules.
 # H stands in for one utterance's BiLSTM states (T=5 positions, 2D_H=6);
 # float64 keeps the finite-difference check below tight.
 rng = np.random.default_rng(0)
-sem = init_semantic_params(rng, word_dim=4, hidden_dim=3, attn_dim=4, heads=2, dtype=np.float64)
-det = init_detection_params(rng, num_intents=3, heads=2, in_dim=6, caps_dim=4, dtype=np.float64)
+table = EmbeddingTable(vocab={"<oov>": 0, "<pad>": 1}, vectors=np.zeros((2, 4)), oov_id=0, pad_id=1)
+cfg = RunConfig(word_dim=4, hidden_dim=3, attn_dim=4, heads=2, caps_dim=4, existing_labels=("a", "b", "c"), emerging_labels=())
+model = init_model(table, cfg, rng=rng, dtype=np.float64)
+sem, det = model.semantic, model.detection
 H = Tensor(rng.normal(scale=0.5, size=(1, 5, 6)), requires_grad=True)
 
 

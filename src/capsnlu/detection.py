@@ -12,7 +12,7 @@ unchanged. Routing then iterates:
     v_k = squash(s_k)
     b[k][r] += p[k][r] . v_k                   (agreement update)
 
-starting from zero logits b. The first round is therefore uniform: its
+starting from zero logits b. The first round therefore couples evenly: its
 couplings are exactly 1/K (exp(0) = 1, and K ones sum to K), so they are
 set to 1/K with no softmax. The norm of the activation vector v_k ranks
 intents; training minimizes a per-intent max-margin loss plus the
@@ -44,6 +44,7 @@ a batch of one (B=1). The functions broadcast over any leading axes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +112,6 @@ class RoutingTrace:
 def _read_only(view: np.ndarray) -> np.ndarray:
     view.setflags(write=False)
     return view
-
-
-def init_detection_params(rng, num_intents: int, heads: int, in_dim: int, caps_dim: int, dtype=np.float32):
-    bound = np.sqrt(6.0 / (in_dim + caps_dim))
-    w = rng.uniform(-bound, bound, size=(num_intents, heads, in_dim, caps_dim)).astype(dtype)
-    return DetectionCapsParams(w=Tensor(w, requires_grad=True))
 
 
 def prediction_vectors(m: Tensor, params: DetectionCapsParams) -> Tensor:
@@ -255,11 +250,20 @@ def margin_loss_batch(
     """
     _check_margins(downweight, margin_pos, margin_neg, penalty_weight)
     num_intents = v.shape[-2]
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != v.shape[:-2]:
         raise ContractError(f"labels of shape {labels.shape} do not match the batch shape {v.shape[:-2]} of v")
+    if labels.dtype.kind not in "iu":
+        # checked before the int64 cast, which would truncate a fraction or parse a string
+        if labels.dtype.kind == "f":
+            bad = labels[labels != np.floor(labels)].tolist()
+        else:
+            bad = [x for x in labels.ravel().tolist() if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
+        if bad:
+            raise ContractError(f"label {bad[0]!r} is not a whole-number class id")
     if (labels < 0).any() or (labels >= num_intents).any():
         raise ContractError(f"label outside the {num_intents} intents")
+    labels = labels.astype(np.int64, copy=False)
     x, dtype = v.values, v.dtype
     onehot = (labels[..., None] == np.arange(num_intents)).astype(dtype)
     # the per-op graph's numpy calls, Python scalars cast as `_coerce` does

@@ -1,8 +1,9 @@
-"""Whole-model parameter bundle, forward pass, and persistence."""
+"""Whole-model parameter schema and weight init, forward pass, and persistence."""
 
 from __future__ import annotations
 
 import json
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -18,9 +19,6 @@ from .semantic import (
     SemanticCapsParams,
     attention_matrix,
     encode_tokens,
-    glorot,
-    lstm_bias,
-    lstm_weight,
     orthogonality_penalty,
     semantic_vectors,
 )
@@ -97,17 +95,27 @@ def _param_shapes(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
+def _glorot(rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
 def _init_weight(rng, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A fresh value for weight `name`, drawn as the layers' own inits
-    draw it: the attention matrices are out x in, the detection
-    transforms ... x in x out."""
-    if name.endswith(".b"):
-        return lstm_bias(shape[1] // 4, dtype)
+    """A fresh value for weight `name`: Glorot-uniform, but an LSTM bias
+    is zero with the forget gate's block at one (open at the start), and
+    an LSTM weight is one fan_in x D_H Glorot block per gate, side by
+    side. The attention matrices are out x in, the detection transforms
+    ... x in x out."""
     if name.startswith("lstm"):
-        return lstm_weight(rng, shape[0], shape[1] // 4, dtype)
+        d_h = shape[1] // 4
+        if name.endswith(".b"):
+            b = np.zeros(shape, dtype=dtype)
+            b[0, d_h : 2 * d_h] = 1.0
+            return b
+        return np.hstack([_glorot(rng, (shape[0], d_h), shape[0], d_h, dtype) for _ in range(4)])
     if name == "detect.w":
-        return glorot(rng, shape, shape[2], shape[3], dtype)
-    return glorot(rng, shape, shape[1], shape[0], dtype)
+        return _glorot(rng, shape, shape[2], shape[3], dtype)
+    return _glorot(rng, shape, shape[1], shape[0], dtype)
 
 
 def _model_from(values: dict[str, np.ndarray], pad_id: int) -> ModelParams:
@@ -126,7 +134,8 @@ def init_model(table: EmbeddingTable, cfg: RunConfig, rng=None, dtype=np.float32
     """A fresh model over `table`: the embedding is one `dtype` copy of
     the table's vectors with the PAD row zeroed, and every other weight is
     drawn from `rng` (default: seeded by `cfg.seed`) in schema order, at
-    the shapes of `_param_shapes`."""
+    the shapes of `_param_shapes`. `cfg` must pass `RunConfig.validate`."""
+    cfg.validate()
     if table.dim != cfg.word_dim:
         raise ContractError(f"embedding dim {table.dim} does not match word_dim {cfg.word_dim}")
     if rng is None:
@@ -278,15 +287,22 @@ def load_model(model_dir) -> ModelBundle:
     array is read-only, so the encoder gathers each token's input
     projections from a table built once (see `encode_tokens`);
     `snapshot()` gives writable copies. The bundle's `table.vectors` is
-    the model's embedding array, so it is read-only too."""
+    the model's embedding array, so it is read-only too. A `params.npz`
+    that is cut short or damaged raises ContractError naming it; a missing
+    one, FileNotFoundError."""
     model_dir = Path(model_dir)
     meta = _read_meta(model_dir / "meta.json")
     npz_path = model_dir / "params.npz"
-    with np.load(npz_path) as npz:
-        try:
+    try:
+        # np.load leaves a path it opened open when the archive is unreadable
+        with open(npz_path, "rb") as f, np.load(f) as npz:
             arrays = {key: npz[key] for key in npz.files}
-        except ValueError as exc:  # an object array, which needs pickle
-            raise ContractError(f"{npz_path}: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except ValueError as exc:  # an object array, which needs pickle, or a damaged header
+        raise ContractError(f"{npz_path}: {exc}") from exc
+    except (OSError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ContractError(f"{npz_path} is cut short or damaged: {exc!r}") from exc
     for key in ("embedding", "intent_vectors"):
         if key not in arrays:
             raise ContractError(f"{npz_path} has no {key!r} array")

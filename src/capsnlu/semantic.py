@@ -98,42 +98,6 @@ class SemanticCapsParams:
         )
 
 
-def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def lstm_weight(rng, fan_in: int, hidden_dim: int, dtype) -> np.ndarray:
-    """fan_in x 4D_H: one Glorot block per gate, side by side."""
-    return np.hstack([glorot(rng, (fan_in, hidden_dim), fan_in, hidden_dim, dtype) for _ in range(4)])
-
-
-def lstm_bias(hidden_dim: int, dtype) -> np.ndarray:
-    """1 x 4D_H: zero but the forget gate's ones, open at the start."""
-    b = np.zeros((1, 4 * hidden_dim), dtype=dtype)
-    b[0, hidden_dim : 2 * hidden_dim] = 1.0
-    return b
-
-
-def init_lstm_params(rng, word_dim: int, hidden_dim: int, dtype=np.float32) -> LstmParams:
-    return LstmParams(
-        w_x=Tensor(lstm_weight(rng, word_dim, hidden_dim, dtype), requires_grad=True),
-        w_h=Tensor(lstm_weight(rng, hidden_dim, hidden_dim, dtype), requires_grad=True),
-        b=Tensor(lstm_bias(hidden_dim, dtype), requires_grad=True),
-    )
-
-
-def init_semantic_params(
-    rng, word_dim: int, hidden_dim: int, attn_dim: int, heads: int, dtype=np.float32
-) -> SemanticCapsParams:
-    return SemanticCapsParams(
-        lstm_fw=init_lstm_params(rng, word_dim, hidden_dim, dtype),
-        lstm_bw=init_lstm_params(rng, word_dim, hidden_dim, dtype),
-        w_s1=Tensor(glorot(rng, (attn_dim, 2 * hidden_dim), 2 * hidden_dim, attn_dim, dtype), requires_grad=True),
-        w_s2=Tensor(glorot(rng, (heads, attn_dim), attn_dim, heads, dtype), requires_grad=True),
-    )
-
-
 # ----------------------------------------------------------------------
 # recurrence
 
@@ -461,7 +425,7 @@ def encode_tokens(
     Only the real tokens' rows are gathered, packed in row-major order,
     plus the pad row once when the batch has pads; their projections are
     then gathered once into the recurrence's step layout, every pad slot
-    taking the pad row's projection. Dropout draws one uniform per padded
+    taking the pad row's projection. Dropout draws one number per padded
     position and dimension, B x T x D_W as for a padded batch, and keeps
     the real positions' draws.
 

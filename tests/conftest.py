@@ -13,7 +13,8 @@ import pytest
 
 from capsnlu import harness
 from capsnlu.config import RunConfig
-from capsnlu.data import load_inputs
+from capsnlu.data import EmbeddingTable, load_inputs
+from capsnlu.model import init_model
 
 TOY_EXISTING = ("Music", "Weather")
 TOY_EMERGING = ("Tunes", "Sports")
@@ -107,6 +108,22 @@ def build_toy_corpus(path):
     return path
 
 
+def _flip_middle_byte(data: bytes) -> bytes:
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 0xFF
+    return bytes(flipped)
+
+
+# ways a saved params.npz is cut or damaged, each a bytes -> bytes function
+ARCHIVE_DAMAGES = {
+    "empty": lambda data: b"",
+    "cut-at-10": lambda data: data[:10],
+    "cut-at-half": lambda data: data[: len(data) // 2],
+    "10-short": lambda data: data[:-10],
+    "flipped-byte": _flip_middle_byte,
+}
+
+
 def toy_config(**overrides) -> RunConfig:
     cfg = RunConfig(
         word_dim=8,
@@ -128,6 +145,23 @@ def toy_config(**overrides) -> RunConfig:
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg.validate()
+
+
+def init_layers(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2, intents=1, caps_dim=1, dtype=np.float64):
+    """`init_model` at these dimensions over a two-row table (OOV, PAD),
+    drawing from `rng`: a test of one layer takes its `.semantic` or its
+    `.detection`."""
+    table = EmbeddingTable(vocab={"<oov>": 0, "<pad>": 1}, vectors=np.zeros((2, word_dim)), oov_id=0, pad_id=1)
+    cfg = RunConfig(
+        word_dim=word_dim,
+        hidden_dim=hidden_dim,
+        attn_dim=attn_dim,
+        heads=heads,
+        caps_dim=caps_dim,
+        existing_labels=tuple(f"intent{k}" for k in range(intents)),
+        emerging_labels=(),
+    )
+    return init_model(table, cfg, rng=rng, dtype=dtype)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_EXISTING, toy_config
+from conftest import TOY_EXISTING, init_layers, toy_config
 
 from capsnlu.autodiff import Tensor
 from capsnlu.config import RunConfig
@@ -36,7 +36,7 @@ from capsnlu.harness import (
     zsl_evaluate,
 )
 from capsnlu.model import forward_batch, init_model
-from capsnlu.semantic import attend, encode_tokens, init_semantic_params, semantic_vectors
+from capsnlu.semantic import attend, encode_tokens, semantic_vectors
 from capsnlu.zeroshot import classify_emerging_batch, intent_similarity
 
 from test_detection import FIXED_P, routing_transcript_oracle
@@ -101,7 +101,7 @@ class TestCriterion3Invariants:
         rng = np.random.default_rng(102)
         for _ in range(N_INSTANCES):
             t = int(rng.integers(2, 7))
-            params = init_semantic_params(rng, 3, 2, 3, 3, dtype=np.float64)
+            params = init_layers(rng, 3, 2, 3, 3).semantic
             real = int(rng.integers(1, t + 1))
             attn, _ = attend(
                 Tensor(rng.normal(size=(t, 4))), params, pad_mask=np.arange(t) < real
@@ -113,7 +113,7 @@ class TestCriterion3Invariants:
     def test_padding_invariance(self):
         rng = np.random.default_rng(103)
         for _ in range(N_INSTANCES):
-            params = init_semantic_params(rng, 3, 2, 3, 2, dtype=np.float64)
+            params = init_layers(rng, 3, 2, 3, 2).semantic
             emb_vals = rng.normal(size=(7, 3))
             emb_vals[6] = 0.0  # pad row
             emb = Tensor(emb_vals)

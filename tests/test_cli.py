@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import build_toy_corpus, build_toy_vectors
+from conftest import ARCHIVE_DAMAGES, build_toy_corpus, build_toy_vectors
 
 from capsnlu.cli import main
 from capsnlu.model import load_model
@@ -207,6 +207,16 @@ class TestDiagnostics:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "detect.w" in err
+
+    @pytest.mark.parametrize("damage", list(ARCHIVE_DAMAGES))
+    def test_cut_or_damaged_params_named(self, trained_run, tmp_path, capsys, damage):
+        # each printed a traceback and exited 1
+        cfg_path, out_dir = trained_run
+        bad = shutil.copytree(out_dir / "model", tmp_path / "model")
+        path = bad / "params.npz"
+        path.write_bytes(ARCHIVE_DAMAGES[damage](path.read_bytes()))
+        assert main(["eval", "--config", str(cfg_path), "--model", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is cut short or damaged: ")
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "vocab", "oov_id", "pad_id", "config", "bogus_key", "hidden_dim"]

@@ -8,12 +8,12 @@ from capsnlu.detection import (
     DetectionCapsParams,
     activation_norms,
     dynamic_routing,
-    init_detection_params,
     margin_loss_batch,
     prediction_vectors,
     squash,
 )
 import refops as ops
+from conftest import init_layers
 
 
 def routing_transcript_oracle(p: np.ndarray, iterations: int):
@@ -240,13 +240,24 @@ class TestMarginLoss:
         loss = margin_loss_batch(Tensor(v), [0, 0], Tensor(np.zeros(2)), penalty_weight=0.0)
         assert loss.item() == pytest.approx(0.81 / 2, rel=1e-9)
 
-    @pytest.mark.parametrize("labels", [[2], [0, 1], [[0, 1, 2, 0]]])
-    def test_labels_not_matching_the_batch_are_named(self, labels):
+    @pytest.mark.parametrize(
+        "labels, problem",
+        [
+            ([2], r"labels of shape \(1,\) do not match the batch shape \(4,\)"),
+            ([0, 1], r"labels of shape \(2,\) do not match the batch shape \(4,\)"),
+            ([[0, 1, 2, 0]], r"labels of shape \(1, 4\) do not match the batch shape \(4,\)"),
+            ([0.5, 1.9, 0, 1], "label 0.5 is not a whole-number class id"),
+            (["0", "1", "0", "1"], "label '0' is not a whole-number class id"),
+            ([0, float("nan"), 1, 0], "label nan is not a whole-number class id"),
+        ],
+        ids=["one", "two", "1xB", "fractions", "strings", "nan"],
+    )
+    def test_labels_not_matching_the_batch_are_named(self, labels, problem):
         # one label would be broadcast over the batch, two index past it,
-        # and a 1 x B array would not fit the one-hot
-        with pytest.raises(ContractError, match=r"\(4,\)") as exc:
+        # and a 1 x B array would not fit the one-hot; the int64 cast trained
+        # [0.5, 1.9] as [0, 1], took strings, and raised a bare ValueError on NaN
+        with pytest.raises(ContractError, match=problem):
             margin_loss_batch(Tensor(np.zeros((4, 3, 2))), labels, Tensor(np.zeros(4)))
-        assert str(np.asarray(labels).shape) in str(exc.value)
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_label_outside_the_intents_is_named(self, bad):
@@ -294,7 +305,7 @@ class TestRoutingGradients:
         rng = np.random.default_rng(9)
         for seed in range(3):
             rng = np.random.default_rng(90 + seed)
-            params = init_detection_params(rng, num_intents=3, heads=2, in_dim=4, caps_dim=3, dtype=np.float64)
+            params = init_layers(rng, hidden_dim=2, heads=2, intents=3, caps_dim=3).detection
             m = Tensor(rng.normal(scale=0.4, size=(1, 2, 4)), requires_grad=True)
 
             def loss_fn(_):

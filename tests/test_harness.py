@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_EMERGING, TOY_EXISTING, _adam_threads, toy_config
+from conftest import ARCHIVE_DAMAGES, TOY_EMERGING, TOY_EXISTING, _adam_threads, toy_config
 import refops as ops
 
 from capsnlu.autodiff import ContractError, NumericError, Tensor, no_grad
@@ -40,9 +40,8 @@ from capsnlu.harness import (
 )
 from capsnlu import model as model_module
 from capsnlu import semantic
-from capsnlu.detection import init_detection_params
 from capsnlu.model import forward_batch, init_model, load_model, save_model
-from capsnlu.semantic import TokenBatch, check_token_ids, init_semantic_params
+from capsnlu.semantic import TokenBatch, check_token_ids
 
 
 class TestTrain:
@@ -1375,30 +1374,62 @@ class TestPersistence:
 
         monkeypatch.setattr(model_module, "init_model", forbidden)
         monkeypatch.setattr(model_module.ModelParams, "restore", forbidden)
-        monkeypatch.setattr(model_module, "glorot", forbidden)
-        monkeypatch.setattr(model_module, "lstm_weight", forbidden)
+        monkeypatch.setattr(model_module, "_init_weight", forbidden)
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         assert load_model(out).model.embedding.shape == table.vectors.shape
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_init_model_draws_as_the_layer_inits(self, toy_setup, dtype):
-        # the schema-driven init makes the layers' own inits' draws, in their order
+    def test_init_model_draws_glorot_uniform_in_schema_order(self, toy_setup, dtype):
+        # one generator, in schema order: each weight uniform within
+        # sqrt(6 / (fan_in + fan_out)), the LSTM weights as D_H-wide gate
+        # blocks side by side, the LSTM biases zero but the forget gate's ones
         cfg, table, _, _ = toy_setup
         model = init_model(table, cfg, rng=np.random.default_rng(4), dtype=dtype)
+        d_w, d_h, d_a, heads = cfg.word_dim, cfg.hidden_dim, cfg.attn_dim, cfg.heads
         rng = np.random.default_rng(4)
-        semantic = init_semantic_params(rng, cfg.word_dim, cfg.hidden_dim, cfg.attn_dim, cfg.heads, dtype)
-        detection = init_detection_params(rng, len(cfg.existing_labels), cfg.heads, 2 * cfg.hidden_dim, cfg.caps_dim, dtype)
-        want = {"embedding": None, **dict(semantic.trainable()), **dict(detection.trainable())}
+
+        def glorot(shape, fan_in, fan_out):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+        want = {}
+        for direction in ("lstm_fw", "lstm_bw"):
+            want[f"{direction}.w_x"] = np.hstack([glorot((d_w, d_h), d_w, d_h) for _ in range(4)])
+            want[f"{direction}.w_h"] = np.hstack([glorot((d_h, d_h), d_h, d_h) for _ in range(4)])
+            want[f"{direction}.b"] = np.zeros((1, 4 * d_h), dtype)
+            want[f"{direction}.b"][0, d_h : 2 * d_h] = 1.0
+        want["w_s1"] = glorot((d_a, 2 * d_h), 2 * d_h, d_a)
+        want["w_s2"] = glorot((heads, d_a), d_a, heads)
+        want["detect.w"] = glorot((len(cfg.existing_labels), heads, 2 * d_h, cfg.caps_dim), 2 * d_h, cfg.caps_dim)
         got = dict(model.trainable())
-        assert list(got) == list(want) == list(model_module._param_shapes(cfg, len(table.vocab)))
-        for name, t in want.items():
-            if t is not None:
-                assert got[name].dtype == t.dtype and got[name].values.tobytes() == t.values.tobytes(), name
+        assert list(got) == ["embedding", *want] == list(model_module._param_shapes(cfg, len(table.vocab)))
+        for name, a in want.items():
+            assert got[name].dtype == dtype and got[name].values.tobytes() == a.tobytes(), name
         emb = got["embedding"].values
         assert emb.dtype == dtype and not np.shares_memory(emb, table.vectors)
         assert not emb[table.pad_id].any()
         keep = np.arange(len(emb)) != table.pad_id
         assert emb[keep].tobytes() == table.vectors[keep].astype(dtype).tobytes()
+
+    @pytest.mark.parametrize(
+        "setting, problem",
+        [
+            ({"heads": 0}, "heads must be positive"),
+            ({"attn_dim": 0}, "attn_dim must be positive"),
+            ({"caps_dim": 0}, "caps_dim must be positive"),
+            ({"hidden_dim": 0}, "hidden_dim must be positive"),
+            ({"existing_labels": ()}, "existing_labels must name at least one intent"),
+        ],
+        ids=["heads", "attn_dim", "caps_dim", "hidden_dim", "no-intents"],
+    )
+    def test_init_model_validates_the_config(self, toy_setup, setting, problem):
+        # the first three built a model whose forward ran on meaningless
+        # shapes; hidden_dim=0 raised a bare ZeroDivisionError and no
+        # intents a bare ValueError from routing
+        _, table, _, _ = toy_setup
+        cfg = dataclasses.replace(toy_config(), **setting)
+        with pytest.raises(ContractError, match=problem):
+            init_model(table, cfg)
 
     def test_writes_to_a_loaded_model_are_named(self, toy_setup, tmp_path):
         # both used to fail with a bare "read-only" ValueError, Adam's only
@@ -1535,6 +1566,38 @@ class TestPersistence:
             arrays[key] = damage(arrays[key])
         np.savez(path, **arrays)
         with pytest.raises(ContractError, match=named):
+            load_model(tmp_path / "model")
+
+    @pytest.mark.parametrize("damage", list(ARCHIVE_DAMAGES))
+    def test_cut_or_damaged_archive_is_named(self, toy_setup, tmp_path, damage):
+        # the empty file escaped as a bare EOFError, the others as zipfile.BadZipFile
+        cfg, table, _, _ = toy_setup
+        path = save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz"
+        path.write_bytes(ARCHIVE_DAMAGES[damage](path.read_bytes()))
+        with pytest.raises(ContractError) as exc:
+            load_model(tmp_path / "model")
+        assert str(exc.value).startswith(f"{path} is cut short or damaged: ")
+
+    def test_each_flipped_zip_header_byte_loads_or_is_named(self, toy_setup, tmp_path):
+        # the first member's header and the last ones' records: flips there
+        # raised EOFError, OSError, NotImplementedError or RuntimeError, and some load
+        cfg, table, _, _ = toy_setup
+        path = save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz"
+        data = path.read_bytes()
+        for i in [*range(64), *range(len(data) - 128, len(data))]:
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(data)
+                damaged[i] ^= mask
+                path.write_bytes(damaged)
+                try:
+                    load_model(tmp_path / "model")
+                except ContractError as exc:
+                    assert str(path) in str(exc), (i, mask)
+
+    def test_missing_archive_is_not_found(self, toy_setup, tmp_path):
+        cfg, table, _, _ = toy_setup
+        (save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz").unlink()
+        with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "model")
 
     @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from capsnlu.config import RunConfig
 from capsnlu import model as model_module
 from capsnlu import semantic
 from capsnlu.data import Corpus, EmbeddingTable
-from capsnlu.detection import activation_norms, init_detection_params
+from capsnlu.detection import activation_norms
 from capsnlu.harness import batch_loss, build_tiny_setup, evaluate, zsl_evaluate
 from capsnlu.model import ModelParams, forward_batch, init_model
 from capsnlu.semantic import (
@@ -28,16 +28,12 @@ from capsnlu.semantic import (
     _run_bilstm,
     attend,
     encode_tokens,
-    init_semantic_params,
     orthogonality_penalty,
     semantic_vectors,
 )
 from capsnlu.zeroshot import classify_emerging_batch, intent_similarity, vote_vectors, zero_shot_prediction_vectors
 import refops as ops
-
-
-def make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2):
-    return init_semantic_params(rng, word_dim, hidden_dim, attn_dim, heads, dtype=np.float64)
+from conftest import init_layers
 
 
 def zero_params(word_dim, hidden_dim, attn_dim, heads):
@@ -78,20 +74,25 @@ def ref_lstm(x_seq, w_x, w_h, b):
 
 class TestInit:
     def test_forget_gate_bias_starts_open(self):
-        rng = np.random.default_rng(0)
-        params = init_semantic_params(rng, word_dim=4, hidden_dim=3, attn_dim=2, heads=2)
-        for cell in (params.lstm_fw, params.lstm_bw):
+        model = init_layers(np.random.default_rng(0), word_dim=4, hidden_dim=3, attn_dim=2, heads=2, dtype=np.float32)
+        for cell in (model.semantic.lstm_fw, model.semantic.lstm_bw):
             b = cell.b.values[0]
             np.testing.assert_array_equal(b[3:6], 1.0)   # forget block
             np.testing.assert_array_equal(b[:3], 0.0)
             np.testing.assert_array_equal(b[6:], 0.0)
 
     def test_glorot_bounds(self):
-        rng = np.random.default_rng(1)
-        params = init_semantic_params(rng, word_dim=6, hidden_dim=4, attn_dim=3, heads=2)
-        bound = np.sqrt(6.0 / (6 + 4))
-        assert (np.abs(params.lstm_fw.w_x.values) <= bound).all()
-        assert params.w_s1.shape == (3, 8) and params.w_s2.shape == (2, 3)
+        # each weight within sqrt(6 / (fan_in + fan_out)): D_W=6, D_H=4, D_A=3, R=2, D_P=5
+        model = init_layers(
+            np.random.default_rng(1), word_dim=6, hidden_dim=4, attn_dim=3, heads=2, intents=3, caps_dim=5, dtype=np.float32
+        )
+        sem = model.semantic
+        cells = (sem.lstm_fw, sem.lstm_bw)
+        weights = [(c.w_x, 6 + 4) for c in cells] + [(c.w_h, 4 + 4) for c in cells]
+        weights += [(sem.w_s1, 8 + 3), (sem.w_s2, 3 + 2), (model.detection.w, 8 + 5)]
+        for w, fans in weights:
+            assert (np.abs(w.values) <= np.float32(np.sqrt(6.0 / fans))).all()
+        assert sem.w_s1.shape == (3, 8) and sem.w_s2.shape == (2, 3)
 
 
 def _tiny_model(frozen: bool):
@@ -113,7 +114,7 @@ class TestBilstmEncode:
 
     def test_single_token_symmetry(self):
         rng = np.random.default_rng(2)
-        params = make_params(rng)
+        params = init_layers(rng).semantic
         params.lstm_bw = params.lstm_fw  # identical directions
         emb = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
         big_h, _ = encode_tokens([[2]], emb, params)
@@ -284,7 +285,7 @@ class TestBilstmEncode:
 
     def test_random_batch_matches_oracle_per_sequence(self):
         rng = np.random.default_rng(7)
-        params = make_params(rng, word_dim=3, hidden_dim=2)
+        params = init_layers(rng, word_dim=3, hidden_dim=2).semantic
         emb_vals = rng.normal(size=(6, 3))
         emb = Tensor(emb_vals)
         seqs = [[0, 1, 2, 3], [4, 5]]
@@ -301,7 +302,7 @@ class TestBilstmEncode:
 class TestAttend:
     def test_zero_w_s2_uniform_rows(self):
         rng = np.random.default_rng(0)
-        params = make_params(rng)
+        params = init_layers(rng).semantic
         params.w_s2 = Tensor(np.zeros_like(params.w_s2.values), requires_grad=True)
         big_h = Tensor(rng.normal(size=(5, 4)))
         attn, _ = attend(big_h, params)
@@ -309,7 +310,7 @@ class TestAttend:
 
     def test_mask_limits_uniform_support(self):
         rng = np.random.default_rng(0)
-        params = make_params(rng)
+        params = init_layers(rng).semantic
         params.w_s2 = Tensor(np.zeros_like(params.w_s2.values), requires_grad=True)
         big_h = Tensor(rng.normal(size=(5, 4)))
         attn, _ = attend(big_h, params, pad_mask=[True, True, True, False, False])
@@ -328,7 +329,7 @@ class TestAttend:
         rng = np.random.default_rng(12)
         for _ in range(100):
             t = int(rng.integers(2, 7))
-            params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=3)
+            params = init_layers(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=3).semantic
             big_h = Tensor(rng.normal(size=(t, 4)))
             real = int(rng.integers(1, t + 1))
             pad_mask = np.arange(t) < real
@@ -404,7 +405,7 @@ class TestPaddingInvariance:
     def test_pads_change_nothing(self):
         rng = np.random.default_rng(40)
         for trial in range(100):
-            params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
+            params = init_layers(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2).semantic
             emb_vals = rng.normal(size=(7, 3))
             pad_id = 6
             emb_vals[pad_id] = 0.0
@@ -427,7 +428,7 @@ def _semantic_m(big_h, params, mask):
 class TestGradients:
     def test_semantic_path_gradcheck(self):
         rng = np.random.default_rng(21)
-        params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
+        params = init_layers(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2).semantic
         emb = Tensor(rng.normal(scale=0.3, size=(5, 3)).astype(np.float64), requires_grad=True)
         tokens = [0, 3, 1, 4]
 
@@ -443,7 +444,7 @@ class TestGradients:
 
     def test_ragged_batch_gradcheck(self):
         rng = np.random.default_rng(22)
-        params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
+        params = init_layers(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2).semantic
         pad_id = 5
         emb = Tensor(rng.normal(scale=0.3, size=(6, 3)), requires_grad=True)
         assert np.abs(emb.values[pad_id]).min() > 0  # pads must not need a zero row
@@ -529,17 +530,31 @@ def per_op_attend(H, params, pad_mask=None):
     return attn, ops.sum(ops.square(dev), axis=(-1, -2))
 
 
-def _bench_shaped(dtype, seed=5, vocab=300, lengths=None, heads=3):
-    """A batch at the benchmark shape (300-d, D_H=32, D_A=20): by default
-    a ragged B=32 with T 5-15 and R=3, else one utterance per length."""
+def _bench_model(dtype, frozen=False, seed=5, vocab=300, lengths=None, heads=3):
+    """A model at the benchmark shape (300-d, D_H=32, D_A=20, 5 intents,
+    D_P=10) over a `vocab`-row embedding whose last row is the pad, and
+    its batch: by default a ragged B=32 with T 5-15 and R=3, else one
+    utterance per length. Every parameter array is read-only when
+    `frozen`, as `load_model` leaves it. Two calls with the same arguments
+    give equal arrays."""
     rng = np.random.default_rng(seed)
-    params = init_semantic_params(rng, 300, 32, 20, heads, dtype=dtype)
+    layers = init_layers(rng, 300, 32, 20, heads, intents=5, caps_dim=10, dtype=dtype)
     emb = Tensor(rng.normal(scale=0.3, size=(vocab, 300)), requires_grad=True, dtype=dtype)
     if lengths is None:
         lengths = rng.integers(5, 16, size=32)
         assert len(set(lengths.tolist())) > 1
     seqs = [rng.integers(0, vocab - 1, size=n).tolist() for n in lengths]
-    return params, emb, seqs, vocab - 1
+    model = ModelParams(embedding=emb, semantic=layers.semantic, detection=layers.detection, pad_id=vocab - 1)
+    if frozen:
+        for _, t in model.trainable():
+            t.values.flags.writeable = False
+    return model, seqs
+
+
+def _bench_shaped(dtype, **kwargs):
+    """`_bench_model`'s encoder weights, embedding, batch and pad id."""
+    model, seqs = _bench_model(dtype, **kwargs)
+    return model.semantic, model.embedding, seqs, model.pad_id
 
 
 # the ragged benchmark batch, then the smallest cases of the gate-major
@@ -708,7 +723,7 @@ class TestFusedRecurrence:
         rng = np.random.default_rng(23)
         lengths = np.array([1, 3, 5])
         real = np.arange(5)[None, :] < lengths[:, None]
-        params = make_params(rng, word_dim=3, hidden_dim=2)
+        params = init_layers(rng, word_dim=3, hidden_dim=2).semantic
         fw, bw = params.lstm_fw, params.lstm_bw
         x = Tensor(rng.normal(size=(lengths.sum() + 1, 3)), requires_grad=True)  # the pad row last
         weights = Tensor(rng.normal(size=(3, 5, 4)) * real[:, :, None])
@@ -725,7 +740,7 @@ class TestFusedRecurrence:
 
     def test_second_backward_doubles_leaf_grads(self):
         rng = np.random.default_rng(24)
-        params = make_params(rng, word_dim=5, hidden_dim=3)
+        params = init_layers(rng, word_dim=5, hidden_dim=3).semantic
         fw, bw = params.lstm_fw, params.lstm_bw
         lengths = np.array([1, 3, 4])
         x = Tensor(rng.normal(size=(lengths.sum() + 1, 5)), requires_grad=True)
@@ -811,19 +826,6 @@ class TestFusedRecurrence:
 
 # ----------------------------------------------------------------------
 # the frozen-model projection table
-
-
-def _bench_model(dtype, frozen=False, **kwargs):
-    """A whole model around `_bench_shaped`'s encoder and its batch; every
-    parameter array is read-only when `frozen`, as `load_model` leaves it.
-    Two calls with the same arguments give equal arrays."""
-    params, emb, seqs, pad_id = _bench_shaped(dtype, **kwargs)
-    detection = init_detection_params(np.random.default_rng(6), 5, params.heads, 64, 10, dtype)
-    model = ModelParams(embedding=emb, semantic=params, detection=detection, pad_id=pad_id)
-    if frozen:
-        for _, t in model.trainable():
-            t.values.flags.writeable = False
-    return model, seqs
 
 
 def _encode(model, seqs, **kwargs):
@@ -1007,7 +1009,7 @@ class TestAttentionNodes:
 
     def test_attend_node_gradcheck(self):
         rng = np.random.default_rng(31)
-        params = make_params(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2)
+        params = init_layers(rng, word_dim=3, hidden_dim=2, attn_dim=3, heads=2).semantic
         mask = np.array([[True] * 4, [True, True, False, False]])
         big_h = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(2, 2, 4)))
@@ -1049,7 +1051,7 @@ class TestAttentionNodes:
 
     def test_all_masked_row_raises(self):
         rng = np.random.default_rng(33)
-        params = make_params(rng)
+        params = init_layers(rng).semantic
         big_h = Tensor(rng.normal(size=(2, 3, 4)))
         with pytest.raises(DegenerateRowError):
             attend(big_h, params, pad_mask=[[True, False, False], [False, False, False]])
@@ -1058,7 +1060,7 @@ class TestAttentionNodes:
     @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
     def test_masked_row_of_no_positions_raises(self, shape, as_list):
         # .all() is True on an empty mask, so "masks nothing" must not skip the check
-        params = make_params(np.random.default_rng(35))
+        params = init_layers(np.random.default_rng(35)).semantic
         mask = np.ones(shape[:-1], dtype=bool)
         with pytest.raises(DegenerateRowError):
             semantic.attention_matrix(Tensor(np.zeros(shape)), params, pad_mask=mask.tolist() if as_list else mask)
@@ -1066,7 +1068,7 @@ class TestAttentionNodes:
     def test_broadcast_mask_that_masks_nothing_is_bitwise_unmasked(self):
         # a mask of another shape than H's takes the broadcasting path
         rng = np.random.default_rng(36)
-        params = make_params(rng)
+        params = init_layers(rng).semantic
         big_h = Tensor(rng.normal(size=(3, 4, 4)))
         got = semantic.attention_matrix(big_h, params, pad_mask=[True] * 4).values
         assert got.tobytes() == semantic.attention_matrix(big_h, params).values.tobytes()
@@ -1075,7 +1077,7 @@ class TestAttentionNodes:
 
     def test_second_backward_doubles_leaf_grads(self):
         rng = np.random.default_rng(34)
-        params = make_params(rng)
+        params = init_layers(rng).semantic
         big_h = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(2, 2, 4)))
         attn, penalty = attend(big_h, params, pad_mask=[[True] * 4, [True, True, True, False]])
