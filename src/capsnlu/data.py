@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 OOV_TOKEN = "<oov>"
 PAD_TOKEN = "<pad>"
 
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+_PUNCT_BYTES = bytes.maketrans(string.punctuation.encode("ascii"), b" " * len(string.punctuation))
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
 _PARSE_ROWS = 1024  # kept vector rows per numpy parse call
 _UNDECODED = "\udcff"  # what _text_lines decodes each run of bytes that is not UTF-8 to
@@ -134,8 +134,14 @@ class Corpus:
 
 
 def words_of(text: str) -> list[str]:
-    """Lowercase and split on whitespace, discarding punctuation."""
-    return text.lower().translate(_PUNCT_TABLE).split()
+    """Lowercase, make each ASCII punctuation mark a space, and split on
+    Unicode whitespace. The lowercasing runs on the `str`, so Unicode case
+    rules (the final sigma, say) apply; the punctuation is mapped on the
+    UTF-8 bytes, which gives the same words, since UTF-8 never puts an
+    ASCII byte inside a multi-byte sequence ("surrogatepass" carries a
+    lone surrogate through)."""
+    raw = text.lower().encode("utf-8", "surrogatepass")
+    return raw.translate(_PUNCT_BYTES).decode("utf-8", "surrogatepass").split()
 
 
 def tokenize(utterance: str, table: EmbeddingTable) -> list[int]:
@@ -143,8 +149,7 @@ def tokenize(utterance: str, table: EmbeddingTable) -> list[int]:
     words = words_of(utterance)
     if not words:
         raise EmptyUtteranceError(f"utterance reduced to zero tokens: {utterance!r}")
-    get, oov_id = table.vocab.get, table.oov_id
-    return [get(w, oov_id) for w in words]
+    return list(map(table.vocab.get, words, itertools.repeat(table.oov_id)))
 
 
 def split_label_tokens(label: str) -> list[str]:
@@ -354,7 +359,7 @@ def iter_snips_records(root):
             if not isinstance(spans, list):
                 raise ParseError(f"{fpath}: sample {i}: missing span list")
             try:
-                text = "".join(span["text"] for span in spans)
+                text = "".join([span["text"] for span in spans])
             except (TypeError, KeyError) as exc:
                 raise ParseError(f"{fpath}: sample {i}: span without text") from exc
             any_sample = True
@@ -389,7 +394,7 @@ def iter_dataset_records(path):
 
 def _route_records(records, existing_labels, emerging_labels, table):
     """Tokenize each (text, intent, location) record into the existing or
-    the emerging corpus by its intent, and log the counts."""
+    the emerging corpus by its intent, and log the counts at INFO."""
     if set(existing_labels) & set(emerging_labels):
         raise ContractError("existing and emerging label sets overlap")
     existing_idx = {name: i for i, name in enumerate(existing_labels)}
@@ -411,11 +416,12 @@ def _route_records(records, existing_labels, emerging_labels, table):
             )
     corpus_existing = Corpus(ex_samples, list(existing_labels))
     corpus_emerging = Corpus(em_samples, list(emerging_labels))
-    log.info("loaded %d samples (%d existing over %d intents, %d emerging over %d intents)",
-             len(ex_samples) + len(em_samples), len(ex_samples), len(existing_labels),
-             len(em_samples), len(emerging_labels))
-    for name, count in {**corpus_existing.label_counts(), **corpus_emerging.label_counts()}.items():
-        log.info("  %-28s %d", name, count)
+    if log.isEnabledFor(logging.INFO):  # the per-intent counts serve only these lines
+        log.info("loaded %d samples (%d existing over %d intents, %d emerging over %d intents)",
+                 len(ex_samples) + len(em_samples), len(ex_samples), len(existing_labels),
+                 len(em_samples), len(emerging_labels))
+        for name, count in {**corpus_existing.label_counts(), **corpus_emerging.label_counts()}.items():
+            log.info("  %-28s %d", name, count)
     return corpus_existing, corpus_emerging
 
 

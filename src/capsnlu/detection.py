@@ -245,7 +245,7 @@ def margin_loss_batch(
     """Mean per-utterance max-margin loss plus the weighted mean attention
     penalty, as one graph node (the penalty is a parent only if weighted).
 
-    v: B x K x D_P activation vectors, labels: B true intent ids,
+    v: B x K x D_P activation vectors (B >= 1), labels: B true intent ids,
     penalty: B orthogonality penalties (or scalars broadcast by mean).
     """
     _check_margins(downweight, margin_pos, margin_neg, penalty_weight)
@@ -253,6 +253,8 @@ def margin_loss_batch(
     labels = np.asarray(labels)
     if labels.shape != v.shape[:-2]:
         raise ContractError(f"labels of shape {labels.shape} do not match the batch shape {v.shape[:-2]} of v")
+    if labels.size == 0:  # the mean over no utterance would divide by zero
+        raise ContractError(f"empty batch: v of shape {v.shape} holds no utterance")
     if labels.dtype.kind not in "iu":
         # checked before the int64 cast, which would truncate a fraction or parse a string
         if labels.dtype.kind == "f":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import zipfile
 from collections import Counter
@@ -229,16 +230,19 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
-def _check_vocab(path: Path, words, rows: int) -> None:
-    """The vocabulary must list `rows` distinct strings, one word per
-    embedding row, else ContractError naming the file and the problem."""
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+def _vocab_of(path: Path, words, rows: int) -> dict[str, int]:
+    """The vocabulary, word -> row, of a list of `rows` distinct strings,
+    one word per embedding row, else ContractError naming the file and
+    the problem."""
+    if not isinstance(words, list) or not all(map(isinstance, words, itertools.repeat(str))):
         raise ContractError(f"{path}: 'vocab' must be a list of strings")
     if len(words) != rows:
         raise ContractError(f"{path}: 'vocab' lists {len(words)} words for the {rows}-row embedding")
-    if len(set(words)) != rows:
+    vocab = dict(zip(words, range(rows)))
+    if len(vocab) != rows:
         word = next(w for w, n in Counter(words).items() if n > 1)
         raise ContractError(f"{path}: 'vocab' lists {word!r} more than once")
+    return vocab
 
 
 def _check_special_ids(path: Path, meta: dict, embedding: np.ndarray) -> None:
@@ -288,15 +292,19 @@ def load_model(model_dir) -> ModelBundle:
     projections from a table built once (see `encode_tokens`);
     `snapshot()` gives writable copies. The bundle's `table.vectors` is
     the model's embedding array, so it is read-only too. A `params.npz`
-    that is cut short or damaged raises ContractError naming it; a missing
-    one, FileNotFoundError."""
+    that is cut short, damaged or a plain `.npy` array raises ContractError
+    naming it; a missing one, FileNotFoundError."""
     model_dir = Path(model_dir)
     meta = _read_meta(model_dir / "meta.json")
     npz_path = model_dir / "params.npz"
     try:
         # np.load leaves a path it opened open when the archive is unreadable
-        with open(npz_path, "rb") as f, np.load(f) as npz:
-            arrays = {key: npz[key] for key in npz.files}
+        with open(npz_path, "rb") as f:
+            npz = np.load(f)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # .npy content loads as one array
+                raise zipfile.BadZipFile("a plain .npy array, not an .npz archive")
+            with npz:
+                arrays = {key: npz[key] for key in npz.files}
     except FileNotFoundError:
         raise
     except ValueError as exc:  # an object array, which needs pickle, or a damaged header
@@ -311,7 +319,7 @@ def load_model(model_dir) -> ModelBundle:
             raise ContractError(f"{npz_path}: array {key!r} is not all finite floats")
     if arrays["embedding"].ndim != 2:
         raise ContractError(f"{npz_path}: array 'embedding' has shape {arrays['embedding'].shape}, not |V| x word_dim")
-    _check_vocab(model_dir / "meta.json", meta["vocab"], arrays["embedding"].shape[0])
+    vocab = _vocab_of(model_dir / "meta.json", meta["vocab"], arrays["embedding"].shape[0])
     _check_special_ids(model_dir / "meta.json", meta, arrays["embedding"])
     cfg = RunConfig(**{
         k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()
@@ -332,7 +340,7 @@ def load_model(model_dir) -> ModelBundle:
         a.flags.writeable = False
         values[name] = a
     table = EmbeddingTable(
-        vocab={w: i for i, w in enumerate(meta["vocab"])},
+        vocab=vocab,
         vectors=values["embedding"],
         oov_id=meta["oov_id"],
         pad_id=meta["pad_id"],

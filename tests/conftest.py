@@ -6,6 +6,7 @@ same vector as the existing label "Music", and "Sports" sits far from
 everything.
 """
 
+import io
 import threading
 
 import numpy as np
@@ -114,6 +115,12 @@ def _flip_middle_byte(data: bytes) -> bytes:
     return bytes(flipped)
 
 
+def _npy_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 # ways a saved params.npz is cut or damaged, each a bytes -> bytes function
 ARCHIVE_DAMAGES = {
     "empty": lambda data: b"",
@@ -121,6 +128,7 @@ ARCHIVE_DAMAGES = {
     "cut-at-half": lambda data: data[: len(data) // 2],
     "10-short": lambda data: data[:-10],
     "flipped-byte": _flip_middle_byte,
+    "plain-npy": lambda data: _npy_bytes(np.zeros(3)),  # np.load reads it as one array
 }
 
 

@@ -8,10 +8,14 @@ bit for bit where the fused node makes the same numpy calls. Elementwise
 ops follow numpy broadcasting. The first operand of a binary op is a
 Tensor; a plain number or array second operand becomes a constant of the
 first operand's dtype.
+
+`words_of` is the tokenizer's reference: the rule `data.words_of` keeps,
+stated on `str` alone.
 """
 
 from __future__ import annotations
 
+import string
 from typing import Sequence
 
 import numpy as np
@@ -284,3 +288,15 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
 def row_softmax(x: Tensor, mask=None) -> Tensor:
     """Softmax over the last axis: each row sums to 1 over unmasked spots."""
     return softmax(x, axis=-1, mask=mask)
+
+
+# ----------------------------------------------------------------------
+# tokenizer
+
+_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+
+
+def words_of(text: str) -> list[str]:
+    """Lowercase, make each ASCII punctuation mark a space, and split on
+    Unicode whitespace, all on `str`."""
+    return text.lower().translate(_PUNCT_TABLE).split()

@@ -1,9 +1,12 @@
 import json
+import logging
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import refops
 from conftest import toy_config
 
 from capsnlu.autodiff import ContractError
@@ -11,6 +14,7 @@ from capsnlu.config import RunConfig
 from capsnlu.data import (
     _PARSE_ROWS,
     Corpus,
+    EmbeddingTable,
     EmptySourceError,
     EmptyUtteranceError,
     LabelMappingError,
@@ -318,6 +322,17 @@ class TestTokenize:
     def test_punctuation_separates(self, table):
         assert words_of("play,music?now") == ["play", "music", "now"]
 
+    def test_every_code_point_in_context_equals_the_reference(self):
+        # each code point c as "A{c}Σ{c}b", joined: Σ lowercases by its
+        # neighbours, and lone surrogates pass through the UTF-8 bytes
+        text = "".join(f"A{c}Σ{c}b" for c in map(chr, range(sys.maxunicode + 1)))
+        reference = refops.words_of(text)
+        assert words_of(text) == reference
+        vocab = {w: i for i, w in enumerate(dict.fromkeys(reference[::2]))}
+        oov_id = len(vocab)
+        table = EmbeddingTable(vocab=vocab, vectors=np.zeros((oov_id + 2, 1)), oov_id=oov_id, pad_id=oov_id + 1)
+        assert tokenize(text, table) == [vocab.get(w, oov_id) for w in reference]
+
     def test_round_trip_every_id_decodes(self, table):
         import numpy as np
 
@@ -450,6 +465,33 @@ class TestLoadSnips:
         make_snips_dir(root, {"PlayMusic": ["play music"]})
         ex, em = load_snips(root, self.EXISTING, self.EMERGING, table)
         assert len(ex) == 1 and len(em) == 0
+
+    SAMPLES = {
+        "GetWeather": ["get weather now", "weather please"],
+        "PlayMusic": ["play music", "play some music", "music now"],
+        "AddToPlaylist": ["add this song"],
+    }
+
+    def test_counts_are_logged_at_info(self, tmp_path, table, caplog):
+        root = make_snips_dir(tmp_path / "snips", self.SAMPLES)
+        with caplog.at_level(logging.INFO, logger="capsnlu.data"):
+            load_snips(root, self.EXISTING, self.EMERGING, table)
+        assert caplog.messages == [
+            "loaded 6 samples (5 existing over 2 intents, 1 emerging over 1 intents)",
+            "  GetWeather                   2",
+            "  PlayMusic                    3",
+            "  AddToPlaylist                1",
+        ]
+
+    def test_counts_are_not_taken_below_info(self, tmp_path, table, caplog, monkeypatch):
+        def counted(self):
+            raise AssertionError("label counts taken with INFO off")
+
+        root = make_snips_dir(tmp_path / "snips", self.SAMPLES)
+        monkeypatch.setattr(Corpus, "label_counts", counted)
+        with caplog.at_level(logging.WARNING, logger="capsnlu.data"):
+            ex, em = load_snips(root, self.EXISTING, self.EMERGING, table)
+        assert (len(ex), len(em)) == (5, 1) and caplog.messages == []
 
     def test_disjoint_corpora(self, tmp_path, table):
         root = make_snips_dir(
@@ -602,6 +644,57 @@ class TestLoadInputs:
             cfg.dataset_path, cfg.embeddings_path = dataset_path, embeddings_path
             with pytest.raises(error, match=message):
                 load_inputs(cfg)
+
+
+class TestLoadersUseTheReferenceTokenizer:
+    """Each loader's samples are the ids of `refops.words_of`'s words, on
+    text heavy in punctuation with words that are not ASCII."""
+
+    EXISTING = ("GetWeather", "PlayMusic")
+    EMERGING = ("AddToPlaylist",)
+    SAMPLES = {  # in intent-directory order, which the TSV file keeps too
+        "AddToPlaylist": ["add ẞ-straße to my 'chill' list!!", "añade «la canción», ¿vale?"],
+        "GetWeather": ["Wetter in MÜNCHEN?!", "weather:rain...now", "ΟΔΟΣ, café—naïve\u3000now"],
+        "PlayMusic": ['play "Σίσυφος" (live) #1', "play/music;now", "İstanbul'u çal\x85müzik"],
+    }
+    WORDS = ["add", "ß", "straße", "chill", "la", "canción", "münchen", "weather", "rain", "now",
+             "οδος", "café", "play", "σίσυφος", "music", "i\u0307stanbul", "çal", "get"]
+
+    def write(self, tmp_path, layout):
+        if layout == "snips":
+            return make_snips_dir(tmp_path / "snips", self.SAMPLES)
+        data = tmp_path / "data.tsv"
+        data.write_text("".join(f"{t}\t{i}\n" for i, ts in self.SAMPLES.items() for t in ts), encoding="utf-8")
+        return data
+
+    def expected(self, table):
+        """The (existing, emerging) samples by the reference tokenizer."""
+        def ids(text):
+            return [table.vocab.get(w, table.oov_id) for w in refops.words_of(text)]
+
+        return tuple(
+            [(ids(t), labels.index(i)) for i, ts in self.SAMPLES.items() if i in labels for t in ts]
+            for labels in (self.EXISTING, self.EMERGING)
+        )
+
+    @pytest.mark.parametrize("layout", ["snips", "tsv"])
+    def test_samples_are_the_reference_ids(self, tmp_path, layout):
+        data = self.write(tmp_path, layout)
+        vectors = write_vectors(tmp_path / "v.txt", "".join(f"{w} {i} 1\n" for i, w in enumerate(self.WORDS)))
+        table = load_embeddings(vectors, expected_dim=2)
+        existing, emerging = list(self.EXISTING), list(self.EMERGING)
+        loads = [(table, *load_dataset(data, existing, emerging, table))]
+        if layout == "snips":
+            loads.append((table, *load_snips(data, existing, emerging, table)))
+        for restrict in (True, False):
+            cfg = RunConfig(
+                word_dim=2, dataset_path=str(data), embeddings_path=str(vectors), restrict_vocab=restrict,
+                existing_labels=self.EXISTING, emerging_labels=self.EMERGING,
+            ).validate()
+            loads.append(load_inputs(cfg))
+        for used, ex, em in loads:
+            assert (ex.samples, em.samples) == self.expected(used)
+            assert any(i != used.oov_id for ids, _ in ex.samples for i in ids)
 
 
 class TestCorpus:

@@ -264,6 +264,12 @@ class TestMarginLoss:
         with pytest.raises(ContractError, match="label outside the 3 intents"):
             margin_loss_batch(Tensor(np.zeros((4, 3, 2))), [0, bad, 1, 0], Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("penalty_weight", [0.0, 0.5])
+    def test_empty_batch_is_named(self, penalty_weight):
+        # the mean over no utterance raised a bare ZeroDivisionError
+        with pytest.raises(ContractError, match=r"empty batch: v of shape \(0, 3, 2\) holds no utterance"):
+            margin_loss_batch(Tensor(np.full((0, 3, 2), 0.1)), [], Tensor(np.zeros(0)), penalty_weight=penalty_weight)
+
 
 class TestClassify:
     def test_unique_max(self):

@@ -1297,6 +1297,14 @@ class TestPersistence:
         assert before == after
         np.testing.assert_array_equal(bundle.intent_vectors, table.intent_vectors)
 
+    def test_loaded_vocab_is_the_saved_word_list_in_order(self, toy_setup, tmp_path):
+        cfg, table, _, _ = toy_setup
+        out = save_model(init_model(table, cfg), table, cfg, tmp_path / "model")
+        words = json.loads((out / "meta.json").read_text(encoding="utf-8"))["vocab"]
+        vocab = load_model(out).table.vocab
+        assert list(vocab.items()) == list({w: i for i, w in enumerate(words)}.items())
+        assert list(vocab.items()) == list(table.vocab.items())
+
     def test_loaded_model_is_read_only_and_snapshot_writable(self, toy_setup, tmp_path):
         cfg, table, _, _ = toy_setup
         bundle = load_model(save_model(init_model(table, cfg), table, cfg, tmp_path / "model"))
@@ -1570,7 +1578,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("damage", list(ARCHIVE_DAMAGES))
     def test_cut_or_damaged_archive_is_named(self, toy_setup, tmp_path, damage):
-        # the empty file escaped as a bare EOFError, the others as zipfile.BadZipFile
+        # the empty file escaped as a bare EOFError, plain .npy content as a
+        # bare TypeError, the others as zipfile.BadZipFile
         cfg, table, _, _ = toy_setup
         path = save_model(init_model(table, cfg), table, cfg, tmp_path / "model") / "params.npz"
         path.write_bytes(ARCHIVE_DAMAGES[damage](path.read_bytes()))
