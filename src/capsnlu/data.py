@@ -321,7 +321,8 @@ def load_embeddings(
 
 
 def iter_snips_records(root):
-    """Yield (utterance_text, intent_name, location) from the benchmark layout.
+    """Yield (utterance_text, intent_name, file_path, sample_index) from the
+    benchmark layout.
 
     `root` holds one directory per intent, each with a
     train_<Intent>_full.json file whose samples are ordered lists of
@@ -363,13 +364,13 @@ def iter_snips_records(root):
             except (TypeError, KeyError) as exc:
                 raise ParseError(f"{fpath}: sample {i}: span without text") from exc
             any_sample = True
-            yield text, intent, f"{fpath}:{i}"
+            yield text, intent, fpath, i
     if not any_sample:
         raise EmptySourceError(f"{root}: no intent file holds a sample")
 
 
 def iter_tsv_records(path):
-    """Yield (utterance, intent, location) from `utterance<TAB>intent` lines
+    """Yield (utterance, intent, path, lineno) from `utterance<TAB>intent` lines
     read by `_text_lines`. The file is streamed: the records before the
     first bad line in file order are yielded, then ParseError names it."""
     path = Path(path)
@@ -381,7 +382,7 @@ def iter_tsv_records(path):
         if len(cols) != 2:
             raise ParseError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
         any_row = True
-        yield cols[0], cols[1], f"{path}:{lineno}"
+        yield cols[0], cols[1], path, lineno
     if not any_row:
         raise EmptySourceError(f"{path}: no samples")
 
@@ -393,26 +394,27 @@ def iter_dataset_records(path):
 
 
 def _route_records(records, existing_labels, emerging_labels, table):
-    """Tokenize each (text, intent, location) record into the existing or
-    the emerging corpus by its intent, and log the counts at INFO."""
+    """Tokenize each (text, intent, path, index) record into the existing
+    or the emerging corpus by its intent, and log the counts at INFO. An
+    error names the record as ``path:index``."""
     if set(existing_labels) & set(emerging_labels):
         raise ContractError("existing and emerging label sets overlap")
     existing_idx = {name: i for i, name in enumerate(existing_labels)}
     emerging_idx = {name: i for i, name in enumerate(emerging_labels)}
     ex_samples: list[tuple[list[int], int]] = []
     em_samples: list[tuple[list[int], int]] = []
-    for text, intent, loc in records:
+    for text, intent, path, index in records:
         try:
             ids = tokenize(text, table)
         except EmptyUtteranceError as exc:
-            raise ParseError(f"{loc}: {exc}") from exc
+            raise ParseError(f"{path}:{index}: {exc}") from exc
         if intent in existing_idx:
             ex_samples.append((ids, existing_idx[intent]))
         elif intent in emerging_idx:
             em_samples.append((ids, emerging_idx[intent]))
         else:
             raise LabelMappingError(
-                f"{loc}: intent {intent!r} is neither an existing nor an emerging label"
+                f"{path}:{index}: intent {intent!r} is neither an existing nor an emerging label"
             )
     corpus_existing = Corpus(ex_samples, list(existing_labels))
     corpus_emerging = Corpus(em_samples, list(emerging_labels))
@@ -436,7 +438,7 @@ def load_dataset(path, existing_labels, emerging_labels, table: EmbeddingTable):
 
 
 def _record_words(records) -> set[str]:
-    return {w for text, _, _ in records for w in words_of(text)}
+    return {w for text, _, _, _ in records for w in words_of(text)}
 
 
 def dataset_words(path) -> set[str]:

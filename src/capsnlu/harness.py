@@ -84,7 +84,7 @@ class Adam:
     ``with rows_step(param, rows) as leaf:`` is one step for a table of
     which a step reads and writes only a few rows (the embedding). The
     block gets a new leaf holding those rows, which the forward and
-    backward use in place of the table, while the optimizer's thread runs
+    backward use in place of the table, while the step's own thread runs
     the step with g = +0.0 over every row of the table: the decays and
     the update, which need neither the gradient nor the forward. When the
     block exits normally it steps the other parameters, waits for that
@@ -97,13 +97,12 @@ class Adam:
     operations in its order, and the split changes no bit. Between steps
     the optimizer's state is ``t``, ``m``, ``v`` and any aborted step.
 
-    The pass runs on the optimizer's one-thread ThreadPoolExecutor, whose
-    thread (``adam-rows-step_0``) the first ``rows_step`` starts: an
-    optimizer that only ``step``s starts none. The thread is not a
-    daemon; it ends on ``close()``, which waits for a running pass, or
-    once the optimizer is collected. ``close()`` may be called again,
-    ``with Adam(...) as optimizer:`` calls it on the way out, and a
-    ``rows_step`` after it raises ContractError. A step that an exception
+    Each ``rows_step`` runs its pass on a one-thread ThreadPoolExecutor
+    of its own (thread ``adam-rows-step_0``), which the block leaves
+    through a ``with``: every way out of the block, normal or by an
+    exception, waits for the pass and ends the thread. So between steps
+    the optimizer holds no thread, and ``copy.deepcopy`` copies it; an
+    optimizer that only ``step``s starts none. A step that an exception
     leaves, from its block or its own exit (the wait for the pass, the
     rows' step, the write-back), is aborted: its pass may have moved the
     table while ``t`` and the rest did not, so the next ``rows_step`` or
@@ -135,21 +134,7 @@ class Adam:
             np.empty((2, t.values[b[0]].size if b else 0), t.dtype) for b, (_, t) in zip(self._blocks, self.params)
         ]
         self._in_rows_step = False  # the pass owns a table while True
-        self._executor = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="adam-rows-step")
         self._aborted = ""  # why no step may follow, once one was aborted
-        self._closed = False
-
-    def __enter__(self) -> "Adam":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Let a running pass finish, then end the thread. Calling it again
-        does nothing."""
-        self._closed = True
-        self._executor.shutdown()
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -167,8 +152,6 @@ class Adam:
         if any, is raised when no other is on its way out. A block left by
         an exception aborts its step: the optimizer takes no other (see the
         class docstring)."""
-        if self._closed:
-            raise ContractError("rows_step on a closed Adam: close() stopped its worker")
         if self._aborted:
             raise ContractError(self._aborted)
         index = next((k for k, (_, t) in enumerate(self.params) if t is param), None)
@@ -185,21 +168,22 @@ class Adam:
         leaf = Tensor(np.take(param.values, rows, axis=0), requires_grad=True)
         m_rows, v_rows = (np.take(a[index], rows, axis=0) for a in (self.m, self.v))
         step = self.t + 1
-        done = self._executor.submit(self._gradient_free_step, index, step)
         self._in_rows_step = True
         try:
-            yield leaf
-            self.t = step
-            hyper = self._hyper(step)
-            self._dense_steps(hyper, skip=index)  # while the pass runs
-            done.result()
-            _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
-            param.values[rows] = leaf.values
-            self.m[index][rows] = m_rows
-            self.v[index][rows] = v_rows
+            # the executor's exit waits for the pass and ends its thread
+            with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="adam-rows-step") as pool:
+                done = pool.submit(self._gradient_free_step, index, step)
+                yield leaf
+                self.t = step
+                hyper = self._hyper(step)
+                self._dense_steps(hyper, skip=index)  # while the pass runs
+                done.result()
+                _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
+                param.values[rows] = leaf.values
+                self.m[index][rows] = m_rows
+                self.v[index][rows] = v_rows
         except BaseException:
             self._aborted = f"Adam step {step} was aborted by an exception; the optimizer takes no further step"
-            concurrent.futures.wait([done])
             raise
         finally:
             self._in_rows_step = False
@@ -320,13 +304,13 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     step is one ``Adam.rows_step`` block, which gathers those rows into a
     leaf, with the batch's ids renumbered to index it; the block runs the
     forward and backward on a model whose embedding is that leaf, and its
-    exit takes the Adam step. Meanwhile the optimizer's thread runs the
+    exit takes the Adam step. Meanwhile the step's own thread runs the
     table's gradient-free Adam pass over every row, and the step waits
-    for it before it returns or raises. The optimizer is closed on every
-    way out of ``train``, so its thread never outlives the call. An id
-    that is not a row of the embedding raises `check_token_ids`'
-    ContractError before any row is gathered. Losses, parameters and
-    moments are bit for bit those of a step on the whole table."""
+    for it and ends that thread before it returns or raises, so no thread
+    outlives a step. An id that is not a row of the embedding raises
+    `check_token_ids`' ContractError before any row is gathered. Losses,
+    parameters and moments are bit for bit those of a step on the whole
+    table."""
     cfg.validate()
     if not corpus.samples:
         raise ContractError("empty training corpus")
@@ -343,41 +327,41 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     best_acc = -1.0
     best_values = last_good = model.snapshot()
 
-    with Adam(model.trainable(), lr=cfg.learning_rate) as optimizer:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                # the shuffle picks batch membership; canonical within-batch
-                # order keeps gradient accumulation reproducible
-                picked = np.sort(order[start : start + cfg.batch_size])
-                batch = corpus.batch(picked)
-                ids = check_token_ids(batch, model.embedding.shape[0])
-                rows, inverse = np.unique(np.append(ids, model.pad_id), return_inverse=True)
-                local = TokenBatch(inverse[:-1], batch.lengths)
-                pad = int(inverse[-1])
-                with optimizer.rows_step(model.embedding, rows) as leaf:
-                    stepped = replace(model, embedding=leaf, pad_id=pad)
-                    loss = batch_loss(stepped, local, labels[picked], cfg, training=True, rng=rng)
-                    value = loss.item()
-                    if not np.isfinite(value):
-                        err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
-                        err.checkpoint = last_good
-                        raise err
-                    optimizer.zero_grad()
-                    loss.backward()
-                    leaf.grad[pad] = 0.0  # PAD stays frozen
-                loss_sum += value * len(picked)
-            epoch_loss = loss_sum / n
-            acc = evaluate(model, val_corpus, cfg).accuracy
-            history.epoch_losses.append(epoch_loss)
-            history.val_accuracies.append(acc)
-            last_good = model.snapshot()
-            if acc >= best_acc:  # ties keep the later, more-converged epoch
-                best_acc = acc
-                best_values = last_good  # neither dict is mutated later
-                history.best_epoch = epoch
-            log.info("epoch %d: loss=%.6f val_acc=%.4f", epoch, epoch_loss, acc)
+    optimizer = Adam(model.trainable(), lr=cfg.learning_rate)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            # the shuffle picks batch membership; canonical within-batch
+            # order keeps gradient accumulation reproducible
+            picked = np.sort(order[start : start + cfg.batch_size])
+            batch = corpus.batch(picked)
+            ids = check_token_ids(batch, model.embedding.shape[0])
+            rows, inverse = np.unique(np.append(ids, model.pad_id), return_inverse=True)
+            local = TokenBatch(inverse[:-1], batch.lengths)
+            pad = int(inverse[-1])
+            with optimizer.rows_step(model.embedding, rows) as leaf:
+                stepped = replace(model, embedding=leaf, pad_id=pad)
+                loss = batch_loss(stepped, local, labels[picked], cfg, training=True, rng=rng)
+                value = loss.item()
+                if not np.isfinite(value):
+                    err = NumericError(f"training diverged at epoch {epoch}: loss={value}")
+                    err.checkpoint = last_good
+                    raise err
+                optimizer.zero_grad()
+                loss.backward()
+                leaf.grad[pad] = 0.0  # PAD stays frozen
+            loss_sum += value * len(picked)
+        epoch_loss = loss_sum / n
+        acc = evaluate(model, val_corpus, cfg).accuracy
+        history.epoch_losses.append(epoch_loss)
+        history.val_accuracies.append(acc)
+        last_good = model.snapshot()
+        if acc >= best_acc:  # ties keep the later, more-converged epoch
+            best_acc = acc
+            best_values = last_good  # neither dict is mutated later
+            history.best_epoch = epoch
+        log.info("epoch %d: loss=%.6f val_acc=%.4f", epoch, epoch_loss, acc)
 
     model.restore(best_values)
     return model, history

@@ -12,7 +12,6 @@ import threading
 import numpy as np
 import pytest
 
-from capsnlu import harness
 from capsnlu.config import RunConfig
 from capsnlu.data import EmbeddingTable, load_inputs
 from capsnlu.model import init_model
@@ -192,22 +191,9 @@ def _adam_threads():
 
 
 @pytest.fixture(autouse=True)
-def no_adam_worker_left_running(monkeypatch):
-    """Fails a test that leaves an Adam's thread alive: whatever starts one
-    must close its optimizer on every way out. Each Adam made during the
-    test is kept until the check, so the thread of one that was never
-    closed cannot end unseen when the optimizer is collected."""
-    made = []
-    init = harness.Adam.__init__
-
-    def keep(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(harness.Adam, "__init__", keep)
-    before = _adam_threads()
+def no_adam_worker_left_running():
+    """Fails a test that leaves an Adam pass thread alive: each rows step
+    must end its own thread on every way out of its block."""
     yield
-    left = _adam_threads() - before
-    for opt in made:
-        opt.close()
-    assert not left, f"{len(left)} adam-rows-step thread(s) still alive; an Adam was not closed"
+    left = _adam_threads()
+    assert not left, f"{len(left)} adam-rows-step thread(s) still alive after the test"

@@ -547,8 +547,8 @@ class TestLoadTsv:
         p = tmp_path / "toy.tsv"
         p.write_bytes(b"play music\tPlayMusic\r\nget weather\tGetWeather\rcaf\xe9\tPlayMusic\n")
         records = iter_tsv_records(p)
-        assert next(records) == ("play music", "PlayMusic", f"{p}:1")
-        assert next(records) == ("get weather", "GetWeather", f"{p}:2")
+        assert next(records) == ("play music", "PlayMusic", p, 1)
+        assert next(records) == ("get weather", "GetWeather", p, 2)
         with pytest.raises(ParseError, match=r"toy\.tsv:3: not UTF-8 text"):
             next(records)
 
@@ -575,6 +575,34 @@ class TestLoadTsv:
         p = tmp_path / "toy.tsv"
         p.write_text("Play Music!\tPlayMusic\n", encoding="utf-8")
         assert dataset_words(p) == {"play", "music"}
+
+
+class TestRecordLocation:
+    # a record's error names its file and its sample index (SNIPS layout)
+    # or line number (TSV), formatted only when the error is raised
+    UTTERANCES = ["play music", "?!", "get weather"]  # the second has no word
+
+    def write(self, tmp_path, layout, intent):
+        if layout == "snips":
+            root = make_snips_dir(tmp_path / "snips", {intent: self.UTTERANCES})
+            return root, f"{root / intent / f'train_{intent}_full.json'}:"
+        p = tmp_path / "toy.tsv"
+        p.write_text("".join(f"{u}\t{intent}\n" for u in self.UTTERANCES), encoding="utf-8")
+        return p, f"{p}:"
+
+    @pytest.mark.parametrize("layout, line", [("snips", 1), ("tsv", 2)])
+    def test_empty_utterance_names_its_record(self, tmp_path, table, layout, line):
+        path, prefix = self.write(tmp_path, layout, "PlayMusic")
+        with pytest.raises(ParseError) as raised:
+            load_dataset(path, ["PlayMusic"], [], table)
+        assert str(raised.value) == f"{prefix}{line}: utterance reduced to zero tokens: '?!'"
+
+    @pytest.mark.parametrize("layout, line", [("snips", 0), ("tsv", 1)])
+    def test_unknown_intent_names_its_record(self, tmp_path, table, layout, line):
+        path, prefix = self.write(tmp_path, layout, "Mystery")
+        with pytest.raises(LabelMappingError) as raised:
+            load_dataset(path, ["PlayMusic"], ["GetWeather"], table)
+        assert str(raised.value) == f"{prefix}{line}: intent 'Mystery' is neither an existing nor an emerging label"
 
 
 class TestLoadInputs:

@@ -1,16 +1,14 @@
 import concurrent.futures
 import contextlib
+import copy
 import dataclasses
 import functools
 import json
-import os
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,16 +135,6 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _run_python(args, cwd=None):
-    """Run the interpreter with `args` in a process of its own, with the
-    package on its path."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-
-
 class TestAdam:
     # 2,000 rows of 300 span several row blocks in float32 and in float64,
     # and are a multiple of neither block length
@@ -231,38 +219,38 @@ class TestAdam:
         table = Tensor(rng.normal(size=(n_rows, 300)), requires_grad=True, dtype=dtype)
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
-        with Adam([("table", table)], lr=1e-3) as opt:
-            for step in range(1, 7):
-                lookups = []
-                for _ in range(2):
-                    idx = rng.integers(1, n_rows, size=(8, 12))
-                    idx[:, 9:] = 0
-                    idx[0, :4] = idx[1, 0]
-                    c = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=idx.shape + (300,)).astype(dtype)
-                    c[:, 9:] = 0.0
-                    lookups.append((idx, Tensor(c)))
-                opt.zero_grad()
-                grad = np.zeros_like(table.values)
-                if write == "lookup":
-                    rows = np.unique(np.concatenate([idx.ravel() for idx, _ in lookups]))
-                    with opt.rows_step(table, rows) as leaf:
-                        for idx, c in lookups:
-                            ops.sum(ops.mul(leaf.take_rows(np.searchsorted(rows, idx)), c)).backward()
-                        leaf.grad[0] = 0.0  # rows[0] is the PAD row
-                        grad[rows] = leaf.grad
-                else:
+        opt = Adam([("table", table)], lr=1e-3)
+        for step in range(1, 7):
+            lookups = []
+            for _ in range(2):
+                idx = rng.integers(1, n_rows, size=(8, 12))
+                idx[:, 9:] = 0
+                idx[0, :4] = idx[1, 0]
+                c = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=idx.shape + (300,)).astype(dtype)
+                c[:, 9:] = 0.0
+                lookups.append((idx, Tensor(c)))
+            opt.zero_grad()
+            grad = np.zeros_like(table.values)
+            if write == "lookup":
+                rows = np.unique(np.concatenate([idx.ravel() for idx, _ in lookups]))
+                with opt.rows_step(table, rows) as leaf:
                     for idx, c in lookups:
-                        loss = ops.sum(ops.mul(table.take_rows(idx), c))
-                        if write == "lookup_and_product":
-                            dense = Tensor(rng.normal(size=table.shape).astype(dtype))
-                            loss = ops.add(loss, ops.sum(ops.mul(table, dense)))
-                        loss.backward()
-                    table.grad[0] = 0.0
-                    grad[...] = table.grad
-                    opt.step()
-                _textbook_adam(ref, [grad], moments, step, 1e-3)
-                assert _same_bits(table.values, ref[0]), step
-                assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
+                        ops.sum(ops.mul(leaf.take_rows(np.searchsorted(rows, idx)), c)).backward()
+                    leaf.grad[0] = 0.0  # rows[0] is the PAD row
+                    grad[rows] = leaf.grad
+            else:
+                for idx, c in lookups:
+                    loss = ops.sum(ops.mul(table.take_rows(idx), c))
+                    if write == "lookup_and_product":
+                        dense = Tensor(rng.normal(size=table.shape).astype(dtype))
+                        loss = ops.add(loss, ops.sum(ops.mul(table, dense)))
+                    loss.backward()
+                table.grad[0] = 0.0
+                grad[...] = table.grad
+                opt.step()
+            _textbook_adam(ref, [grad], moments, step, 1e-3)
+            assert _same_bits(table.values, ref[0]), step
+            assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_record_is_used_only_where_skipping_is_exact(self, dtype):
@@ -277,18 +265,18 @@ class TestAdam:
         first = -10 * tiny  # (1 - 0.9) * first rounds to -tiny
         ref = [table.values.copy()]
         moments = [(np.zeros_like(ref[0]), np.zeros_like(ref[0]))]
-        with Adam([("table", table)], lr=1e-3) as opt:
-            for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
-                opt.zero_grad()
-                grad = np.zeros_like(table.values)
-                with opt.rows_step(table, [row]) as leaf:
-                    ops.sum(ops.mul(leaf.take_rows(np.array([0])), Tensor(np.full((1, 2), value, dtype=dtype)))).backward()
-                    grad[row] = leaf.grad[0]
-                _textbook_adam(ref, [grad], moments, step, 1e-3)
-                if step == 1:
-                    assert moments[0][0][1].tolist() == [-tiny, -tiny]
-                assert _same_bits(table.values, ref[0])
-                assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
+        opt = Adam([("table", table)], lr=1e-3)
+        for step, (row, value) in enumerate([(1, first), (2, 1.0)], start=1):
+            opt.zero_grad()
+            grad = np.zeros_like(table.values)
+            with opt.rows_step(table, [row]) as leaf:
+                ops.sum(ops.mul(leaf.take_rows(np.array([0])), Tensor(np.full((1, 2), value, dtype=dtype)))).backward()
+                grad[row] = leaf.grad[0]
+            _textbook_adam(ref, [grad], moments, step, 1e-3)
+            if step == 1:
+                assert moments[0][0][1].tolist() == [-tiny, -tiny]
+            assert _same_bits(table.values, ref[0])
+            assert _same_bits(opt.m[0], moments[0][0]) and _same_bits(opt.v[0], moments[0][1])
         assert np.signbit(moments[0][0][1]).all()
 
     @pytest.mark.parametrize("name, value", [("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))])
@@ -307,25 +295,25 @@ class TestAdam:
     def test_step_allocates_no_parameter_sized_array(self):
         rng = np.random.default_rng(12)
         table = Tensor(rng.normal(size=(2000, 300)), requires_grad=True)
-        with Adam([("table", table)], lr=1e-3) as opt:
-            for rows_step in (False, True):
-                for _ in range(2):
-                    opt.zero_grad()
-                    if not rows_step:
-                        table.grad[...] = rng.normal(size=table.shape)
-                    idx = rng.integers(0, 2000, size=(4, 15))
-                    rows = np.unique(idx)
-                    tracemalloc.start()
-                    try:
-                        if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
-                            with opt.rows_step(table, rows) as leaf:
-                                ops.sum(leaf.take_rows(np.searchsorted(rows, idx))).backward()
-                        else:
-                            opt.step()
-                        peak = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                    assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
+        opt = Adam([("table", table)], lr=1e-3)
+        for rows_step in (False, True):
+            for _ in range(2):
+                opt.zero_grad()
+                if not rows_step:
+                    table.grad[...] = rng.normal(size=table.shape)
+                idx = rng.integers(0, 2000, size=(4, 15))
+                rows = np.unique(idx)
+                tracemalloc.start()
+                try:
+                    if rows_step:  # 60 lookups through a leaf of their rows, the worker beside them
+                        with opt.rows_step(table, rows) as leaf:
+                            ops.sum(leaf.take_rows(np.searchsorted(rows, idx))).backward()
+                    else:
+                        opt.step()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 0.25 * table.values.nbytes, f"peak {peak} bytes for a {table.values.nbytes}-byte parameter"
 
     def test_parameter_listed_twice_is_named(self):
         # stepping it once per entry would move it twice as far
@@ -355,19 +343,18 @@ class TestAdam:
                 with opt.rows_step(table, rows):
                     pass
         assert opt.t == 0  # no block above was entered
-        opt.close()
         # each misuse inside a block aborts that block's step
         for misuse, message in [
             (lambda opt: opt.rows_step(table, [1]).__enter__(), "a rows step is already open"),
             (Adam.step, "step\\(\\) inside a rows_step block would race its worker"),
         ]:
-            with Adam([("table", table)], lr=1e-3) as opt:
-                with pytest.raises(ContractError, match=message):
-                    with opt.rows_step(table, [0]):
-                        misuse(opt)
-                assert opt.t == 0
-                with pytest.raises(ContractError, match="Adam step 1 was aborted"):
-                    opt.step()
+            opt = Adam([("table", table)], lr=1e-3)
+            with pytest.raises(ContractError, match=message):
+                with opt.rows_step(table, [0]):
+                    misuse(opt)
+            assert opt.t == 0
+            with pytest.raises(ContractError, match="Adam step 1 was aborted"):
+                opt.step()
         assert threading.active_count() == before
 
     def test_block_left_by_an_exception_takes_no_step(self, monkeypatch):
@@ -387,22 +374,22 @@ class TestAdam:
         table = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=3), requires_grad=True)
         before = threading.active_count()
-        with Adam([("table", table), ("w", w)], lr=1e-3) as opt:
-            w.grad[...] = 1.0
-            w0 = w.values.copy()
-            with pytest.raises(RuntimeError, match="forward failed"):
-                with opt.rows_step(table, [1, 4]):
-                    raise RuntimeError("forward failed")
-            assert opt.t == 0 and finished == [1]
-            assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
-            stepped = table.values.copy()
-            refused = "Adam step 1 was aborted by an exception; the optimizer takes no further step"
-            with pytest.raises(ContractError, match=refused):
-                with opt.rows_step(table, [1, 4]):
-                    pass
-            with pytest.raises(ContractError, match=refused):
-                opt.step()
-            assert opt.t == 0 and finished == [1] and _same_bits(table.values, stepped) and _same_bits(w.values, w0)
+        opt = Adam([("table", table), ("w", w)], lr=1e-3)
+        w.grad[...] = 1.0
+        w0 = w.values.copy()
+        with pytest.raises(RuntimeError, match="forward failed"):
+            with opt.rows_step(table, [1, 4]):
+                raise RuntimeError("forward failed")
+        assert opt.t == 0 and finished == [1]
+        assert _same_bits(w.values, w0) and not opt.m[1].any() and not opt.v[1].any()
+        stepped = table.values.copy()
+        refused = "Adam step 1 was aborted by an exception; the optimizer takes no further step"
+        with pytest.raises(ContractError, match=refused):
+            with opt.rows_step(table, [1, 4]):
+                pass
+        with pytest.raises(ContractError, match=refused):
+            opt.step()
+        assert opt.t == 0 and finished == [1] and _same_bits(table.values, stepped) and _same_bits(w.values, w0)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", ["pass", "rows_step", "write_back"])
@@ -410,48 +397,30 @@ class TestAdam:
         # the block ran, but the wait for the pass, the rows' step or the
         # write-back raised on its exit: that step is aborted as well
         table = Tensor(np.ones((4, 2)), requires_grad=True)
-        with Adam([("table", table)], lr=1e-3) as opt:
-            with opt.rows_step(table, [1]) as leaf:
-                ops.sum(leaf).backward()
-            if failing == "pass":
-                monkeypatch.setattr(Adam, "_gradient_free_step", lambda *args: 1 / 0)
-            elif failing == "rows_step":
-                monkeypatch.setattr(harness, "_full_step", lambda *args: 1 / 0)
-            with pytest.raises((ZeroDivisionError, ValueError)):
-                with opt.rows_step(table, [2]) as leaf:
-                    ops.sum(leaf).backward()
-                    if failing == "write_back":
-                        leaf.values = np.ones((2, 2))  # two rows cannot be written back into row 2
-            with pytest.raises(ContractError, match="Adam step 2 was aborted"):
-                with opt.rows_step(table, [1]):
-                    pass
-            with pytest.raises(ContractError, match="Adam step 2 was aborted"):
-                opt.step()
-
-    def test_close_waits_for_the_pass_and_may_be_called_again(self):
-        table = Tensor(np.ones((4, 2)), requires_grad=True)
-        before = threading.active_count()
         opt = Adam([("table", table)], lr=1e-3)
-        opt.close()  # no rows step ran, so no thread was started
-        assert threading.active_count() == before
-        opt = Adam([("table", table)], lr=1e-3)
-        others = _adam_threads()
         with opt.rows_step(table, [1]) as leaf:
             ops.sum(leaf).backward()
-        (worker,), done = _adam_threads() - others, []
-        assert worker.is_alive() and threading.active_count() == before + 1
-        opt._executor.submit(lambda: (time.sleep(0.05), done.append(True)))
-        opt.close()
-        assert done == [True] and not worker.is_alive() and threading.active_count() == before
-        opt.close()
-        assert threading.active_count() == before
+        if failing == "pass":
+            monkeypatch.setattr(Adam, "_gradient_free_step", lambda *args: 1 / 0)
+        elif failing == "rows_step":
+            monkeypatch.setattr(harness, "_full_step", lambda *args: 1 / 0)
+        with pytest.raises((ZeroDivisionError, ValueError)):
+            with opt.rows_step(table, [2]) as leaf:
+                ops.sum(leaf).backward()
+                if failing == "write_back":
+                    leaf.values = np.ones((2, 2))  # two rows cannot be written back into row 2
+        with pytest.raises(ContractError, match="Adam step 2 was aborted"):
+            with opt.rows_step(table, [1]):
+                pass
+        with pytest.raises(ContractError, match="Adam step 2 was aborted"):
+            opt.step()
 
     @staticmethod
     def _cut_a_wait_short(opt, table, monkeypatch) -> list:
-        """After one step of row 1, run a block of row 3 whose waits a
-        KeyboardInterrupt cuts short, leaving its pass for step 2 running;
-        the pass then adds 10 to table row 2 and appends its step to the
-        list returned."""
+        """After one step of row 1, run a block of row 3 whose wait for its
+        pass's result a KeyboardInterrupt cuts short. The block's way out
+        still waits for that pass of step 2, which adds 10 to table row 2
+        and appends its step to the list returned."""
         real_pass, done = Adam._gradient_free_step, []
 
         def late_pass(self, index, t):
@@ -468,104 +437,103 @@ class TestAdam:
         with monkeypatch.context() as mp, pytest.raises(KeyboardInterrupt):
             mp.setattr(Adam, "_gradient_free_step", late_pass)
             mp.setattr(concurrent.futures.Future, "result", interrupted)
-            mp.setattr(concurrent.futures, "wait", interrupted)
             with opt.rows_step(table, [3]) as leaf:
                 ops.sum(leaf).backward()
         return done
 
     def test_rows_step_after_a_wait_cut_short_is_refused(self, monkeypatch):
-        # the pass left running may still write the table, so the next
-        # block is refused before it gathers a row; close() waits for the pass
+        # the pass moved the table (row 2 as well) while the rows' step was
+        # not taken, so the next block is refused before it gathers a row
         table = Tensor(np.ones((4, 2)), requires_grad=True)
         before = threading.active_count()
-        with Adam([("table", table)], lr=1e-3) as opt:
-            done = self._cut_a_wait_short(opt, table, monkeypatch)
-            with pytest.raises(ContractError, match="Adam step 2 was aborted by an exception"):
-                with opt.rows_step(table, [2]):
-                    pass
-            assert opt.t == 2
+        opt = Adam([("table", table)], lr=1e-3)
+        done = self._cut_a_wait_short(opt, table, monkeypatch)
+        with pytest.raises(ContractError, match="Adam step 2 was aborted by an exception"):
+            with opt.rows_step(table, [2]):
+                pass
+        assert opt.t == 2
         assert done == [2] and table.values[2].tolist() == [11.0, 11.0] and threading.active_count() == before
 
     def test_step_after_a_wait_cut_short_is_refused(self, monkeypatch):
         table = Tensor(np.ones((4, 2)), requires_grad=True)
         before = threading.active_count()
-        with Adam([("table", table)], lr=1e-3) as opt:
-            done = self._cut_a_wait_short(opt, table, monkeypatch)
-            opt.zero_grad()
-            with pytest.raises(ContractError, match="Adam step 2 was aborted by an exception"):
-                opt.step()
-            assert opt.t == 2
+        opt = Adam([("table", table)], lr=1e-3)
+        done = self._cut_a_wait_short(opt, table, monkeypatch)
+        opt.zero_grad()
+        with pytest.raises(ContractError, match="Adam step 2 was aborted by an exception"):
+            opt.step()
+        assert opt.t == 2
         assert done == [2] and table.values[2].tolist() == [11.0, 11.0] and threading.active_count() == before
 
-    def test_unclosed_optimizer_thread_ends_when_it_is_collected(self):
-        # run apart: the leak gate in conftest keeps every Adam a test makes
-        script = """if True:
-            import gc, threading
-            import numpy as np
-            from capsnlu.autodiff import Tensor
-            from capsnlu.harness import Adam
-            table = Tensor(np.ones((4, 2)), requires_grad=True)
-            opt = Adam([("table", table)], lr=1e-3)
-            with opt.rows_step(table, [1]) as leaf:
-                leaf.grad[...] = 1.0
-            (thread,) = [t for t in threading.enumerate() if t.name.startswith("adam-rows-step")]
-            del opt, leaf
-            gc.collect()
-            thread.join(timeout=10)
-            print(thread.is_alive())
-        """
-        proc = _run_python(["-c", script])
-        assert proc.stdout == "False\n", proc.stderr
+    WAYS_OUT = {
+        "normal": None,
+        "block_raises": RuntimeError,
+        "pass_raises": ZeroDivisionError,
+        "write_back_raises": ValueError,
+        "keyboard_interrupt": KeyboardInterrupt,
+    }
 
-    def test_leak_gate_fails_a_test_that_leaves_an_optimizer_unclosed(self, tmp_path):
-        # the conftest gate, run over a file of its own: a test whose Adam ran
-        # a rows step and was never closed errors, even when the optimizer was
-        # dropped and collected, which ends its thread
-        (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
-        (tmp_path / "test_gate.py").write_text(
-            """import gc
-import numpy as np
-from capsnlu.autodiff import Tensor
-from capsnlu.harness import Adam
+    @pytest.mark.parametrize("way_out", list(WAYS_OUT))
+    def test_no_pass_thread_outlives_its_block(self, monkeypatch, way_out):
+        # each rows step runs its pass on a thread of its own, and every way
+        # out of the block ends it: right after a block no pass thread is
+        # alive, even a slow pass's, and the next step's pass ran on a new one
+        real_pass, ran_on = Adam._gradient_free_step, []
 
-def stepped():
-    table = Tensor(np.ones((4, 2)), requires_grad=True)
-    opt = Adam([("table", table)], lr=1e-3)
-    with opt.rows_step(table, [1]) as leaf:
-        leaf.grad[...] = 1.0
-    return opt
+        def slow_pass(self, index, t):
+            ran_on.append(threading.current_thread())
+            time.sleep(0.02)
+            if way_out == "pass_raises" and t == 2:
+                raise ZeroDivisionError("pass failed")
+            real_pass(self, index, t)
 
-def test_unclosed():
-    opt = stepped()
-
-def test_unclosed_and_collected():
-    stepped()
-    gc.collect()
-
-def test_closed():
-    stepped().close()
-
-def test_only_steps():
-    Adam([("w", Tensor(np.ones(3), requires_grad=True))], lr=1e-3).step()
-"""
-        )
-        proc = _run_python(["-m", "pytest", "-q", "-rE", "-p", "no:cacheprovider", str(tmp_path)], cwd=tmp_path)
-        errors = sorted(line.split()[1] for line in proc.stdout.splitlines() if line.startswith("ERROR "))
-        assert errors == ["test_gate.py::test_unclosed", "test_gate.py::test_unclosed_and_collected"], proc.stdout
-        assert "4 passed, 2 errors" in proc.stdout, proc.stdout
-        assert "1 adam-rows-step thread(s) still alive; an Adam was not closed" in proc.stdout
-
-    def test_rows_step_after_close_is_named(self):
+        monkeypatch.setattr(Adam, "_gradient_free_step", slow_pass)
         table = Tensor(np.ones((4, 2)), requires_grad=True)
-        before = threading.active_count()
-        with Adam([("table", table)], lr=1e-3) as opt:
-            with opt.rows_step(table, [1]) as leaf:
+        opt = Adam([("table", table)], lr=1e-3)
+        with opt.rows_step(table, [1]) as leaf:
+            ops.sum(leaf).backward()
+        assert not _adam_threads()
+        raised = self.WAYS_OUT[way_out]
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            with opt.rows_step(table, [2]) as leaf:
                 ops.sum(leaf).backward()
-        stepped = table.values.copy()
-        with pytest.raises(ContractError, match="rows_step on a closed Adam: close\\(\\) stopped its worker"):
-            with opt.rows_step(table, [1]):
-                pass
-        assert opt.t == 1 and _same_bits(table.values, stepped) and threading.active_count() == before
+                if way_out == "block_raises":
+                    raise RuntimeError("forward failed")
+                if way_out == "keyboard_interrupt":
+                    raise KeyboardInterrupt
+                if way_out == "write_back_raises":
+                    leaf.values = np.ones((2, 2))  # two rows cannot be written back into row 2
+        assert not _adam_threads()
+        first, second = ran_on
+        assert first is not second and first.name.startswith("adam-rows-step")
+        assert not first.is_alive() and not second.is_alive()
+
+    def test_a_copy_between_steps_takes_the_same_next_step(self):
+        # what saving and resuming a run rely on: between rows steps the
+        # optimizer holds no thread, so it deep-copies, and the copy's next
+        # step gives the original's bits
+        rng = np.random.default_rng(5)
+        table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=4), requires_grad=True)
+        opt = Adam([("table", table), ("w", w)], lr=1e-3)
+        c, g = Tensor(rng.normal(size=(2, 3))), rng.normal(size=4)
+
+        def step(opt, rows):
+            (_, table), (_, w) = opt.params
+            opt.zero_grad()
+            w.grad[...] = g
+            with opt.rows_step(table, rows) as leaf:
+                ops.sum(ops.mul(leaf, c)).backward()
+
+        step(opt, [1, 4])
+        copied = copy.deepcopy(opt)
+        step(opt, [0, 4])
+        assert copied.t == 1
+        step(copied, [0, 4])
+        assert opt.t == copied.t == 2
+        got = copied.m + copied.v + [t.values for _, t in copied.params]
+        want = opt.m + opt.v + [t.values for _, t in opt.params]
+        assert all(_same_bits(a, b) and a is not b for a, b in zip(got, want))
 
 
 class TestTrainStepExactness:
@@ -660,9 +628,9 @@ class TestTrainStepExactness:
 
 
 class TestTrainThreads:
-    """Each step's gradient-free embedding pass runs on the optimizer's one
-    worker thread; train stops it on every way out, and its error reaches
-    the caller."""
+    """Each step's gradient-free embedding pass runs on a thread of the
+    step's own, which ends on every way out of the step, and its error
+    reaches the caller."""
 
     @pytest.fixture(autouse=True)
     def slow_worker(self, monkeypatch) -> list:
@@ -710,12 +678,11 @@ class TestTrainThreads:
 
     def test_between_steps_the_optimizer_holds_no_open_step(self, toy_setup, monkeypatch, slow_worker):
         # what resume relies on: after every step Adam has the attributes
-        # of a fresh one, and its worker, the same single thread for every
-        # step, has no pending pass and holds no leaf, so neither a step's
-        # leaf nor its worker needs saving
+        # of a fresh one, every pass has finished and no pass thread
+        # exists, so neither a step's leaf nor a thread needs saving
         cfg, table, corpus, _ = toy_setup
         cfg.epochs = 2
-        keys, workers = [], []
+        keys, between = [], []
 
         class Recorded(Adam):
             def __init__(self, *args, **kwargs):
@@ -727,23 +694,14 @@ class TestTrainThreads:
                 with super().rows_step(param, rows) as leaf:
                     yield leaf
                 keys.append(sorted(vars(self)))
-                (worker,) = adam_threads = list(_adam_threads())
-                idle = slow_worker == list(range(1, self.t + 1))  # every pass submitted has finished
-                held = list(vars(worker).values())
-                frame = sys._current_frames()[worker.ident]
-                while frame is not None:
-                    held += frame.f_locals.values()
-                    frame = frame.f_back
-                holds_leaf = any(isinstance(x, Tensor) for x in held)
-                workers.append((worker, adam_threads, idle, holds_leaf))
+                idle = slow_worker == list(range(1, self.t + 1))  # every pass started has finished
+                between.append((idle, _adam_threads()))
 
         monkeypatch.setattr(harness, "Adam", Recorded)
         train(cfg, corpus, table)
         steps = cfg.epochs * -(-len(corpus.samples) // cfg.batch_size)
         assert len(keys) == 1 + steps and all(k == keys[0] for k in keys)
-        worker = workers[0][0]
-        assert workers == [(worker, [worker], True, False)] * steps
-        assert not worker.is_alive()
+        assert between == [(True, set())] * steps
 
     def test_no_thread_outlives_a_keyboard_interrupt(self, toy_setup, monkeypatch):
         cfg, table, corpus, _ = toy_setup
