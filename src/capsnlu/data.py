@@ -33,7 +33,15 @@ PAD_TOKEN = "<pad>"
 _PUNCT_BYTES = bytes.maketrans(string.punctuation.encode("ascii"), b" " * len(string.punctuation))
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
 _PARSE_ROWS = 1024  # kept vector rows per numpy parse call
-_UNDECODED = "\udcff"  # what _text_lines decodes each run of bytes that is not UTF-8 to
+_UNDECODED = "\udcff"  # what each run of bytes that is not UTF-8 is decoded to
+_BLOCK_BYTES = 1 << 17  # bytes per read of a vectors file: a block and its masks stay in L2
+_RESERVED = (OOV_TOKEN.encode(), PAD_TOKEN.encode())
+# the bytes that can start a word that is not all whitespace: all but
+# space, the ASCII controls and the lead bytes of the other whitespace
+# code points (U+0085 and U+00A0; U+1680; U+2000..U+205F; U+3000)
+_WORD_HEAD = np.ones(256, dtype=bool)
+_WORD_HEAD[: 0x20 + 1] = False
+_WORD_HEAD[[0xC2, 0xE1, 0xE2, 0xE3]] = False
 codecs.register_error("capsnlu.undecoded", lambda exc: (_UNDECODED, exc.end))
 
 
@@ -206,6 +214,16 @@ def _parse_rows(path: Path, pending: list[str], linenos: list[int], dtype) -> np
         return block.astype(dtype, copy=False)
 
 
+def _checked_text(path: Path, lineno: int, line: str) -> str:
+    """`line` without the byte-order mark that may lead line 1; ParseError
+    if it holds a byte that is not UTF-8 (read as `_UNDECODED`)."""
+    if lineno == 1:
+        line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
+    if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text")
+    return line
+
+
 def _text_lines(path: Path):
     """Yield (lineno, line) over the lines of `path` as UTF-8 text, from 1.
     Lines end only at LF, CRLF or CR (each read as "\\n"), and a leading
@@ -213,13 +231,182 @@ def _text_lines(path: Path):
     UTF-8 raises ParseError naming it."""
     with open(path, "r", encoding="utf-8", errors="capsnlu.undecoded") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
-                if not line:  # the mark was all the file held
-                    return
-            if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
-                raise ParseError(f"{path}:{lineno}: not UTF-8 text")
+            line = _checked_text(path, lineno, line)
+            if not line:  # a byte-order mark was all the file held
+                return
             yield lineno, line
+
+
+def _line_runs(fh):
+    """Yield the bytes of the binary file `fh` in runs of whole lines: one
+    run per read of `_BLOCK_BYTES` that holds a line end (LF or CR), then
+    the file's tail. A line longer than a read is joined whole. When a run
+    ends at a CR and the next read starts with LF, that LF is dropped:
+    the two are one CRLF line end."""
+    head: list[bytes] = []  # what was read since the last line end
+    cr = False  # the last run ended at a CR that ended its read
+    while chunk := fh.read(_BLOCK_BYTES):
+        if cr and chunk.startswith(b"\n"):
+            chunk = chunk[1:]
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        cr = cut == len(chunk) and chunk.endswith(b"\r")
+        if cut:
+            head.append(chunk[:cut])
+            yield b"".join(head)
+            head = [chunk[cut:]] if cut < len(chunk) else []
+        else:
+            head.append(chunk)
+    if tail := b"".join(head):
+        yield tail
+
+
+def _cr_lines(segment: bytes) -> list[str]:
+    """The text lines of one LF-free piece of a file: it is decoded as
+    UTF-8, each run of bytes that is not UTF-8 read as `_UNDECODED`, and
+    split at each CR, which ends a line (a CR at its end ends the last)."""
+    text = segment.decode("utf-8", "capsnlu.undecoded")
+    if "\r" not in text:  # a search, where split would step through every character
+        return [text]
+    lines = text.split("\r")
+    if text.endswith("\r"):
+        lines.pop()
+    return lines
+
+
+class _VectorReader:
+    """The kept rows of one vectors file, taken a run of lines at a time in
+    file order (see load_embeddings)."""
+
+    def __init__(self, path: Path, expected_dim: int, restrict_to, dtype):
+        self.path, self.dim, self.dtype = path, expected_dim, dtype
+        # words are looked up as UTF-8 bytes; a word with a lone surrogate
+        # encodes to bytes that are not UTF-8, which no line's word equals
+        self.keep = None if restrict_to is None else {
+            w.encode("utf-8", "surrogatepass") for w in restrict_to if isinstance(w, str)
+        }
+        self.words: dict[bytes, None] = {}  # kept words, in id order
+        self.blocks: list[np.ndarray] = []
+        self.pending: list[str] = []  # value strings of kept lines not yet parsed
+        self.linenos: list[int] = []
+        self.lines = 0  # lines read so far
+
+    def flush(self):
+        if self.pending:  # cleared before the parse, so a failed chunk is not parsed again
+            chunk, at, self.pending, self.linenos = self.pending, self.linenos, [], []
+            self.blocks.append(_parse_rows(self.path, chunk, at, self.dtype))
+
+    def offer(self, lineno: int, word: bytes, values: str):
+        """Keep a record's row unless its word is already kept or not in
+        `restrict_to`."""
+        if word in self.words or (self.keep is not None and word not in self.keep):
+            return  # first occurrence wins
+        if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
+            raise ParseError(f"{self.path}:{lineno}: non-numeric vector entry")
+        if word in _RESERVED:  # it would take the reserved row's name
+            raise ParseError(f"{self.path}:{lineno}: {word.decode()!r} is a reserved word")
+        self.pending.append(values)
+        self.linenos.append(lineno)
+        self.words[word] = None
+        if len(self.pending) == _PARSE_ROWS:
+            self.flush()
+
+    def line(self, lineno: int, line: str):
+        """Read one text line (without its line end) by the full grammar."""
+        line = _checked_text(self.path, lineno, line)
+        if not line or line.isspace() or (lineno == 1 and _is_header(line)):
+            return
+        fields = line
+        if fields.count(" ") != self.dim or "\t" in fields:
+            # some vector files use general whitespace (a tab among
+            # spaces would hide in a word or value); normalise it
+            fields = " ".join(line.split())
+            if fields.count(" ") != self.dim:
+                raise ParseError(
+                    f"{self.path}:{lineno}: expected a word and {self.dim} values, "
+                    f"got {fields.count(' ') + 1} fields"
+                )
+        word, _, values = fields.partition(" ")
+        self.offer(lineno, word.encode(), values)
+
+    def scan(self, run: bytes):
+        """Read one run of whole lines. A line is a regular record when it
+        is not line 1, has exactly `dim` spaces, no tab, no CR but one that
+        ends it, and a first byte that can start a word that is not all
+        whitespace: it is split at its first space, on the bytes, and only
+        a kept record's values are decoded. An empty line is skipped. Every
+        other line, and every line of a run that is not UTF-8, is decoded
+        and read by `line`."""
+        arr = np.frombuffer(run, np.uint8)
+        ends = np.flatnonzero(arr == 10)  # each line's LF, or the run's end
+        if not ends.size or ends[-1] != len(run) - 1:
+            ends = np.append(ends, len(run))
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        # a uint16 count per line is the fast sum; a line that could hold
+        # 65536 spaces (or tabs) would wrap it
+        count = np.int64 if len(run) > 0xFFFF and int((ends - starts).max()) > 0xFFFF else np.uint16
+        spaces = np.add.reduceat(arr == 32, starts, dtype=count)
+        regular = (spaces == self.dim) & _WORD_HEAD[arr[starts]]
+        bodies = ends  # where each line's text ends
+        if b"\r" in run:  # a CR that ends a line is its line end, with or without an LF after it
+            bodies = ends - ((arr[ends - 1] == 13) & (ends > starts))
+        if regular.any() and (b"\t" in run or b"\r" in run):
+            # a record holds no tab, and no CR but one that ends it
+            regular &= np.add.reduceat((arr == 9) | (arr == 13), starts, dtype=count) == ends - bodies
+        if not self.lines:
+            regular[0] = False  # line 1 may be a header or start with a byte-order mark
+        if regular.any() and not run.isascii():
+            try:
+                run.decode("utf-8")
+            except UnicodeDecodeError:
+                regular[:] = False  # `line` names the first line that is not UTF-8
+        records = np.flatnonzero(regular)
+        firsts, lasts = starts[records].tolist(), bodies[records].tolist()
+        heads = list(map(run.find, itertools.repeat(b" "), firsts, lasts))  # each record's first space
+        words = list(map(run.__getitem__, map(slice, firsts, heads)))
+        todo = ~regular & (starts != bodies)  # an empty line is blank
+        if self.keep is None:
+            todo |= regular
+        else:
+            todo[records[np.fromiter(map(self.keep.__contains__, words), bool, len(words))]] = True
+        todo = np.flatnonzero(todo)
+        starts, ends, regular = starts.tolist(), ends.tolist(), regular.tolist()
+        lineno = self.lines + 1  # line `i` of the run is lineno + i, plus the lines CRs ended
+        for i, j in zip(todo.tolist(), np.searchsorted(records, todo).tolist()):
+            if regular[i]:
+                self.offer(lineno + i, words[j], run[heads[j] + 1 : lasts[j]].decode())
+                continue
+            segment = run[starts[i] : ends[i]]
+            if segment.isspace():  # blank lines: one, plus one per CR before its end
+                lineno += segment.count(b"\r") - segment.endswith(b"\r")
+                continue
+            lines = _cr_lines(segment)
+            for k, line in enumerate(lines):
+                self.line(lineno + i + k, line)
+            lineno += len(lines) - 1
+        self.lines = lineno + len(starts) - 1
+
+    def table(self, seed: int) -> EmbeddingTable:
+        """The table of the kept rows, plus the OOV row drawn from `seed`
+        and the zero PAD row."""
+        if not self.blocks:
+            raise EmptySourceError(f"{self.path}: no embedding records")
+        vocab = {word.decode(): i for i, word in enumerate(self.words)}
+        rng = np.random.default_rng(seed)
+        bound = 0.5 / self.dim
+        oov_vec = rng.uniform(-bound, bound, size=self.dim).astype(self.dtype)
+        pad_vec = np.zeros(self.dim, dtype=self.dtype)
+        oov_id = len(vocab)
+        pad_id = oov_id + 1
+        vocab[OOV_TOKEN] = oov_id
+        vocab[PAD_TOKEN] = pad_id
+        vectors = np.vstack(self.blocks + [oov_vec, pad_vec])
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            word = list(vocab)[int(np.argmin(finite))]  # insertion order is id order
+            raise ParseError(f"{self.path}: word {word!r} has a non-finite vector entry")
+        return EmbeddingTable(vocab=vocab, vectors=vectors, oov_id=oov_id, pad_id=pad_id)
 
 
 def load_embeddings(
@@ -249,71 +436,48 @@ def load_embeddings(
     ParseError on a kept line and is ignored on a dropped one. A kept
     line whose word is the reserved `<oov>` or `<pad>` raises ParseError,
     and so does a byte that is not UTF-8 on any line, kept or dropped;
-    errors name the first bad line in file order. Lines are read by
-    `_text_lines`, so a word may hold U+2028, U+0085, VT, FF or FS/GS/RS.
+    errors name the first bad line in file order. Lines end only at LF,
+    CRLF or CR, so a word may hold U+2028, U+0085, VT, FF or FS/GS/RS,
+    and a byte-order mark before line 1 is dropped.
     The OOV vector is drawn uniformly from [-0.5/D, 0.5/D] with the run
     seed; PAD is zero.
+
+    The file is scanned in binary blocks of `_BLOCK_BYTES`: per block,
+    one ASCII (else UTF-8) check, one newline search and one numpy sum of
+    every line's spaces. A line with exactly `expected_dim` spaces, no
+    tab, no CR but one that ends it and a word that is not all whitespace
+    is split on its bytes, and its word looked up as UTF-8 bytes; only
+    the values of kept lines are decoded. An empty line is skipped. Every
+    other line (line 1, a blank line, other whitespace, a wrong field
+    count, a line a CR ends before another, a byte that is not UTF-8) is
+    decoded and read by the full grammar, one line at a time. So the
+    grammar, the kept rows, their ids and every error are those of a
+    reader that reads every line that way.
+
+    ContractError, before the file is opened: `expected_dim` that is not
+    a positive int, a `str` `restrict_to` (it would match substrings),
+    or a `dtype` that is not a float dtype.
     """
-    path = Path(path)
-    vocab: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
-    pending: list[str] = []  # value strings of kept lines not yet parsed
-    linenos: list[int] = []
-
-    def flush():
-        nonlocal pending, linenos
-        if pending:  # cleared before the parse, so a failed chunk is not parsed again
-            chunk, at, pending, linenos = pending, linenos, [], []
-            blocks.append(_parse_rows(path, chunk, at, dtype))
-
+    if isinstance(expected_dim, bool) or not isinstance(expected_dim, (int, np.integer)) or expected_dim < 1:
+        raise ContractError(f"expected_dim must be a positive int, got {expected_dim!r}")
+    if isinstance(restrict_to, str):
+        raise ContractError(f"restrict_to must be a collection of words, not the str {restrict_to!r}")
     try:
-        for lineno, line in _text_lines(path):
-            if line.isspace() or (lineno == 1 and _is_header(line)):
-                continue
-            fields = line.rstrip("\n")
-            if fields.count(" ") != expected_dim or "\t" in fields:
-                # some vector files use general whitespace (a tab among
-                # spaces would hide in a word or value); normalise it
-                fields = " ".join(line.split())
-                if fields.count(" ") != expected_dim:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected a word and {expected_dim} values, "
-                        f"got {fields.count(' ') + 1} fields"
-                    )
-            word, _, values = fields.partition(" ")
-            if word in vocab or (restrict_to is not None and word not in restrict_to):
-                continue  # first occurrence wins
-            if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
-                raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
-            if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
-                raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
-            pending.append(values)
-            linenos.append(lineno)
-            vocab[word] = len(vocab)
-            if len(pending) == _PARSE_ROWS:
-                flush()
-    except ParseError:
-        flush()  # a bad value on an earlier kept line is reported first
-        raise
-    flush()
-
-    if not blocks:
-        raise EmptySourceError(f"{path}: no embedding records")
-
-    rng = np.random.default_rng(seed)
-    bound = 0.5 / expected_dim
-    oov_vec = rng.uniform(-bound, bound, size=expected_dim).astype(dtype)
-    pad_vec = np.zeros(expected_dim, dtype=dtype)
-    oov_id = len(vocab)
-    pad_id = oov_id + 1
-    vocab[OOV_TOKEN] = oov_id
-    vocab[PAD_TOKEN] = pad_id
-    vectors = np.vstack(blocks + [oov_vec, pad_vec])
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        word = list(vocab)[int(np.argmin(finite))]  # insertion order is id order
-        raise ParseError(f"{path}: word {word!r} has a non-finite vector entry")
-    return EmbeddingTable(vocab=vocab, vectors=vectors, oov_id=oov_id, pad_id=pad_id)
+        is_float = np.dtype(dtype).kind == "f"
+    except TypeError:
+        is_float = False
+    if not is_float:
+        raise ContractError(f"dtype must be a float dtype, got {dtype!r}")
+    reader = _VectorReader(Path(path), int(expected_dim), restrict_to, dtype)
+    with open(path, "rb") as fh:
+        try:
+            for run in _line_runs(fh):
+                reader.scan(run)
+        except ParseError:
+            reader.flush()  # a bad value on an earlier kept line is reported first
+            raise
+    reader.flush()
+    return reader.table(seed)
 
 
 # ----------------------------------------------------------------------

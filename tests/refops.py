@@ -10,17 +10,32 @@ Tensor; a plain number or array second operand becomes a constant of the
 first operand's dtype.
 
 `words_of` is the tokenizer's reference: the rule `data.words_of` keeps,
-stated on `str` alone.
+stated on `str` alone. `load_embeddings` is the vectors reader's
+reference: the per-line reader that `data.load_embeddings`' block scan
+replaced, kept as it was (it shares `data._parse_rows`, the value
+parser both use).
 """
 
 from __future__ import annotations
 
 import string
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from capsnlu.autodiff import ContractError, DegenerateRowError, DimensionError, Tensor, _result
+from capsnlu.data import (
+    _PARSE_ROWS,
+    _UNDECODED,
+    OOV_TOKEN,
+    PAD_TOKEN,
+    EmbeddingTable,
+    EmptySourceError,
+    ParseError,
+    _is_header,
+    _parse_rows,
+)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -300,3 +315,94 @@ def words_of(text: str) -> list[str]:
     """Lowercase, make each ASCII punctuation mark a space, and split on
     Unicode whitespace, all on `str`."""
     return text.lower().translate(_PUNCT_TABLE).split()
+
+
+# ----------------------------------------------------------------------
+# word vectors
+
+
+def _text_lines(path: Path):
+    """Yield (lineno, line) over the lines of `path` as UTF-8 text, from 1.
+    Lines end only at LF, CRLF or CR (each read as "\\n"), and a leading
+    byte-order mark is dropped. A line that holds a byte that is not
+    UTF-8 raises ParseError naming it."""
+    with open(path, "r", encoding="utf-8", errors="capsnlu.undecoded") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
+                if not line:  # the mark was all the file held
+                    return
+            if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line
+
+
+def load_embeddings(
+    path,
+    expected_dim: int,
+    seed: int = 0,
+    restrict_to: set[str] | None = None,
+    dtype=np.float32,
+) -> EmbeddingTable:
+    """Read `word v1 .. vD` lines into an EmbeddingTable, one decoded text
+    line at a time, by the grammar `data.load_embeddings` documents."""
+    path = Path(path)
+    vocab: dict[str, int] = {}
+    blocks: list[np.ndarray] = []
+    pending: list[str] = []  # value strings of kept lines not yet parsed
+    linenos: list[int] = []
+
+    def flush():
+        nonlocal pending, linenos
+        if pending:  # cleared before the parse, so a failed chunk is not parsed again
+            chunk, at, pending, linenos = pending, linenos, [], []
+            blocks.append(_parse_rows(path, chunk, at, dtype))
+
+    try:
+        for lineno, line in _text_lines(path):
+            if line.isspace() or (lineno == 1 and _is_header(line)):
+                continue
+            fields = line.rstrip("\n")
+            if fields.count(" ") != expected_dim or "\t" in fields:
+                # some vector files use general whitespace (a tab among
+                # spaces would hide in a word or value); normalise it
+                fields = " ".join(line.split())
+                if fields.count(" ") != expected_dim:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected a word and {expected_dim} values, "
+                        f"got {fields.count(' ') + 1} fields"
+                    )
+            word, _, values = fields.partition(" ")
+            if word in vocab or (restrict_to is not None and word not in restrict_to):
+                continue  # first occurrence wins
+            if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
+                raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
+            if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
+                raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
+            pending.append(values)
+            linenos.append(lineno)
+            vocab[word] = len(vocab)
+            if len(pending) == _PARSE_ROWS:
+                flush()
+    except ParseError:
+        flush()  # a bad value on an earlier kept line is reported first
+        raise
+    flush()
+
+    if not blocks:
+        raise EmptySourceError(f"{path}: no embedding records")
+
+    rng = np.random.default_rng(seed)
+    bound = 0.5 / expected_dim
+    oov_vec = rng.uniform(-bound, bound, size=expected_dim).astype(dtype)
+    pad_vec = np.zeros(expected_dim, dtype=dtype)
+    oov_id = len(vocab)
+    pad_id = oov_id + 1
+    vocab[OOV_TOKEN] = oov_id
+    vocab[PAD_TOKEN] = pad_id
+    vectors = np.vstack(blocks + [oov_vec, pad_vec])
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        word = list(vocab)[int(np.argmin(finite))]  # insertion order is id order
+        raise ParseError(f"{path}: word {word!r} has a non-finite vector entry")
+    return EmbeddingTable(vocab=vocab, vectors=vectors, oov_id=oov_id, pad_id=pad_id)

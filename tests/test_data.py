@@ -9,6 +9,7 @@ import pytest
 import refops
 from conftest import toy_config
 
+from capsnlu import data
 from capsnlu.autodiff import ContractError
 from capsnlu.config import RunConfig
 from capsnlu.data import (
@@ -289,6 +290,37 @@ class TestLoadEmbeddings:
         p.write_bytes(("\ufeff" + text).encode("utf-8", "surrogateescape"))
         with pytest.raises(ParseError, match=named):
             load_embeddings(p, expected_dim=2)
+
+    @pytest.mark.parametrize("block", [None, 1 << 20], ids=["longer-than-a-read", "inside-a-read"])
+    def test_line_of_65536_more_spaces_than_expected_names_its_field_count(self, tmp_path, monkeypatch, block):
+        # a 16-bit count of the line's 65538 spaces wraps to 2 and would keep it
+        if block:
+            monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+        p = write_vectors(tmp_path / "v.txt", "a 1 2\nb" + " 0" * (65536 + 2) + "\nc 3 4\n")
+        with pytest.raises(ParseError, match=r"v\.txt:2: expected a word and 2 values, got 65539 fields"):
+            load_embeddings(p, expected_dim=2)
+
+    @pytest.mark.parametrize("dim", [0, -1, True, 1.0, 2.0, "2", None])
+    def test_expected_dim_not_a_positive_int_is_named_before_the_file_is_read(self, tmp_path, dim):
+        # 0 gave "non-numeric vector entry", -1 "expected a word and -1
+        # values", True and 1.0 numpy's TypeError from the OOV draw
+        with pytest.raises(ContractError, match=r"expected_dim must be a positive int"):
+            load_embeddings(tmp_path / "missing.txt", expected_dim=dim)
+
+    def test_numpy_int_expected_dim_loads(self, tmp_path):
+        p = write_vectors(tmp_path / "v.txt", "a 1 2\n")
+        assert load_embeddings(p, expected_dim=np.int64(2)).vectors.shape == (3, 2)
+
+    def test_str_restrict_to_is_named_before_the_file_is_read(self, tmp_path):
+        # `word not in "ab"` was a substring test: "a", "b" and "ab" were all kept
+        with pytest.raises(ContractError, match=r"restrict_to must be a collection of words"):
+            load_embeddings(tmp_path / "missing.txt", expected_dim=2, restrict_to="ab")
+
+    @pytest.mark.parametrize("dtype", [np.int32, "i8", bool, object, "not a dtype"])
+    def test_non_float_dtype_is_named_before_the_file_is_read(self, tmp_path, dtype):
+        # np.int32 truncated "1.5" to 1 and zeroed the OOV row
+        with pytest.raises(ContractError, match=r"dtype must be a float dtype"):
+            load_embeddings(tmp_path / "missing.txt", expected_dim=2, dtype=dtype)
 
     def test_deterministic(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
