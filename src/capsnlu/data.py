@@ -330,10 +330,12 @@ class _VectorReader:
 
     def scan(self, run: bytes):
         """Read one run of whole lines. A line is a regular record when it
-        is not line 1, has exactly `dim` spaces, no tab, no CR but one that
-        ends it, and a first byte that can start a word that is not all
-        whitespace: it is split at its first space, on the bytes, and only
-        a kept record's values are decoded. An empty line is skipped. Every
+        is not line 1, has no tab and no CR, a first byte that can start a
+        word that is not all whitespace, and either exactly `dim` spaces
+        or (word2vec.c's and fastText's layout) `dim` + 1 with one at its
+        end, no two in a row and no other byte below 0x20 or above 0x7F.
+        A record is split at its first space, on the bytes, and only a
+        kept record's values are decoded. An empty line is skipped. Every
         other line, and every line of a run that is not UTF-8, is decoded
         and read by `line`."""
         arr = np.frombuffer(run, np.uint8)
@@ -346,14 +348,22 @@ class _VectorReader:
         # a uint16 count per line is the fast sum; a line that could hold
         # 65536 spaces (or tabs) would wrap it
         count = np.int64 if len(run) > 0xFFFF and int((ends - starts).max()) > 0xFFFF else np.uint16
-        spaces = np.add.reduceat(arr == 32, starts, dtype=count)
-        regular = (spaces == self.dim) & _WORD_HEAD[arr[starts]]
-        bodies = ends  # where each line's text ends
-        if b"\r" in run:  # a CR that ends a line is its line end, with or without an LF after it
-            bodies = ends - ((arr[ends - 1] == 13) & (ends > starts))
+        space = arr == 32
+        spaces = np.add.reduceat(space, starts, dtype=count)
+        worded = _WORD_HEAD[arr[starts]]
+        regular = (spaces == self.dim) & worded
         if regular.any() and (b"\t" in run or b"\r" in run):
-            # a record holds no tab, and no CR but one that ends it
-            regular &= np.add.reduceat((arr == 9) | (arr == 13), starts, dtype=count) == ends - bodies
+            regular &= np.add.reduceat((arr == 9) | (arr == 13), starts, dtype=count) == 0
+        lasts = ends  # where each record's values end
+        trailing = (spaces == self.dim + 1) & worded & (arr[ends - 1] == 32)
+        if trailing.any():
+            # str.split reads such a line as dim spaces; only these bytes
+            # (and its LF) keep it from splitting anywhere else
+            odd = arr.view(np.int8) < 32  # a control byte or a byte above 0x7F
+            odd[1:] |= space[1:] & space[:-1]  # a space after a space
+            trailing &= np.add.reduceat(odd, starts, dtype=count) == (ends < len(run))
+            regular |= trailing
+            lasts = ends - trailing
         if not self.lines:
             regular[0] = False  # line 1 may be a header or start with a byte-order mark
         if regular.any() and not run.isascii():
@@ -362,10 +372,10 @@ class _VectorReader:
             except UnicodeDecodeError:
                 regular[:] = False  # `line` names the first line that is not UTF-8
         records = np.flatnonzero(regular)
-        firsts, lasts = starts[records].tolist(), bodies[records].tolist()
+        firsts, lasts = starts[records].tolist(), lasts[records].tolist()
         heads = list(map(run.find, itertools.repeat(b" "), firsts, lasts))  # each record's first space
         words = list(map(run.__getitem__, map(slice, firsts, heads)))
-        todo = ~regular & (starts != bodies)  # an empty line is blank
+        todo = ~regular & (starts != ends)  # an empty line is blank
         if self.keep is None:
             todo |= regular
         else:
@@ -444,15 +454,17 @@ def load_embeddings(
 
     The file is scanned in binary blocks of `_BLOCK_BYTES`: per block,
     one ASCII (else UTF-8) check, one newline search and one numpy sum of
-    every line's spaces. A line with exactly `expected_dim` spaces, no
-    tab, no CR but one that ends it and a word that is not all whitespace
-    is split on its bytes, and its word looked up as UTF-8 bytes; only
-    the values of kept lines are decoded. An empty line is skipped. Every
+    every line's spaces. A line with no tab or CR and a word that is not
+    all whitespace is a record when it holds exactly `expected_dim`
+    spaces, or one more at its end (word2vec.c's and fastText's layout)
+    with no two in a row, no byte below 0x20 and no non-ASCII byte. A
+    record is split on its bytes and its word looked up as UTF-8 bytes;
+    only the values of kept lines are decoded. An empty line is skipped. Every
     other line (line 1, a blank line, other whitespace, a wrong field
-    count, a line a CR ends before another, a byte that is not UTF-8) is
-    decoded and read by the full grammar, one line at a time. So the
-    grammar, the kept rows, their ids and every error are those of a
-    reader that reads every line that way.
+    count, CR or CRLF line ends, a byte that is not UTF-8) is decoded and
+    read by the full grammar, one line at a time. So the grammar, the
+    kept rows, their ids and every error are those of a reader that
+    reads every line that way.
 
     ContractError, before the file is opened: `expected_dim` that is not
     a positive int, a `str` `restrict_to` (it would match substrings),

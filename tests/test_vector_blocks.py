@@ -22,7 +22,7 @@ from capsnlu.data import load_embeddings
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from test_fuzz_vectors import WORDS, vector_files, well_formed_files
+from test_fuzz_vectors import VALUES, WORDS, vector_files, well_formed_files
 
 
 def outcome(load, path, dim, restrict, dtype):
@@ -74,6 +74,72 @@ def test_block_scan_keeps_the_per_line_readers_rows(tmp_path_factory, case, bloc
     path = tmp_path_factory.getbasetemp() / "blocks.txt"
     path.write_text(text, encoding="utf-8")
     check_same(path, dim, restrict, block)
+
+
+@st.composite
+def trailing_space_files(draw):
+    """(expected_dim, file text, restrict_to) for a file in word2vec.c's
+    and fastText's layout, a space after every value. Now and then a word
+    holds whitespace, a control or a non-ASCII character, a line has a
+    value too many or too few, a double space, another whitespace
+    separator or a bad value; most lines are records, so such a line is
+    often the file's first fault."""
+    dim = draw(st.integers(1, 3))
+    words = ["a", "b", "the"] * 6 + ODD_WORDS + ["caf\xe9", "\x7f", "x\x01", "y\x1b"]
+    seps = [" "] * 12 + ["  ", "\x0b", "\x1f", "\t"]
+    values = st.integers(-5, 5).map(str) | st.floats(-9, 9, width=32).map(repr) | VALUES
+    lines = [f"{draw(st.integers(0, 9))} {dim}"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 6))):
+        line = draw(st.sampled_from(words))
+        for _ in range(dim + draw(st.sampled_from([0] * 6 + [-1, 1]))):
+            line += draw(st.sampled_from(seps)) + draw(values)
+        lines.append(line + draw(st.sampled_from(seps[:6] + ["", "  ", " \x0c", "\x85 "])))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return dim, text, draw(st.none() | st.sets(st.sampled_from(words)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=trailing_space_files(), block=st.integers(1, 64))
+def test_block_scan_reads_trailing_space_lines_as_the_per_line_reader(tmp_path_factory, case, block):
+    dim, text, restrict = case
+    path = tmp_path_factory.getbasetemp() / "blocks.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    check_same(path, dim, restrict, block)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"w 1 2 3",  # dim + 1 spaces, none at the end: a value too many
+        b"w 1  2",  # a double space inside
+        b"w 1  ",  # a double space at the end
+        b"w  1 ",  # a double space after the word
+        b"w 1\x0b2 ",  # a vertical tab between values
+        b"w\x1f 1 2 ",  # a unit separator ending the word
+        b"w 1 2\xc2\x85 ",  # U+0085 (NEL), in UTF-8, before the last space
+        b"\x7f 1 2 ",  # DEL, which is not whitespace, as the word
+    ],
+)
+def test_trailing_space_lookalikes(tmp_path, line):
+    path = tmp_path / "v.txt"
+    path.write_bytes(b"a 1 2 \n" + line + b"\nb 3 4 \n")
+    for block in (4, 64):
+        check_same(path, 2, None, block)
+        check_same(path, 2, {"a", "b"}, block)
+
+
+def test_trailing_space_records_are_read_on_their_bytes(tmp_path, monkeypatch):
+    """Lines that end in a space take the byte path, not the per-line
+    rules: only line 1 (a header here) and the line with a tab do."""
+    path = tmp_path / "v.txt"
+    path.write_bytes(b"4 2\nthe 0.5 -1 \ncaf\xc3\xa9 2 3 \nx\t4 5 \nb 6 7 \n")
+    read = []
+    line = data._VectorReader.line
+    monkeypatch.setattr(data._VectorReader, "line", lambda self, n, text: (read.append(n), line(self, n, text)))
+    table = load_embeddings(path, expected_dim=2, dtype=np.float64)
+    assert read == [1, 3, 4]  # the header, the non-ASCII word and the tab
+    assert list(table.vocab)[:4] == ["the", "caf\xe9", "x", "b"]
+    assert table.vectors[:4].tolist() == [[0.5, -1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
 
 
 @pytest.mark.parametrize(
