@@ -1,4 +1,5 @@
-"""Run configuration: dataclass defaults, key=value files, overrides."""
+"""Run configuration: dataclass defaults, key=value files, overrides, and
+the number of CPUs a run may use."""
 
 from __future__ import annotations
 
@@ -175,3 +176,13 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 def config_hash(cfg: RunConfig) -> str:
     payload = "\n".join(f"{k}={v}" for k, v in sorted(cfg.as_dict().items()))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its CPU affinity, else
+    the CPU count. The one rule for every worker the library starts: the
+    eval pool, Adam's table pass and the vectors reader's helper."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

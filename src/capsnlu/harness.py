@@ -7,13 +7,13 @@ import contextlib
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import config
 from .autodiff import ContractError, NumericError, Tensor, finite_diff_check, no_grad
 from .config import RunConfig
 from .data import Corpus, EmbeddingTable
@@ -100,7 +100,10 @@ class Adam:
     Each ``rows_step`` runs its pass on a one-thread ThreadPoolExecutor
     of its own (thread ``adam-rows-step_0``), which the block leaves
     through a ``with``: every way out of the block, normal or by an
-    exception, waits for the pass and ends the thread. So between steps
+    exception, waits for the pass and ends the thread. When the process
+    may use one CPU only (``config.usable_cpus``), the pass runs inline
+    before the block's body instead and no thread starts, since a thread
+    would only take turns with the forward and backward. So between steps
     the optimizer holds no thread, and ``copy.deepcopy`` copies it; an
     optimizer that only ``step``s starts none. A step that an exception
     leaves, from its block or its own exit (the wait for the pass, the
@@ -170,14 +173,20 @@ class Adam:
         step = self.t + 1
         self._in_rows_step = True
         try:
-            # the executor's exit waits for the pass and ends its thread
-            with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="adam-rows-step") as pool:
-                done = pool.submit(self._gradient_free_step, index, step)
+            with contextlib.ExitStack() as stack:
+                if config.usable_cpus() > 1:
+                    # the executor's exit waits for the pass and ends its thread
+                    pool = stack.enter_context(concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="adam-rows-step"))
+                    done = pool.submit(self._gradient_free_step, index, step)
+                else:  # on one CPU a thread would only take turns with the forward and backward
+                    self._gradient_free_step(index, step)
+                    done = None
                 yield leaf
                 self.t = step
                 hyper = self._hyper(step)
-                self._dense_steps(hyper, skip=index)  # while the pass runs
-                done.result()
+                self._dense_steps(hyper, skip=index)  # while the pass runs on its thread, if it has one
+                if done is not None:
+                    done.result()
                 _full_step(leaf.values, leaf.grad, m_rows, v_rows, _row_blocks(leaf.values), self._temps[index], hyper)
                 param.values[rows] = leaf.values
                 self.m[index][rows] = m_rows
@@ -305,9 +314,9 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
     leaf, with the batch's ids renumbered to index it; the block runs the
     forward and backward on a model whose embedding is that leaf, and its
     exit takes the Adam step. Meanwhile the step's own thread runs the
-    table's gradient-free Adam pass over every row, and the step waits
-    for it and ends that thread before it returns or raises, so no thread
-    outlives a step. An id that is not a row of the embedding raises
+    table's gradient-free Adam pass over every row (on one CPU the pass
+    runs first, inline), and the step waits for it and ends that thread
+    before it returns or raises, so no thread outlives a step. An id that is not a row of the embedding raises
     `check_token_ids`' ContractError before any row is gathered. Losses,
     parameters and moments are bit for bit those of a step on the whole
     table."""
@@ -371,14 +380,6 @@ def train(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, val_corpus: Cor
 # evaluation
 
 
-def _eval_workers() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) -> list:
     """[(indices, read(fwd))] for each chunk of at most EVAL_BATCH
     utterances, in chunk order: `indices` are the chunk's corpus indices
@@ -392,8 +393,8 @@ def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) ->
 
     Each chunk's forward_batch and `read` run together under a no_grad
     block of their own, on a ThreadPoolExecutor (threads named
-    ``eval-chunk_N``) with one worker per CPU the process may run on (its
-    CPU affinity, else the CPU count), capped at the number of chunks.
+    ``eval-chunk_N``) with one worker per CPU the process may run on
+    (``config.usable_cpus``), capped at the number of chunks.
     With one worker (one CPU, or one chunk) the chunks run inline on the
     caller's thread and no thread starts. A chunk reads only the model
     and its own utterances, so the outputs are identical to a one-thread
@@ -410,7 +411,7 @@ def _forward_chunks(model: ModelParams, corpus: Corpus, cfg: RunConfig, read) ->
         with no_grad():
             return indices, read(forward_batch(model, corpus.batch(indices), cfg))
 
-    workers = min(_eval_workers(), len(chunks))
+    workers = min(config.usable_cpus(), len(chunks))
     if workers <= 1:
         return [run(indices) for indices in chunks]
     pool = concurrent.futures.ThreadPoolExecutor(workers, thread_name_prefix="eval-chunk")

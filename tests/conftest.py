@@ -7,11 +7,13 @@ everything.
 """
 
 import io
+import multiprocessing
 import threading
 
 import numpy as np
 import pytest
 
+from capsnlu import config
 from capsnlu.config import RunConfig
 from capsnlu.data import EmbeddingTable, load_inputs
 from capsnlu.model import init_model
@@ -186,14 +188,23 @@ def toy_setup(toy_paths):
     return (cfg, *load_inputs(cfg))
 
 
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make the process look as if it may run on `n` CPUs, for every
+    worker the library starts (see `config.usable_cpus`)."""
+    monkeypatch.setattr(config, "usable_cpus", lambda: n)
+
+
 def _adam_threads():
     return {t for t in threading.enumerate() if t.name.startswith("adam-rows-step")}
 
 
 @pytest.fixture(autouse=True)
-def no_adam_worker_left_running():
-    """Fails a test that leaves an Adam pass thread alive: each rows step
-    must end its own thread on every way out of its block."""
+def no_worker_left_running():
+    """Fails a test that leaves an Adam pass thread or a child process
+    alive: each rows step must end its own thread on every way out of its
+    block, and the vectors reader its helper process."""
     yield
     left = _adam_threads()
     assert not left, f"{len(left)} adam-rows-step thread(s) still alive after the test"
+    children = multiprocessing.active_children()
+    assert not children, f"child process(es) still alive after the test: {children}"

@@ -1,15 +1,19 @@
+import concurrent.futures
 import json
 import logging
+import multiprocessing
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import refops
-from conftest import toy_config
+from conftest import toy_config, use_cpus
 
-from capsnlu import data
+from capsnlu import config, data
 from capsnlu.autodiff import ContractError
 from capsnlu.config import RunConfig
 from capsnlu.data import (
@@ -328,6 +332,173 @@ class TestLoadEmbeddings:
         t2 = load_embeddings(p, expected_dim=2, seed=9)
         assert t1.vocab == t2.vocab
         assert t1.vectors.tobytes() == t2.vectors.tobytes()
+
+
+def chunked_vectors(path, rows: int, dim: int = 4, seed: int = 0):
+    """`rows` lines `w<i> v1 .. v<dim>` of values with long mantissas and
+    float32 halfway values, finite in float32."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(rows):
+        values = [f"{x:.17g}" for x in rng.normal(size=dim)]
+        half = np.float32(rng.normal())
+        values[0] = repr((float(half) + float(np.nextafter(half, np.float32(np.inf)))) / 2)
+        lines.append(f"w{i} {' '.join(values)}")
+    return write_vectors(path, "\n".join(lines) + "\n")
+
+
+def outcome(path, **kwargs):
+    """A table's vocabulary in id order, reserved ids and vector bytes, or
+    the exception's type and message."""
+    try:
+        table = load_embeddings(path, expected_dim=4, seed=3, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(table.vocab.items()), table.oov_id, table.pad_id, table.vectors.dtype, table.vectors.tobytes()
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Each helper executor load_embeddings starts, with the chunks it
+    was sent; reads of 4 KiB, so a file of a few chunks is many reads."""
+    made = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.sent = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            self.sent += 1
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 4096)
+    return made
+
+
+class TestParseHelper:
+    """Full chunks of kept rows parsed in a forked helper process give the
+    table, and the errors, that parsing them inline gives."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_helper_gives_the_inline_table(self, tmp_path, monkeypatch, helpers, dtype, restricted):
+        p = chunked_vectors(tmp_path / "v.txt", 5000)
+        restrict = {f"w{i}" for i in range(5000) if i % 3} | {"absent"} if restricted else None
+        use_cpus(monkeypatch, 1)
+        inline = outcome(p, dtype=dtype, restrict_to=restrict)
+        assert not helpers
+        use_cpus(monkeypatch, 2)
+        assert outcome(p, dtype=dtype, restrict_to=restrict) == inline
+        assert len(helpers) == 1 and helpers[0].sent >= 2
+        assert len(inline[0]) == (3333 if restricted else 5000) + 2  # 3 or 4 full chunks, and a partial one
+        assert inline[1:] == per_value_parse_table(p, restrict, dtype)[1:]
+
+    @pytest.mark.parametrize("later", ["grammar", "value"])
+    def test_bad_value_in_a_helper_chunk_names_its_line_first(self, tmp_path, monkeypatch, helpers, later):
+        # the first two full chunks always go to the helper; the later
+        # error is found while the helper's chunk is still due
+        use_cpus(monkeypatch, 2)
+        lines = chunked_vectors(tmp_path / "v.txt", 4 * _PARSE_ROWS).read_text().splitlines()
+        lines[_PARSE_ROWS + 100] = "bad 1 x 2 3"
+        lines[3 * _PARSE_ROWS + 5] = "short 1 2" if later == "grammar" else "worse 1 2 3 y"
+        p = write_vectors(tmp_path / "v.txt", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"v\.txt:{_PARSE_ROWS + 101}: non-numeric vector entry"):
+            load_embeddings(p, expected_dim=4)
+        assert len(helpers) == 1 and helpers[0].sent >= 2
+
+    def test_helper_that_dies_still_gives_the_exact_table(self, tmp_path, monkeypatch, helpers):
+        # the helper exits at its second chunk: that chunk and every one
+        # still due parse inline, and the rest of the file too
+        p = chunked_vectors(tmp_path / "v.txt", 5 * _PARSE_ROWS + 7)
+        use_cpus(monkeypatch, 1)
+        inline = outcome(p)
+        parent, real, calls = os.getpid(), data._read_values, []
+
+        def dies_in_the_helper(lines):
+            if os.getpid() != parent:
+                calls.append(len(lines))  # the helper's own copy of the list
+                if len(calls) == 2:
+                    os._exit(3)
+            return real(lines)
+
+        monkeypatch.setattr(data, "_read_values", dies_in_the_helper)
+        use_cpus(monkeypatch, 2)
+        assert outcome(p) == inline
+        assert len(helpers) == 1 and helpers[0].sent >= 2
+
+    def test_helper_follows_the_cpus_the_process_may_use(self, tmp_path, helpers):
+        # unforced: pinned to one CPU (taskset -c 0) no helper starts
+        p = chunked_vectors(tmp_path / "v.txt", 3 * _PARSE_ROWS)
+        got = outcome(p)
+        assert len(helpers) == (config.usable_cpus() >= 2 and threading.active_count() == 1)
+        assert len(got[0]) == 3 * _PARSE_ROWS + 2
+
+    @pytest.mark.parametrize("reason", ["one-cpu", "second-thread", "no-fork", "under-one-chunk", "one-read"])
+    def test_no_helper_starts(self, tmp_path, monkeypatch, helpers, reason):
+        use_cpus(monkeypatch, 1 if reason == "one-cpu" else 2)
+        rows = _PARSE_ROWS - 1 if reason == "under-one-chunk" else 3 * _PARSE_ROWS
+        p = chunked_vectors(tmp_path / "v.txt", rows)
+        if reason == "no-fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if reason == "one-read":  # the first full chunk is in the file's last read
+            monkeypatch.setattr(data, "_BLOCK_BYTES", 1 << 20)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if reason == "second-thread":  # a fork would copy it in the middle of its work
+            other.start()
+        try:
+            got = outcome(p)
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join()
+        assert not helpers
+        assert len(got[0]) == rows + 2
+
+    def test_fork_that_fails_parses_inline(self, tmp_path, monkeypatch, helpers):
+        p = chunked_vectors(tmp_path / "v.txt", 3 * _PARSE_ROWS)
+        use_cpus(monkeypatch, 1)
+        inline = outcome(p)
+
+        def no_fork():
+            raise BlockingIOError("fork: no process ids left")
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert outcome(p) == inline
+        assert len(helpers) == 1 and helpers[0].sent == 0
+
+    def test_no_helper_outlives_an_interrupted_load(self, tmp_path, monkeypatch, helpers):
+        # the conftest gate checks that no child process is left
+        p = chunked_vectors(tmp_path / "v.txt", 4 * _PARSE_ROWS)
+        use_cpus(monkeypatch, 2)
+        real = data._VectorReader.scan
+
+        def interrupted(self, run):
+            if self.sent:
+                raise KeyboardInterrupt
+            real(self, run)
+
+        monkeypatch.setattr(data._VectorReader, "scan", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_embeddings(p, expected_dim=4)
+        assert len(helpers) == 1 and helpers[0].sent == 1
+
+
+def per_value_parse_table(path, restrict, dtype):
+    """The reserved ids, dtype and vector bytes `load_embeddings` gives for
+    a `chunked_vectors` file, from one float() per value."""
+    rows = per_value_parse(path, 4, dtype)
+    words = [line.split(" ", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()]
+    rows = rows[[restrict is None or w in restrict for w in words]]
+    n = len(rows)
+    rng = np.random.default_rng(3)
+    oov = rng.uniform(-0.5 / 4, 0.5 / 4, size=4).astype(dtype)
+    return None, n, n + 1, np.dtype(dtype), np.vstack([rows, oov, np.zeros(4, dtype)]).tobytes()
 
 
 @pytest.fixture

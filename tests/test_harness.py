@@ -13,11 +13,11 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from conftest import ARCHIVE_DAMAGES, TOY_EMERGING, TOY_EXISTING, _adam_threads, toy_config
+from conftest import ARCHIVE_DAMAGES, TOY_EMERGING, TOY_EXISTING, _adam_threads, toy_config, use_cpus
 import refops as ops
 
 from capsnlu.autodiff import ContractError, NumericError, Tensor, no_grad
-from capsnlu import harness
+from capsnlu import config, harness
 from capsnlu.data import Corpus
 from capsnlu.harness import (
     EVAL_BATCH,
@@ -167,16 +167,18 @@ class TestAdam:
         if lr == 0.0:
             assert all(_same_bits(t.values, p) for t, p in zip(tensors, start))
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("write", ["lookup", "lookup_and_product", "grad_read"])
-    def test_table_step_bitwise_equal_to_textbook_update(self, dtype, write):
+    def test_table_step_bitwise_equal_to_textbook_update(self, dtype, write, cpus, monkeypatch):
         # gradients reach a 500-row table through embedding lookups, two
         # backward passes per step, with repeated ids and pad positions (id
         # 0, no gradient); the PAD row is frozen as harness.train freezes
         # it. Lookups alone go through the rows step: they read a leaf of
-        # the step's rows while a worker steps the whole table without
-        # gradient. A table also used densely, or written through .grad,
-        # takes the whole-table step.
+        # the step's rows while a worker (on one CPU: the step, before the
+        # block) steps the whole table without gradient. A table also used
+        # densely, or written through .grad, takes the whole-table step.
+        use_cpus(monkeypatch, cpus)
         self._table_steps(dtype, write, 500)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -202,6 +204,36 @@ class TestAdam:
         monkeypatch.setattr(harness, "_update", counted)
         Adam([("table", table)], lr=1e-3)._gradient_free_step(0, 1)
         assert len(updated) <= 8 and sum(updated) == 6345
+
+    def test_one_cpu_runs_the_pass_inline_before_the_block(self, monkeypatch):
+        # a thread would only take turns with the forward and backward: the
+        # pass runs on the caller's thread, has finished when the block's
+        # body starts, and no thread is started
+        use_cpus(monkeypatch, 1)
+        real_pass, ran = Adam._gradient_free_step, []
+
+        def recorded(self, index, t):
+            real_pass(self, index, t)
+            ran.append((threading.current_thread(), t))
+
+        monkeypatch.setattr(Adam, "_gradient_free_step", recorded)
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        opt = Adam([("table", table)], lr=1e-3)
+        before = threading.active_count()
+        for step in (1, 2):
+            with opt.rows_step(table, [step]) as leaf:
+                assert ran[-1] == (threading.main_thread(), step)
+                assert threading.active_count() == before
+                ops.sum(leaf).backward()
+        assert opt.t == 2 and len(ran) == 2
+
+    def test_pass_thread_follows_the_cpus_the_process_may_use(self):
+        # unforced: pinned to one CPU (taskset -c 0) the pass runs inline
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        opt = Adam([("table", table)], lr=1e-3)
+        with opt.rows_step(table, [1]) as leaf:
+            assert len(_adam_threads()) == (config.usable_cpus() > 1)
+            ops.sum(leaf).backward()
 
     def _table_steps(self, dtype, write, n_rows):
         # The rows step runs with the interpreter switching threads every
@@ -432,6 +464,7 @@ class TestAdam:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
+        use_cpus(monkeypatch, 2)  # the pass runs on its thread, and the block waits for it
         with opt.rows_step(table, [1]) as leaf:
             ops.sum(leaf).backward()
         with monkeypatch.context() as mp, pytest.raises(KeyboardInterrupt):
@@ -488,6 +521,7 @@ class TestAdam:
             real_pass(self, index, t)
 
         monkeypatch.setattr(Adam, "_gradient_free_step", slow_pass)
+        use_cpus(monkeypatch, 2)
         table = Tensor(np.ones((4, 2)), requires_grad=True)
         opt = Adam([("table", table)], lr=1e-3)
         with opt.rows_step(table, [1]) as leaf:
@@ -537,13 +571,16 @@ class TestAdam:
 
 
 class TestTrainStepExactness:
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_row_sparse_steps_equal_dense_steps(self, toy_setup, monkeypatch, dtype):
+    def test_row_sparse_steps_equal_dense_steps(self, toy_setup, monkeypatch, dtype, cpus):
         # harness.train steps each batch's embedding rows through a leaf
-        # while a worker steps the whole table without gradient; a copy of
-        # its loop on the whole table (the lookups scatter into the table's
-        # own .grad, then the whole-table step) must reach the same bits,
-        # over ragged batches with dropout
+        # while a worker (on one CPU: the step, inline) steps the whole
+        # table without gradient; a copy of its loop on the whole table
+        # (the lookups scatter into the table's own .grad, then the
+        # whole-table step) must reach the same bits, over ragged batches
+        # with dropout
+        use_cpus(monkeypatch, cpus)
         cfg, table, corpus, _ = toy_setup
         cfg.epochs, cfg.batch_size, cfg.dropout_keep = 1, 3, 0.7  # one epoch: train keeps its last values
         monkeypatch.setattr(harness, "init_model", functools.partial(init_model, dtype=dtype))
@@ -980,11 +1017,6 @@ class TestEvalChunks:
                 np.testing.assert_allclose([float(x) for x in got[keys:]], values, atol=2e-6)
 
 
-def _cpus(monkeypatch, n: int) -> None:
-    """Make the process look as if it may run on `n` CPUs."""
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _eval_threads() -> list:
     return [t for t in threading.enumerate() if t.name.startswith("eval-chunk")]
 
@@ -1054,7 +1086,7 @@ class TestEvalPool:
             words[i] = w
 
         def outputs(n: int) -> list:
-            _cpus(monkeypatch, n)
+            use_cpus(monkeypatch, n)
             calls = _record_forwards(monkeypatch)
             out = tmp_path / f"cpus{n}"
             out.mkdir()
@@ -1077,7 +1109,7 @@ class TestEvalPool:
 
     def test_one_chunk_starts_no_thread(self, toy_setup, monkeypatch):
         cfg, table, corpus, emerging = toy_setup
-        _cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         calls = _record_forwards(monkeypatch)
         model = init_model(table, cfg)
         evaluate(model, corpus, cfg)
@@ -1089,11 +1121,11 @@ class TestEvalPool:
         rows = len(table.vocab)
         model = init_model(table, cfg)
         big = _with_bad_ids(_random_corpus(table, corpus.label_names, 2 * EVAL_BATCH + 9, seed=8), {0: rows + 1, 1: rows + 2})
-        _cpus(monkeypatch, 1)
+        use_cpus(monkeypatch, 1)
         with pytest.raises(ContractError) as inline:
             predict_existing(model, big, cfg)
         assert f"token id {rows + 1}, " in str(inline.value)
-        _cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         # chunk 0 fails after chunk 1 has failed
         _record_forwards(monkeypatch, lambda tokens: time.sleep(0.2) if rows + 1 in _first_ids(tokens) else None)
         with pytest.raises(ContractError) as pooled:
@@ -1119,7 +1151,7 @@ class TestEvalPool:
         with pytest.raises(ContractError) as listed:
             check_token_ids(TokenBatch.of(seqs), rows)
         assert str(listed.value).startswith("utterance 0 has token id ")
-        _cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         with pytest.raises(ContractError) as pooled:
             predict_existing(model, big, cfg)
         assert str(pooled.value) == str(listed.value)
@@ -1129,7 +1161,7 @@ class TestEvalPool:
         rows = len(table.vocab)
         model = init_model(table, cfg)
         big = _with_bad_ids(_random_corpus(table, corpus.label_names, 8 * EVAL_BATCH, seed=9), {0: rows})
-        _cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         calls = _record_forwards(monkeypatch, lambda tokens: None if rows in _first_ids(tokens) else time.sleep(0.2))
         with pytest.raises(ContractError, match=f"token id {rows}, "):
             predict_existing(model, big, cfg)
@@ -1150,7 +1182,7 @@ class TestEvalPool:
         big = _random_corpus(table, labels, 3 * EVAL_BATCH, seed=10)
         if outcome == "raises":
             big = _with_bad_ids(big, {2: len(table.vocab)})
-        _cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         calls = _record_forwards(monkeypatch)
         if outcome == "interrupted":  # the read of chunk 1 raises
             forward, head = harness.forward_batch, big.samples[_chunk_head(big, 1)][0]
@@ -1182,7 +1214,7 @@ class TestEvalPool:
         cfg, table, corpus, _ = toy_setup
         model = init_model(table, cfg)
         big = _random_corpus(table, corpus.label_names, 2 * EVAL_BATCH, seed=11)
-        _cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         chunks = _forward_chunks(model, big, cfg, lambda fwd: fwd.trace.v_final.requires_grad)
         assert [recorded for _, recorded in chunks] == [False, False]
         assert ops.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
