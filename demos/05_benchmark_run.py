@@ -59,7 +59,10 @@ else:
         (d / f"train_{intent}_full.json").write_text(json.dumps({intent: samples}), encoding="utf-8")
     vocab = sorted({w for kws in keywords.values() for w in kws} | set(filler))
     with open(work / "vectors.txt", "w", encoding="utf-8") as fh:
-        for w in vocab:
+        # SearchCreativeWork's label tokens occur in no utterance, so they
+        # get vectors of their own: a label whose tokens are all out of
+        # the vocabulary has no embedding, and load_inputs refuses it
+        for w in vocab + ["creative", "work"]:
             vec = rng.normal(scale=0.3, size=50)
             fh.write(w + " " + " ".join(f"{x:.4f}" for x in vec) + "\n")
     cfg = RunConfig(

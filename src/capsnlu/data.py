@@ -47,12 +47,7 @@ _HELPER_CHUNKS = 2
 _UNDECODED = "\udcff"  # what each run of bytes that is not UTF-8 is decoded to
 _BLOCK_BYTES = 1 << 17  # bytes per read of a vectors file: a block and its masks stay in L2
 _RESERVED = (OOV_TOKEN.encode(), PAD_TOKEN.encode())
-# the bytes that can start a word that is not all whitespace: all but
-# space, the ASCII controls and the lead bytes of the other whitespace
-# code points (U+0085 and U+00A0; U+1680; U+2000..U+205F; U+3000)
-_WORD_HEAD = np.ones(256, dtype=bool)
-_WORD_HEAD[: 0x20 + 1] = False
-_WORD_HEAD[[0xC2, 0xE1, 0xE2, 0xE3]] = False
+_TO_SPACE = bytes.maketrans(b"\t\r", b"  ")  # the vectors grammar's other two field separators
 codecs.register_error("capsnlu.undecoded", lambda exc: (_UNDECODED, exc.end))
 
 
@@ -93,9 +88,26 @@ class EmbeddingTable:
     def word_id(self, word: str) -> int:
         return self.vocab.get(word, self.oov_id)
 
-    def build_intent_vectors(self, labels: list[str], mode: str = "mean") -> np.ndarray:
-        """Fill `intent_vectors`, one row per label, in the given order."""
+    def build_intent_vectors(self, labels: list[str], mode: str = "mean", emerging: int = 0) -> np.ndarray:
+        """Fill `intent_vectors`, one row per label, in the given order.
+        ContractError names each label whose tokens are all out of the
+        vocabulary, with its tokens (its vector would be the OOV row), and
+        two of the last `emerging` labels, the emerging intents, whose
+        vectors are bitwise equal (their similarity rows would tie). An
+        emerging intent may equal an existing one: it is a synonym."""
+        tokens = {name: split_label_tokens(name) for name in labels}
+        unknown = [
+            f"{name!r} ({', '.join(words)})"
+            for name, words in tokens.items()
+            if all(self.word_id(w) == self.oov_id for w in words)
+        ]
+        if unknown:
+            raise ContractError(f"intent labels with every token out of the vocabulary: {', '.join(unknown)}")
         rows = [intent_embedding(name, self, mode=mode) for name in labels]
+        first: dict[bytes, str] = {}  # each emerging vector's first label
+        for name, row in zip(labels[len(labels) - emerging :], rows[len(rows) - emerging :]):
+            if first.setdefault(row.tobytes(), name) != name:
+                raise ContractError(f"emerging intents {first[row.tobytes()]!r} and {name!r} have equal vectors")
         self.intent_vectors = np.stack(rows, axis=0)
         return self.intent_vectors
 
@@ -192,18 +204,6 @@ def intent_embedding(label: str, table: EmbeddingTable, mode: str = "mean") -> n
 # pretrained word vectors
 
 
-def _is_header(line: str) -> bool:
-    """True for a `count dim` line of two integers."""
-    head = line.split()
-    if len(head) != 2:
-        return False
-    try:
-        int(head[0]), int(head[1])
-    except ValueError:
-        return False
-    return True
-
-
 def _read_values(lines: list[str]) -> np.ndarray:
     # comments=None: the default "#" would silently cut a row short
     return np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
@@ -261,16 +261,6 @@ def _may_fork() -> bool:
     )
 
 
-def _checked_text(path: Path, lineno: int, line: str) -> str:
-    """`line` without the byte-order mark that may lead line 1; ParseError
-    if it holds a byte that is not UTF-8 (read as `_UNDECODED`)."""
-    if lineno == 1:
-        line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
-    if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
-        raise ParseError(f"{path}:{lineno}: not UTF-8 text")
-    return line
-
-
 def _text_lines(path: Path):
     """Yield (lineno, line) over the lines of `path` as UTF-8 text, from 1.
     Lines end only at LF, CRLF or CR (each read as "\\n"), and a leading
@@ -278,25 +268,22 @@ def _text_lines(path: Path):
     UTF-8 raises ParseError naming it."""
     with open(path, "r", encoding="utf-8", errors="capsnlu.undecoded") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = _checked_text(path, lineno, line)
-            if not line:  # a byte-order mark was all the file held
-                return
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
+                if not line:  # the mark was all the file held
+                    return
+            if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text")
             yield lineno, line
 
 
 def _line_runs(fh):
     """Yield the bytes of the binary file `fh` in runs of whole lines: one
-    run per read of `_BLOCK_BYTES` that holds a line end (LF or CR), then
-    the file's tail. A line longer than a read is joined whole. When a run
-    ends at a CR and the next read starts with LF, that LF is dropped:
-    the two are one CRLF line end."""
-    head: list[bytes] = []  # what was read since the last line end
-    cr = False  # the last run ended at a CR that ended its read
+    run per read of `_BLOCK_BYTES` that holds an LF, then the file's
+    tail. A line longer than a read is joined whole."""
+    head: list[bytes] = []  # what was read since the last LF
     while chunk := fh.read(_BLOCK_BYTES):
-        if cr and chunk.startswith(b"\n"):
-            chunk = chunk[1:]
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
-        cr = cut == len(chunk) and chunk.endswith(b"\r")
+        cut = chunk.rfind(b"\n") + 1
         if cut:
             head.append(chunk[:cut])
             yield b"".join(head)
@@ -305,19 +292,6 @@ def _line_runs(fh):
             head.append(chunk)
     if tail := b"".join(head):
         yield tail
-
-
-def _cr_lines(segment: bytes) -> list[str]:
-    """The text lines of one LF-free piece of a file: it is decoded as
-    UTF-8, each run of bytes that is not UTF-8 read as `_UNDECODED`, and
-    split at each CR, which ends a line (a CR at its end ends the last)."""
-    text = segment.decode("utf-8", "capsnlu.undecoded")
-    if "\r" not in text:  # a search, where split would step through every character
-        return [text]
-    lines = text.split("\r")
-    if text.endswith("\r"):
-        lines.pop()
-    return lines
 
 
 class _VectorReader:
@@ -419,8 +393,6 @@ class _VectorReader:
         `restrict_to`."""
         if word in self.words or (self.keep is not None and word not in self.keep):
             return  # first occurrence wins
-        if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
-            raise ParseError(f"{self.path}:{lineno}: non-numeric vector entry")
         if word in _RESERVED:  # it would take the reserved row's name
             raise ParseError(f"{self.path}:{lineno}: {word.decode()!r} is a reserved word")
         self.pending.append(values)
@@ -429,92 +401,97 @@ class _VectorReader:
         if len(self.pending) == _PARSE_ROWS:
             self.flush()
 
-    def line(self, lineno: int, line: str):
-        """Read one text line (without its line end) by the full grammar."""
-        line = _checked_text(self.path, lineno, line)
-        if not line or line.isspace() or (lineno == 1 and _is_header(line)):
-            return
-        fields = line
-        if fields.count(" ") != self.dim or "\t" in fields:
-            # some vector files use general whitespace (a tab among
-            # spaces would hide in a word or value); normalise it
-            fields = " ".join(line.split())
-            if fields.count(" ") != self.dim:
-                raise ParseError(
-                    f"{self.path}:{lineno}: expected a word and {self.dim} values, "
-                    f"got {fields.count(' ') + 1} fields"
-                )
-        word, _, values = fields.partition(" ")
-        self.offer(lineno, word.encode(), values)
+    def is_header(self, fields: list[bytes]) -> bool:
+        """Whether line 1, of two fields, is a `count dim` header: two
+        integers, the second `expected_dim`. Two integers that give another
+        dim raise ParseError, except at `expected_dim` 1, where they are a
+        record."""
+        try:
+            _, dim = (int(field.decode()) for field in fields)
+        except ValueError:
+            return False
+        if dim != self.dim and self.dim != 1:
+            raise ParseError(f"{self.path}:1: the header gives dim {dim}, expected {self.dim}")
+        return dim == self.dim
 
     def scan(self, run: bytes):
-        """Read one run of whole lines. A line is a regular record when it
-        is not line 1, has no tab and no CR, a first byte that can start a
-        word that is not all whitespace, and either exactly `dim` spaces
-        or (word2vec.c's and fastText's layout) `dim` + 1 with one at its
-        end, no two in a row and no other byte below 0x20 or above 0x7F.
-        A record is split at its first space, on the bytes, and only a
-        kept record's values are decoded. An empty line is skipped. Every
-        other line, and every line of a run that is not UTF-8, is decoded
-        and read by `line`."""
+        """Read one run of whole lines by the grammar of load_embeddings.
+        Tabs and CRs become spaces, so one numpy sum per run counts each
+        line's separators, and its field count follows from that and from
+        whether it starts or ends with one; in a run that holds two
+        separators in a row, a second sum counts each line's field starts
+        instead. A record with single separators is split on its bytes,
+        one that holds a run of them into its fields, rejoined by single
+        spaces; only the values of kept records are decoded. Errors name
+        the run's first bad line, after the records before it are offered."""
+        if not self.lines:
+            run = run.removeprefix(codecs.BOM_UTF8)  # a byte-order mark is not part of line 1
+            if not run:
+                return
+        bad = None  # the first byte that is not UTF-8
+        if not run.isascii():
+            try:
+                run.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = exc.start
+        if b"\t" in run or b"\r" in run:
+            run = run.translate(_TO_SPACE)
         arr = np.frombuffer(run, np.uint8)
-        ends = np.flatnonzero(arr == 10)  # each line's LF, or the run's end
+        lf = arr == 10
+        ends = np.flatnonzero(lf)  # each line's LF, or the run's end
         if not ends.size or ends[-1] != len(run) - 1:
             ends = np.append(ends, len(run))
         starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
-        # a uint16 count per line is the fast sum; a line that could hold
-        # 65536 spaces (or tabs) would wrap it
-        count = np.int64 if len(run) > 0xFFFF and int((ends - starts).max()) > 0xFFFF else np.uint16
+        # a uint16 count per line is the fast sum; a line of 65535 bytes
+        # or more could wrap it
+        count = np.int64 if len(run) >= 0xFFFF and int((ends - starts).max()) >= 0xFFFF else np.uint16
         space = arr == 32
-        spaces = np.add.reduceat(space, starts, dtype=count)
-        worded = _WORD_HEAD[arr[starts]]
-        regular = (spaces == self.dim) & worded
-        if regular.any() and (b"\t" in run or b"\r" in run):
-            regular &= np.add.reduceat((arr == 9) | (arr == 13), starts, dtype=count) == 0
-        lasts = ends  # where each record's values end
-        trailing = (spaces == self.dim + 1) & worded & (arr[ends - 1] == 32)
-        if trailing.any():
-            # str.split reads such a line as dim spaces; only these bytes
-            # (and its LF) keep it from splitting anywhere else
-            odd = arr.view(np.int8) < 32  # a control byte or a byte above 0x7F
-            odd[1:] |= space[1:] & space[:-1]  # a space after a space
-            trailing &= np.add.reduceat(odd, starts, dtype=count) == (ends < len(run))
-            regular |= trailing
-            lasts = ends - trailing
-        if not self.lines:
-            regular[0] = False  # line 1 may be a header or start with a byte-order mark
-        if regular.any() and not run.isascii():
-            try:
-                run.decode("utf-8")
-            except UnicodeDecodeError:
-                regular[:] = False  # `line` names the first line that is not UTF-8
-        records = np.flatnonzero(regular)
-        firsts, lasts = starts[records].tolist(), lasts[records].tolist()
-        heads = list(map(run.find, itertools.repeat(b" "), firsts, lasts))  # each record's first space
+        filled = ends > starts
+        lead = space[starts]  # an empty line's start is its LF
+        trail = space[ends - 1] & filled
+        fields = np.add.reduceat(space, starts, dtype=count) + filled - lead - trail
+        runs = None  # lines that hold two separators in a row
+        if (space[1:] & space[:-1]).any():  # ~20x faster than `b"  " in run`
+            word = ~(space | lf)
+            begins = word.copy()
+            begins[1:] &= ~word[:-1]  # a field's first byte
+            counted = np.add.reduceat(begins, starts, dtype=count)
+            runs, fields = counted != fields, counted
+        # the lines before the first that is not UTF-8
+        utf8 = len(ends) if bad is None else int(np.searchsorted(ends, bad))
+        if not self.lines and utf8 and fields[0] == 2:
+            if self.is_header([f for f in run[: ends[0]].split(b" ") if f]):
+                fields[0] = 0
+        records = np.flatnonzero(fields[:utf8] == self.dim + 1)
+        stop = utf8  # the first bad line, if any
+        if np.count_nonzero(fields[:utf8]) != len(records):  # a line of a wrong field count
+            stop = int(np.flatnonzero((fields[:utf8] != self.dim + 1) & (fields[:utf8] != 0))[0])
+            records = records[records < stop]
+        firsts, lasts = (starts + lead)[records].tolist(), (ends - trail)[records].tolist()
+        heads = list(map(run.find, itertools.repeat(b" "), firsts, lasts))  # each record's first separator
         words = list(map(run.__getitem__, map(slice, firsts, heads)))
-        todo = ~regular & (starts != ends)  # an empty line is blank
+        joined = {}  # the values of records that hold separator runs, joined by single spaces
+        if runs is not None:
+            for j in np.flatnonzero(runs[records]).tolist():
+                line = run[starts[records[j]] : ends[records[j]]]
+                words[j], _, joined[j] = b" ".join(filter(None, line.split(b" "))).partition(b" ")
         if self.keep is None:
-            todo |= regular
+            kept = range(len(words))
         else:
-            todo[records[np.fromiter(map(self.keep.__contains__, words), bool, len(words))]] = True
-        todo = np.flatnonzero(todo)
-        starts, ends, regular = starts.tolist(), ends.tolist(), regular.tolist()
-        lineno = self.lines + 1  # line `i` of the run is lineno + i, plus the lines CRs ended
-        for i, j in zip(todo.tolist(), np.searchsorted(records, todo).tolist()):
-            if regular[i]:
-                self.offer(lineno + i, words[j], run[heads[j] + 1 : lasts[j]].decode())
-                continue
-            segment = run[starts[i] : ends[i]]
-            if segment.isspace():  # blank lines: one, plus one per CR before its end
-                lineno += segment.count(b"\r") - segment.endswith(b"\r")
-                continue
-            lines = _cr_lines(segment)
-            for k, line in enumerate(lines):
-                self.line(lineno + i + k, line)
-            lineno += len(lines) - 1
-        self.lines = lineno + len(starts) - 1
+            kept = np.flatnonzero(np.fromiter(map(self.keep.__contains__, words), bool, len(words))).tolist()
+        lineno, records = self.lines + 1, records.tolist()  # line `i` of the run is lineno + i
+        for j in kept:
+            values = joined[j] if j in joined else run[heads[j] + 1 : lasts[j]]
+            self.offer(lineno + records[j], words[j], values.decode())
+        if stop < utf8:
+            raise ParseError(
+                f"{self.path}:{lineno + stop}: expected a word and {self.dim} values, got {fields[stop]} fields"
+            )
+        if utf8 < len(ends):
+            raise ParseError(f"{self.path}:{lineno + utf8}: not UTF-8 text")
+        self.lines += len(ends)
 
     def table(self, seed: int) -> EmbeddingTable:
         """The table of the kept rows, plus the OOV row drawn from `seed`
@@ -547,43 +524,38 @@ def load_embeddings(
 ) -> EmbeddingTable:
     """Read `word v1 .. vD` lines into an EmbeddingTable in one pass.
 
-    A first line of two integers ("count dim") is a header and is
-    skipped. Every other non-blank line must hold a word and
-    `expected_dim` values, else ParseError. A line is split at single
-    spaces when it holds `expected_dim` of them and no tab, else at runs
-    of any whitespace. Duplicate words keep their
-    first occurrence, and `restrict_to` drops words outside the given
-    set. The file is streamed and only kept lines are parsed, in chunks
-    of `_PARSE_ROWS` rows by numpy's text reader, so memory follows the
-    kept rows and multi-gigabyte files stay tractable. Values parse to
-    float64 and are then cast to `dtype`, which rounds exactly as
-    `float()` followed by the cast. The reader's grammar is `float()`'s
-    with three exceptions: it rejects underscore digit separators
-    ("1_0") and non-ASCII digits, and it takes the ASCII separators
-    U+001C..U+001F around a value as whitespace. A non-numeric or
-    non-finite value (nan, inf, or one the dtype overflows) raises
-    ParseError on a kept line and is ignored on a dropped one. A kept
-    line whose word is the reserved `<oov>` or `<pad>` raises ParseError,
-    and so does a byte that is not UTF-8 on any line, kept or dropped;
-    errors name the first bad line in file order. Lines end only at LF,
-    CRLF or CR, so a word may hold U+2028, U+0085, VT, FF or FS/GS/RS,
-    and a byte-order mark before line 1 is dropped.
-    The OOV vector is drawn uniformly from [-0.5/D, 0.5/D] with the run
-    seed; PAD is zero.
+    The grammar is on bytes, close to that of word2vec.c and fastText,
+    which write these files: a line ends at LF, and its fields are the
+    runs of bytes other than space, tab and CR, so CRLF line ends, tabs
+    and a space after every value all read alike. A line with no field
+    is blank. Every other line is a record of exactly `expected_dim` + 1
+    fields, a word and its values, else ParseError; every byte but those
+    three separators stays in its word, VT, FF, U+00A0 and U+3000
+    included. A byte-order mark before line 1 is dropped, and line 1 is
+    a `count dim` header, skipped, when it holds two integers and the
+    second is `expected_dim`; two integers that give another dim raise
+    ParseError, except at `expected_dim` 1, where they are a record.
+    A byte that is not UTF-8 on any line, kept or dropped, raises
+    ParseError. Duplicate words keep their first occurrence, and
+    `restrict_to` drops words outside the given set. The file is
+    streamed and only kept lines are parsed, in chunks of `_PARSE_ROWS`
+    rows by numpy's text reader, so memory follows the kept rows and
+    multi-gigabyte files stay tractable. Values parse to float64 and are
+    then cast to `dtype`, which rounds exactly as `float()` followed by
+    the cast. The value grammar is `float()`'s with three exceptions: it
+    rejects underscore digit separators ("1_0") and non-ASCII digits,
+    and it takes the ASCII separators U+001C..U+001F around a value as
+    whitespace. A non-numeric or non-finite value (nan, inf, or one the
+    dtype overflows) raises ParseError on a kept line and is ignored on
+    a dropped one. A kept line whose word is the reserved `<oov>` or
+    `<pad>` raises ParseError. Errors name the first bad line in file
+    order. The OOV vector is drawn uniformly from [-0.5/D, 0.5/D] with
+    the run seed; PAD is zero.
 
-    The file is scanned in binary blocks of `_BLOCK_BYTES`: per block,
-    one ASCII (else UTF-8) check, one newline search and one numpy sum of
-    every line's spaces. A line with no tab or CR and a word that is not
-    all whitespace is a record when it holds exactly `expected_dim`
-    spaces, or one more at its end (word2vec.c's and fastText's layout)
-    with no two in a row, no byte below 0x20 and no non-ASCII byte. A
-    record is split on its bytes and its word looked up as UTF-8 bytes;
-    only the values of kept lines are decoded. An empty line is skipped. Every
-    other line (line 1, a blank line, other whitespace, a wrong field
-    count, CR or CRLF line ends, a byte that is not UTF-8) is decoded and
-    read by the full grammar, one line at a time. So the grammar, the
-    kept rows, their ids and every error are those of a reader that
-    reads every line that way.
+    The file is scanned in binary blocks of `_BLOCK_BYTES` (see
+    `_VectorReader.scan`): per block one UTF-8 check, one newline search
+    and one numpy sum of the separators give every line's field count,
+    every record is split on its bytes, and only kept values are decoded.
 
     On a process that may use two CPUs or more (`config.usable_cpus`),
     can fork and runs no other thread, the first full chunk of kept rows
@@ -782,7 +754,8 @@ def load_inputs(cfg: RunConfig):
     label's tokens are the ones kept from the vectors file, and its
     records are then routed into the two corpora. The table's intent
     vectors are those of existing_labels + emerging_labels, by
-    `intent_embedding_mode`."""
+    `intent_embedding_mode`; a label of no known token, or two emerging
+    labels of equal vectors, raise ContractError."""
     data_path = require_file(cfg.dataset_path, "dataset path")
     emb_path = require_file(cfg.embeddings_path, "embeddings file")
     records = list(iter_dataset_records(data_path))
@@ -791,5 +764,5 @@ def load_inputs(cfg: RunConfig):
     if cfg.restrict_vocab:
         restrict = _record_words(records).union(*map(split_label_tokens, existing + emerging))
     table = load_embeddings(emb_path, cfg.word_dim, seed=cfg.seed, restrict_to=restrict)
-    table.build_intent_vectors(existing + emerging, mode=cfg.intent_embedding_mode)
+    table.build_intent_vectors(existing + emerging, mode=cfg.intent_embedding_mode, emerging=len(emerging))
     return (table, *_route_records(records, existing, emerging, table))

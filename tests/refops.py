@@ -11,13 +11,15 @@ first operand's dtype.
 
 `words_of` is the tokenizer's reference: the rule `data.words_of` keeps,
 stated on `str` alone. `load_embeddings` is the vectors reader's
-reference: the per-line reader that `data.load_embeddings`' block scan
-replaced, kept as it was (it shares `data._parse_rows`, the value
-parser both use).
+reference: the byte grammar `data.load_embeddings` documents, read one
+line at a time with a regular expression (it shares `data._parse_rows`,
+the value parser both use).
 """
 
 from __future__ import annotations
 
+import codecs
+import re
 import string
 from pathlib import Path
 from typing import Sequence
@@ -25,17 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from capsnlu.autodiff import ContractError, DegenerateRowError, DimensionError, Tensor, _result
-from capsnlu.data import (
-    _PARSE_ROWS,
-    _UNDECODED,
-    OOV_TOKEN,
-    PAD_TOKEN,
-    EmbeddingTable,
-    EmptySourceError,
-    ParseError,
-    _is_header,
-    _parse_rows,
-)
+from capsnlu.data import OOV_TOKEN, PAD_TOKEN, EmbeddingTable, EmptySourceError, ParseError, _parse_rows
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -321,20 +313,11 @@ def words_of(text: str) -> list[str]:
 # word vectors
 
 
-def _text_lines(path: Path):
-    """Yield (lineno, line) over the lines of `path` as UTF-8 text, from 1.
-    Lines end only at LF, CRLF or CR (each read as "\\n"), and a leading
-    byte-order mark is dropped. A line that holds a byte that is not
-    UTF-8 raises ParseError naming it."""
-    with open(path, "r", encoding="utf-8", errors="capsnlu.undecoded") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
-                if not line:  # the mark was all the file held
-                    return
-            if _UNDECODED in line:  # a lone surrogate: valid UTF-8 never decodes to one
-                raise ParseError(f"{path}:{lineno}: not UTF-8 text")
-            yield lineno, line
+def _integers(fields: list[bytes]) -> list[int] | None:
+    try:
+        return [int(field.decode()) for field in fields]
+    except ValueError:
+        return None
 
 
 def load_embeddings(
@@ -344,65 +327,54 @@ def load_embeddings(
     restrict_to: set[str] | None = None,
     dtype=np.float32,
 ) -> EmbeddingTable:
-    """Read `word v1 .. vD` lines into an EmbeddingTable, one decoded text
-    line at a time, by the grammar `data.load_embeddings` documents."""
+    """Read `word v1 .. vD` lines into an EmbeddingTable, one line of bytes
+    at a time, by the grammar `data.load_embeddings` documents."""
     path = Path(path)
-    vocab: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
-    pending: list[str] = []  # value strings of kept lines not yet parsed
+    keep = None if restrict_to is None else {w.encode("utf-8", "surrogatepass") for w in restrict_to}
+    vocab: dict[bytes, int] = {}
+    rows: list[str] = []  # the kept lines' values, joined by single spaces
     linenos: list[int] = []
-
-    def flush():
-        nonlocal pending, linenos
-        if pending:  # cleared before the parse, so a failed chunk is not parsed again
-            chunk, at, pending, linenos = pending, linenos, [], []
-            blocks.append(_parse_rows(path, chunk, at, dtype))
-
-    try:
-        for lineno, line in _text_lines(path):
-            if line.isspace() or (lineno == 1 and _is_header(line)):
-                continue
-            fields = line.rstrip("\n")
-            if fields.count(" ") != expected_dim or "\t" in fields:
-                # some vector files use general whitespace (a tab among
-                # spaces would hide in a word or value); normalise it
-                fields = " ".join(line.split())
-                if fields.count(" ") != expected_dim:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected a word and {expected_dim} values, "
-                        f"got {fields.count(' ') + 1} fields"
-                    )
-            word, _, values = fields.partition(" ")
-            if word in vocab or (restrict_to is not None and word not in restrict_to):
-                continue  # first occurrence wins
-            if not values:  # "word " at expected_dim 1: numpy's reader would skip the row
-                raise ParseError(f"{path}:{lineno}: non-numeric vector entry")
-            if word in (OOV_TOKEN, PAD_TOKEN):  # it would take the reserved row's name
-                raise ParseError(f"{path}:{lineno}: {word!r} is a reserved word")
-            pending.append(values)
-            linenos.append(lineno)
-            vocab[word] = len(vocab)
-            if len(pending) == _PARSE_ROWS:
-                flush()
-    except ParseError:
-        flush()  # a bad value on an earlier kept line is reported first
-        raise
-    flush()
-
-    if not blocks:
+    error = None
+    lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            error = f"{path}:{lineno}: not UTF-8 text"
+            break
+        fields = re.findall(rb"[^ \t\r]+", line)
+        header = _integers(fields) if lineno == 1 and len(fields) == 2 else None
+        if not fields or (header and header[1] == expected_dim):
+            continue  # a blank line, or a `count dim` header
+        if header and expected_dim != 1:
+            error = f"{path}:1: the header gives dim {header[1]}, expected {expected_dim}"
+            break
+        if len(fields) != expected_dim + 1:
+            error = f"{path}:{lineno}: expected a word and {expected_dim} values, got {len(fields)} fields"
+            break
+        if fields[0] in vocab or (keep is not None and fields[0] not in keep):
+            continue  # first occurrence wins
+        if fields[0] in (OOV_TOKEN.encode(), PAD_TOKEN.encode()):  # it would take the reserved row's name
+            error = f"{path}:{lineno}: {fields[0].decode()!r} is a reserved word"
+            break
+        vocab[fields[0]] = len(vocab)
+        rows.append(b" ".join(fields[1:]).decode())
+        linenos.append(lineno)
+    block = _parse_rows(path, rows, linenos, dtype) if rows else None  # a bad value before the error is named first
+    if error:
+        raise ParseError(error)
+    if block is None:
         raise EmptySourceError(f"{path}: no embedding records")
 
     rng = np.random.default_rng(seed)
     bound = 0.5 / expected_dim
     oov_vec = rng.uniform(-bound, bound, size=expected_dim).astype(dtype)
     pad_vec = np.zeros(expected_dim, dtype=dtype)
-    oov_id = len(vocab)
-    pad_id = oov_id + 1
-    vocab[OOV_TOKEN] = oov_id
-    vocab[PAD_TOKEN] = pad_id
-    vectors = np.vstack(blocks + [oov_vec, pad_vec])
+    words = [word.decode() for word in vocab] + [OOV_TOKEN, PAD_TOKEN]
+    vectors = np.vstack([block, oov_vec, pad_vec])
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
-        word = list(vocab)[int(np.argmin(finite))]  # insertion order is id order
-        raise ParseError(f"{path}: word {word!r} has a non-finite vector entry")
-    return EmbeddingTable(vocab=vocab, vectors=vectors, oov_id=oov_id, pad_id=pad_id)
+        raise ParseError(f"{path}: word {words[int(np.argmin(finite))]!r} has a non-finite vector entry")
+    return EmbeddingTable(
+        vocab={word: i for i, word in enumerate(words)}, vectors=vectors, oov_id=len(vocab), pad_id=len(vocab) + 1
+    )

@@ -182,6 +182,22 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "nope.txt" in err
 
+    def test_labels_out_of_the_vocabulary_exit_2(self, toy_files, tmp_path, capsys):
+        # both emerging intents read the OOV row: the run trained, and
+        # zero-shot accuracy read 1.0 on the first and 0.0 on the second
+        root, vectors, corpus = toy_files
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_text(
+            corpus.read_text(encoding="utf-8").replace("\tTunes", "\tQzxVwy").replace("\tSports", "\tQzxVwk"),
+            encoding="utf-8",
+        )
+        cfg_path = write_config(tmp_path / "renamed.cfg", vectors, renamed, tmp_path / "out",
+                                emerging_labels="QzxVwy,QzxVwk")
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'QzxVwy' (qzx, vwy), 'QzxVwk' (qzx, vwk)" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_config(self, toy_files, tmp_path, capsys):
         root, vectors, corpus = toy_files
         cfg_path = write_config(tmp_path / "bad2.cfg", vectors, corpus, tmp_path / "out",

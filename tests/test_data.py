@@ -110,6 +110,21 @@ class TestLoadEmbeddings:
         assert "2" not in table.vocab
         assert table.vocab["a"] == 0
 
+    @pytest.mark.parametrize("restrict_to", [None, {"a"}], ids=["all", "restricted"])
+    def test_header_of_another_dim_names_both_dims(self, tmp_path, restrict_to):
+        # it was skipped as a header, whatever dim it gave
+        p = write_vectors(tmp_path / "v.txt", "2 100\na 1 2\nb 3 4\n")
+        with pytest.raises(ParseError, match=r"v\.txt:1: the header gives dim 100, expected 2"):
+            load_embeddings(p, expected_dim=2, restrict_to=restrict_to)
+
+    def test_two_integers_at_dim_1_are_a_header_only_for_dim_1(self, tmp_path):
+        # "7 3" was dropped as a header, so the word "7" was out of vocabulary
+        p = write_vectors(tmp_path / "v.txt", "7 3\n8 4\n")
+        table = load_embeddings(p, expected_dim=1, dtype=np.float64)
+        assert list(table.vocab)[:2] == ["7", "8"] and table.vectors[:2].tolist() == [[3.0], [4.0]]
+        p = write_vectors(tmp_path / "v.txt", "5 1\n8 4\n")
+        assert list(load_embeddings(p, expected_dim=1).vocab)[:1] == ["8"]
+
     def test_restrict_to(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", "a 1 2\nb 3 4\nc 5 6\n")
         table = load_embeddings(p, expected_dim=2, restrict_to={"a", "c"})
@@ -146,7 +161,7 @@ class TestLoadEmbeddings:
 
     @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x0b", "\x0c"])
     def test_word_with_unicode_line_separator(self, tmp_path, sep):
-        """Only LF, CRLF and CR end a line; str.splitlines would also break here."""
+        """Only LF ends a line; str.splitlines would also break here."""
         p = write_vectors(tmp_path / "v.txt", f"a{sep}b 1 2\nc 3 4\n")
         table = load_embeddings(p, expected_dim=2)
         assert table.vocab[f"a{sep}b"] == 0 and table.vocab["c"] == 1
@@ -220,15 +235,13 @@ class TestLoadEmbeddings:
         table = load_embeddings(p, expected_dim=2, restrict_to={"a"})
         assert table.vocab["a"] == 0 and len(table.vectors) == 3
 
-    def test_empty_value_on_kept_line_names_line(self, tmp_path):
-        # numpy's reader skips an empty row, which left the vocabulary one
-        # id longer than the table
+    @pytest.mark.parametrize("restrict_to", [None, {"a", "b"}], ids=["all", "restricted"])
+    def test_word_without_values_names_its_field_count(self, tmp_path, restrict_to):
+        # "w " is one field, kept or dropped (numpy's reader would skip an
+        # empty row and leave the vocabulary one id longer than the table)
         p = write_vectors(tmp_path / "v.txt", "a 0.5\nw \nb 0.25\n")
-        with pytest.raises(ParseError, match=r":2: non-numeric"):
-            load_embeddings(p, expected_dim=1)
-        table = load_embeddings(p, expected_dim=1, restrict_to={"a", "b"})
-        assert len(table.vocab) == len(table.vectors) == 4
-        assert table.vectors[table.vocab["b"], 0] == 0.25
+        with pytest.raises(ParseError, match=r":2: expected a word and 1 values, got 1 fields"):
+            load_embeddings(p, expected_dim=1, restrict_to=restrict_to)
 
     @pytest.mark.parametrize("word", ["<pad>", "<oov>"])
     def test_reserved_word_on_kept_line_names_line(self, tmp_path, word):
@@ -241,13 +254,14 @@ class TestLoadEmbeddings:
         assert len(table.vocab) == len(table.vectors) == 4
         assert table.vocab[word] in (table.oov_id, table.pad_id)
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("end, line", [("\n", 2), ("\r\n", 2), ("\r", 1)], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("restrict_to", [None, {"a"}], ids=["all", "restricted"])
-    def test_non_utf8_byte_names_its_line(self, tmp_path, end, restrict_to):
-        # it escaped as a bare UnicodeDecodeError, with and without restrict_to
+    def test_non_utf8_byte_names_its_line(self, tmp_path, end, line, restrict_to):
+        # it escaped as a bare UnicodeDecodeError, with and without
+        # restrict_to; a CR does not end a line, so there it is line 1
         p = tmp_path / "v.txt"
         p.write_bytes(f"a 1 2{end}b\xff 3 4{end}".encode("latin-1"))
-        with pytest.raises(ParseError, match=r"v\.txt:2: not UTF-8 text"):
+        with pytest.raises(ParseError, match=rf"v\.txt:{line}: not UTF-8 text"):
             load_embeddings(p, expected_dim=2, restrict_to=restrict_to)
 
     def test_non_utf8_byte_far_into_the_file_names_its_line(self, tmp_path):
@@ -581,6 +595,22 @@ class TestIntentEmbedding:
         got = intent_embedding("Zzz", table)
         np.testing.assert_allclose(got, table.vectors[table.oov_id])
 
+    def test_label_with_every_token_out_of_vocabulary_is_named(self, table):
+        # its vector was the OOV row, so two such labels tied in every q row
+        with pytest.raises(ContractError, match=r"out of the vocabulary: 'QzxVwy' \(qzx, vwy\), 'QzxVwk' \(qzx, vwk\)"):
+            table.build_intent_vectors(["PlayMusic", "QzxVwy", "QzxVwk"])
+        assert table.intent_vectors is None
+        table.build_intent_vectors(["PlayMusic", "PlayZzz"])  # one known token is enough
+
+    def test_emerging_labels_with_equal_vectors_are_named(self, table):
+        # their similarity rows tie, so the first always won the argmax
+        with pytest.raises(ContractError, match=r"emerging intents 'PlayMusic' and 'MusicPlay' have equal vectors"):
+            table.build_intent_vectors(["GetWeather", "PlayMusic", "MusicPlay"], emerging=2)
+        # an emerging intent may equal an existing one (a synonym), and
+        # without `emerging` no label is taken for an emerging intent
+        table.build_intent_vectors(["GetWeather", "PlayMusic", "MusicPlay"], emerging=1)
+        table.build_intent_vectors(["GetWeather", "PlayMusic", "MusicPlay"])
+
 
 def make_snips_dir(root, intent_samples):
     for intent, texts in intent_samples.items():
@@ -862,6 +892,18 @@ class TestLoadInputs:
         assert {"tunes", "sports"} <= on.vocab.keys()
         assert on.intent_vectors.dtype == off.intent_vectors.dtype
         assert on.intent_vectors.tobytes() == off.intent_vectors.tobytes()
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_labels_out_of_the_vocabulary_are_named(self, tmp_path, restrict):
+        # both emerging intents read the OOV row and tied: zero-shot
+        # accuracy was 1.0 on the first and 0.0 on the second
+        samples = {"GetWeather": self.SAMPLES["GetWeather"], "PlayMusic": self.SAMPLES["PlayMusic"],
+                   "QzxVwy": ["add this song"], "QzxVwk": ["play this song"]}
+        data = make_snips_dir(tmp_path / "snips", samples)
+        cfg = self.config(tmp_path, "tsv", dataset_path=str(data), emerging_labels=("QzxVwy", "QzxVwk"),
+                          restrict_vocab=restrict)
+        with pytest.raises(ContractError, match=r"'QzxVwy' \(qzx, vwy\), 'QzxVwk' \(qzx, vwk\)"):
+            load_inputs(cfg)
 
     def test_paths_are_checked_dataset_first(self, tmp_path):
         cfg = self.config(tmp_path, "tsv")

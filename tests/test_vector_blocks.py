@@ -1,15 +1,14 @@
 """The block scan of `data.load_embeddings` against `refops.load_embeddings`,
-the per-line reader it replaced.
+the same byte grammar read one line at a time.
 
 The reader takes the file in reads of `data._BLOCK_BYTES`; here that is
 set to 1-64 bytes, so the files of `test_fuzz_vectors` cross many read
 edges: inside a word, a value, a multi-byte character, between the CR
 and the LF of a CRLF. Both readers must give the same vocabulary, ids
 and vector bytes, in float32 and float64, or the same exception type
-and message.
+and message. A file written in each layout the grammar reads alike
+(plain, a space after every value, CRLF, tabs) gives one table.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -17,22 +16,12 @@ import pytest
 import refops
 
 from capsnlu import data
-from capsnlu.data import load_embeddings
+from capsnlu.data import ParseError, load_embeddings
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from test_fuzz_vectors import VALUES, WORDS, vector_files, well_formed_files
-
-
-def outcome(load, path, dim, restrict, dtype):
-    """What one reader gives for one file: the table's contents, or the
-    exception's type and message."""
-    try:
-        table = load(path, expected_dim=dim, seed=3, restrict_to=restrict, dtype=dtype)
-    except Exception as exc:  # compared, type and message, with the reference's
-        return type(exc), str(exc)
-    return list(table.vocab.items()), table.oov_id, table.pad_id, table.vectors.dtype, table.vectors.tobytes()
+from test_fuzz_vectors import VALUES, WORDS, outcome, vector_files, well_formed_files
 
 
 def check_same(path, dim, restrict, block):
@@ -128,18 +117,19 @@ def test_trailing_space_lookalikes(tmp_path, line):
         check_same(path, 2, {"a", "b"}, block)
 
 
-def test_trailing_space_records_are_read_on_their_bytes(tmp_path, monkeypatch):
-    """Lines that end in a space take the byte path, not the per-line
-    rules: only line 1 (a header here) and the line with a tab do."""
+@pytest.mark.parametrize(
+    "line",
+    [b" w 1 2", b"\tw 1 2", b"\rw 1 2 ", b" w 1 2\r", b"  w 1 2", b" \tw  1 2 ", b"\r\r w\t1\r2"],
+)
+def test_leading_separators(tmp_path, line):
+    # a record may start with a separator, or a run of them
     path = tmp_path / "v.txt"
-    path.write_bytes(b"4 2\nthe 0.5 -1 \ncaf\xc3\xa9 2 3 \nx\t4 5 \nb 6 7 \n")
-    read = []
-    line = data._VectorReader.line
-    monkeypatch.setattr(data._VectorReader, "line", lambda self, n, text: (read.append(n), line(self, n, text)))
+    path.write_bytes(b"a 1 2\n" + line + b"\nb 3 4\n")
+    for block in (4, 64):
+        check_same(path, 2, None, block)
+        check_same(path, 2, {"w", "b"}, block)
     table = load_embeddings(path, expected_dim=2, dtype=np.float64)
-    assert read == [1, 3, 4]  # the header, the non-ASCII word and the tab
-    assert list(table.vocab)[:4] == ["the", "caf\xe9", "x", "b"]
-    assert table.vectors[:4].tolist() == [[0.5, -1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+    assert list(table.vocab)[:3] == ["a", "w", "b"] and table.vectors[1].tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -147,12 +137,12 @@ def test_trailing_space_records_are_read_on_their_bytes(tmp_path, monkeypatch):
     [
         (b"a 1 2\r\nb 3 4\r\nc 5\r\nd 7 8\r\n", 6),  # the first read ends at a CR, the next starts with its LF
         (b"a 1 2\r\nb 3 4\r\nc 5\r\nd 7 8\r\n", 13),  # the same, at the second line end
-        (b"a 1 2\rb 3 4\rc 5\rd 7 8\r", 6),  # CR line ends at read edges, with no LF to drop
+        (b"a 1 2\rb 3 4\rc 5\rd 7 8\r", 6),  # CRs end no line: one line of 12 fields
         (b"a 1 2\r\n\nb 3 4\n", 6),  # an LF that ends an empty line after a CRLF split by the read
         (b"a 1 2\r\n", 6),  # the file ends at the LF of the split CRLF
-        (b"a 1 2\rb 3 4\nc 5 6\rd 7\n", 64),  # lines a CR ends come before an LF's, in one read
+        (b"a 1 2\rb 3 4\nc 5 6\rd 7\n", 64),  # a CR inside a line, in one read
         (b"a 1 2\rb 3 4\nc 5 6\rd 7\n", 12),  # and in an earlier read
-        (b"a 1 2\n \r\t\r\nb 3\n", 64),  # whitespace lines a CR ends, before an LF's
+        (b"a 1 2\n \r\t\r\nb 3\n", 64),  # a blank line of separators, CRs among them
     ],
     ids=[
         "crlf-at-1", "crlf-at-2", "cr", "crlf-then-blank", "crlf-at-eof",
@@ -185,7 +175,7 @@ def test_line_longer_than_a_read(tmp_path, raw, block):
         (b"a 1 2\nb\xff 3 4\n", 7),  # it starts one
         (b"a 1 2\ncaf\xc3\xa9 3 4\n", 10),  # a valid two-byte character split by a read
         (b"a 1 2\ncaf\xc3\n", 10),  # a lead byte whose character a line end cuts short
-        (b"a 1 2\nb 3 4\r\xe9 5 6\n", 12),  # a bad byte on a line a CR ends
+        (b"a 1 2\nb 3 4\r\xe9 5 6\n", 12),  # a bad byte after a CR, on the same line
     ],
     ids=["ends-a-read", "starts-a-read", "split-character", "cut-character", "after-cr"],
 )
@@ -197,18 +187,50 @@ def test_non_utf8_byte_at_a_read_edge(tmp_path, raw, block):
 
 
 @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"])
-def test_whitespace_line_with_expected_dim_spaces_is_blank(tmp_path, space):
-    # with its 2 spaces it has the field count of a record, but no word
+def test_other_whitespace_is_a_field(tmp_path, space):
+    # only space, tab and CR separate fields: this line is a record whose
+    # word and values are that character, so kept it names its values
     path = tmp_path / "v.txt"
     path.write_text(f"a 1 2\n{space} {space} {space}\nb 3 4\n", encoding="utf-8")
     check_same(path, 2, None, 64)
-    assert list(load_embeddings(path, expected_dim=2).vocab)[:2] == ["a", "b"]
+    with pytest.raises(ParseError, match=r"v\.txt:2: non-numeric vector entry"):
+        load_embeddings(path, expected_dim=2)
+    assert list(load_embeddings(path, expected_dim=2, restrict_to={"a", "b"}).vocab)[:2] == ["a", "b"]
 
 
-def test_word_head_table_excludes_every_whitespace_lead_byte():
-    """A line whose first byte could start a whitespace code point is read
-    by the full grammar (it may be a blank line)."""
-    for code in range(sys.maxunicode + 1):
-        char = chr(code)
-        if char.isspace():
-            assert not data._WORD_HEAD[char.encode()[0]], hex(code)
+LAYOUTS = {
+    "plain": lambda fields: " ".join(fields) + "\n",
+    "space-after-every-value": lambda fields: " ".join(fields) + " \n",  # word2vec.c, fastText .vec
+    "crlf": lambda fields: " ".join(fields) + "\r\n",
+    "tab": lambda fields: "\t".join(fields) + "\n",
+}
+
+
+@pytest.mark.parametrize("restrict", [None, {"w3", "w17", "caf\xe9", "w40"}], ids=["all", "restricted"])
+def test_every_layout_gives_one_table(tmp_path, restrict):
+    rng = np.random.default_rng(4)
+    rows = [["40", "3"]] + [[f"w{i % 45}"] + [f"{x:.9g}" for x in rng.normal(size=3)] for i in range(50)]
+    rows[9][0] = "caf\xe9"
+    tables = {}
+    for name, layout in LAYOUTS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(map(layout, rows)), encoding="utf-8")
+        for block in (5, 64, 1 << 17):
+            check_same(path, 3, restrict, block)
+        tables[name] = [outcome(load_embeddings, path, 3, restrict, dtype) for dtype in (np.float32, np.float64)]
+    assert len(tables["plain"][0]) == 5  # a table, not an error's type and message
+    assert all(table == tables["plain"] for table in tables.values())
+
+
+def test_unicode_whitespace_words_load_in_every_layout(tmp_path):
+    # in fastText's layout, a space after every value, these words were
+    # split at their U+00A0, U+3000 or U+2028: "got 4 fields"
+    words = ["a\xa0b", "\u4e2d\u3000\u6587", "x\u2028y"]
+    for name, layout in LAYOUTS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(layout([w, str(i), "0.5"]) for i, w in enumerate(words)), encoding="utf-8")
+        for restrict in (None, set(words)):
+            table = load_embeddings(path, expected_dim=2, restrict_to=restrict, dtype=np.float64)
+            assert list(table.vocab)[:3] == words, name
+            assert table.vectors[:3].tolist() == [[0.0, 0.5], [1.0, 0.5], [2.0, 0.5]]
+            check_same(path, 2, restrict, 7)
